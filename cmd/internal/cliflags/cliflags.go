@@ -1,8 +1,9 @@
 // Package cliflags factors the flag wiring shared by the cmd/ralin-* tools:
-// the checker/batch flags (-engine, -parallel, -batch-workers) and resource
-// limits (-timeout, -max-interned, -max-memo-mb) that resolve to a
-// harness.Options value, the -seed flag, and the scenario selection flags
-// (-scenario, -list-scenarios) backed by the internal/scenario library.
+// the checker/batch flags (-engine, -guidance, -parallel, -batch-workers) and
+// resource limits (-timeout, -max-interned, -max-memo-mb) that resolve to a
+// harness.Options value, the -seed and -incremental flags, and the scenario
+// selection flags (-scenario, -list-scenarios) backed by the
+// internal/scenario library.
 package cliflags
 
 import (
@@ -26,29 +27,29 @@ type Common struct {
 	timeout      *time.Duration
 	maxInterned  *int
 	maxMemoMB    *int
-	incremental  *bool
 }
 
-// AddCommon registers -engine, -guidance, -parallel, -batch-workers,
-// -incremental and the resource limit flags (-timeout, -max-interned,
-// -max-memo-mb) on the flag set.
+// AddCommon registers -engine, -guidance, -parallel, -batch-workers and the
+// resource limit flags (-timeout, -max-interned, -max-memo-mb) on the flag
+// set.
 func AddCommon(fs *flag.FlagSet) *Common {
 	return &Common{
-		engine:       fs.String("engine", "auto", "exhaustive-search engine: auto, pruned or legacy"),
-		guidance:     fs.String("guidance", "auto", "pruned-engine branch ordering: auto, rank-order or guided (heuristic; same verdicts, fewer nodes on refutations)"),
+		engine:       fs.String("engine", "pruned", "exhaustive-search engine: pruned or legacy (auto = pruned)"),
+		guidance:     fs.String("guidance", "rank-order", "pruned-engine branch ordering: rank-order or guided (heuristic; same verdicts, fewer nodes on refutations; auto = rank-order)"),
 		parallel:     fs.Int("parallel", 0, "pruned-engine worker goroutines sharing one memo table via work stealing (0 = GOMAXPROCS)"),
 		batchWorkers: fs.Int("batch-workers", 0, "goroutines checking histories of one batch concurrently over a shared engine session (0 = GOMAXPROCS, 1 = sequential)"),
 		timeout:      fs.Duration("timeout", 0, "wall-clock budget for the whole run; trials past the deadline report verdict unknown instead of hanging (0 = none)"),
 		maxInterned:  fs.Int("max-interned", 0, "memory budget: max distinct interned abstract states per session before searches degrade to memo-less mode (0 = unlimited)"),
 		maxMemoMB:    fs.Int("max-memo-mb", 0, "memory budget: approximate MiB of live memoization entries per session before searches degrade to memo-less mode (0 = unlimited)"),
-		incremental:  fs.Bool("incremental", false, "replay each history op-by-op through the incremental checker (Session.Extend): every prefix is re-verified in ~marginal time, same final verdicts as the batch check"),
 	}
 }
 
-// Incremental reports whether -incremental was given: histories should be
-// replayed op-by-op through harness.MonitorGenerated instead of batch-checked
-// whole.
-func (c *Common) Incremental() bool { return *c.incremental }
+// AddIncremental registers -incremental on the flag set of the tools that
+// honour it (ralin-check, ralin-scenario): when given, histories are replayed
+// op-by-op through harness.MonitorGenerated instead of batch-checked whole.
+func AddIncremental(fs *flag.FlagSet) *bool {
+	return fs.Bool("incremental", false, "replay each history op-by-op through the incremental checker (Session.Extend): every prefix is re-verified in ~marginal time, same final verdicts as the batch check")
+}
 
 // Options resolves the parsed flags into a harness.Options value.
 func (c *Common) Options() (harness.Options, error) {
@@ -116,9 +117,6 @@ func VerdictExitCode(res harness.HistoryCheck, expectRefutations bool) int {
 	}
 	return 0
 }
-
-// Engine returns the resolved engine (for reporting).
-func (c *Common) Engine() (core.Engine, error) { return core.ParseEngine(*c.engine) }
 
 // AddSeed registers the -seed flag.
 func AddSeed(fs *flag.FlagSet) *int64 {

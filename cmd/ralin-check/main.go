@@ -48,6 +48,7 @@ func main() {
 	seed := cliflags.AddSeed(flag.CommandLine)
 	delivery := flag.Int("delivery", 40, "probability (percent) of a propagation step between operations")
 	common := cliflags.AddCommon(flag.CommandLine)
+	incremental := cliflags.AddIncremental(flag.CommandLine)
 	scen := cliflags.AddScenario(flag.CommandLine)
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file before exiting")
@@ -77,7 +78,7 @@ func main() {
 			fatal(err)
 		}
 	}
-	code := run(common, scen.Name(), *name, *histories, *ops, *replicas, *seed, *delivery)
+	code := run(common, *incremental, scen.Name(), *name, *histories, *ops, *replicas, *seed, *delivery)
 	if *cpuprofile != "" {
 		pprof.StopCPUProfile()
 	}
@@ -101,14 +102,14 @@ func fatal(err error) {
 	os.Exit(3)
 }
 
-func run(common *cliflags.Common, scenarioName, name string, histories, ops, replicas int, seed int64, delivery int) int {
+func run(common *cliflags.Common, incremental bool, scenarioName, name string, histories, ops, replicas int, seed int64, delivery int) int {
 	o, err := common.Options()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ralin-check:", err)
 		return 3
 	}
 	if scenarioName != "" {
-		return runScenario(o, scenarioName, histories, seed, common.Incremental())
+		return runScenario(o, scenarioName, histories, seed, incremental)
 	}
 
 	d, err := registry.Lookup(name)
@@ -124,7 +125,7 @@ func run(common *cliflags.Common, scenarioName, name string, histories, ops, rep
 		DeliveryProb: delivery,
 	}
 	var res harness.HistoryCheck
-	if common.Incremental() {
+	if incremental {
 		res, err = harness.MonitorRandomHistories(d, histories, cfg, o)
 	} else {
 		res, err = harness.CheckRandomHistoriesWith(d, histories, cfg, o)

@@ -36,6 +36,7 @@ func main() {
 	keep := flag.Int("keep", 2, "corpus entries kept per scenario when harvesting")
 	harvest := flag.String("harvest", "", "harvest the most interesting histories into this corpus directory instead of batch-checking")
 	common := cliflags.AddCommon(flag.CommandLine)
+	incremental := cliflags.AddIncremental(flag.CommandLine)
 	scen := cliflags.AddScenario(flag.CommandLine)
 	cliflags.DocumentExitCodes(flag.CommandLine)
 	flag.Parse()
@@ -75,7 +76,7 @@ func main() {
 	// unexpected refutations (1) dominate unknowns (2) dominate clean runs.
 	failed, unknown := 0, 0
 	for _, sc := range scenarios {
-		switch runScenario(sc, o, *seed, *trials, common.Incremental()) {
+		switch runScenario(sc, o, *seed, *trials, *incremental) {
 		case 1:
 			failed++
 		case 2:

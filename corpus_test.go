@@ -45,9 +45,9 @@ func TestScenarioCorpusReplay(t *testing.T) {
 			t.Fatalf("%s: %v", paths[i], err)
 		}
 		res := core.CheckRA(h, plan.Spec, plan.Options)
-		if res.OK != e.RALinearizable {
-			t.Errorf("%s: replay verdict %v, corpus recorded %v (scenario %s seed %d vs %s)",
-				paths[i], res.OK, e.RALinearizable, e.Scenario, e.Seed, e.Spec)
+		if (res.Verdict == core.VerdictValid) != e.RALinearizable {
+			t.Errorf("%s: replay verdict %v, corpus recorded RA-linearizable=%v (scenario %s seed %d vs %s)",
+				paths[i], res.Verdict, e.RALinearizable, e.Scenario, e.Seed, e.Spec)
 		}
 	}
 }
@@ -127,9 +127,8 @@ func TestScenarioCorpusFailSafe(t *testing.T) {
 // order: the query-commit reduction only ever shrinks the refutation DAG,
 // while pure sibling reordering leaves it untouched. DebugMemo is on for
 // every replay, so the run doubles as the corpus-wide soak of the memo
-// table's collision check and of the word-folded/legacy key bijection (a
-// bitset memo key that split or merged configurations the sorted-ID key
-// distinguished would panic here).
+// table's hash-collision check (two distinct configurations sharing a
+// 128-bit key would panic here).
 func TestScenarioCorpusGuidedDifferential(t *testing.T) {
 	entries, paths := loadCorpus(t)
 	for i, e := range entries {
@@ -151,15 +150,15 @@ func TestScenarioCorpusGuidedDifferential(t *testing.T) {
 		rank := core.CheckRA(h, plan.Spec, opts)
 		opts.Guidance = core.GuidanceGuided
 		guided := core.CheckRA(h, plan.Spec, opts)
-		if rank.OK != guided.OK || rank.Complete != guided.Complete || rank.Verdict != guided.Verdict {
-			t.Errorf("%s: guided verdict diverged from rank order: rank OK=%v/%v guided OK=%v/%v",
-				paths[i], rank.OK, rank.Verdict, guided.OK, guided.Verdict)
+		if rank.Verdict != guided.Verdict {
+			t.Errorf("%s: guided verdict diverged from rank order: rank %v guided %v",
+				paths[i], rank.Verdict, guided.Verdict)
 			continue
 		}
-		if rank.OK != e.RALinearizable {
-			t.Errorf("%s: verdict %v does not match corpus record %v", paths[i], rank.OK, e.RALinearizable)
+		if (rank.Verdict == core.VerdictValid) != e.RALinearizable {
+			t.Errorf("%s: verdict %v does not match corpus record RA-linearizable=%v", paths[i], rank.Verdict, e.RALinearizable)
 		}
-		if !rank.OK && guided.Nodes > rank.Nodes {
+		if rank.Verdict != core.VerdictValid && guided.Nodes > rank.Nodes {
 			t.Errorf("%s: guided refutation explored more nodes than rank order: %d > %d",
 				paths[i], guided.Nodes, rank.Nodes)
 		}
@@ -187,12 +186,12 @@ func TestScenarioCorpusEnginesAgree(t *testing.T) {
 		for _, engine := range []core.Engine{core.EnginePruned, core.EngineLegacy} {
 			opts.Engine = engine
 			res := core.CheckRA(h, plan.Spec, opts)
-			if !res.OK && !res.Complete {
+			if res.Verdict == core.VerdictUnknown {
 				t.Errorf("%s: engine %v did not decide the entry within budget", paths[i], engine)
 				continue
 			}
-			if res.OK != e.RALinearizable {
-				t.Errorf("%s: engine %v verdict %v, corpus recorded %v", paths[i], engine, res.OK, e.RALinearizable)
+			if (res.Verdict == core.VerdictValid) != e.RALinearizable {
+				t.Errorf("%s: engine %v verdict %v, corpus recorded RA-linearizable=%v", paths[i], engine, res.Verdict, e.RALinearizable)
 			}
 		}
 	}

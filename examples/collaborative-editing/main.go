@@ -62,7 +62,7 @@ func main() {
 	// list specification, using timestamp-order linearizations.
 	res := core.CheckRA(doc.History(), d.Spec, d.CheckOptions())
 	fmt.Printf("session RA-linearizable: %v (strategy %v, %d candidate(s) tried)\n",
-		res.OK, res.Strategy, res.Tried)
+		res.Verdict == core.VerdictValid, res.Strategy, res.Tried)
 }
 
 func invoke(sys *runtime.System, replica clock.ReplicaID, method string, args ...core.Value) {

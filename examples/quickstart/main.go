@@ -48,8 +48,8 @@ func main() {
 	history := sys.History()
 	result := core.CheckRA(history, d.Spec, d.CheckOptions())
 	fmt.Printf("history has %d operations\n", history.Len())
-	fmt.Printf("RA-linearizable: %v (witness strategy: %v)\n", result.OK, result.Strategy)
-	if result.OK {
+	fmt.Printf("RA-linearizable: %v (witness strategy: %v)\n", result.Verdict == core.VerdictValid, result.Strategy)
+	if result.Verdict == core.VerdictValid {
 		fmt.Println("witness linearization:")
 		fmt.Println(" ", core.FormatLabels(result.Linearization))
 	}

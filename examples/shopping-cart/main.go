@@ -48,7 +48,7 @@ func main() {
 			fmt.Printf("POST-CONDITION VIOLATION under schedule %v\n", run.Schedule)
 		}
 		res := core.CheckRA(run.System.History(), d.Spec, d.CheckOptions())
-		if !res.OK {
+		if res.Verdict != core.VerdictValid {
 			nonLinearizable++
 		}
 		return true

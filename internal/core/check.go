@@ -35,13 +35,10 @@ func (s Strategy) String() string {
 type Engine int
 
 const (
-	// EngineAuto uses the pruned backtracking engine when one is registered
-	// (importing internal/search registers it) and falls back to the legacy
-	// enumerator otherwise.
-	EngineAuto Engine = iota
-	// EnginePruned selects the incremental pruned DFS over linear extensions.
-	// Falls back to the legacy enumerator when no engine is registered.
-	EnginePruned
+	// EnginePruned, the zero value, selects the incremental pruned DFS over
+	// linear extensions. It falls back to the legacy enumerator when no
+	// engine is registered (importing internal/search registers it).
+	EnginePruned Engine = iota
 	// EngineLegacy selects the generate-then-test enumerator that validates
 	// every complete linear extension from scratch. Kept as the oracle for
 	// differential testing of the pruned engine.
@@ -51,8 +48,6 @@ const (
 // String renders the engine name.
 func (e Engine) String() string {
 	switch e {
-	case EngineAuto:
-		return "auto"
 	case EnginePruned:
 		return "pruned"
 	case EngineLegacy:
@@ -62,17 +57,16 @@ func (e Engine) String() string {
 	}
 }
 
-// ParseEngine parses an engine name as accepted by the cmd/ralin-* flags.
+// ParseEngine parses an engine name as accepted by the cmd/ralin-* flags;
+// "auto" is accepted as a synonym of "pruned".
 func ParseEngine(s string) (Engine, error) {
 	switch s {
-	case "auto", "":
-		return EngineAuto, nil
-	case "pruned":
+	case "pruned", "auto", "":
 		return EnginePruned, nil
 	case "legacy", "exhaustive":
 		return EngineLegacy, nil
 	default:
-		return EngineAuto, fmt.Errorf("unknown engine %q (want auto, pruned or legacy)", s)
+		return EnginePruned, fmt.Errorf("unknown engine %q (want pruned or legacy)", s)
 	}
 }
 
@@ -84,31 +78,27 @@ func ParseEngine(s string) (Engine, error) {
 type Guidance int
 
 const (
-	// GuidanceAuto resolves to GuidanceRankOrder: branch ordering stays a
-	// deterministic function of the history alone, so batches through warm and
-	// fresh sessions report identical node counts. Guided mode is opt-in
-	// because its signals (interner novelty, session success scores) depend on
-	// session warmth.
-	GuidanceAuto Guidance = iota
-	// GuidanceRankOrder explores sibling branches in generator-sequence rank
-	// order — the historical behaviour, and the reference side of the
-	// differential gate on guided mode.
-	GuidanceRankOrder
+	// GuidanceRankOrder, the zero value, explores sibling branches in
+	// generator-sequence rank order: branch ordering stays a deterministic
+	// function of the history alone, so batches through warm and fresh
+	// sessions report identical node counts. It is also the reference side of
+	// the differential gate on guided mode.
+	GuidanceRankOrder Guidance = iota
 	// GuidanceGuided enables heuristic exploration: enabled queries are placed
 	// immediately (their justification is final once every visible update is
 	// placed, so committing to them is a sound reduction in RA mode), and the
 	// remaining candidates are ordered by a composite score — novel spec
 	// states first, then pending-query justification counts, then a per-label
 	// success score learned across a session's batch. Verdicts are identical
-	// to rank order; Nodes and wall-clock may change.
+	// to rank order; Nodes and wall-clock may change. Opt-in, because its
+	// signals (interner novelty, session success scores) depend on session
+	// warmth.
 	GuidanceGuided
 )
 
 // String renders the guidance mode name as accepted by ParseGuidance.
 func (g Guidance) String() string {
 	switch g {
-	case GuidanceAuto:
-		return "auto"
 	case GuidanceRankOrder:
 		return "rank-order"
 	case GuidanceGuided:
@@ -119,28 +109,16 @@ func (g Guidance) String() string {
 }
 
 // ParseGuidance parses a guidance mode name as accepted by the cmd/ralin-*
-// -guidance flag.
+// -guidance flag; "auto" is accepted as a synonym of "rank-order".
 func ParseGuidance(s string) (Guidance, error) {
 	switch s {
-	case "auto", "":
-		return GuidanceAuto, nil
-	case "rank-order", "rank":
+	case "rank-order", "rank", "auto", "":
 		return GuidanceRankOrder, nil
 	case "guided":
 		return GuidanceGuided, nil
 	default:
-		return GuidanceAuto, fmt.Errorf("unknown guidance %q (want auto, rank-order or guided)", s)
+		return GuidanceRankOrder, fmt.Errorf("unknown guidance %q (want rank-order or guided)", s)
 	}
-}
-
-// ResolveGuidance reports which branch-ordering mode a CheckOptions.Guidance
-// value selects: GuidanceAuto resolves to GuidanceRankOrder, everything else
-// is itself. Tools use it to report the mode that actually runs.
-func ResolveGuidance(g Guidance) Guidance {
-	if g == GuidanceGuided {
-		return GuidanceGuided
-	}
-	return GuidanceRankOrder
 }
 
 // EngineSession is an opaque handle to cross-check state owned by a search
@@ -182,9 +160,9 @@ type CheckOptions struct {
 	// Engine selects the algorithm used for the exhaustive phase.
 	Engine Engine
 	// Guidance selects the pruned engine's branch ordering: rank order (the
-	// deterministic default, also what GuidanceAuto resolves to) or guided
-	// heuristic ordering. Guidance never changes a verdict — only Nodes and
-	// wall-clock. See the Guidance constants.
+	// deterministic default) or guided heuristic ordering. Guidance never
+	// changes a verdict — only Nodes and wall-clock. See the Guidance
+	// constants.
 	Guidance Guidance
 	// Parallelism bounds the number of worker goroutines the pruned engine
 	// fans the top-level branches across. Zero means GOMAXPROCS; one forces a
@@ -221,31 +199,12 @@ func DefaultCheckOptions() CheckOptions {
 	}
 }
 
-// Result is the outcome of an RA-linearizability check.
-type Result struct {
-	// OK reports whether an RA-linearization was found.
-	OK bool
-	// Linearization is a witness RA-linearization of the rewritten history
-	// when OK is true.
-	Linearization []*Label
-	// Rewritten is the γ-rewriting of the checked history.
-	Rewritten *History
-	// Strategy records which constructive strategy produced the witness
-	// (nil when the witness came from the exhaustive search or none found).
-	Strategy *Strategy
-	// Tried is the number of candidate sequences examined.
-	Tried int
-	// Complete reports whether the verdict is definitive: either a witness
-	// was found, or every linear extension was examined and rejected. When
-	// false, the exhaustive search was truncated by MaxExtensions (legacy
-	// engine) or MaxNodes (pruned engine).
-	Complete bool
-	// LastErr explains why the most recent candidate was rejected.
-	LastErr error
-	// Engine records which engine ran the exhaustive phase. Meaningful only
-	// when the exhaustive search actually ran (the constructive strategies
-	// did not produce a witness).
-	Engine Engine
+// Stats is the one record of the work a search performed: the counters an
+// engine reports in its EngineOutcome, that a Result carries for one check,
+// and that a harness.HistoryCheck sums over a batch. It is embedded in all
+// three, so its fields read as res.Nodes, out.Leaves and so on, and Add is the
+// only place counters are combined.
+type Stats struct {
 	// Nodes is the number of prefix nodes explored by the pruned engine.
 	Nodes int
 	// Pruned is the number of subtrees the pruned engine cut off at an
@@ -259,11 +218,55 @@ type Result struct {
 	// other than the one that published them (the pruned engine schedules by
 	// work-stealing; always zero for a sequential search).
 	Steals int
+	// Leaves is the number of complete candidate sequences reached.
+	Leaves int
 	// Shards is the stripe count of the pruned engine's shared lock-striped
-	// memo table (zero when memoization was disabled).
+	// memo table (zero when memoization was disabled). A high-water mark.
 	Shards int
-	// Workers is the number of goroutines the pruned engine used.
+	// Workers is the number of goroutines the pruned engine used. A
+	// high-water mark.
 	Workers int
+}
+
+// Add folds o into s: the work counters are summed and the high-water fields
+// (Shards, Workers) keep the maximum.
+func (s *Stats) Add(o Stats) {
+	s.Nodes += o.Nodes
+	s.Pruned += o.Pruned
+	s.MemoHits += o.MemoHits
+	s.Steals += o.Steals
+	s.Leaves += o.Leaves
+	s.Shards = max(s.Shards, o.Shards)
+	s.Workers = max(s.Workers, o.Workers)
+}
+
+// Result is the outcome of an RA-linearizability check.
+type Result struct {
+	// Verdict is the three-valued outcome: Valid (witness found), Invalid
+	// (search space exhausted, no witness) or Unknown (truncated before a
+	// decision).
+	Verdict Verdict
+	// Incomplete explains the truncation when Verdict is VerdictUnknown, and
+	// is nil otherwise.
+	Incomplete *Incomplete
+	// Linearization is a witness RA-linearization of the rewritten history
+	// when Verdict is VerdictValid.
+	Linearization []*Label
+	// Rewritten is the γ-rewriting of the checked history.
+	Rewritten *History
+	// Strategy records which constructive strategy produced the witness
+	// (nil when the witness came from the exhaustive search or none found).
+	Strategy *Strategy
+	// Tried is the number of candidate sequences examined.
+	Tried int
+	// LastErr explains why the most recent candidate was rejected.
+	LastErr error
+	// Engine records which engine ran the exhaustive phase. Meaningful only
+	// when the exhaustive search actually ran (the constructive strategies
+	// did not produce a witness).
+	Engine Engine
+	// Stats is the work of the exhaustive phase (zero when it did not run).
+	Stats
 	// PlanReused reports that the pruned engine drew this check's prepared
 	// history plan (the preds/succs/affected/order index arrays) from the
 	// session's plan pool instead of allocating it.
@@ -272,14 +275,6 @@ type Result struct {
 	// session's rewrite cache instead of being re-derived (Rewritten then
 	// aliases the cached clone).
 	RewriteCached bool
-	// Verdict is the three-valued outcome: Valid (witness found), Invalid
-	// (search space exhausted, no witness) or Unknown (truncated before a
-	// decision). It is derived from OK and Complete, which remain populated
-	// for callers that predate it.
-	Verdict Verdict
-	// Incomplete explains the truncation when Verdict is VerdictUnknown, and
-	// is nil otherwise.
-	Incomplete *Incomplete
 	// MemDegraded reports that the session memory budget tripped during this
 	// check and the search finished (or truncated) in memo-less degraded
 	// mode. A degraded check's verdict is still sound; only Nodes and
@@ -298,34 +293,21 @@ type Result struct {
 	WitnessReplayed bool
 }
 
-// EngineOutcome is what a registered search engine reports back to CheckRA
-// and CheckStrongLinearizable.
+// EngineOutcome is what an exhaustive engine — the registered pruned engine
+// or the legacy enumerator — reports back to CheckRA and
+// CheckStrongLinearizable; ApplyEngineOutcome folds it into the Result.
 type EngineOutcome struct {
 	// OK reports whether a witness linearization was found.
 	OK bool
 	// Witness is the linearization found when OK is true.
 	Witness []*Label
 	// Complete reports whether the search space was exhausted (or a witness
-	// found); false means the node budget truncated the search.
+	// found); false means the search was truncated.
 	Complete bool
 	// LastErr describes a representative rejected prefix.
 	LastErr error
-	// Leaves is the number of complete candidate sequences reached.
-	Leaves int
-	// Nodes is the number of prefix nodes explored.
-	Nodes int
-	// Pruned is the number of subtrees cut off at an inadmissible prefix.
-	Pruned int
-	// MemoHits is the number of subtrees skipped by memoization.
-	MemoHits int
-	// Steals is the number of stolen work items (donated branches run by a
-	// different worker than their donor).
-	Steals int
-	// Shards is the stripe count of the shared memo table (zero when
-	// memoization was disabled).
-	Shards int
-	// Workers is the number of goroutines used.
-	Workers int
+	// Stats is the work the search performed.
+	Stats
 	// PlanReused reports that the prepared history plan came from the
 	// session's plan pool.
 	PlanReused bool
@@ -347,7 +329,7 @@ type PrunedEngineFunc func(h *History, spec Spec, strong bool, opts CheckOptions
 var prunedEngine PrunedEngineFunc
 
 // RegisterPrunedEngine installs the pruned search engine used for
-// EngineAuto/EnginePruned. It is called from internal/search's init, so any
+// EnginePruned. It is called from internal/search's init, so any
 // package importing internal/search (directly or blank) activates it.
 func RegisterPrunedEngine(f PrunedEngineFunc) { prunedEngine = f }
 
@@ -410,14 +392,6 @@ func IsRALinearization(h *History, seq []*Label, spec Spec) error {
 // configured constructive strategies, and optionally searches all linear
 // extensions of the visibility relation.
 func CheckRA(h *History, spec Spec, opts CheckOptions) Result {
-	res := checkRA(h, spec, opts)
-	res.finalizeVerdict()
-	return res
-}
-
-// checkRA is CheckRA without the final verdict derivation; every return path
-// leaves OK/Complete (and Incomplete, when truncated) consistent.
-func checkRA(h *History, spec Spec, opts CheckOptions) Result {
 	res := Result{}
 	if inc := ContextIncomplete(opts.Context); inc != nil {
 		res.Incomplete = inc
@@ -426,21 +400,20 @@ func checkRA(h *History, spec Spec, opts CheckOptions) Result {
 	rew, cached, err := rewriteForCheck(h, opts)
 	if err != nil {
 		res.LastErr = err
-		res.Complete = true
+		res.Verdict = VerdictInvalid
 		return res
 	}
 	res.Rewritten = rew.History
 	res.RewriteCached = cached
 	if !rew.History.IsAcyclic() {
 		res.LastErr = fmt.Errorf("%w: visibility relation is cyclic", ErrNotRALinearizable)
-		res.Complete = true
+		res.Verdict = VerdictInvalid
 		return res
 	}
 
 	for _, s := range opts.Strategies {
 		if inc := ContextIncomplete(opts.Context); inc != nil {
 			res.Incomplete = inc
-			res.Complete = false
 			return res
 		}
 		var seq []*Label
@@ -455,8 +428,7 @@ func checkRA(h *History, spec Spec, opts CheckOptions) Result {
 		res.Tried++
 		if err := IsRALinearization(rew.History, seq, spec); err == nil {
 			strategy := s
-			res.OK = true
-			res.Complete = true
+			res.Verdict = VerdictValid
 			res.Linearization = seq
 			res.Strategy = &strategy
 			return res
@@ -466,7 +438,6 @@ func checkRA(h *History, spec Spec, opts CheckOptions) Result {
 	}
 
 	if !opts.Exhaustive {
-		res.Complete = false
 		res.Incomplete = &Incomplete{
 			Reason: ReasonNoSearch,
 			Detail: "constructive strategies found no witness and the exhaustive search is disabled",
@@ -475,54 +446,49 @@ func checkRA(h *History, spec Spec, opts CheckOptions) Result {
 	}
 
 	res.Engine = resolveEngine(opts.Engine)
+	var out EngineOutcome
 	if res.Engine == EnginePruned {
-		out := prunedEngine(rew.History, spec, false, opts)
-		applyEngineOutcome(&res, out)
-		if res.Complete && !res.OK && res.LastErr != nil {
-			res.LastErr = fmt.Errorf("%w: %v", ErrNotRALinearizable, res.LastErr)
-		}
-		return res
+		out = prunedEngine(rew.History, spec, false, opts)
+	} else {
+		out = enumerate(rew.History, opts, func(seq []*Label) error {
+			return IsRALinearization(rew.History, seq, spec)
+		})
 	}
+	ApplyEngineOutcome(&res, out, false)
+	return res
+}
 
-	found := false
-	var witness []*Label
-	var ctxInc *Incomplete
-	_, truncated := LinearExtensions(rew.History, opts.MaxExtensions, func(seq []*Label) bool {
-		if ctxInc = ContextIncomplete(opts.Context); ctxInc != nil {
+// enumerate is the legacy engine: it generates the linear extensions of h's
+// visibility relation (at most opts.MaxExtensions of them) and runs check on
+// each complete candidate until one is accepted. Leaves counts the candidates
+// checked and LastErr keeps the latest rejection.
+func enumerate(h *History, opts CheckOptions, check func(seq []*Label) error) EngineOutcome {
+	var out EngineOutcome
+	_, truncated := LinearExtensions(h, opts.MaxExtensions, func(seq []*Label) bool {
+		if out.Incomplete = ContextIncomplete(opts.Context); out.Incomplete != nil {
 			return false
 		}
-		res.Tried++
-		if err := IsRALinearization(rew.History, seq, spec); err == nil {
-			found = true
-			witness = seq
-			return false
-		} else {
-			res.LastErr = err
+		out.Leaves++
+		if err := check(seq); err != nil {
+			out.LastErr = err
+			return true
 		}
-		return true
+		out.OK = true
+		out.Witness = seq
+		return false
 	})
-	if found {
-		res.OK = true
-		res.Complete = true
-		res.Linearization = witness
-		return res
-	}
-	if ctxInc != nil {
-		res.Complete = false
-		res.Incomplete = ctxInc
-		return res
-	}
-	res.Complete = !truncated
-	if truncated {
-		res.Incomplete = &Incomplete{
+	switch {
+	case out.Incomplete != nil:
+		// A deadline or cancellation stopped the enumeration.
+	case truncated && !out.OK:
+		out.Incomplete = &Incomplete{
 			Reason: ReasonNodeBudget,
 			Detail: fmt.Sprintf("legacy enumeration truncated at MaxExtensions=%d", opts.MaxExtensions),
 		}
+	default:
+		out.Complete = true
 	}
-	if res.Complete && res.LastErr != nil {
-		res.LastErr = fmt.Errorf("%w: %v", ErrNotRALinearizable, res.LastErr)
-	}
-	return res
+	return out
 }
 
 // Extender is the optional incremental-extension interface an EngineSession
@@ -535,7 +501,7 @@ type Extender interface {
 	EngineSession
 	// Extend checks h (which already contains newOps as its final labels)
 	// incrementally against the session's cached state for h's prefix. The
-	// returned Result is finalized — Verdict and Incomplete are populated.
+	// returned Result is complete — Verdict and Incomplete are populated.
 	Extend(h *History, spec Spec, newOps []*Label, opts CheckOptions) Result
 }
 
@@ -554,11 +520,6 @@ func CheckRAExtend(h *History, spec Spec, newOps []*Label, opts CheckOptions) Re
 	return CheckRA(h, spec, opts)
 }
 
-// Finalize derives Verdict and Incomplete from OK/Complete (the exported
-// counterpart of the internal derivation CheckRA applies; engine packages
-// implementing Extender use it to finalize the Results they build).
-func (r *Result) Finalize() { r.finalizeVerdict() }
-
 // CheckRAWith is CheckRA with an explicit engine session: the check reuses
 // the session's interned state IDs and pooled search scratch instead of
 // rebuilding them, which amortizes warm-up across the histories of a batch.
@@ -569,29 +530,34 @@ func CheckRAWith(h *History, spec Spec, opts CheckOptions, session EngineSession
 	return CheckRA(h, spec, opts)
 }
 
-// applyEngineOutcome folds a search engine's outcome into a Result.
-func applyEngineOutcome(res *Result, out EngineOutcome) {
+// ApplyEngineOutcome is the one place an exhaustive engine's outcome becomes
+// a check's Result: it adds the engine's leaves to Tried, takes its Stats and
+// session flags, and sets the Verdict — Valid with the witness, Invalid, or
+// Unknown with a populated Incomplete. In RA mode (strong false) an Invalid
+// verdict's LastErr wraps ErrNotRALinearizable.
+func ApplyEngineOutcome(res *Result, out EngineOutcome, strong bool) {
 	res.Tried += out.Leaves
-	res.Nodes = out.Nodes
-	res.Pruned = out.Pruned
-	res.MemoHits = out.MemoHits
-	res.Steals = out.Steals
-	res.Shards = out.Shards
-	res.Workers = out.Workers
+	res.Stats = out.Stats
 	res.PlanReused = out.PlanReused
 	res.MemDegraded = out.MemDegraded
 	if out.LastErr != nil {
 		res.LastErr = out.LastErr
 	}
-	if out.OK {
-		res.OK = true
-		res.Complete = true
+	switch {
+	case out.OK:
+		res.Verdict = VerdictValid
 		res.Linearization = out.Witness
-		return
-	}
-	res.Complete = out.Complete
-	if !out.Complete {
+	case out.Complete:
+		res.Verdict = VerdictInvalid
+		if !strong && res.LastErr != nil {
+			res.LastErr = fmt.Errorf("%w: %v", ErrNotRALinearizable, res.LastErr)
+		}
+	default:
+		res.Verdict = VerdictUnknown
 		res.Incomplete = out.Incomplete
+		if res.Incomplete == nil {
+			res.Incomplete = &Incomplete{Reason: ReasonNodeBudget, Detail: "exhaustive search truncated"}
+		}
 	}
 }
 
@@ -607,81 +573,42 @@ func applyEngineOutcome(res *Result, out EngineOutcome) {
 // judged against the full preceding prefix, so its justification is not final
 // at enablement).
 func CheckStrongLinearizable(h *History, spec Spec, opts CheckOptions) Result {
-	res := checkStrongLinearizable(h, spec, opts)
-	res.finalizeVerdict()
-	return res
-}
-
-func checkStrongLinearizable(h *History, spec Spec, opts CheckOptions) Result {
 	res := Result{Rewritten: h}
 	if inc := ContextIncomplete(opts.Context); inc != nil {
 		res.Incomplete = inc
 		return res
 	}
 	if !h.IsAcyclic() {
-		res.Complete = true
+		res.Verdict = VerdictInvalid
 		res.LastErr = fmt.Errorf("visibility relation is cyclic")
 		return res
 	}
 	res.Engine = resolveEngine(opts.Engine)
+	var out EngineOutcome
 	if res.Engine == EnginePruned {
-		applyEngineOutcome(&res, prunedEngine(h, spec, true, opts))
-		return res
-	}
-	check := func(seq []*Label) error {
-		// The whole sequence, with query-updates treated as updates and
-		// queries evaluated against the full preceding prefix, must be
-		// admitted by the specification.
-		var prefixUpdates []*Label
-		for _, l := range seq {
-			if l.IsQuery() {
-				justification := append(append([]*Label(nil), prefixUpdates...), l)
-				if !Admits(spec, justification) {
-					return fmt.Errorf("query %v not justified by the preceding updates", l)
+		out = prunedEngine(h, spec, true, opts)
+	} else {
+		out = enumerate(h, opts, func(seq []*Label) error {
+			// The whole sequence, with query-updates treated as updates and
+			// queries evaluated against the full preceding prefix, must be
+			// admitted by the specification.
+			var prefixUpdates []*Label
+			for _, l := range seq {
+				if l.IsQuery() {
+					justification := append(append([]*Label(nil), prefixUpdates...), l)
+					if !Admits(spec, justification) {
+						return fmt.Errorf("query %v not justified by the preceding updates", l)
+					}
+					continue
 				}
-				continue
+				prefixUpdates = append(prefixUpdates, l)
+				if !Admits(spec, prefixUpdates) {
+					return fmt.Errorf("update prefix rejected at %v", l)
+				}
 			}
-			prefixUpdates = append(prefixUpdates, l)
-			if !Admits(spec, prefixUpdates) {
-				return fmt.Errorf("update prefix rejected at %v", l)
-			}
-		}
-		return nil
+			return nil
+		})
 	}
-	found := false
-	var witness []*Label
-	var ctxInc *Incomplete
-	_, truncated := LinearExtensions(h, opts.MaxExtensions, func(seq []*Label) bool {
-		if ctxInc = ContextIncomplete(opts.Context); ctxInc != nil {
-			return false
-		}
-		res.Tried++
-		if err := check(seq); err == nil {
-			found = true
-			witness = seq
-			return false
-		} else {
-			res.LastErr = err
-		}
-		return true
-	})
-	if found {
-		res.OK = true
-		res.Complete = true
-		res.Linearization = witness
-		return res
-	}
-	if ctxInc != nil {
-		res.Complete = false
-		res.Incomplete = ctxInc
-		return res
-	}
-	res.Complete = !truncated
-	if truncated {
-		res.Incomplete = &Incomplete{
-			Reason: ReasonNodeBudget,
-			Detail: fmt.Sprintf("legacy enumeration truncated at MaxExtensions=%d", opts.MaxExtensions),
-		}
-	}
+	ApplyEngineOutcome(&res, out, true)
 	return res
 }

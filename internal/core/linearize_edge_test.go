@@ -22,7 +22,7 @@ func TestLinearExtensionsEmptyHistory(t *testing.T) {
 		t.Fatalf("expected one empty sequence, got %v", seqs)
 	}
 	res := CheckRA(h, counterSpec{}, CheckOptions{Exhaustive: true})
-	if !res.OK || !res.Complete || len(res.Linearization) != 0 {
+	if res.Verdict != VerdictValid || len(res.Linearization) != 0 {
 		t.Fatalf("empty history must be RA-linearizable with the empty witness: %+v", res)
 	}
 }
@@ -40,7 +40,7 @@ func TestLinearExtensionsSingleLabel(t *testing.T) {
 		t.Fatalf("singleton history has exactly one extension: produced=%d truncated=%v", produced, truncated)
 	}
 	res := CheckRA(h, counterSpec{}, CheckOptions{Exhaustive: true})
-	if !res.OK || !res.Complete {
+	if res.Verdict != VerdictValid {
 		t.Fatalf("single inc must be RA-linearizable: %+v", res)
 	}
 }
@@ -79,11 +79,11 @@ func TestCyclicVisibilityRejected(t *testing.T) {
 		t.Fatalf("a cyclic relation has no linear extensions: produced=%d truncated=%v", produced, truncated)
 	}
 	res := CheckRA(h, counterSpec{}, DefaultCheckOptions())
-	if res.OK || !res.Complete || res.LastErr == nil {
+	if res.Verdict != VerdictInvalid || res.LastErr == nil {
 		t.Fatalf("cyclic history must be rejected definitively: %+v", res)
 	}
 	strong := CheckStrongLinearizable(h, counterSpec{}, CheckOptions{Exhaustive: true})
-	if strong.OK || !strong.Complete || strong.LastErr == nil {
+	if strong.Verdict != VerdictInvalid || strong.LastErr == nil {
 		t.Fatalf("cyclic history must fail the strong check definitively: %+v", strong)
 	}
 }
@@ -97,10 +97,10 @@ func TestMaxExtensionsTruncationIncomplete(t *testing.T) {
 		h.MustAdd(mkLabel(id, "bogus", KindUpdate))
 	}
 	res := CheckRA(h, counterSpec{}, CheckOptions{Exhaustive: true, MaxExtensions: 2, Engine: EngineLegacy})
-	if res.OK {
+	if res.Verdict == VerdictValid {
 		t.Fatalf("bogus updates must not linearize: %+v", res)
 	}
-	if res.Complete {
+	if res.Verdict != VerdictUnknown {
 		t.Fatal("a truncated search must report Complete == false")
 	}
 	if res.Tried != 2 {
@@ -108,7 +108,7 @@ func TestMaxExtensionsTruncationIncomplete(t *testing.T) {
 	}
 	// Without the cap the same verdict becomes definitive.
 	full := CheckRA(h, counterSpec{}, CheckOptions{Exhaustive: true, Engine: EngineLegacy})
-	if full.OK || !full.Complete {
+	if full.Verdict != VerdictInvalid {
 		t.Fatalf("uncapped search must be complete: %+v", full)
 	}
 	produced, truncated := LinearExtensions(h, 4, func([]*Label) bool { return true })

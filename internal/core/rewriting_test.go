@@ -147,7 +147,7 @@ func TestNilRewritingFallsBackOnGenSeqTies(t *testing.T) {
 	identOpts := opts
 	identOpts.Rewriting = IdentityRewriting{}
 	viaIdentity := CheckRA(build(), setSpec{}, identOpts)
-	if !viaNil.OK || !viaIdentity.OK {
+	if viaNil.Verdict != VerdictValid || viaIdentity.Verdict != VerdictValid {
 		t.Fatalf("two concurrent adds must linearize: nil=%+v identity=%+v", viaNil, viaIdentity)
 	}
 	if len(viaNil.Linearization) != len(viaIdentity.Linearization) {

@@ -5,13 +5,12 @@ import (
 	"fmt"
 )
 
-// Verdict is the three-valued outcome of an RA-linearizability check. The
-// boolean pair (OK, Complete) the checker grew up with conflates "searched
-// everything and found no witness" with "ran out of budget before deciding";
-// a checker running under deadlines and memory budgets must keep them apart,
-// because the second answer is not a refutation. The zero value is
-// VerdictUnknown, so a Result that never reached a decision reports honestly
-// by default.
+// Verdict is the three-valued outcome of an RA-linearizability check and the
+// only record of it in a Result. It keeps "searched everything and found no
+// witness" apart from "ran out of budget before deciding": a checker running
+// under deadlines and memory budgets must not confuse them, because the
+// second answer is not a refutation. The zero value is VerdictUnknown, so a
+// Result that never reached a decision reports honestly by default.
 type Verdict int
 
 const (
@@ -103,23 +102,4 @@ func ContextIncomplete(ctx context.Context) *Incomplete {
 		return &Incomplete{Reason: ReasonDeadline, Detail: err.Error()}
 	}
 	return &Incomplete{Reason: ReasonCancelled, Detail: err.Error()}
-}
-
-// finalizeVerdict derives the three-valued verdict from the boolean outcome
-// fields and guarantees an Unknown result carries a populated Incomplete.
-// Every public checker entry point funnels its Result through here.
-func (r *Result) finalizeVerdict() {
-	switch {
-	case r.OK:
-		r.Verdict = VerdictValid
-		r.Incomplete = nil
-	case r.Complete:
-		r.Verdict = VerdictInvalid
-		r.Incomplete = nil
-	default:
-		r.Verdict = VerdictUnknown
-		if r.Incomplete == nil {
-			r.Incomplete = &Incomplete{Reason: ReasonNodeBudget, Detail: "exhaustive search truncated"}
-		}
-	}
 }

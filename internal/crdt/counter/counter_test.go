@@ -60,7 +60,7 @@ func TestCounterRALinearizableScripted(t *testing.T) {
 	}
 	sys.MustInvoke(1, "read") // sees both
 	res := core.CheckRA(sys.History(), d.Spec, d.CheckOptions())
-	if !res.OK {
+	if res.Verdict != core.VerdictValid {
 		t.Fatalf("counter history must be RA-linearizable: %v", res.LastErr)
 	}
 	if res.Strategy == nil || *res.Strategy != core.StrategyExecutionOrder {
@@ -81,7 +81,7 @@ func TestCounterRandomWorkloadRALinearizable(t *testing.T) {
 			}
 		}
 		res := core.CheckRA(sys.History(), d.Spec, d.CheckOptions())
-		if !res.OK {
+		if res.Verdict != core.VerdictValid {
 			t.Fatalf("trial %d: random counter history not RA-linearizable: %v\n%s",
 				trial, res.LastErr, sys.History())
 		}

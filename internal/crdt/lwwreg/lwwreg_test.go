@@ -60,7 +60,7 @@ func TestLWWRegisterTimestampOrderLinearization(t *testing.T) {
 	}
 	sys.MustInvoke(0, "read")
 	res := core.CheckRA(sys.History(), d.Spec, d.CheckOptions())
-	if !res.OK {
+	if res.Verdict != core.VerdictValid {
 		t.Fatalf("LWW-Register history must be RA-linearizable: %v", res.LastErr)
 	}
 }
@@ -108,7 +108,7 @@ func TestLWWRegisterRandomWorkloadRALinearizable(t *testing.T) {
 			}
 		}
 		res := core.CheckRA(sys.History(), d.Spec, d.CheckOptions())
-		if !res.OK {
+		if res.Verdict != core.VerdictValid {
 			t.Fatalf("trial %d: random LWW-Register history not RA-linearizable: %v\n%s",
 				trial, res.LastErr, sys.History())
 		}

@@ -117,14 +117,14 @@ func TestAddAtFig14SpecSeparation(t *testing.T) {
 	h := sys.History()
 
 	opts := core.CheckOptions{Exhaustive: true}
-	if res := core.CheckRA(h, spec.AddAt1{}, opts); res.OK || !res.Complete {
-		t.Fatalf("history must NOT be RA-linearizable w.r.t. Spec(addAt1): ok=%v complete=%v", res.OK, res.Complete)
+	if res := core.CheckRA(h, spec.AddAt1{}, opts); res.Verdict != core.VerdictInvalid {
+		t.Fatalf("history must NOT be RA-linearizable w.r.t. Spec(addAt1): verdict %v", res.Verdict)
 	}
-	if res := core.CheckRA(h, spec.AddAt2{}, opts); res.OK || !res.Complete {
-		t.Fatalf("history must NOT be RA-linearizable w.r.t. Spec(addAt2): ok=%v complete=%v", res.OK, res.Complete)
+	if res := core.CheckRA(h, spec.AddAt2{}, opts); res.Verdict != core.VerdictInvalid {
+		t.Fatalf("history must NOT be RA-linearizable w.r.t. Spec(addAt2): verdict %v", res.Verdict)
 	}
 	d3 := AddAtDescriptor()
-	if res := core.CheckRA(h, spec.AddAt3{}, d3.CheckOptions()); !res.OK {
+	if res := core.CheckRA(h, spec.AddAt3{}, d3.CheckOptions()); res.Verdict != core.VerdictValid {
 		t.Fatalf("history must be RA-linearizable w.r.t. Spec(addAt3): %v", res.LastErr)
 	}
 }
@@ -142,7 +142,7 @@ func TestAddAtRandomWorkloadRALinearizableAddAt3(t *testing.T) {
 			}
 		}
 		res := core.CheckRA(sys.History(), d.Spec, d.CheckOptions())
-		if !res.OK {
+		if res.Verdict != core.VerdictValid {
 			t.Fatalf("trial %d: random RGA-addAt history not RA-linearizable w.r.t. Spec(addAt3): %v\n%s",
 				trial, res.LastErr, sys.History())
 		}

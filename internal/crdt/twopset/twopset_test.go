@@ -140,7 +140,7 @@ func TestTwoPSetRandomWorkloadRALinearizable(t *testing.T) {
 			}
 		}
 		res := core.CheckRA(sys.History(), d.Spec, d.CheckOptions())
-		if !res.OK {
+		if res.Verdict != core.VerdictValid {
 			t.Fatalf("trial %d: random 2P-Set history not RA-linearizable: %v\n%s",
 				trial, res.LastErr, sys.History())
 		}

@@ -189,7 +189,7 @@ func TestWookiRandomWorkloadRALinearizable(t *testing.T) {
 			}
 		}
 		res := core.CheckRA(sys.History(), d.Spec, d.CheckOptions())
-		if !res.OK {
+		if res.Verdict != core.VerdictValid {
 			t.Fatalf("trial %d: random Wooki history not RA-linearizable: %v\n%s",
 				trial, res.LastErr, sys.History())
 		}

@@ -22,13 +22,14 @@ import (
 // package-level SetCheckEngine/SetBatchWorkers globals, so two callers with
 // different configurations no longer race on hidden state.
 type Options struct {
-	// Engine selects the exhaustive-search engine for every check
-	// (EngineAuto keeps the registered default, the pruned engine).
+	// Engine selects the exhaustive-search engine for every check. The zero
+	// value, EnginePruned, keeps each check's own engine; EngineLegacy forces
+	// the legacy enumerator.
 	Engine core.Engine
-	// Guidance selects the pruned engine's branch ordering for every check
-	// (GuidanceAuto keeps the deterministic rank order; GuidanceGuided opts
-	// into heuristic ordering — same verdicts, different node counts). See
-	// core.Guidance.
+	// Guidance selects the pruned engine's branch ordering for every check.
+	// The zero value, GuidanceRankOrder, keeps each check's own ordering;
+	// GuidanceGuided opts into heuristic ordering — same verdicts, different
+	// node counts. See core.Guidance.
 	Guidance core.Guidance
 	// Parallelism bounds the inner search parallelism of each check. Zero
 	// leaves the choice to the engine (GOMAXPROCS, or the adaptive
@@ -67,12 +68,12 @@ type Options struct {
 
 // Tune applies the engine selection, branch-ordering guidance and parallelism
 // of the Options to checker options. A pinned opts.Parallelism wins over
-// o.Parallelism; a pinned opts.Guidance wins over o.Guidance.
+// o.Parallelism; opts.Guidance set to GuidanceGuided wins over o.Guidance.
 func (o Options) Tune(opts core.CheckOptions) core.CheckOptions {
-	if o.Engine != core.EngineAuto {
+	if o.Engine != core.EnginePruned {
 		opts.Engine = o.Engine
 	}
-	if opts.Guidance == core.GuidanceAuto {
+	if opts.Guidance == core.GuidanceRankOrder {
 		opts.Guidance = o.Guidance
 	}
 	if opts.Parallelism == 0 {

@@ -81,15 +81,15 @@ func Fig3(o Options) Experiment {
 	var out strings.Builder
 	out.WriteString("history (label  origin  sees):\n")
 	out.WriteString(h.String())
-	if res.OK {
+	if res.Verdict == core.VerdictValid {
 		fmt.Fprintf(&out, "RA-linearization (%s):\n  %s\n", res.Strategy, core.FormatLabels(res.Linearization))
 	}
 	return Experiment{
 		ID:       "fig-3",
 		Title:    "Figure 3: history of the RGA execution",
 		Claim:    "the execution's history is RA-linearizable w.r.t. Spec(RGA)",
-		Observed: fmt.Sprintf("RA-linearizable=%v (witness strategy %v)", res.OK, res.Strategy),
-		OK:       res.OK,
+		Observed: fmt.Sprintf("RA-linearizable=%v (witness strategy %v)", res.Verdict == core.VerdictValid, res.Strategy),
+		OK:       res.Verdict == core.VerdictValid,
 		Output:   out.String(),
 	}
 }
@@ -139,14 +139,14 @@ func Fig5a(o Options) Experiment {
 	var out strings.Builder
 	out.WriteString("history (removes treated as plain Set updates):\n")
 	out.WriteString(naive.String())
-	fmt.Fprintf(&out, "strong linearizability: ok=%v (%s)\n", strong.OK, searchEffort(strong))
-	fmt.Fprintf(&out, "RA-linearizability w.r.t. Spec(Set): ok=%v complete=%v\n", ra.OK, ra.Complete)
-	ok := !strong.OK && strong.Complete && !ra.OK && ra.Complete
+	fmt.Fprintf(&out, "strong linearizability: ok=%v (%s)\n", strong.Verdict == core.VerdictValid, searchEffort(strong))
+	fmt.Fprintf(&out, "RA-linearizability w.r.t. Spec(Set): ok=%v complete=%v\n", ra.Verdict == core.VerdictValid, ra.Verdict != core.VerdictUnknown)
+	ok := strong.Verdict == core.VerdictInvalid && ra.Verdict == core.VerdictInvalid
 	return Experiment{
 		ID:       "fig-5a",
 		Title:    "Figure 5a: OR-Set execution vs the naive Set specification",
 		Claim:    "no linearization of the visibility relation explains the reads returning {a,b} against Spec(Set)",
-		Observed: fmt.Sprintf("strong linearizable=%v, RA-linearizable=%v (both complete searches)", strong.OK, ra.OK),
+		Observed: fmt.Sprintf("strong linearizable=%v, RA-linearizable=%v (both complete searches)", strong.Verdict == core.VerdictValid, ra.Verdict == core.VerdictValid),
 		OK:       ok,
 		Output:   out.String(),
 	}
@@ -164,15 +164,15 @@ func Fig5b(o Options) Experiment {
 	if res.Rewritten != nil {
 		out.WriteString(res.Rewritten.String())
 	}
-	if res.OK {
+	if res.Verdict == core.VerdictValid {
 		fmt.Fprintf(&out, "RA-linearization (%s):\n  %s\n", res.Strategy, core.FormatLabels(res.Linearization))
 	}
-	ok := res.OK && res.Strategy != nil && *res.Strategy == core.StrategyExecutionOrder
+	ok := res.Verdict == core.VerdictValid && res.Strategy != nil && *res.Strategy == core.StrategyExecutionOrder
 	return Experiment{
 		ID:       "fig-5b",
 		Title:    "Figure 5b: the same execution after the query-update rewriting",
 		Claim:    "the rewritten history is RA-linearizable w.r.t. Spec(OR-Set) in execution order",
-		Observed: fmt.Sprintf("RA-linearizable=%v via %v", res.OK, res.Strategy),
+		Observed: fmt.Sprintf("RA-linearizable=%v via %v", res.Verdict == core.VerdictValid, res.Strategy),
 		OK:       ok,
 		Output:   out.String(),
 	}
@@ -201,7 +201,7 @@ func Sec33(o Options) Experiment {
 			violations++
 		}
 		res := core.CheckRA(run.System.History(), d.Spec, o.Tune(d.CheckOptions()))
-		if !res.OK {
+		if res.Verdict != core.VerdictValid {
 			nonLinearizable++
 		}
 		return true
@@ -244,17 +244,17 @@ func Fig8(o Options) Experiment {
 	to := core.CheckRA(h, d.Spec, o.Tune(core.CheckOptions{Strategies: []core.Strategy{core.StrategyTimestampOrder}}))
 	var out strings.Builder
 	fmt.Fprintf(&out, "read returned %s\n", core.FormatValue(read.Ret))
-	fmt.Fprintf(&out, "execution-order linearization accepted: %v\n", eo.OK)
-	fmt.Fprintf(&out, "timestamp-order linearization accepted: %v\n", to.OK)
-	if to.OK {
+	fmt.Fprintf(&out, "execution-order linearization accepted: %v\n", eo.Verdict == core.VerdictValid)
+	fmt.Fprintf(&out, "timestamp-order linearization accepted: %v\n", to.Verdict == core.VerdictValid)
+	if to.Verdict == core.VerdictValid {
 		fmt.Fprintf(&out, "timestamp-order witness: %s\n", core.FormatLabels(to.Linearization))
 	}
-	ok := !eo.OK && to.OK && core.ValueEqual(read.Ret, []string{"b", "a"})
+	ok := eo.Verdict != core.VerdictValid && to.Verdict == core.VerdictValid && core.ValueEqual(read.Ret, []string{"b", "a"})
 	return Experiment{
 		ID:       "fig-8",
 		Title:    "Figure 8: execution-order vs timestamp-order linearizations for RGA",
 		Claim:    "the execution-order linearization fails while the timestamp-order one is an RA-linearization",
-		Observed: fmt.Sprintf("execution-order ok=%v, timestamp-order ok=%v", eo.OK, to.OK),
+		Observed: fmt.Sprintf("execution-order ok=%v, timestamp-order ok=%v", eo.Verdict == core.VerdictValid, to.Verdict == core.VerdictValid),
 		OK:       ok,
 		Output:   out.String(),
 	}
@@ -304,15 +304,15 @@ func Fig9(o Options) Experiment {
 	var out strings.Builder
 	out.WriteString("composed history:\n")
 	out.WriteString(h.String())
-	fmt.Fprintf(&out, "composed history RA-linearizable: %v\n", res.OK)
+	fmt.Fprintf(&out, "composed history RA-linearizable: %v\n", res.Verdict == core.VerdictValid)
 	fmt.Fprintf(&out, "per-object linearizations o1: c·d, o2: a·b combine: %v\n", combinedBad)
 	fmt.Fprintf(&out, "per-object linearizations o1: d·c, o2: a·b combine: %v\n", combinedGood)
-	ok := res.OK && !combinedBad && combinedGood && err == nil
+	ok := res.Verdict == core.VerdictValid && !combinedBad && combinedGood && err == nil
 	return Experiment{
 		ID:       "fig-9",
 		Title:    "Figure 9: composition of two OR-Sets (execution-order objects)",
 		Claim:    "the chosen per-object linearizations do not combine, yet the composition is RA-linearizable",
-		Observed: fmt.Sprintf("composition RA-linearizable=%v, bad combination=%v, good combination=%v", res.OK, combinedBad, combinedGood),
+		Observed: fmt.Sprintf("composition RA-linearizable=%v, bad combination=%v, good combination=%v", res.Verdict == core.VerdictValid, combinedBad, combinedGood),
 		OK:       ok,
 		Output:   out.String(),
 	}
@@ -354,14 +354,14 @@ func Fig10(o Options) Experiment {
 	var out strings.Builder
 	out.WriteString("history under ⊗ (independent timestamps):\n")
 	out.WriteString(unrHist.String())
-	fmt.Fprintf(&out, "RA-linearizable under ⊗:   %v (complete=%v)\n", unr.OK, unr.Complete)
-	fmt.Fprintf(&out, "RA-linearizable under ⊗ts: %v\n", shared.OK)
-	ok := !unr.OK && unr.Complete && shared.OK
+	fmt.Fprintf(&out, "RA-linearizable under ⊗:   %v (complete=%v)\n", unr.Verdict == core.VerdictValid, unr.Verdict != core.VerdictUnknown)
+	fmt.Fprintf(&out, "RA-linearizable under ⊗ts: %v\n", shared.Verdict == core.VerdictValid)
+	ok := unr.Verdict == core.VerdictInvalid && shared.Verdict == core.VerdictValid
 	return Experiment{
 		ID:       "fig-10",
 		Title:    "Figure 10: composition of two RGAs (timestamp-order objects)",
 		Claim:    "the history is not RA-linearizable under ⊗ but the shared-timestamp composition ⊗ts restores RA-linearizability",
-		Observed: fmt.Sprintf("⊗ RA-linearizable=%v, ⊗ts RA-linearizable=%v", unr.OK, shared.OK),
+		Observed: fmt.Sprintf("⊗ RA-linearizable=%v, ⊗ts RA-linearizable=%v", unr.Verdict == core.VerdictValid, shared.Verdict == core.VerdictValid),
 		OK:       ok,
 		Output:   out.String(),
 	}
@@ -447,16 +447,16 @@ func Fig14(o Options) Experiment {
 	fmt.Fprintf(&out, "final read: %s\n", core.FormatValue(read.Ret))
 	out.WriteString("history:\n")
 	out.WriteString(h.String())
-	fmt.Fprintf(&out, "RA-linearizable w.r.t. Spec(addAt1): %v (complete=%v)\n", r1.OK, r1.Complete)
-	fmt.Fprintf(&out, "RA-linearizable w.r.t. Spec(addAt2): %v (complete=%v)\n", r2.OK, r2.Complete)
-	fmt.Fprintf(&out, "RA-linearizable w.r.t. Spec(addAt3): %v\n", r3.OK)
+	fmt.Fprintf(&out, "RA-linearizable w.r.t. Spec(addAt1): %v (complete=%v)\n", r1.Verdict == core.VerdictValid, r1.Verdict != core.VerdictUnknown)
+	fmt.Fprintf(&out, "RA-linearizable w.r.t. Spec(addAt2): %v (complete=%v)\n", r2.Verdict == core.VerdictValid, r2.Verdict != core.VerdictUnknown)
+	fmt.Fprintf(&out, "RA-linearizable w.r.t. Spec(addAt3): %v\n", r3.Verdict == core.VerdictValid)
 	ok := core.ValueEqual(read.Ret, []string{"d", "e", "c"}) &&
-		!r1.OK && r1.Complete && !r2.OK && r2.Complete && r3.OK
+		r1.Verdict == core.VerdictInvalid && r2.Verdict == core.VerdictInvalid && r3.Verdict == core.VerdictValid
 	return Experiment{
 		ID:       "fig-14",
 		Title:    "Figure 14: the addAt interface separates the index-based list specifications",
 		Claim:    "the read d·e·c is not explainable by Spec(addAt1)/Spec(addAt2) but is by Spec(addAt3)",
-		Observed: fmt.Sprintf("read=%s, addAt1 ok=%v, addAt2 ok=%v, addAt3 ok=%v", core.FormatValue(read.Ret), r1.OK, r2.OK, r3.OK),
+		Observed: fmt.Sprintf("read=%s, addAt1 ok=%v, addAt2 ok=%v, addAt3 ok=%v", core.FormatValue(read.Ret), r1.Verdict == core.VerdictValid, r2.Verdict == core.VerdictValid, r3.Verdict == core.VerdictValid),
 		OK:       ok,
 		Output:   out.String(),
 	}

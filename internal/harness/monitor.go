@@ -34,6 +34,8 @@ type MonitorReport struct {
 	// Rebuilt counts the prefixes the extension preconditions rejected —
 	// checked by a plain warm from-scratch pass instead.
 	Rebuilt int
+	// Stats sums the search work of every prefix check (core.Stats.Add).
+	Stats core.Stats
 	// Final is the verdict of the last prefix, i.e. of the whole history.
 	Final core.Result
 }
@@ -75,6 +77,7 @@ func monitorHistory(h *core.History, sp core.Spec, opts core.CheckOptions, o Opt
 	n := h.Len()
 	if n == 0 {
 		rep.Final = core.CheckRA(h, sp, opts)
+		rep.Stats = rep.Final.Stats
 		return rep, nil
 	}
 	// Bucket each direct edge by the step at which both endpoints exist: the
@@ -121,6 +124,7 @@ func monitorHistory(h *core.History, sp core.Spec, opts core.CheckOptions, o Opt
 		newOps[0] = l
 		res := core.CheckRAExtend(g, sp, newOps, opts)
 		rep.Verdicts = append(rep.Verdicts, res.Verdict)
+		rep.Stats.Add(res.Stats)
 		switch {
 		case res.WitnessReplayed:
 			rep.Replayed++
@@ -139,17 +143,14 @@ func monitorHistory(h *core.History, sp core.Spec, opts core.CheckOptions, o Opt
 // core.CheckRAExtend over one shared engine session — and aggregates the
 // final (full-history) verdicts into the same HistoryCheck shape the batch
 // entry points report, so tools can switch a batch to incremental mode
-// without changing their reporting or exit-code logic. The monitor's own
-// counters land in the Prefixes/Replayed/ExtendSearches/Rebuilds fields.
+// without changing their reporting or exit-code logic. Verdict fields, Tried
+// and the session flags come from each history's final prefix; Stats sums
+// every prefix's search work. The monitor's own counters land in the
+// Prefixes/Replayed/ExtendSearches/Rebuilds fields.
 // Trials run sequentially: the monitor models a store observed live, and the
 // session's certificate state is per-history anyway.
 func MonitorGenerated(name string, sp core.Spec, opts core.CheckOptions, gen HistoryGenerator, trials int, o Options) (HistoryCheck, error) {
-	out := HistoryCheck{
-		CRDT:            name,
-		ByStrategy:      map[string]int{},
-		UnknownByReason: map[string]int{},
-		BatchWorkers:    1,
-	}
+	out := newHistoryCheck(name, 1)
 	sess := search.NewSessionWithBudget(o.Budget)
 	for i := 0; i < trials; i++ {
 		h, seed, err := gen.Generate(i)
@@ -162,56 +163,14 @@ func MonitorGenerated(name string, sp core.Spec, opts core.CheckOptions, gen His
 			out.InternedStates = sess.InternedStates()
 			return out, err
 		}
-		res := rep.Final
-		out.Histories++
-		out.Operations += rep.Ops
+		tr := trialResult{seed: seed, ops: rep.Ops}
+		tr.record(rep.Final)
+		tr.stats = rep.Stats
+		out.add(i, &tr)
 		out.Prefixes += rep.Ops
 		out.Replayed += rep.Replayed
 		out.ExtendSearches += rep.Searched
 		out.Rebuilds += rep.Rebuilt
-		out.Tried += res.Tried
-		out.Nodes += res.Nodes
-		out.Pruned += res.Pruned
-		out.MemoHits += res.MemoHits
-		out.Steals += res.Steals
-		if res.Shards > out.Shards {
-			out.Shards = res.Shards
-		}
-		if res.PlanReused {
-			out.PlanReuses++
-		}
-		if res.RewriteCached {
-			out.RewriteHits++
-		}
-		if res.MemDegraded {
-			out.Degraded++
-		}
-		switch res.Verdict {
-		case core.VerdictValid:
-			out.Linearizable++
-			if res.Strategy != nil {
-				out.ByStrategy[res.Strategy.String()]++
-			} else {
-				out.ByStrategy["exhaustive"]++
-			}
-		case core.VerdictInvalid:
-			out.Invalid++
-			if out.FailureExample == "" {
-				out.FailureExample = fmt.Sprintf("seed %d: %v", seed, res.LastErr)
-			}
-		default:
-			out.Unknown++
-			reason := ""
-			detail := "truncated"
-			if res.Incomplete != nil {
-				reason = string(res.Incomplete.Reason)
-				detail = res.Incomplete.String()
-			}
-			out.UnknownByReason[reason]++
-			if out.UnknownExample == "" {
-				out.UnknownExample = fmt.Sprintf("trial %d (seed %d): %s", i, seed, detail)
-			}
-		}
 	}
 	out.InternedStates = sess.InternedStates()
 	return out, nil

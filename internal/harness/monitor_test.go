@@ -1,0 +1,91 @@
+package harness
+
+import (
+	"testing"
+
+	"ralin/internal/core"
+	"ralin/internal/crdt/registry"
+	"ralin/internal/search"
+)
+
+// TestHistoryCheckStatsSumPerCheckResults pins the one counter fold: the
+// Stats of a sequential batch, and of MonitorGenerated, must equal the
+// core.Stats.Add of the per-check Results, recomputed here with direct
+// CheckRA / CheckRAExtend calls. For the monitor that is every prefix check of
+// every history, not only each history's final prefix. Strategies are off so
+// the checks actually search.
+func TestHistoryCheckStatsSumPerCheckResults(t *testing.T) {
+	d, err := registry.Lookup("OR-Set")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const trials = 20
+	gen := RandomGenerator{Desc: d, Cfg: DefaultWorkload()}
+	opts := core.CheckOptions{Exhaustive: true, MaxExtensions: 200000}
+	o := Options{BatchWorkers: 1, Parallelism: 1}
+	checkOpts := o.Tune(opts)
+
+	var want core.Stats
+	wantTried := 0
+	checkOpts.Session = search.NewSession()
+	for i := 0; i < trials; i++ {
+		h, _, err := gen.Generate(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := core.CheckRA(h, d.Spec, checkOpts)
+		want.Add(res.Stats)
+		wantTried += res.Tried
+	}
+	batch, err := CheckGeneratedAgainst(d.Name, d.Spec, opts, gen, trials, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if batch.Stats != want || batch.Tried != wantTried {
+		t.Errorf("batch: Stats %+v Tried %d, per-check sum %+v Tried %d", batch.Stats, batch.Tried, want, wantTried)
+	}
+	if want.Nodes == 0 {
+		t.Fatal("strategies are off, so the batch must search")
+	}
+
+	var wantMon, finalOnly core.Stats
+	checkOpts.Session = search.NewSession()
+	for i := 0; i < trials; i++ {
+		h, _, err := gen.Generate(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Grow h op by op as MonitorHistory does: label k, then the direct
+		// edges whose later endpoint is label k.
+		g := core.NewHistory()
+		var res core.Result
+		for k := 0; k < h.Len(); k++ {
+			l := h.LabelAt(k)
+			if err := g.Add(l); err != nil {
+				t.Fatal(err)
+			}
+			h.DirectVisEdges(func(from, to uint64) {
+				rf, _ := h.RankOf(from)
+				rt, _ := h.RankOf(to)
+				if max(rf, rt) == k {
+					if err := g.AddVis(from, to); err != nil {
+						t.Fatal(err)
+					}
+				}
+			})
+			res = core.CheckRAExtend(g, d.Spec, []*core.Label{l}, checkOpts)
+			wantMon.Add(res.Stats)
+		}
+		finalOnly.Add(res.Stats)
+	}
+	mon, err := MonitorGenerated(d.Name, d.Spec, opts, gen, trials, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mon.Stats != wantMon {
+		t.Errorf("monitor: Stats %+v, sum over every prefix %+v (final prefixes alone: %+v)", mon.Stats, wantMon, finalOnly)
+	}
+	if wantMon.Nodes <= finalOnly.Nodes {
+		t.Fatalf("workload too easy: earlier prefixes searched no nodes (all prefixes %d, final prefixes %d)", wantMon.Nodes, finalOnly.Nodes)
+	}
+}

@@ -141,15 +141,11 @@ type HistoryCheck struct {
 	ByStrategy map[string]int
 	// Tried is the total number of candidate sequences examined.
 	Tried int
-	// Nodes, Pruned, MemoHits and Steals aggregate the pruned engine's
-	// search statistics across all histories (zero under the legacy engine);
-	// Shards is the stripe count of its shared memo table (zero when
-	// memoization never ran).
-	Nodes    int
-	Pruned   int
-	MemoHits int
-	Steals   int
-	Shards   int
+	// Stats sums the search work over every check of the batch with
+	// core.Stats.Add: Nodes, Pruned, MemoHits, Steals and Leaves add up,
+	// while Shards and Workers keep their maximum. The legacy enumerator
+	// reports only Leaves. Under MonitorGenerated every prefix check counts.
+	core.Stats
 	// BatchWorkers is the number of goroutines the batch pool checked trials
 	// across.
 	BatchWorkers int
@@ -376,30 +372,6 @@ func runBatch(name string, sp core.Spec, opts core.CheckOptions, trials int, gen
 		sess = search.NewSessionWithBudget(o.Budget)
 	}
 
-	// trialResult keeps only the scalar fields the fold consumes: holding
-	// full core.Results would pin every generated history (Result.Rewritten)
-	// and witness until the batch finishes, where the sequential loop let
-	// each trial's history become garbage immediately.
-	type trialResult struct {
-		seed       int64
-		ops        int
-		err        error
-		verdict    core.Verdict
-		incReason  string
-		incDetail  string
-		degraded   bool
-		strategy   *core.Strategy
-		lastErr    error
-		tried      int
-		nodes      int
-		pruned     int
-		memoHits   int
-		steals     int
-		shards     int
-		innerPar   int
-		planReuse  bool
-		rewriteHit bool
-	}
 	results := make([]trialResult, trials)
 	// failed stops the dispatch of further trials once any trial errors, so
 	// a failing batch does not burn through its remaining histories first.
@@ -442,24 +414,7 @@ func runBatch(name string, sp core.Spec, opts core.CheckOptions, trials int, gen
 			trialOpts.Parallelism = adaptiveParallelism(gmp, workers, pending.Load(), w, liveWeight.Load())
 		}
 		results[i].innerPar = trialOpts.Parallelism
-		res := core.CheckRAWith(h, sp, trialOpts, sess)
-		tr := &results[i]
-		tr.verdict = res.Verdict
-		if res.Incomplete != nil {
-			tr.incReason = string(res.Incomplete.Reason)
-			tr.incDetail = res.Incomplete.String()
-		}
-		tr.degraded = res.MemDegraded
-		tr.strategy = res.Strategy
-		tr.lastErr = res.LastErr
-		tr.tried = res.Tried
-		tr.nodes = res.Nodes
-		tr.pruned = res.Pruned
-		tr.memoHits = res.MemoHits
-		tr.steals = res.Steals
-		tr.shards = res.Shards
-		tr.planReuse = res.PlanReused
-		tr.rewriteHit = res.RewriteCached
+		results[i].record(core.CheckRAWith(h, sp, trialOpts, sess))
 	}
 	dispatched := 0
 	if workers <= 1 {
@@ -505,61 +460,102 @@ func runBatch(name string, sp core.Spec, opts core.CheckOptions, trials int, gen
 		}
 	}
 
-	out := HistoryCheck{
+	out := newHistoryCheck(name, workers)
+	for i := range results {
+		if err := results[i].err; err != nil {
+			out.InternedStates = sess.InternedStates()
+			return out, err
+		}
+		out.add(i, &results[i])
+	}
+	out.InternedStates = sess.InternedStates()
+	return out, nil
+}
+
+// trialResult is one trial's outcome as the batch fold consumes it. It keeps
+// only the scalar fields the fold reads: holding full core.Results would pin
+// every generated history (Result.Rewritten) and witness until the batch
+// finishes, where a sequential loop lets each trial's history become garbage
+// immediately.
+type trialResult struct {
+	seed       int64
+	ops        int
+	err        error
+	verdict    core.Verdict
+	incReason  string
+	incDetail  string
+	strategy   *core.Strategy
+	lastErr    error
+	tried      int
+	stats      core.Stats
+	innerPar   int
+	degraded   bool
+	planReuse  bool
+	rewriteHit bool
+}
+
+// record keeps the fields of a check's Result that the fold consumes.
+func (tr *trialResult) record(res core.Result) {
+	tr.verdict = res.Verdict
+	if res.Incomplete != nil {
+		tr.incReason = string(res.Incomplete.Reason)
+		tr.incDetail = res.Incomplete.String()
+	}
+	tr.strategy = res.Strategy
+	tr.lastErr = res.LastErr
+	tr.tried = res.Tried
+	tr.stats = res.Stats
+	tr.degraded = res.MemDegraded
+	tr.planReuse = res.PlanReused
+	tr.rewriteHit = res.RewriteCached
+}
+
+// newHistoryCheck returns the empty summary the batch folds trials into.
+func newHistoryCheck(name string, workers int) HistoryCheck {
+	return HistoryCheck{
 		CRDT:            name,
 		ByStrategy:      map[string]int{},
 		UnknownByReason: map[string]int{},
 		BatchWorkers:    workers,
 	}
-	for i := range results {
-		tr := &results[i]
-		if tr.err != nil {
-			out.InternedStates = sess.InternedStates()
-			return out, tr.err
+}
+
+// add folds trial i into the summary. Trials must be added in trial order so
+// the first FailureExample and UnknownExample do not depend on completion
+// order.
+func (out *HistoryCheck) add(i int, tr *trialResult) {
+	out.Histories++
+	out.Operations += tr.ops
+	out.Tried += tr.tried
+	out.Stats.Add(tr.stats)
+	out.MaxInnerParallelism = max(out.MaxInnerParallelism, tr.innerPar)
+	if tr.planReuse {
+		out.PlanReuses++
+	}
+	if tr.rewriteHit {
+		out.RewriteHits++
+	}
+	if tr.degraded {
+		out.Degraded++
+	}
+	switch tr.verdict {
+	case core.VerdictValid:
+		out.Linearizable++
+		if tr.strategy != nil {
+			out.ByStrategy[tr.strategy.String()]++
+		} else {
+			out.ByStrategy["exhaustive"]++
 		}
-		out.Histories++
-		out.Operations += tr.ops
-		out.Tried += tr.tried
-		out.Nodes += tr.nodes
-		out.Pruned += tr.pruned
-		out.MemoHits += tr.memoHits
-		out.Steals += tr.steals
-		if tr.shards > out.Shards {
-			out.Shards = tr.shards
+	case core.VerdictInvalid:
+		out.Invalid++
+		if out.FailureExample == "" {
+			out.FailureExample = fmt.Sprintf("seed %d: %v", tr.seed, tr.lastErr)
 		}
-		if tr.innerPar > out.MaxInnerParallelism {
-			out.MaxInnerParallelism = tr.innerPar
-		}
-		if tr.planReuse {
-			out.PlanReuses++
-		}
-		if tr.rewriteHit {
-			out.RewriteHits++
-		}
-		if tr.degraded {
-			out.Degraded++
-		}
-		switch tr.verdict {
-		case core.VerdictValid:
-			out.Linearizable++
-			if tr.strategy != nil {
-				out.ByStrategy[tr.strategy.String()]++
-			} else {
-				out.ByStrategy["exhaustive"]++
-			}
-		case core.VerdictInvalid:
-			out.Invalid++
-			if out.FailureExample == "" {
-				out.FailureExample = fmt.Sprintf("seed %d: %v", tr.seed, tr.lastErr)
-			}
-		default:
-			out.Unknown++
-			out.UnknownByReason[tr.incReason]++
-			if out.UnknownExample == "" {
-				out.UnknownExample = fmt.Sprintf("trial %d (seed %d): %s", i, tr.seed, tr.incDetail)
-			}
+	default:
+		out.Unknown++
+		out.UnknownByReason[tr.incReason]++
+		if out.UnknownExample == "" {
+			out.UnknownExample = fmt.Sprintf("trial %d (seed %d): %s", i, tr.seed, tr.incDetail)
 		}
 	}
-	out.InternedStates = sess.InternedStates()
-	return out, nil
 }

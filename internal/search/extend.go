@@ -1,10 +1,6 @@
 package search
 
-import (
-	"fmt"
-
-	"ralin/internal/core"
-)
+import "ralin/internal/core"
 
 // Incremental extension (core.CheckRAExtend → Session.Extend): re-verify a
 // history that grew at the end in ~the marginal cost of the new operations.
@@ -147,8 +143,8 @@ func (s *Session) dropExt(h *core.History) {
 // Extend implements core.Extender: check h — which gained newOps as its final
 // labels since this session last checked it — reusing the previous verdict as
 // a certificate and the session's plan, interner and caches for the prefix.
-// The result is finalized and byte-identical in verdict to core.CheckRA on
-// the full history; see the package comment at the top of this file for the
+// The result's verdict is byte-identical to core.CheckRA on the full
+// history; see the package comment at the top of this file for the
 // certificate-first flow and the degradation ladder.
 //
 // Calls for the same history must be externally serialized (they mutate the
@@ -159,9 +155,7 @@ func (s *Session) Extend(h *core.History, spec core.Spec, newOps []*core.Label, 
 		return core.CheckRA(h, spec, opts)
 	}
 	if inc := core.ContextIncomplete(opts.Context); inc != nil {
-		res := core.Result{Incomplete: inc}
-		res.Finalize()
-		return res
+		return core.Result{Incomplete: inc}
 	}
 	// Without the exhaustive phase the certificate could prove Valid where a
 	// from-scratch check reports Unknown (no-search), breaking verdict parity
@@ -203,8 +197,7 @@ func (s *Session) Extend(h *core.History, spec core.Spec, newOps []*core.Label, 
 		Extended:      true,
 	}
 	if ext.valid && s.replayCertificate(ext, rh, spec) {
-		res.OK = true
-		res.Complete = true
+		res.Verdict = core.VerdictValid
 		res.WitnessReplayed = true
 		res.Tried = 1
 		wit := make([]*core.Label, rhN)
@@ -216,7 +209,6 @@ func (s *Session) Extend(h *core.History, spec core.Spec, newOps []*core.Label, 
 		ext.states = append(ext.states[:0], ext.stateBuf...)
 		res.Linearization = wit
 		s.commitSnapshot(ext, h, rhN, newOps)
-		res.Finalize()
 		return res
 	}
 
@@ -227,21 +219,19 @@ func (s *Session) Extend(h *core.History, spec core.Spec, newOps []*core.Label, 
 		ext.plan = &prepared{}
 		if err := ext.plan.build(rh, false); err != nil {
 			res.LastErr = err
-			res.Complete = true
-			res.Finalize()
+			res.Verdict = core.VerdictInvalid
 			return res
 		}
 	} else if ext.planN < rhN {
 		if err := ext.plan.extend(rh, ext.planN, false); err != nil {
 			res.LastErr = err
-			res.Complete = true
-			res.Finalize()
+			res.Verdict = core.VerdictInvalid
 			return res
 		}
 	}
 	ext.planN = rhN
 
-	guided := core.ResolveGuidance(opts.Guidance) == core.GuidanceGuided || len(ext.witness) > 0
+	guided := opts.Guidance == core.GuidanceGuided || len(ext.witness) > 0
 	var guideTab *scoreTable
 	if guided {
 		guideTab = s.guideScores()
@@ -257,49 +247,26 @@ func (s *Session) Extend(h *core.History, spec core.Spec, newOps []*core.Label, 
 		}
 	}
 	out := runPrepared(s, intern, ext.plan, rh, spec, false, guided, guideTab, true, opts)
-	res.Tried += out.Leaves
-	res.Nodes = out.Nodes
-	res.Pruned = out.Pruned
-	res.MemoHits = out.MemoHits
-	res.Steals = out.Steals
-	res.Shards = out.Shards
-	res.Workers = out.Workers
-	res.PlanReused = out.PlanReused
-	res.MemDegraded = out.MemDegraded
-	if out.LastErr != nil {
-		res.LastErr = out.LastErr
-	}
+	core.ApplyEngineOutcome(&res, out, false)
 	switch {
 	case out.OK:
-		res.OK = true
-		res.Complete = true
-		res.Linearization = out.Witness
 		// Store the certificate in exact-size backing: the engine's witness is
 		// carved from a 512-label arena chunk, and a long-lived certificate
 		// must pin only itself.
 		ext.witness = append(make([]*core.Label, 0, len(out.Witness)), out.Witness...)
 		ext.states = statesAfterUpdates(spec, ext.witness, ext.states[:0])
 		ext.valid = true
-		s.commitSnapshot(ext, h, rhN, newOps)
 	case out.Complete:
-		res.Complete = true
 		ext.valid = false
 		ext.witness = nil
 		ext.states = nil
-		s.commitSnapshot(ext, h, rhN, newOps)
 	default:
-		res.Complete = false
-		res.Incomplete = out.Incomplete
 		// Truncated: no certificate, but keep the stale witness as a seed for
 		// the next attempt's branch order. The snapshot still advances — the
 		// plan and rewriting already cover the new operations.
 		ext.valid = false
-		s.commitSnapshot(ext, h, rhN, newOps)
 	}
-	if res.Complete && !res.OK && res.LastErr != nil {
-		res.LastErr = fmt.Errorf("%w: %v", core.ErrNotRALinearizable, res.LastErr)
-	}
-	res.Finalize()
+	s.commitSnapshot(ext, h, rhN, newOps)
 	return res
 }
 

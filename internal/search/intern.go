@@ -129,9 +129,6 @@ func (h *hash128) mix(x uint64) {
 	h.b = splitmix64(h.b + x + 0x9e3779b97f4a7c15)
 }
 
-// mixID folds one interned state ID into the accumulator.
-func (h *hash128) mixID(id uint32) { h.mix(uint64(id)) }
-
 // sum finalizes the accumulated key. Cross-mixing the lanes makes the two
 // halves independent functions of the whole input.
 func (h hash128) sum() key128 {

@@ -45,16 +45,9 @@ const memoShardCount = 64
 // stores the full word tuple it was hashed from, and a duplicate key arriving
 // with a different tuple — a genuine 128-bit hash collision, which would
 // silently prune a subtree that was never explored — panics instead of
-// pruning. Debug mode also carries each configuration's legacy memo key (the
-// pre-bitset hash over sorted interned-ID walks) and asserts the two key
-// schemes induce the same equality on configurations: a legacy key mapping to
-// two distinct word-folded keys means the bitset representation split a
-// configuration the ID walk considered equal (or a legacy 128-bit collision),
-// and a word-folded key carrying two distinct legacy keys is the converse.
-// This turns the ~2⁻⁶⁴ hash-compaction risk — and the old-key/new-key
-// agreement during the representation transition — into checked invariants
-// for differential and soak runs, at the cost of one tuple allocation and two
-// map insertions per memoized node.
+// pruning. This turns the ~2⁻⁶⁴ hash-compaction risk into a checked
+// invariant for differential and soak runs, at the cost of one tuple
+// allocation per memoized node.
 type memoTable struct {
 	// debug is set by Run from the check's options before any worker touches
 	// the table, and is only read afterwards.
@@ -71,17 +64,6 @@ type memoTable struct {
 	// nothing beyond a nil check.
 	live   *atomic.Int64
 	shards [memoShardCount]memoShard
-
-	// dbgMu guards the debug-only dual-key maps below. They live at table
-	// level (not per shard) because the legacy-key direction must see every
-	// stripe: two word-folded keys sharing one legacy key land in different
-	// shards.
-	dbgMu sync.Mutex
-	// dbgLegacy maps each claimed word-folded key to the legacy key of its
-	// configuration; dbgNew is the inverse direction. Both nil outside debug
-	// mode.
-	dbgLegacy map[key128]key128
-	dbgNew    map[key128]key128
 }
 
 type memoShard struct {
@@ -118,8 +100,6 @@ func (m *memoTable) reset() {
 		clear(m.shards[i].seen)
 		clear(m.shards[i].tuples)
 	}
-	clear(m.dbgLegacy)
-	clear(m.dbgNew)
 	if m.live != nil {
 		m.live.Add(-drained)
 		m.live = nil
@@ -129,12 +109,10 @@ func (m *memoTable) reset() {
 // claim records the configuration key and reports whether this call was the
 // first to do so. A false return means an equal configuration is already
 // being (or has been) explored elsewhere and the caller must skip its
-// subtree. tuple is the word sequence the key was hashed from and legacy the
-// configuration's legacy (sorted-ID walk) key; both are ignored outside debug
-// mode, where a duplicate key with a non-equal tuple is a hash collision and
-// panics, and a violated key-scheme bijection (see the type comment) panics
-// likewise.
-func (m *memoTable) claim(k key128, tuple []uint64, legacy key128) bool {
+// subtree. tuple is the word sequence the key was hashed from; it is ignored
+// outside debug mode, where a duplicate key with a non-equal tuple is a hash
+// collision and panics.
+func (m *memoTable) claim(k key128, tuple []uint64) bool {
 	sh := &m.shards[0]
 	if !m.seq {
 		sh = &m.shards[k.lo%memoShardCount]
@@ -168,42 +146,10 @@ func (m *memoTable) claim(k key128, tuple []uint64, legacy key128) bool {
 	if !m.seq {
 		sh.mu.Unlock()
 	}
-	if m.debug {
-		m.checkDualKey(k, legacy)
-	}
 	if !dup && m.live != nil {
 		m.live.Add(1)
 	}
 	return !dup
-}
-
-// checkDualKey asserts the bijection between the word-folded and the legacy
-// key of every configuration seen so far (debug mode only).
-func (m *memoTable) checkDualKey(k, legacy key128) {
-	m.dbgMu.Lock()
-	defer m.dbgMu.Unlock()
-	if m.dbgLegacy == nil {
-		m.dbgLegacy = make(map[key128]key128)
-		m.dbgNew = make(map[key128]key128)
-	}
-	if prev, ok := m.dbgLegacy[k]; ok {
-		if prev != legacy {
-			panic(fmt.Sprintf(
-				"search: word-folded memo key %016x%016x claimed for two configurations with distinct legacy keys %016x%016x and %016x%016x",
-				k.hi, k.lo, prev.hi, prev.lo, legacy.hi, legacy.lo))
-		}
-	} else {
-		m.dbgLegacy[k] = legacy
-	}
-	if prev, ok := m.dbgNew[legacy]; ok {
-		if prev != k {
-			panic(fmt.Sprintf(
-				"search: legacy memo key %016x%016x maps to two distinct word-folded keys %016x%016x and %016x%016x — the bitset representation split a configuration the ID walk considered equal",
-				legacy.hi, legacy.lo, prev.hi, prev.lo, k.hi, k.lo))
-		}
-	} else {
-		m.dbgNew[legacy] = k
-	}
 }
 
 // memoKey hashes the current search configuration into a fixed-size 128-bit
@@ -222,8 +168,8 @@ func (m *memoTable) checkDualKey(k, legacy key128) {
 // shared unkeyable flag, set by the insert path, covers every worker).
 //
 // In debug mode the walk additionally records the exact word sequence into
-// s.keyTuple and the legacy (sorted-ID walk) key into s.legacyKey (claim
-// stores and cross-checks both); the hot path keeps its append-free loop.
+// s.keyTuple (claim stores and cross-checks it); the hot path keeps its
+// append-free loop.
 func (s *searcher) memoKey() (key128, bool) {
 	if s.memo == nil || s.sh.unkeyable.Load() {
 		return key128{}, false
@@ -254,10 +200,9 @@ func (s *searcher) memoKey() (key128, bool) {
 	return h.sum(), true
 }
 
-// memoKeyDebug is memoKey with the hashed words captured in s.keyTuple and
-// the legacy key recomputed into s.legacyKey. The tuple walk must stay in
-// lockstep with memoKey: the tuple is the collision-check witness for exactly
-// the words the hash consumed.
+// memoKeyDebug is memoKey with the hashed words captured in s.keyTuple. The
+// tuple walk must stay in lockstep with memoKey: the tuple is the
+// collision-check witness for exactly the words the hash consumed.
 func (s *searcher) memoKeyDebug() (key128, bool) {
 	h := newHash128()
 	t := s.keyTuple[:0]
@@ -288,44 +233,5 @@ func (s *searcher) memoKeyDebug() (key128, bool) {
 		}
 	}
 	s.keyTuple = t
-	s.legacyKey = s.legacyMemoKey()
 	return h.sum(), true
-}
-
-// legacyMemoKey recomputes the pre-bitset memo key — the hash over the
-// sorted interned-ID walk of every state set — so debug mode can assert that
-// the word-folded key and the legacy key agree on configuration equality
-// (memoTable.checkDualKey). The set IDs are kept in arrival order now, so the
-// walk sorts a scratch copy per set; this runs in debug mode only.
-func (s *searcher) legacyMemoKey() key128 {
-	h := newHash128()
-	for _, w := range s.placed {
-		h.mix(w)
-	}
-	h.mix(uint64(len(s.mainIDs)))
-	for _, id := range s.sortedIDs(s.mainIDs) {
-		h.mixID(id)
-	}
-	if !s.strong {
-		for _, q := range s.pre.queries {
-			if s.placed.get(q) {
-				continue
-			}
-			ids := s.qids[q]
-			h.mix(uint64(q)<<32 | uint64(len(ids)))
-			for _, id := range s.sortedIDs(ids) {
-				h.mixID(id)
-			}
-		}
-	}
-	return h.sum()
-}
-
-// sortedIDs copies ids into the debug scratch and sorts it ascending — the
-// canonical order the legacy memo key hashed. The scratch is reused per call;
-// callers consume the result before calling again.
-func (s *searcher) sortedIDs(ids []uint32) []uint32 {
-	s.dbgIDs = append(s.dbgIDs[:0], ids...)
-	slices.Sort(s.dbgIDs)
-	return s.dbgIDs
 }

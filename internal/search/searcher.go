@@ -138,14 +138,6 @@ type searcher struct {
 	// memoKey hashed, stored by claim as the collision-check witness. Unused
 	// (and never grown) outside debug mode.
 	keyTuple []uint64
-	// legacyKey is the debug-memo transition witness: the pre-bitset memo key
-	// (hash over sorted interned-ID walks) of the last configuration, so
-	// claim can assert that the word-folded key and the legacy key induce the
-	// same equality on configurations. Unused outside debug mode.
-	legacyKey key128
-	// dbgIDs is the sort scratch legacyMemoKey uses to re-derive the sorted
-	// ID walks the legacy key hashed; debug mode only.
-	dbgIDs []uint32
 
 	frames []frame
 	// pool recycles state-set buffers released by leave; after warm-up the
@@ -449,7 +441,7 @@ func (s *searcher) dfs() status {
 		return sFound
 	}
 	if key, keyed := s.memoKey(); keyed {
-		if !s.memo.claim(key, s.keyTuple, s.legacyKey) {
+		if !s.memo.claim(key, s.keyTuple) {
 			// An equal configuration is being (or has been) explored by some
 			// worker; its subtree equals ours, so skip.
 			s.memoHit++

@@ -172,11 +172,11 @@ func TestSessionRewriteCache(t *testing.T) {
 	h := concurrentIncsHistory(5, 5)
 	opts := core.CheckOptions{Rewriting: cloneRewriting{tag: 1}, Exhaustive: true, Parallelism: 1}
 	first := core.CheckRAWith(h, spec.Counter{}, opts, sess)
-	if !first.OK || first.RewriteCached {
+	if first.Verdict != core.VerdictValid || first.RewriteCached {
 		t.Fatalf("first check must derive the rewriting itself: %+v", first)
 	}
 	second := core.CheckRAWith(h, spec.Counter{}, opts, sess)
-	if !second.OK || !second.RewriteCached {
+	if second.Verdict != core.VerdictValid || !second.RewriteCached {
 		t.Fatalf("second check of the same history must hit the rewrite cache: %+v", second)
 	}
 	if first.Rewritten != second.Rewritten {
@@ -203,7 +203,7 @@ func TestSessionRewriteCache(t *testing.T) {
 	fnOpts.Rewriting = fn
 	for i := 0; i < 2; i++ {
 		res := core.CheckRAWith(h, spec.Counter{}, fnOpts, sess)
-		if !res.OK || res.RewriteCached {
+		if res.Verdict != core.VerdictValid || res.RewriteCached {
 			t.Fatalf("func-typed rewriting must bypass the cache (run %d): %+v", i, res)
 		}
 	}
@@ -240,12 +240,12 @@ func TestSessionRewriteCacheTokenedClosure(t *testing.T) {
 	}
 	opts := core.CheckOptions{Rewriting: mk("γ"), Exhaustive: true, Parallelism: 1}
 	first := core.CheckRAWith(h, spec.Counter{}, opts, sess)
-	if !first.OK || first.RewriteCached {
+	if first.Verdict != core.VerdictValid || first.RewriteCached {
 		t.Fatalf("first tokened check must derive the rewriting: %+v", first)
 	}
 	opts.Rewriting = mk("γ")
 	second := core.CheckRAWith(h, spec.Counter{}, opts, sess)
-	if !second.OK || !second.RewriteCached {
+	if second.Verdict != core.VerdictValid || !second.RewriteCached {
 		t.Fatalf("equal-token closure must hit the rewrite cache: %+v", second)
 	}
 	if first.Rewritten != second.Rewritten {
@@ -266,11 +266,10 @@ func TestDebugMemoDetectsCollision(t *testing.T) {
 	m := newMemoTable()
 	m.debug = true
 	k := key128{hi: 1, lo: 2}
-	legacy := key128{hi: 7, lo: 8}
-	if !m.claim(k, []uint64{10, 20}, legacy) {
+	if !m.claim(k, []uint64{10, 20}) {
 		t.Fatal("first claim must succeed")
 	}
-	if m.claim(k, []uint64{10, 20}, legacy) {
+	if m.claim(k, []uint64{10, 20}) {
 		t.Fatal("second claim of the same configuration must report duplicate")
 	}
 	defer func() {
@@ -278,42 +277,7 @@ func TestDebugMemoDetectsCollision(t *testing.T) {
 			t.Fatal("claiming the same key for a distinct tuple must panic")
 		}
 	}()
-	m.claim(k, []uint64{10, 21}, legacy)
-}
-
-// TestDebugMemoDualKeyBijection pins the old-key/new-key agreement assertion:
-// in debug mode every configuration carries both its word-folded key and its
-// legacy sorted-ID key, and the table panics as soon as the two schemes
-// disagree on configuration equality in either direction.
-func TestDebugMemoDualKeyBijection(t *testing.T) {
-	t.Run("split", func(t *testing.T) {
-		// Two distinct word-folded keys claiming one legacy key: the bitset
-		// representation split a configuration the ID walk considered equal.
-		m := newMemoTable()
-		m.debug = true
-		legacy := key128{hi: 7, lo: 8}
-		m.claim(key128{hi: 1, lo: 2}, []uint64{10}, legacy)
-		defer func() {
-			if recover() == nil {
-				t.Fatal("a second word-folded key for the same legacy key must panic")
-			}
-		}()
-		m.claim(key128{hi: 1, lo: 3}, []uint64{11}, legacy)
-	})
-	t.Run("merge", func(t *testing.T) {
-		// One word-folded key claimed under two distinct legacy keys: the new
-		// representation merged configurations the ID walk distinguished.
-		m := newMemoTable()
-		m.debug = true
-		k := key128{hi: 1, lo: 2}
-		m.claim(k, []uint64{10}, key128{hi: 7, lo: 8})
-		defer func() {
-			if recover() == nil {
-				t.Fatal("a second legacy key for the same word-folded key must panic")
-			}
-		}()
-		m.claim(k, []uint64{10}, key128{hi: 7, lo: 9})
-	})
+	m.claim(k, []uint64{10, 21})
 }
 
 // TestDebugMemoMatchesPlainMemo runs the same refutation with and without
@@ -342,7 +306,7 @@ func TestSessionThroughCheckRAWith(t *testing.T) {
 	opts := core.CheckOptions{Exhaustive: true, Engine: core.EnginePruned, Parallelism: 1}
 	plain := core.CheckRA(h, spec.Counter{}, opts)
 	with := core.CheckRAWith(h, spec.Counter{}, opts, sess)
-	if with.OK != plain.OK || with.Complete != plain.Complete || with.Nodes != plain.Nodes {
+	if with.Verdict != plain.Verdict || with.Nodes != plain.Nodes {
 		t.Fatalf("CheckRAWith %+v differs from CheckRA %+v", with, plain)
 	}
 	if sess.InternedStates() == 0 {

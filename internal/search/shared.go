@@ -272,16 +272,18 @@ func (sh *shared) outcome(workers int) core.EngineOutcome {
 	witness, lastErr, inc := sh.witness, sh.lastErr, sh.inc
 	sh.mu.Unlock()
 	out := core.EngineOutcome{
-		OK:       witness != nil,
-		Witness:  witness,
-		LastErr:  lastErr,
-		Leaves:   int(sh.leaves.Load()),
-		Nodes:    int(sh.nodes.Load()),
-		Pruned:   int(sh.pruned.Load()),
-		MemoHits: int(sh.memoHits.Load()),
-		Steals:   int(sh.steals.Load()),
-		Shards:   sh.shards,
-		Workers:  workers,
+		OK:      witness != nil,
+		Witness: witness,
+		LastErr: lastErr,
+		Stats: core.Stats{
+			Nodes:    int(sh.nodes.Load()),
+			Pruned:   int(sh.pruned.Load()),
+			MemoHits: int(sh.memoHits.Load()),
+			Steals:   int(sh.steals.Load()),
+			Leaves:   int(sh.leaves.Load()),
+			Shards:   sh.shards,
+			Workers:  workers,
+		},
 	}
 	out.Complete = out.OK || !sh.truncated.Load()
 	out.MemDegraded = sh.memDegraded.Load()
