@@ -581,6 +581,50 @@ func incrementalStream(n int) ([]*core.Label, [][]core.VisEdge) {
 	return labels, edges
 }
 
+// orsetStream builds the deterministic n-op Spec(OR-Set) monitor workload of
+// BenchmarkIncrementalExtend, already in rewritten form: add(e, id) over three
+// elements, a removeIds of the oldest live pair (which sees that pair's add)
+// every eighth operation, and a read every fourth operation that sees every
+// update so far. The pair set grows ~n/2 large, so a justification fold that
+// clones the state per update costs O(visible updates × state size).
+func orsetStream(n int) ([]*core.Label, [][]core.VisEdge) {
+	labels := make([]*core.Label, 0, n)
+	edges := make([][]core.VisEdge, n)
+	var live []core.Pair
+	addOf := map[core.Pair]uint64{}
+	for k := 0; k < n; k++ {
+		id := uint64(k + 1)
+		switch {
+		case (k+1)%4 == 0:
+			var vals []string
+			for _, p := range live {
+				vals = append(vals, p.Elem)
+			}
+			vals = core.SortedSet(vals)
+			if vals == nil {
+				vals = []string{}
+			}
+			labels = append(labels, &core.Label{ID: id, Method: "read", Ret: vals, Kind: core.KindQuery, GenSeq: id})
+			for _, u := range labels[:k] {
+				if u.Kind == core.KindUpdate {
+					edges[k] = append(edges[k], core.VisEdge{From: u.ID, To: id})
+				}
+			}
+		case (k+1)%8 == 2 && len(live) > 0:
+			p := live[0]
+			live = live[1:]
+			labels = append(labels, &core.Label{ID: id, Method: "removeIds", Args: []core.Value{[]core.Pair{p}}, Kind: core.KindUpdate, GenSeq: id})
+			edges[k] = []core.VisEdge{{From: addOf[p], To: id}}
+		default:
+			p := core.Pair{Elem: string(rune('a' + k%3)), ID: id}
+			live = append(live, p)
+			addOf[p] = id
+			labels = append(labels, &core.Label{ID: id, Method: "add", Args: []core.Value{p.Elem, p.ID}, Kind: core.KindUpdate, GenSeq: id})
+		}
+	}
+	return labels, edges
+}
+
 // BenchmarkIncrementalExtend measures the point of the incremental checker:
 // re-verifying a growing history at every operation. The extend variant
 // replays the stream through core.CheckRAExtend over one warm session, so
@@ -589,56 +633,80 @@ func incrementalStream(n int) ([]*core.Label, [][]core.VisEdge) {
 // the incremental path must do — a full from-scratch check of every prefix.
 // Both verify the identical n prefixes per iteration and report prefixes/sec;
 // the committed baseline (BENCHMARKS.md) shows the extend curve staying ~flat
-// in n where scratch grows ~quadratically. `make bench-gate` diffs the
-// allocs/op of every sub-benchmark against the committed baseline.
+// in n where scratch grows ~quadratically. The Counter stream's int states
+// cost nothing to copy; the orset stream's pair sets make the per-prefix
+// cost of justifying a read visible. `make bench-gate` diffs the allocs/op of
+// every extend sub-benchmark against the committed baseline.
 func BenchmarkIncrementalExtend(b *testing.B) {
-	sp := spec.Counter{}
-	for _, n := range []int{8, 16, 32, 64} {
-		labels, edges := incrementalStream(n)
-		replay := func(b *testing.B, check func(g *core.History, k int) core.Result) {
-			b.Helper()
-			g := core.NewHistory()
-			for k, l := range labels {
-				g.MustAdd(l)
-				for _, e := range edges[k] {
-					g.MustAddVis(e.From, e.To)
-				}
-				if res := check(g, k); res.Verdict != core.VerdictValid {
-					b.Fatalf("prefix %d/%d: %v (%+v)", k+1, n, res.Verdict, res.Incomplete)
-				}
+	type workload struct {
+		prefix string
+		sp     core.Spec
+		stream func(int) ([]*core.Label, [][]core.VisEdge)
+		sizes  []int
+		// scratchUpTo caps the sizes the scratch variant runs at: a
+		// from-scratch OR-Set monitor at n=256 takes seconds per iteration.
+		scratchUpTo int
+	}
+	for _, w := range []workload{
+		{"", spec.Counter{}, incrementalStream, []int{8, 16, 32, 64}, 64},
+		{"orset/", spec.ORSet{}, orsetStream, []int{64, 256}, 64},
+	} {
+		for _, n := range w.sizes {
+			benchIncrementalStream(b, w.prefix, w.sp, n, w.stream, n <= w.scratchUpTo)
+		}
+	}
+}
+
+// benchIncrementalStream runs the extend variant of BenchmarkIncrementalExtend
+// over one n-op stream, and the scratch variant when scratch is set.
+func benchIncrementalStream(b *testing.B, prefix string, sp core.Spec, n int, stream func(int) ([]*core.Label, [][]core.VisEdge), scratch bool) {
+	labels, edges := stream(n)
+	replay := func(b *testing.B, check func(g *core.History, k int) core.Result) {
+		b.Helper()
+		g := core.NewHistory()
+		for k, l := range labels {
+			g.MustAdd(l)
+			for _, e := range edges[k] {
+				g.MustAddVis(e.From, e.To)
+			}
+			if res := check(g, k); res.Verdict != core.VerdictValid {
+				b.Fatalf("prefix %d/%d: %v (%+v)", k+1, n, res.Verdict, res.Incomplete)
 			}
 		}
-		b.Run(fmt.Sprintf("extend/n=%d", n), func(b *testing.B) {
-			sess := search.NewSession()
-			opts := core.CheckOptions{Exhaustive: true, Parallelism: 1, Session: sess}
-			run := func(b *testing.B) {
-				replay(b, func(g *core.History, k int) core.Result {
-					return core.CheckRAExtend(g, sp, labels[k:k+1], opts)
-				})
-			}
-			// Two warm-up replays fill the session caches (pools, interner,
-			// transition cache); the timed loop measures the steady state.
-			for w := 0; w < 2; w++ {
-				run(b)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				run(b)
-			}
-			b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "prefixes/sec")
-		})
-		b.Run(fmt.Sprintf("scratch/n=%d", n), func(b *testing.B) {
-			opts := core.CheckOptions{Exhaustive: true, Parallelism: 1}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				replay(b, func(g *core.History, k int) core.Result {
-					return core.CheckRA(g, sp, opts)
-				})
-			}
-			b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "prefixes/sec")
-		})
 	}
+	b.Run(fmt.Sprintf("%sextend/n=%d", prefix, n), func(b *testing.B) {
+		sess := search.NewSession()
+		opts := core.CheckOptions{Exhaustive: true, Parallelism: 1, Session: sess}
+		run := func(b *testing.B) {
+			replay(b, func(g *core.History, k int) core.Result {
+				return core.CheckRAExtend(g, sp, labels[k:k+1], opts)
+			})
+		}
+		// Two warm-up replays fill the session caches (pools, interner,
+		// transition cache); the timed loop measures the steady state.
+		for w := 0; w < 2; w++ {
+			run(b)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			run(b)
+		}
+		b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "prefixes/sec")
+	})
+	if !scratch {
+		return
+	}
+	b.Run(fmt.Sprintf("%sscratch/n=%d", prefix, n), func(b *testing.B) {
+		opts := core.CheckOptions{Exhaustive: true, Parallelism: 1}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			replay(b, func(g *core.History, k int) core.Result {
+				return core.CheckRA(g, sp, opts)
+			})
+		}
+		b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "prefixes/sec")
+	})
 }
 
 // BenchmarkGuidedVsRankOrder is the differential benchmark gating guided

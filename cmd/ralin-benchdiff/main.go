@@ -79,7 +79,7 @@ func main() {
 	// scratch side is the contrast workload, and its small sizes finish too
 	// fast for 50 iterations to yield a stable ns/op reading.
 	match := flag.String("match",
-		"^Benchmark(EngineNonLinearizable/(legacy|pruned-seq)|BatchRefutations/(fresh|shared)/w1|BatchCheckRandomHistories/(fresh|shared)/w1|SessionRecheck/(fresh|session)|ScenarioCorpus|IncrementalExtend/extend/n=\\d+)\\b",
+		"^Benchmark(EngineNonLinearizable/(legacy|pruned-seq)|BatchRefutations/(fresh|shared)/w1|BatchCheckRandomHistories/(fresh|shared)/w1|SessionRecheck/(fresh|session)|ScenarioCorpus|IncrementalExtend/(orset/)?extend/n=\\d+)\\b",
 		"regexp selecting the gated benchmarks")
 	maxNS := flag.Float64("max-ns-regression", 25, "maximum tolerated ns/op regression in percent (same-CPU runs); <= 0 makes ns/op advisory")
 	maxAllocs := flag.Float64("max-allocs-regression", 0, "maximum tolerated allocs/op regression in percent; < 0 makes allocs/op advisory (for ns-only gates against a runner-cached baseline)")

@@ -61,32 +61,70 @@ func StepInto(s Spec, dst []AbsState, phi AbsState, l *Label) []AbsState {
 	return append(dst, s.Step(phi, l)...)
 }
 
+// OwnedStepper is the in-place fast path of a deterministic specification,
+// used by the justification folds (Admits, StatesAfter, FirstRejected): the
+// spec has at most one successor for every state and label, phi belongs to
+// the caller and may be mutated, and StepOwned returns the successor and
+// true, or false when l is not admitted (phi is then unspecified). A fold
+// clones its start state once and steps that copy through the whole
+// sequence, where StepAppend would clone it for every update. The search
+// keeps StepAppend: its states are shared between branches and interned.
+type OwnedStepper interface {
+	StepOwned(phi AbsState, l *Label) (AbsState, bool)
+}
+
 // Admits reports whether the sequence of labels is admitted by the
 // specification, that is, whether the labels can be applied in order starting
 // from the initial state.
 func Admits(s Spec, seq []*Label) bool {
-	return len(StatesAfter(s, seq)) > 0
+	_, rejected := fold(s, seq)
+	return rejected < 0
 }
 
 // StatesAfter returns the set of abstract states reachable by applying seq
 // from the initial state, with duplicates removed. An empty result means the
 // sequence is not admitted.
 func StatesAfter(s Spec, seq []*Label) []AbsState {
-	return statesFrom(s, []AbsState{s.Init()}, seq)
+	states, _ := fold(s, seq)
+	return states
 }
 
-func statesFrom(s Spec, states []AbsState, seq []*Label) []AbsState {
-	for _, l := range seq {
+// FirstRejected returns the index of the first label of seq that cannot be
+// applied (following any nondeterministic branch), or -1 if the whole
+// sequence is admitted. It is a diagnostic helper used in error messages.
+func FirstRejected(s Spec, seq []*Label) int {
+	_, rejected := fold(s, seq)
+	return rejected
+}
+
+// fold applies seq from the initial state and returns the deduplicated
+// reachable set together with the index of the first rejected label (-1 when
+// seq is admitted; the set is then nil). A deterministic spec that
+// implements OwnedStepper is stepped in place on one private copy of Init() —
+// Init may return a shared value — and every other spec goes through
+// StepInto and DedupStates.
+func fold(s Spec, seq []*Label) ([]AbsState, int) {
+	if stepper, ok := s.(OwnedStepper); ok {
+		phi := s.Init().CloneAbs()
+		for i, l := range seq {
+			if phi, ok = stepper.StepOwned(phi, l); !ok {
+				return nil, i
+			}
+		}
+		return []AbsState{phi}, -1
+	}
+	states := []AbsState{s.Init()}
+	for i, l := range seq {
 		var next []AbsState
 		for _, phi := range states {
 			next = StepInto(s, next, phi, l)
 		}
 		states = DedupStates(next)
 		if len(states) == 0 {
-			return nil
+			return nil, i
 		}
 	}
-	return states
+	return states, -1
 }
 
 // dedupKeyedThreshold is the set size above which DedupStates leaves the
@@ -232,22 +270,4 @@ func dedupByKey(states []AbsState) ([]AbsState, bool) {
 		out = append(out, s)
 	}
 	return out, true
-}
-
-// FirstRejected returns the index of the first label of seq that cannot be
-// applied (following any nondeterministic branch), or -1 if the whole
-// sequence is admitted. It is a diagnostic helper used in error messages.
-func FirstRejected(s Spec, seq []*Label) int {
-	states := []AbsState{s.Init()}
-	for i, l := range seq {
-		var next []AbsState
-		for _, phi := range states {
-			next = StepInto(s, next, phi, l)
-		}
-		states = DedupStates(next)
-		if len(states) == 0 {
-			return i
-		}
-	}
-	return -1
 }

@@ -146,3 +146,61 @@ func TestDedupStatesSmallSets(t *testing.T) {
 		t.Fatalf("singleton must pass through, got %v", out)
 	}
 }
+
+// ownedSetSpec is setSpec with an in-place StepOwned, whose Init hands out
+// the same shared map on every call; owned counts the StepOwned calls.
+type ownedSetSpec struct {
+	setSpec
+	init  setState
+	owned *int
+}
+
+func (s ownedSetSpec) Init() AbsState { return s.init }
+
+func (s ownedSetSpec) StepOwned(phi AbsState, l *Label) (AbsState, bool) {
+	*s.owned++
+	st := phi.(setState)
+	switch l.Method {
+	case "add":
+		st[l.Args[0].(string)] = true
+		return st, true
+	case "remove":
+		delete(st, l.Args[0].(string))
+		return st, true
+	}
+	return st, len(s.setSpec.Step(st, l)) == 1
+}
+
+// TestFoldsNeverMutateSharedInit pins the owned fold's copy discipline: a
+// spec's Init may return a shared value, so StatesAfter, Admits and
+// FirstRejected step a private copy of it and leave the shared state empty,
+// call after call.
+func TestFoldsNeverMutateSharedInit(t *testing.T) {
+	n := 0
+	sp := ownedSetSpec{init: setState{}, owned: &n}
+	seq := []*Label{
+		{ID: 1, Method: "add", Args: []Value{"a"}, Kind: KindUpdate},
+		{ID: 2, Method: "add", Args: []Value{"b"}, Kind: KindUpdate},
+		{ID: 3, Method: "remove", Args: []Value{"a"}, Kind: KindUpdate},
+		{ID: 4, Method: "read", Ret: []string{"b"}, Kind: KindQuery},
+	}
+	stale := append(seq[:2:2], &Label{ID: 5, Method: "read", Ret: []string{}, Kind: KindQuery})
+	for round := 0; round < 2; round++ {
+		states := StatesAfter(sp, seq)
+		if len(states) != 1 || !states[0].EqualAbs(setState{"b": true}) {
+			t.Fatalf("round %d: StatesAfter = %v, want [{b}]", round, states)
+		}
+		if !Admits(sp, seq) || Admits(sp, stale) {
+			t.Fatalf("round %d: Admits disagrees with setSpec", round)
+		}
+		if i := FirstRejected(sp, stale); i != 2 {
+			t.Fatalf("round %d: FirstRejected = %d, want 2", round, i)
+		}
+		if len(sp.init) != 0 {
+			t.Fatalf("round %d: a fold mutated the shared initial state: %v", round, sp.init)
+		}
+	}
+	if n == 0 {
+		t.Fatal("the folds never took the StepOwned path")
+	}
+}

@@ -47,8 +47,11 @@ const extensionCap = 64
 // Valid.
 type extension struct {
 	// token identifies the rewriting the state was built under
-	// (core.RewritingIdentity); a call with a different rewriting rebuilds.
+	// (core.RewritingIdentity) and spec the specification the certificate
+	// was checked against; a call with a different rewriting or spec
+	// rebuilds.
 	token any
+	spec  core.Spec
 	// rew is the γ-rewriting of h's first nOld labels: the session-cached
 	// clone on the cloning path or an alias wrapper (rew.History == h) on the
 	// identity fast path.
@@ -71,24 +74,49 @@ type extension struct {
 	plan  *prepared
 	planN int
 	// valid reports the last verdict was Valid; witness is then its
-	// linearization in exact-size backing (never a carved arena sub-slice —
-	// a long-lived certificate must not pin a searcher's witness chunk), and
-	// states is the spec state set reachable after witness's update
-	// projection, from which new updates step.
-	valid   bool
-	witness []*core.Label
-	states  []core.AbsState
-	// witBuf/stateBuf/stepBuf/justBuf/seedBuf are the certificate replay's
+	// linearization in session-owned backing (never a carved arena
+	// sub-slice — a long-lived certificate must not pin a searcher's witness
+	// chunk), grown by amortized append as replays extend it; witRanks holds
+	// each witness label's rank in rew.History (-1 if absent); and states is
+	// the spec state set reachable after witness's update projection, from
+	// which new updates step.
+	valid    bool
+	witness  []*core.Label
+	witRanks []int
+	states   []core.AbsState
+	// stateBuf/stepBuf/justBuf/visBuf/seedBuf are the certificate replay's
 	// reusable scratch, so a replay allocates only what the spec itself does.
-	witBuf   []*core.Label
 	stateBuf []core.AbsState
 	stepBuf  []core.AbsState
 	justBuf  []*core.Label
+	visBuf   []uint64
 	seedBuf  []int
 }
 
-// safeTokenEqual compares rewriting identities, treating a comparison panic
-// (run-time uncomparable values inside an interface) as "not equal".
+// setWitness stores a Valid verdict's witness over rh as the certificate:
+// a private copy of the labels, their ranks, and the states after its update
+// projection.
+func (ext *extension) setWitness(rh *core.History, witness []*core.Label) {
+	ext.valid = true
+	ext.witness = append(make([]*core.Label, 0, len(witness)), witness...)
+	ext.witRanks = ext.witRanks[:0]
+	ext.justBuf = ext.justBuf[:0]
+	for _, l := range witness {
+		r, ok := rh.RankOf(l.ID)
+		if !ok {
+			r = -1
+		}
+		ext.witRanks = append(ext.witRanks, r)
+		if l.IsUpdate() {
+			ext.justBuf = append(ext.justBuf, l)
+		}
+	}
+	ext.states = core.StatesAfter(ext.spec, ext.justBuf)
+}
+
+// safeTokenEqual compares rewriting identities and specifications, treating
+// a comparison panic (run-time uncomparable values inside an interface) as
+// "not equal".
 func safeTokenEqual(a, b any) (eq bool) {
 	defer func() {
 		if recover() != nil {
@@ -174,7 +202,7 @@ func (s *Session) Extend(h *core.History, spec core.Spec, newOps []*core.Label, 
 	defer s.endCheck()
 
 	ext := s.getExt(h)
-	if ext == nil || !s.extendable(ext, h, token, newOps) {
+	if ext == nil || !s.extendable(ext, h, spec, token, newOps) {
 		return s.rebuildExt(h, spec, opts, token)
 	}
 	// Grow the rewriting over the new operations. The aliasing fast path
@@ -196,18 +224,17 @@ func (s *Session) Extend(h *core.History, spec core.Spec, newOps []*core.Label, 
 		Engine:        core.EnginePruned,
 		Extended:      true,
 	}
-	if ext.valid && s.replayCertificate(ext, rh, spec) {
+	if ext.valid && s.replayCertificate(ext, rh) {
 		res.Verdict = core.VerdictValid
 		res.WitnessReplayed = true
 		res.Tried = 1
-		wit := make([]*core.Label, rhN)
-		copy(wit, ext.witness)
 		for t := ext.rewLen; t < rhN; t++ {
-			wit[t] = rh.LabelAt(t)
+			ext.witness = append(ext.witness, rh.LabelAt(t))
+			ext.witRanks = append(ext.witRanks, t)
 		}
-		ext.witness = wit
 		ext.states = append(ext.states[:0], ext.stateBuf...)
-		res.Linearization = wit
+		// Capped so a caller's append cannot write into the certificate.
+		res.Linearization = ext.witness[:rhN:rhN]
 		s.commitSnapshot(ext, h, rhN, newOps)
 		return res
 	}
@@ -238,8 +265,8 @@ func (s *Session) Extend(h *core.History, spec core.Spec, newOps []*core.Label, 
 		ext.plan.buildGuide(guideTab, false)
 		if len(ext.witness) > 0 {
 			ext.seedBuf = ext.seedBuf[:0]
-			for _, l := range ext.witness {
-				if r, ok := rh.RankOf(l.ID); ok {
+			for _, r := range ext.witRanks {
+				if r >= 0 {
 					ext.seedBuf = append(ext.seedBuf, r)
 				}
 			}
@@ -250,15 +277,13 @@ func (s *Session) Extend(h *core.History, spec core.Spec, newOps []*core.Label, 
 	core.ApplyEngineOutcome(&res, out, false)
 	switch {
 	case out.OK:
-		// Store the certificate in exact-size backing: the engine's witness is
-		// carved from a 512-label arena chunk, and a long-lived certificate
-		// must pin only itself.
-		ext.witness = append(make([]*core.Label, 0, len(out.Witness)), out.Witness...)
-		ext.states = statesAfterUpdates(spec, ext.witness, ext.states[:0])
-		ext.valid = true
+		// The engine's witness is carved from a 512-label arena chunk;
+		// setWitness copies it so the certificate pins only itself.
+		ext.setWitness(rh, out.Witness)
 	case out.Complete:
 		ext.valid = false
 		ext.witness = nil
+		ext.witRanks = nil
 		ext.states = nil
 	default:
 		// Truncated: no certificate, but keep the stale witness as a seed for
@@ -285,7 +310,9 @@ func (s *Session) commitSnapshot(ext *extension, h *core.History, rhN int, newOp
 
 // extendable verifies every incremental precondition for reusing ext on h:
 //
-//   - same rewriting identity as the entry was built with;
+//   - same rewriting identity and same specification as the entry was built
+//     with (a certificate checked under one spec proves nothing under
+//     another; a spec that cannot be compared always rebuilds);
 //   - newOps are exactly h's tail beyond the entry's snapshot (length, label
 //     identity and rank all match);
 //   - the edge discipline: every direct edge recorded since the snapshot
@@ -296,8 +323,8 @@ func (s *Session) commitSnapshot(ext *extension, h *core.History, rhN int, newOp
 //     a from-scratch check would still alias rather than clone).
 //
 // Any failure reports false and the caller rebuilds from scratch.
-func (s *Session) extendable(ext *extension, h *core.History, token any, newOps []*core.Label) bool {
-	if !safeTokenEqual(ext.token, token) {
+func (s *Session) extendable(ext *extension, h *core.History, spec core.Spec, token any, newOps []*core.Label) bool {
+	if !safeTokenEqual(ext.token, token) || !safeTokenEqual(ext.spec, spec) {
 		return false
 	}
 	if h.Len() != ext.nOld+len(newOps) {
@@ -343,6 +370,7 @@ func (s *Session) rebuildExt(h *core.History, spec core.Spec, opts core.CheckOpt
 	}
 	ext := &extension{
 		token:  token,
+		spec:   spec,
 		rew:    rew,
 		nOld:   h.Len(),
 		rewLen: rew.History.Len(),
@@ -354,9 +382,7 @@ func (s *Session) rebuildExt(h *core.History, spec core.Spec, opts core.CheckOpt
 		}
 	}
 	if res.Verdict == core.VerdictValid {
-		ext.valid = true
-		ext.witness = append(make([]*core.Label, 0, len(res.Linearization)), res.Linearization...)
-		ext.states = statesAfterUpdates(spec, ext.witness, nil)
+		ext.setWitness(rew.History, res.Linearization)
 	}
 	s.storeExt(h, ext)
 	return res
@@ -377,7 +403,7 @@ func (s *Session) rebuildExt(h *core.History, spec core.Spec, opts core.CheckOpt
 // On success the stepped state set is left in ext.stateBuf for the caller to
 // commit; on failure ext's certificate state is untouched and the caller
 // falls back to the search.
-func (s *Session) replayCertificate(ext *extension, rh *core.History, spec core.Spec) bool {
+func (s *Session) replayCertificate(ext *extension, rh *core.History) bool {
 	rhN := rh.Len()
 	admissible := true
 	for t := ext.rewLen; t < rhN; t++ {
@@ -394,14 +420,20 @@ func (s *Session) replayCertificate(ext *extension, rh *core.History, spec core.
 	// so a successful replay of k updates costs k spec steps and no growth
 	// allocations after the first extension.
 	work := append(ext.stateBuf[:0], ext.states...)
-	wit := append(ext.witBuf[:0], ext.witness...)
-	defer func() { ext.witBuf = wit[:0] }()
+	if words := (rhN + 63) / 64; cap(ext.visBuf) < words {
+		ext.visBuf = make([]uint64, words)
+	} else {
+		ext.visBuf = ext.visBuf[:words]
+	}
+	vis := ext.visBuf
+	mark := func(f int) { vis[f>>6] |= 1 << (f & 63) }
+	visible := func(r int) bool { return r >= 0 && vis[r>>6]&(1<<(r&63)) != 0 }
 	for t := ext.rewLen; t < rhN; t++ {
 		l := rh.LabelAt(t)
 		if l.IsUpdate() {
 			step := ext.stepBuf[:0]
 			for _, phi := range work {
-				step = core.StepInto(spec, step, phi, l)
+				step = core.StepInto(ext.spec, step, phi, l)
 			}
 			step = core.DedupStates(step)
 			ext.stepBuf = step[:0]
@@ -409,43 +441,29 @@ func (s *Session) replayCertificate(ext *extension, rh *core.History, spec core.
 				return false
 			}
 			work = append(work[:0], step...)
-		} else {
-			ext.justBuf = ext.justBuf[:0]
-			for _, u := range wit {
-				if u.IsUpdate() && rh.Vis(u.ID, l.ID) {
-					ext.justBuf = append(ext.justBuf, u)
-				}
-			}
-			ext.justBuf = append(ext.justBuf, l)
-			if !core.Admits(spec, ext.justBuf) {
-				return false
+			continue
+		}
+		// The justification: the visible updates in witness order — the
+		// stored witness, then the new labels before t in rank order.
+		clear(vis)
+		rh.PredRow(t, mark)
+		just := ext.justBuf[:0]
+		for i, u := range ext.witness {
+			if u.IsUpdate() && visible(ext.witRanks[i]) {
+				just = append(just, u)
 			}
 		}
-		wit = append(wit, l)
+		for r := ext.rewLen; r < t; r++ {
+			if u := rh.LabelAt(r); u.IsUpdate() && visible(r) {
+				just = append(just, u)
+			}
+		}
+		just = append(just, l)
+		ext.justBuf = just
+		if !core.Admits(ext.spec, just) {
+			return false
+		}
 	}
 	ext.stateBuf = work
 	return true
-}
-
-// statesAfterUpdates folds the update projection of seq through the spec from
-// its initial state into dst, returning the deduplicated reachable set — the
-// certificate's resumption point for future update steps.
-func statesAfterUpdates(spec core.Spec, seq []*core.Label, dst []core.AbsState) []core.AbsState {
-	dst = append(dst[:0], spec.Init())
-	var scratch []core.AbsState
-	for _, l := range seq {
-		if !l.IsUpdate() {
-			continue
-		}
-		scratch = scratch[:0]
-		for _, phi := range dst {
-			scratch = core.StepInto(spec, scratch, phi, l)
-		}
-		scratch = core.DedupStates(scratch)
-		dst = append(dst[:0], scratch...)
-		if len(dst) == 0 {
-			return dst
-		}
-	}
-	return dst
 }

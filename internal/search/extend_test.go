@@ -152,6 +152,20 @@ func TestExtendFallbackSeededSearch(t *testing.T) {
 	if rep.Verdict != core.VerdictValid || !rep.WitnessReplayed {
 		t.Fatalf("searched witness must replay as the next certificate: %+v", rep)
 	}
+	// The replayed linearization is a capped view of the certificate: a
+	// caller's append must reallocate rather than write into it.
+	if n := len(rep.Linearization); n != h.Len() || cap(rep.Linearization) != n {
+		t.Fatalf("replayed linearization must be capped at its length %d, got len %d cap %d", h.Len(), n, cap(rep.Linearization))
+	}
+	if grown := append(rep.Linearization, mkUpdate(99, "inc")); &grown[0] == &rep.Linearization[0] {
+		t.Fatal("appending to the replayed linearization must not reuse the certificate's backing")
+	}
+	l8 := mkUpdate(8, "inc")
+	h.MustAdd(l8)
+	rep = sess.Extend(h, spec.Counter{}, []*core.Label{l8}, opts)
+	if rep.Verdict != core.VerdictValid || !rep.WitnessReplayed || rep.Linearization[len(rep.Linearization)-1] != l8 {
+		t.Fatalf("the certificate must grow by the new op only: %+v", rep)
+	}
 }
 
 // TestExtendEdgeDisciplineViolationRebuilds grows a refuted history with an
@@ -351,5 +365,48 @@ func TestStepCachePutDupAndCap(t *testing.T) {
 	c.mu.Unlock()
 	if n != stepCacheCap {
 		t.Fatalf("cache grew past the cap: %d", n)
+	}
+}
+
+// incRejectedAt is a counter specification whose inc is not admitted in
+// state n; two instances differ only in which state rejects inc.
+type incRejectedAt int64
+
+func (s incRejectedAt) Name() string {
+	return "Spec(inc rejected at " + spec.CounterState(s).String() + ")"
+}
+func (incRejectedAt) Init() core.AbsState { return spec.CounterState(0) }
+func (s incRejectedAt) Step(phi core.AbsState, l *core.Label) []core.AbsState {
+	if c, ok := phi.(spec.CounterState); ok && l.Method == "inc" && int64(c) == int64(s) {
+		return nil
+	}
+	return spec.Counter{}.Step(phi, l)
+}
+
+// TestExtendRebuildsOnSpecChange is the regression for certificate reuse
+// across specifications: a history checked Valid under one spec and then
+// extended under another must not replay the first spec's certificate — the
+// verdict must be the from-scratch verdict under the second spec.
+func TestExtendRebuildsOnSpecChange(t *testing.T) {
+	sess := NewSession()
+	h := core.NewHistory()
+	opts := extOpts(sess)
+	specA, specB := incRejectedAt(5), incRejectedAt(1)
+	for id := uint64(1); id <= 2; id++ {
+		l := mkUpdate(id, "inc")
+		h.MustAdd(l)
+		if res := sess.Extend(h, specA, []*core.Label{l}, opts); res.Verdict != core.VerdictValid {
+			t.Fatalf("inc %d under %s: %+v", id, specA.Name(), res)
+		}
+	}
+	l3 := mkUpdate(3, "inc")
+	h.MustAdd(l3)
+	res := sess.Extend(h, specB, []*core.Label{l3}, opts)
+	want := scratchVerdict(h, specB, opts)
+	if want.Verdict != core.VerdictInvalid {
+		t.Fatalf("from-scratch under %s: %v, want Invalid", specB.Name(), want.Verdict)
+	}
+	if res.Verdict != want.Verdict || res.WitnessReplayed {
+		t.Fatalf("Extend under %s: verdict %v (replayed=%v), from scratch %v", specB.Name(), res.Verdict, res.WitnessReplayed, want.Verdict)
 	}
 }

@@ -201,49 +201,66 @@ func (o ORSet) Step(phi core.AbsState, l *core.Label) []core.AbsState {
 }
 
 // StepAppend appends the successors of phi under l to dst (the
-// core.StepAppender fast path).
-func (ORSet) StepAppend(dst []core.AbsState, phi core.AbsState, l *core.Label) []core.AbsState {
+// core.StepAppender fast path): updates step a private copy of phi through
+// StepOwned, queries step phi itself (StepOwned never mutates on a query).
+func (o ORSet) StepAppend(dst []core.AbsState, phi core.AbsState, l *core.Label) []core.AbsState {
 	s, ok := phi.(ORSetState)
 	if !ok {
 		return dst
 	}
 	switch l.Method {
+	case "add", "removeIds":
+		phi = s.CloneAbs()
+	}
+	if next, ok := o.StepOwned(phi, l); ok {
+		return append(dst, next)
+	}
+	return dst
+}
+
+// StepOwned applies l to phi in place (the core.OwnedStepper fold path):
+// Spec(OR-Set) is deterministic, so a justification fold steps one private
+// copy of the pair set instead of cloning it per update.
+func (ORSet) StepOwned(phi core.AbsState, l *core.Label) (core.AbsState, bool) {
+	s, ok := phi.(ORSetState)
+	if !ok {
+		return nil, false
+	}
+	switch l.Method {
 	case "add":
 		if len(l.Args) != 2 {
-			return dst
+			return nil, false
 		}
 		elem, okE := l.Args[0].(string)
 		id, okI := l.Args[1].(uint64)
 		if !okE || !okI {
-			return dst
+			return nil, false
 		}
 		p := core.Pair{Elem: elem, ID: id}
 		if s[p] {
-			return dst // identifiers are unique; re-adding is not admitted
+			return nil, false // identifiers are unique; re-adding is not admitted
 		}
-		n := s.CloneAbs().(ORSetState)
-		n[p] = true
-		return append(dst, n)
+		s[p] = true
+		return s, true
 	case "removeIds":
 		if len(l.Args) != 1 {
-			return dst
+			return nil, false
 		}
 		pairs, ok := l.Args[0].([]core.Pair)
 		if !ok {
-			return dst
+			return nil, false
 		}
-		n := s.CloneAbs().(ORSetState)
 		for _, p := range pairs {
-			delete(n, p)
+			delete(s, p)
 		}
-		return append(dst, n)
+		return s, true
 	case "readIds":
 		if len(l.Args) != 1 {
-			return dst
+			return nil, false
 		}
 		elem, ok := l.Args[0].(string)
 		if !ok {
-			return dst
+			return nil, false
 		}
 		var want []core.Pair
 		for p := range s {
@@ -255,17 +272,11 @@ func (ORSet) StepAppend(dst []core.AbsState, phi core.AbsState, l *core.Label) [
 		if len(want) == 0 {
 			want = []core.Pair{}
 		}
-		if core.ValueEqual(l.Ret, want) {
-			return append(dst, s)
-		}
-		return dst
+		return s, core.ValueEqual(l.Ret, want)
 	case "read":
 		ret, ok := l.Ret.([]string)
-		if ok && core.ValueEqual(ret, s.Values()) {
-			return append(dst, s)
-		}
-		return dst
+		return s, ok && core.ValueEqual(ret, s.Values())
 	default:
-		return dst
+		return nil, false
 	}
 }

@@ -47,9 +47,36 @@ func checkStepAppendEquivalence(t *testing.T, s core.Spec, phi core.AbsState, l 
 	return want
 }
 
+// checkStepOwnedEquivalence compares StepOwned on a private copy of phi with
+// StepAppend on phi itself: same admission, an equal successor, and phi left
+// untouched by both. Specs without core.OwnedStepper are skipped.
+func checkStepOwnedEquivalence(t *testing.T, s core.Spec, phi core.AbsState, l *core.Label) {
+	t.Helper()
+	stepper, ok := s.(core.OwnedStepper)
+	if !ok {
+		return
+	}
+	before := phi.CloneAbs()
+	want := s.(core.StepAppender).StepAppend(nil, phi, l)
+	if len(want) > 1 {
+		t.Fatalf("%s %v: an OwnedStepper must be deterministic, StepAppend returned %d states", s.Name(), l, len(want))
+	}
+	got, admitted := stepper.StepOwned(phi.CloneAbs(), l)
+	if admitted != (len(want) == 1) {
+		t.Fatalf("%s %v: StepOwned admitted=%v, StepAppend returned %d states", s.Name(), l, admitted, len(want))
+	}
+	if admitted && !got.EqualAbs(want[0]) {
+		t.Fatalf("%s %v: StepOwned=%v, StepAppend=%v", s.Name(), l, got, want[0])
+	}
+	if !phi.EqualAbs(before) {
+		t.Fatalf("%s %v: stepping a copy mutated phi: %v, was %v", s.Name(), l, phi, before)
+	}
+}
+
 // TestStepAppendMatchesStepEverySpec fuzzes every specification in this
 // package with randomized (valid and invalid) labels and requires StepAppend
-// to agree with Step transition for transition.
+// to agree with Step transition for transition, and StepOwned (where
+// implemented) to agree with StepAppend.
 func TestStepAppendMatchesStepEverySpec(t *testing.T) {
 	elems := []string{"a", "b", "c"}
 	fresh := func(step int) string { return fmt.Sprintf("e%d", step) }
@@ -217,7 +244,11 @@ func TestStepAppendMatchesStepEverySpec(t *testing.T) {
 		}},
 	}
 
+	owned := 0
 	for _, drv := range drivers {
+		if _, ok := drv.spec.(core.OwnedStepper); ok {
+			owned++
+		}
 		t.Run(drv.spec.Name(), func(t *testing.T) {
 			for seed := int64(0); seed < 20; seed++ {
 				rng := rand.New(rand.NewSource(seed))
@@ -226,6 +257,7 @@ func TestStepAppendMatchesStepEverySpec(t *testing.T) {
 				for step := 0; step < 30; step++ {
 					l := drv.randomLabel(rng, step, phi)
 					succs := checkStepAppendEquivalence(t, drv.spec, phi, l)
+					checkStepOwnedEquivalence(t, drv.spec, phi, l)
 					if len(succs) > 0 {
 						admitted++
 						phi = succs[rng.Intn(len(succs))]
@@ -236,5 +268,8 @@ func TestStepAppendMatchesStepEverySpec(t *testing.T) {
 				}
 			}
 		})
+	}
+	if owned == 0 {
+		t.Fatal("no specification implements core.OwnedStepper; the StepOwned comparison ran on nothing")
 	}
 }
