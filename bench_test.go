@@ -120,6 +120,96 @@ func BenchmarkFig12(b *testing.B) {
 	}
 }
 
+// stepCounter forwards a spec's Step and StepAppend and counts the spec
+// steps taken through them; ownedStepCounter adds the OwnedStepper fast
+// path, so a counted OR-Set keeps its in-place fold.
+type stepCounter struct {
+	core.Spec
+	steps int
+}
+
+func (c *stepCounter) Step(phi core.AbsState, l *core.Label) []core.AbsState {
+	c.steps++
+	return c.Spec.Step(phi, l)
+}
+
+func (c *stepCounter) StepAppend(dst []core.AbsState, phi core.AbsState, l *core.Label) []core.AbsState {
+	c.steps++
+	return core.StepInto(c.Spec, dst, phi, l)
+}
+
+type ownedStepCounter struct{ *stepCounter }
+
+func (c ownedStepCounter) StepOwned(phi core.AbsState, l *core.Label) (core.AbsState, bool) {
+	c.steps++
+	return c.Spec.(core.OwnedStepper).StepOwned(phi, l)
+}
+
+// countSteps wraps sp in the step counter matching its fast paths.
+func countSteps(sp core.Spec) (core.Spec, *int) {
+	c := &stepCounter{Spec: sp}
+	if _, ok := sp.(core.OwnedStepper); ok {
+		return ownedStepCounter{c}, &c.steps
+	}
+	return c, &c.steps
+}
+
+// BenchmarkStrategyValidation isolates the constructive-strategy layer of
+// the Figure 12 traffic (core.strategy in bench/): core.IsRALinearization of
+// prebuilt γ-rewritten random histories of each Figure 12 type against
+// their designated linearization, the check that decides every such history.
+// One op validates all 64 histories of a type, the first 64 trials of
+// harness.DefaultWorkload (seed 1). steps/op is the number of spec steps one
+// op takes, counted by an untimed pass through a counting wrapper; with
+// allocs/op it is deterministic, and `make bench-gate` diffs allocs/op
+// against the committed baseline.
+func BenchmarkStrategyValidation(b *testing.B) {
+	const histories = 64
+	type validation struct {
+		h   *core.History
+		seq []*core.Label
+	}
+	for _, d := range registry.Fig12() {
+		d := d
+		opts := d.CheckOptions()
+		gen := harness.RandomGenerator{Desc: d, Cfg: harness.DefaultWorkload()}
+		vals := make([]validation, histories)
+		for i := range vals {
+			h, _, err := gen.Generate(i)
+			if err != nil {
+				b.Fatal(err)
+			}
+			rew, err := core.RewriteHistory(h, opts.Rewriting)
+			if err != nil {
+				b.Fatal(err)
+			}
+			seq := core.ExecutionOrderLinearization(rew.History)
+			if opts.Strategies[0] == core.StrategyTimestampOrder {
+				seq = core.TimestampOrderLinearization(rew.History)
+			}
+			vals[i] = validation{rew.History, seq}
+		}
+		b.Run(d.Name, func(b *testing.B) {
+			counted, steps := countSteps(d.Spec)
+			for i, v := range vals {
+				if err := core.IsRALinearization(v.h, v.seq, counted); err != nil {
+					b.Fatalf("history %d: designated linearization rejected: %v", i, err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, v := range vals {
+					if err := core.IsRALinearization(v.h, v.seq, d.Spec); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportMetric(float64(*steps), "steps/op")
+		})
+	}
+}
+
 // BenchmarkCheckerScalingOps measures RA-linearizability checking of random
 // RGA histories as the number of operations grows (E-SCALE).
 func BenchmarkCheckerScalingOps(b *testing.B) {

@@ -362,26 +362,42 @@ func IsRALinearization(h *History, seq []*Label, spec Spec) error {
 		}
 	}
 	// (i) seq is consistent with the visibility relation.
-	if err := h.ConsistentWithVis(seq); err != nil {
+	ranks, err := h.seqRanks(seq)
+	if err != nil {
 		return fmt.Errorf("condition (i): %w", err)
 	}
 	// (ii) the projection of seq to updates is admitted by the specification.
-	updates := filterLabels(seq, (*Label).IsUpdate)
+	updates := make([]*Label, 0, len(seq))
+	updateRanks := make([]int32, 0, len(seq))
+	for i, l := range seq {
+		if l.IsUpdate() {
+			updates = append(updates, l)
+			updateRanks = append(updateRanks, ranks[i])
+		}
+	}
 	if !Admits(spec, updates) {
 		i := FirstRejected(spec, updates)
 		return fmt.Errorf("condition (ii): update projection rejected by %s at %v",
 			spec.Name(), updates[i])
 	}
-	// (iii) each query is justified by the visible updates in sequence order.
-	for _, q := range seq {
+	// (iii) each query is justified by the visible updates in sequence order:
+	// one predecessor-row probe per update, into one reused buffer.
+	justification := make([]*Label, 0, len(updates)+1)
+	for i, q := range seq {
 		if !q.IsQuery() {
 			continue
 		}
-		visible := filterLabels(updates, func(u *Label) bool { return h.Vis(u.ID, q.ID) })
-		justification := append(append([]*Label(nil), visible...), q)
+		visibleTo := h.pred[ranks[i]]
+		justification = justification[:0]
+		for j, u := range updates {
+			if visibleTo.test(int(updateRanks[j])) {
+				justification = append(justification, u)
+			}
+		}
+		justification = append(justification, q)
 		if !Admits(spec, justification) {
 			return fmt.Errorf("condition (iii): query %v not justified by its visible updates %s",
-				q, FormatLabels(visible))
+				q, FormatLabels(justification[:len(justification)-1]))
 		}
 	}
 	return nil

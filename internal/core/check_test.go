@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"ralin/internal/clock"
@@ -44,6 +45,29 @@ func TestIsRALinearizationRejectsWrongQuery(t *testing.T) {
 	seq := []*Label{h.Label(1), h.Label(2), h.Label(3)}
 	if err := IsRALinearization(h, seq, spec); err == nil {
 		t.Fatal("unjustifiable query must be rejected")
+	}
+}
+
+// TestIsRALinearizationRejectsForgedWitness checks that the validator steps
+// the history's own labels: a witness that swaps in an edited copy of a
+// label under the same identifier describes a different history and must be
+// rejected, and a nil label is an error, not a panic.
+func TestIsRALinearizationRejectsForgedWitness(t *testing.T) {
+	h := NewHistory()
+	inc := h.MustAdd(&Label{ID: 1, Method: "inc", Kind: KindUpdate, Origin: 1, GenSeq: 1})
+	read := h.MustAdd(&Label{ID: 2, Method: "read", Ret: int64(5), Kind: KindQuery, Origin: 1, GenSeq: 2})
+	h.MustAddVis(inc.ID, read.ID)
+	if err := IsRALinearization(h, []*Label{inc, read}, counterSpec{}); err == nil {
+		t.Fatal("read => 5 after one inc must be rejected")
+	}
+	forged := read.Clone()
+	forged.Ret = int64(1)
+	err := IsRALinearization(h, []*Label{inc, forged}, counterSpec{})
+	if err == nil || !strings.Contains(err.Error(), "condition (i)") {
+		t.Fatalf("a witness carrying an edited copy of the read must fail condition (i), got %v", err)
+	}
+	if err := IsRALinearization(h, []*Label{inc, nil}, counterSpec{}); err == nil {
+		t.Fatal("a nil witness label must be rejected")
 	}
 }
 

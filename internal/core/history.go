@@ -760,32 +760,51 @@ func (h *History) HistoryTimestamp(l *Label) clock.Timestamp {
 // vis ∪ seq is acyclic, which for a total order seq means no label is
 // ordered before one of its visibility predecessors.
 func (h *History) ConsistentWithVis(seq []*Label) error {
+	_, err := h.seqRanks(seq)
+	return err
+}
+
+// seqRanks validates seq as ConsistentWithVis does and returns the rank of
+// every element of seq, in seq order. Each element must be the history's own
+// label object for its identifier: a different object carrying a history
+// identifier (a forged or edited copy) is rejected, so conditions (ii) and
+// (iii) of Definition 3.5 step exactly the labels of h.
+func (h *History) seqRanks(seq []*Label) ([]int32, error) {
 	if len(seq) != h.Len() {
-		return fmt.Errorf("sequence has %d labels, history has %d", len(seq), h.Len())
+		return nil, fmt.Errorf("sequence has %d labels, history has %d", len(seq), h.Len())
 	}
-	pos := make(map[uint64]int, len(seq))
+	// ranks[i] is seq[i]'s rank; pos[r] is one past rank r's sequence
+	// position (0 while unplaced).
+	buf := make([]int32, 2*len(seq))
+	ranks, pos := buf[:len(seq)], buf[len(seq):]
 	for i, l := range seq {
-		if h.byID[l.ID].label == nil {
-			return fmt.Errorf("sequence label %v not in history", l)
+		if l == nil {
+			return nil, fmt.Errorf("sequence label %d is nil", i)
 		}
-		if _, dup := pos[l.ID]; dup {
-			return fmt.Errorf("sequence repeats label %v", l)
+		e, ok := h.byID[l.ID]
+		if !ok {
+			return nil, fmt.Errorf("sequence label %v not in history", l)
 		}
-		pos[l.ID] = i
+		if e.label != l {
+			return nil, fmt.Errorf("sequence label %v is not the history's label %v", l, e.label)
+		}
+		if pos[e.rank] != 0 {
+			return nil, fmt.Errorf("sequence repeats label %v", l)
+		}
+		ranks[i], pos[e.rank] = e.rank, int32(i+1)
 	}
 	for r, row := range h.reach {
-		from := h.seq[r]
-		var bad *Label
+		bad := -1
 		row.forEach(func(s int) {
-			if bad == nil && pos[from.ID] > pos[h.seq[s].ID] {
-				bad = h.seq[s]
+			if bad < 0 && pos[r] > pos[s] {
+				bad = s
 			}
 		})
-		if bad != nil {
-			return fmt.Errorf("sequence orders %v before %v against visibility", bad, from)
+		if bad >= 0 {
+			return nil, fmt.Errorf("sequence orders %v before %v against visibility", h.seq[bad], h.seq[r])
 		}
 	}
-	return nil
+	return ranks, nil
 }
 
 // String renders the history: one line per label with its visibility

@@ -155,6 +155,12 @@ func TestConsistentWithVis(t *testing.T) {
 	if err := h.ConsistentWithVis([]*Label{a, b, other}); err == nil {
 		t.Fatal("foreign label must be rejected")
 	}
+	if err := h.ConsistentWithVis([]*Label{a, b, c.Clone()}); err == nil {
+		t.Fatal("a copy of a history label must be rejected")
+	}
+	if err := h.ConsistentWithVis([]*Label{a, nil, c}); err == nil {
+		t.Fatal("nil label must be rejected")
+	}
 }
 
 // legacyVisOracle is the History representation this package used before the

@@ -95,14 +95,3 @@ func LinearExtensions(h *History, limit int, fn func(seq []*Label) bool) (produc
 	rec()
 	return produced, truncated
 }
-
-// filterLabels returns the labels of seq satisfying keep, preserving order.
-func filterLabels(seq []*Label, keep func(*Label) bool) []*Label {
-	var out []*Label
-	for _, l := range seq {
-		if keep(l) {
-			out = append(out, l)
-		}
-	}
-	return out
-}

@@ -74,11 +74,64 @@ type OwnedStepper interface {
 }
 
 // Admits reports whether the sequence of labels is admitted by the
-// specification, that is, whether the labels can be applied in order starting
-// from the initial state.
+// specification, that is, whether some run of the specification applies the
+// labels in order starting from the initial state. It answers only that
+// existence question: an OwnedStepper spec is folded in place, every other
+// spec is walked depth-first (admitsDepthFirst), stopping at the first run
+// that consumes the whole sequence. StatesAfter and FirstRejected, which need
+// every reachable state or the rejection index, keep the breadth-first fold.
 func Admits(s Spec, seq []*Label) bool {
-	_, rejected := fold(s, seq)
-	return rejected < 0
+	if _, ok := s.(OwnedStepper); ok {
+		_, rejected := fold(s, seq)
+		return rejected < 0
+	}
+	return admitsDepthFirst(s, seq)
+}
+
+// admitsDepthFirst follows one run of s at a time: it continues on the first
+// successor of every step, keeps the others as pending alternatives, and
+// backtracks to the latest alternative when a label is rejected. A
+// deterministic spec therefore costs exactly the steps of the set fold with a
+// singleton set, and a nondeterministic one builds no state set and
+// deduplicates nothing. The walk visits runs rather than distinct states, so
+// it is bounded by the set fold only where branches never meet again: every
+// nondeterministic spec of this repository (Wooki's addBetween, addAt2's
+// addAt, and the compositions built over them) branches by inserting a fresh
+// value at distinct positions of a list that never forgets an element, so
+// distinct runs reach distinct states and the walk never takes more steps
+// than the fold.
+func admitsDepthFirst(s Spec, seq []*Label) bool {
+	type branch struct {
+		phi  AbsState
+		next int
+	}
+	var pending []branch
+	var succ []AbsState
+	phi, i := s.Init(), 0
+	for {
+		for i < len(seq) {
+			succ = StepInto(s, succ[:0], phi, seq[i])
+			if len(succ) == 0 {
+				break
+			}
+			i++
+			// Pushed last-first, so the next alternative popped is the
+			// spec's next successor in order.
+			for k := len(succ) - 1; k > 0; k-- {
+				pending = append(pending, branch{succ[k], i})
+			}
+			phi = succ[0]
+		}
+		if i == len(seq) {
+			return true
+		}
+		if len(pending) == 0 {
+			return false
+		}
+		b := pending[len(pending)-1]
+		pending = pending[:len(pending)-1]
+		phi, i = b.phi, b.next
+	}
 }
 
 // StatesAfter returns the set of abstract states reachable by applying seq
@@ -99,7 +152,7 @@ func FirstRejected(s Spec, seq []*Label) int {
 
 // fold applies seq from the initial state and returns the deduplicated
 // reachable set together with the index of the first rejected label (-1 when
-// seq is admitted; the set is then nil). A deterministic spec that
+// seq is admitted; the set is nil otherwise). A deterministic spec that
 // implements OwnedStepper is stepped in place on one private copy of Init() —
 // Init may return a shared value — and every other spec goes through
 // StepInto and DedupStates.
@@ -145,9 +198,10 @@ const dedupHashedThreshold = 64
 // (≤ dedupHashedThreshold) through an allocation-free word-hash scan over
 // stack buffers, larger ones through a map. States without keys always fall
 // back to the EqualAbs scan. The input slice may be reused as the result's
-// backing storage. (The pruned search engine goes further and
-// dedups by interned compact-ID bitset; this is the shared slow-path used by
-// the legacy enumerator and the Admits/StatesAfter helpers.)
+// backing storage. (The pruned search engine goes further and dedups by
+// interned compact-ID bitset; this is the shared slow path of the
+// StatesAfter/FirstRejected fold and of Session.Extend's certificate replay.
+// Admits builds no state set and never calls it.)
 func DedupStates(states []AbsState) []AbsState {
 	if len(states) <= 1 {
 		return states
