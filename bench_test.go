@@ -120,22 +120,17 @@ func BenchmarkFig12(b *testing.B) {
 	}
 }
 
-// stepCounter forwards a spec's Step and StepAppend and counts the spec
-// steps taken through them; ownedStepCounter adds the OwnedStepper fast
-// path, so a counted OR-Set keeps its in-place fold.
+// stepCounter forwards a spec's StepAppend and counts the spec steps taken
+// through it; ownedStepCounter adds the OwnedStepper fast path, so a counted
+// OR-Set keeps its in-place fold.
 type stepCounter struct {
 	core.Spec
 	steps int
 }
 
-func (c *stepCounter) Step(phi core.AbsState, l *core.Label) []core.AbsState {
-	c.steps++
-	return c.Spec.Step(phi, l)
-}
-
 func (c *stepCounter) StepAppend(dst []core.AbsState, phi core.AbsState, l *core.Label) []core.AbsState {
 	c.steps++
-	return core.StepInto(c.Spec, dst, phi, l)
+	return c.Spec.StepAppend(dst, phi, l)
 }
 
 type ownedStepCounter struct{ *stepCounter }

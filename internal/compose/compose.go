@@ -447,15 +447,10 @@ func (s *Spec) Init() core.AbsState {
 	return p
 }
 
-// Step dispatches the label to its object's specification.
-func (s *Spec) Step(phi core.AbsState, l *core.Label) []core.AbsState {
-	return s.StepAppend(nil, phi, l)
-}
-
-// StepAppend appends the successors of phi under l to dst (the
-// core.StepAppender fast path): the touched component's successors are
-// stepped through its own specification's fast path directly into dst's tail
-// and then wrapped into product states in place, so no intermediate slice is
+// StepAppend dispatches the label to its object's specification and appends
+// the successors of phi under l to dst: the touched component's successors
+// are stepped by its own specification directly into dst's tail and then
+// wrapped into product states in place, so no intermediate slice is
 // allocated per transition.
 func (s *Spec) StepAppend(dst []core.AbsState, phi core.AbsState, l *core.Label) []core.AbsState {
 	p, ok := phi.(ProductState)
@@ -467,7 +462,7 @@ func (s *Spec) StepAppend(dst []core.AbsState, phi core.AbsState, l *core.Label)
 		return dst
 	}
 	base := len(dst)
-	dst = core.StepInto(sub, dst, p[l.Object], l)
+	dst = sub.StepAppend(dst, p[l.Object], l)
 	for i := base; i < len(dst); i++ {
 		np := p.CloneAbs().(ProductState)
 		np[l.Object] = dst[i]

@@ -348,9 +348,9 @@ func TestComposeRandomWorkloadExecutionOrderObjectsUnrestricted(t *testing.T) {
 }
 
 // TestComposedSpecStepAppendMatchesStep fuzzes the product specification's
-// core.StepAppender fast path against Step on random labels of both objects
-// (admitted and rejected), checking successor-for-successor agreement and
-// that the dst prefix survives untouched.
+// StepAppend on random labels of both objects (admitted and rejected): the
+// step into a sentinel-prefixed dst must match the plain step into nil
+// successor for successor, leave the prefix untouched, and not mutate phi.
 func TestComposedSpecStepAppendMatchesStep(t *testing.T) {
 	objects := []Object{
 		{Name: "c", Descriptor: counter.Descriptor()},
@@ -373,7 +373,8 @@ func TestComposedSpecStepAppendMatchesStep(t *testing.T) {
 		default:
 			l = &core.Label{Object: "nope", Method: "inc", Kind: core.KindUpdate}
 		}
-		want := sp.Step(phi, l)
+		before := phi.CloneAbs()
+		want := sp.StepAppend(nil, phi, l)
 		got := sp.StepAppend([]core.AbsState{sentinel}, phi, l)
 		if len(got) != len(want)+1 || !got[0].EqualAbs(sentinel) {
 			t.Fatalf("step %d %v: dst prefix clobbered (len %d)", step, l, len(got))
@@ -382,6 +383,9 @@ func TestComposedSpecStepAppendMatchesStep(t *testing.T) {
 			if !got[i+1].EqualAbs(w) {
 				t.Fatalf("step %d %v: successor %d differs: %v vs %v", step, l, i, w, got[i+1])
 			}
+		}
+		if !phi.EqualAbs(before) {
+			t.Fatalf("step %d %v: StepAppend mutated phi: %v, was %v", step, l, phi, before)
 		}
 		if len(want) > 0 {
 			admitted++

@@ -10,22 +10,17 @@ import (
 	"ralin/internal/spec"
 )
 
-// countingSpec forwards a spec's Step and StepAppend and counts the spec
-// steps taken through them. It hides any OwnedStepper of the wrapped spec, so
-// the folds over it take the StepInto path.
+// countingSpec forwards a spec's StepAppend and counts the spec steps taken
+// through it. It hides any OwnedStepper of the wrapped spec, so the folds
+// over it step through StepAppend.
 type countingSpec struct {
 	core.Spec
 	steps int
 }
 
-func (c *countingSpec) Step(phi core.AbsState, l *core.Label) []core.AbsState {
-	c.steps++
-	return c.Spec.Step(phi, l)
-}
-
 func (c *countingSpec) StepAppend(dst []core.AbsState, phi core.AbsState, l *core.Label) []core.AbsState {
 	c.steps++
-	return core.StepInto(c.Spec, dst, phi, l)
+	return c.Spec.StepAppend(dst, phi, l)
 }
 
 // Caps of the list decoder: the set fold a test compares against enumerates

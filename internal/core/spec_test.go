@@ -97,7 +97,7 @@ func TestSetSpec(t *testing.T) {
 	}
 }
 
-// keyedState implements StateKeyer for the DedupStates fast-path test.
+// keyedState implements StateKeyer, so DedupStates takes its keyed path.
 type keyedState int64
 
 func (s keyedState) CloneAbs() AbsState       { return s }
@@ -105,34 +105,80 @@ func (s keyedState) EqualAbs(o AbsState) bool { c, ok := o.(keyedState); return 
 func (s keyedState) String() string           { return fmt.Sprintf("%d", int64(s)) }
 func (s keyedState) StateKey() (string, bool) { return s.String(), true }
 
-// TestDedupStatesKeyedFastPath drives DedupStates over the key-map threshold
-// with keyable states: the result must keep exactly the distinct states in
-// first-occurrence order, matching the EqualAbs fallback.
+// maybeKeyedState is a state whose key may be unavailable, the way a
+// composite state reports an unkeyable component: equality ignores keyed, so
+// a keyed and an unkeyed copy of one value are the same state.
+type maybeKeyedState struct {
+	v     int64
+	keyed bool
+}
+
+func (s maybeKeyedState) CloneAbs() AbsState { return s }
+func (s maybeKeyedState) EqualAbs(o AbsState) bool {
+	c, ok := o.(maybeKeyedState)
+	return ok && c.v == s.v
+}
+func (s maybeKeyedState) String() string           { return fmt.Sprintf("%d", s.v) }
+func (s maybeKeyedState) StateKey() (string, bool) { return s.String(), s.keyed }
+
+// TestDedupStatesKeyedFastPath deduplicates keyable sets of several sizes,
+// below and above a handful of states, all through the keyed path: the result
+// keeps exactly the distinct states in first-occurrence order.
 func TestDedupStatesKeyedFastPath(t *testing.T) {
+	for _, n := range []int{2, 5, 8, 9, 64, 65, 200} {
+		var states []AbsState
+		for i := 0; i < n; i++ {
+			states = append(states, keyedState((i*3)%7))
+		}
+		out := DedupStates(states)
+		want := min(n, 7)
+		if len(out) != want {
+			t.Fatalf("n=%d: expected %d distinct states, got %d: %v", n, want, len(out), out)
+		}
+		for i, s := range out {
+			if s.(keyedState) != keyedState((i*3)%7) {
+				t.Fatalf("n=%d: first-occurrence order broken at %d: %v", n, i, out)
+			}
+		}
+	}
+}
+
+// TestDedupStatesUnkeyedFallback checks the EqualAbs scan dedups states
+// without canonical keys, in first-occurrence order.
+func TestDedupStatesUnkeyedFallback(t *testing.T) {
 	var states []AbsState
-	for i := 0; i < 3*dedupKeyedThreshold; i++ {
-		states = append(states, keyedState(i%5))
+	for i := 0; i < 24; i++ {
+		states = append(states, counterState(3-i%4))
 	}
 	out := DedupStates(states)
-	if len(out) != 5 {
-		t.Fatalf("expected 5 distinct states, got %d", len(out))
+	if len(out) != 4 {
+		t.Fatalf("expected 4 distinct states, got %d: %v", len(out), out)
 	}
 	for i, s := range out {
-		if s.(keyedState) != keyedState(i) {
+		if s.(counterState) != counterState(3-i) {
 			t.Fatalf("first-occurrence order broken at %d: %v", i, out)
 		}
 	}
 }
 
-// TestDedupStatesUnkeyedFallback checks the EqualAbs fallback still dedups
-// large sets of states without canonical keys.
-func TestDedupStatesUnkeyedFallback(t *testing.T) {
+// TestDedupStatesMixedFallsBack puts one unkeyable state into an otherwise
+// keyed set, last so that the keyed path has already consumed every other
+// state: DedupStates must fall back to the EqualAbs scan over the untouched
+// input, which recognises the unkeyed state as a duplicate of a keyed one.
+func TestDedupStatesMixedFallsBack(t *testing.T) {
 	var states []AbsState
-	for i := 0; i < 3*dedupKeyedThreshold; i++ {
-		states = append(states, counterState(i%4))
+	for i := 0; i < 20; i++ {
+		states = append(states, maybeKeyedState{v: int64(i % 5), keyed: true})
 	}
-	if out := DedupStates(states); len(out) != 4 {
-		t.Fatalf("expected 4 distinct states, got %d", len(out))
+	states = append(states, maybeKeyedState{v: 2})
+	out := DedupStates(states)
+	if len(out) != 5 {
+		t.Fatalf("expected 5 distinct states, got %d: %v", len(out), out)
+	}
+	for i, s := range out {
+		if got := s.(maybeKeyedState); got.v != int64(i) || !got.keyed {
+			t.Fatalf("state %d: got %+v, want the keyed first occurrence of %d", i, got, i)
+		}
 	}
 }
 
@@ -168,7 +214,7 @@ func (s ownedSetSpec) StepOwned(phi AbsState, l *Label) (AbsState, bool) {
 		delete(st, l.Args[0].(string))
 		return st, true
 	}
-	return st, len(s.setSpec.Step(st, l)) == 1
+	return st, len(s.setSpec.StepAppend(nil, st, l)) == 1
 }
 
 // TestFoldsNeverMutateSharedInit pins the owned fold's copy discipline: a

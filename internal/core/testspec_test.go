@@ -19,20 +19,20 @@ type counterSpec struct{}
 func (counterSpec) Name() string   { return "Spec(TestCounter)" }
 func (counterSpec) Init() AbsState { return counterState(0) }
 
-func (counterSpec) Step(phi AbsState, l *Label) []AbsState {
+func (counterSpec) StepAppend(dst []AbsState, phi AbsState, l *Label) []AbsState {
 	s := phi.(counterState)
 	switch l.Method {
 	case "inc":
-		return []AbsState{s + 1}
+		return append(dst, s+1)
 	case "dec":
-		return []AbsState{s - 1}
+		return append(dst, s-1)
 	case "read":
 		if ret, ok := l.Ret.(int64); ok && ret == int64(s) {
-			return []AbsState{s}
+			return append(dst, s)
 		}
-		return nil
+		return dst
 	default:
-		return nil
+		return dst
 	}
 }
 
@@ -80,25 +80,25 @@ type setSpec struct{}
 func (setSpec) Name() string   { return "Spec(TestSet)" }
 func (setSpec) Init() AbsState { return setState{} }
 
-func (setSpec) Step(phi AbsState, l *Label) []AbsState {
+func (setSpec) StepAppend(dst []AbsState, phi AbsState, l *Label) []AbsState {
 	s := phi.(setState)
 	switch l.Method {
 	case "add":
 		n := s.CloneAbs().(setState)
 		n[l.Args[0].(string)] = true
-		return []AbsState{n}
+		return append(dst, n)
 	case "remove":
 		n := s.CloneAbs().(setState)
 		delete(n, l.Args[0].(string))
-		return []AbsState{n}
+		return append(dst, n)
 	case "read":
 		want, ok := l.Ret.([]string)
 		if ok && ValueEqual(want, s.elems()) {
-			return []AbsState{s}
+			return append(dst, s)
 		}
-		return nil
+		return dst
 	default:
-		return nil
+		return dst
 	}
 }
 
@@ -110,18 +110,18 @@ type choiceSpec struct{}
 func (choiceSpec) Name() string   { return "Spec(TestChoice)" }
 func (choiceSpec) Init() AbsState { return counterState(0) }
 
-func (choiceSpec) Step(phi AbsState, l *Label) []AbsState {
+func (choiceSpec) StepAppend(dst []AbsState, phi AbsState, l *Label) []AbsState {
 	s := phi.(counterState)
 	switch l.Method {
 	case "flip":
-		return []AbsState{counterState(1), counterState(2)}
+		return append(dst, counterState(1), counterState(2))
 	case "read":
 		if ret, ok := l.Ret.(int64); ok && ret == int64(s) {
-			return []AbsState{s}
+			return append(dst, s)
 		}
-		return nil
+		return dst
 	default:
-		return nil
+		return dst
 	}
 }
 
@@ -175,23 +175,23 @@ type pairSetSpec struct{}
 func (pairSetSpec) Name() string   { return "Spec(TestORSet)" }
 func (pairSetSpec) Init() AbsState { return pairSetState{} }
 
-func (pairSetSpec) Step(phi AbsState, l *Label) []AbsState {
+func (pairSetSpec) StepAppend(dst []AbsState, phi AbsState, l *Label) []AbsState {
 	s := phi.(pairSetState)
 	switch l.Method {
 	case "add":
 		p := Pair{Elem: l.Args[0].(string), ID: l.Args[1].(uint64)}
 		if s[p] {
-			return nil
+			return dst
 		}
 		n := s.CloneAbs().(pairSetState)
 		n[p] = true
-		return []AbsState{n}
+		return append(dst, n)
 	case "removeIds":
 		n := s.CloneAbs().(pairSetState)
 		for _, p := range l.Args[0].([]Pair) {
 			delete(n, p)
 		}
-		return []AbsState{n}
+		return append(dst, n)
 	case "readIds":
 		elem := l.Args[0].(string)
 		var want []Pair
@@ -201,16 +201,16 @@ func (pairSetSpec) Step(phi AbsState, l *Label) []AbsState {
 			}
 		}
 		if ValueEqual(SortPairs(want), l.Ret) {
-			return []AbsState{s}
+			return append(dst, s)
 		}
-		return nil
+		return dst
 	case "read":
 		if ValueEqual(s.elems(), l.Ret) {
-			return []AbsState{s}
+			return append(dst, s)
 		}
-		return nil
+		return dst
 	default:
-		return nil
+		return dst
 	}
 }
 

@@ -376,3 +376,38 @@ func TestBatchPoolRace(t *testing.T) {
 		t.Fatalf("expected 8 batch workers: %+v", out)
 	}
 }
+
+// TestNegativeTrialsRejected checks that every batch and monitor entry point
+// returns an error for a negative trial count, without calling the
+// generator, instead of panicking or reporting an empty run as a success.
+func TestNegativeTrialsRejected(t *testing.T) {
+	d, err := registry.Lookup("Counter")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := GeneratorFunc(func(int) (*core.History, int64, error) {
+		t.Fatal("generator called for a negative trial count")
+		return nil, 0, nil
+	})
+	cfg := WorkloadConfig{Ops: 4, Replicas: 2}
+	entries := map[string]func() (HistoryCheck, error){
+		"CheckRandomHistoriesWith": func() (HistoryCheck, error) { return CheckRandomHistoriesWith(d, -1, cfg, Options{}) },
+		"CheckGenerated":           func() (HistoryCheck, error) { return CheckGenerated(d, gen, -1, Options{}) },
+		"CheckGeneratedAgainst": func() (HistoryCheck, error) {
+			return CheckGeneratedAgainst(d.Name, d.Spec, d.CheckOptions(), gen, -1, Options{})
+		},
+		"MonitorGenerated": func() (HistoryCheck, error) {
+			return MonitorGenerated(d.Name, d.Spec, d.CheckOptions(), gen, -2, Options{})
+		},
+		"MonitorRandomHistories": func() (HistoryCheck, error) { return MonitorRandomHistories(d, -1, cfg, Options{}) },
+	}
+	for name, run := range entries {
+		res, err := run()
+		if err == nil || !strings.Contains(err.Error(), "negative trial count") {
+			t.Errorf("%s: want a negative-trial-count error, got %v", name, err)
+		}
+		if res.Histories != 0 {
+			t.Errorf("%s: checked %d histories for a negative trial count", name, res.Histories)
+		}
+	}
+}

@@ -15,19 +15,18 @@ import (
 const panicRet = int64(-777)
 
 // trialPanicSpec delegates to the counter specification but panics when asked
-// to step a read returning panicRet. It does not implement StepAppender, so
-// the panic fires through the generic StepInto path.
+// to step a read returning panicRet.
 type trialPanicSpec struct{ inner spec.Counter }
 
 func (p trialPanicSpec) Name() string        { return "Spec(trial-panic)" }
 func (p trialPanicSpec) Init() core.AbsState { return p.inner.Init() }
-func (p trialPanicSpec) Step(phi core.AbsState, l *core.Label) []core.AbsState {
+func (p trialPanicSpec) StepAppend(dst []core.AbsState, phi core.AbsState, l *core.Label) []core.AbsState {
 	if l.Kind == core.KindQuery {
 		if ret, ok := l.Ret.(int64); ok && ret == panicRet {
 			panic("trialPanicSpec: injected failure")
 		}
 	}
-	return p.inner.Step(phi, l)
+	return p.inner.StepAppend(dst, phi, l)
 }
 
 // slowSpec delegates to the counter specification with an artificial delay
@@ -36,9 +35,9 @@ type slowSpec struct{ inner spec.Counter }
 
 func (p slowSpec) Name() string        { return "Spec(slow)" }
 func (p slowSpec) Init() core.AbsState { return p.inner.Init() }
-func (p slowSpec) Step(phi core.AbsState, l *core.Label) []core.AbsState {
+func (p slowSpec) StepAppend(dst []core.AbsState, phi core.AbsState, l *core.Label) []core.AbsState {
 	time.Sleep(200 * time.Microsecond)
-	return p.inner.Step(phi, l)
+	return p.inner.StepAppend(dst, phi, l)
 }
 
 // TestBatchPanicIsolation checks the batch-level panic contract (run under

@@ -150,6 +150,9 @@ func monitorHistory(h *core.History, sp core.Spec, opts core.CheckOptions, o Opt
 // Trials run sequentially: the monitor models a store observed live, and the
 // session's certificate state is per-history anyway.
 func MonitorGenerated(name string, sp core.Spec, opts core.CheckOptions, gen HistoryGenerator, trials int, o Options) (HistoryCheck, error) {
+	if err := checkTrials(name, trials); err != nil {
+		return HistoryCheck{}, err
+	}
 	out := newHistoryCheck(name, 1)
 	sess := search.NewSessionWithBudget(o.Budget)
 	for i := 0; i < trials; i++ {

@@ -311,6 +311,15 @@ func adaptiveParallelism(gmp, workers int, pending, weight, liveWeight int64) in
 	return par
 }
 
+// checkTrials rejects a negative trial count, which would otherwise crash a
+// batch or check nothing without a word.
+func checkTrials(name string, trials int) error {
+	if trials < 0 {
+		return fmt.Errorf("%s: negative trial count %d", name, trials)
+	}
+	return nil
+}
+
 // runBatch is the batch pipeline: a bounded worker pool generates and checks
 // trials over one shared engine session, and the per-trial results are folded
 // in trial order so stats, ByStrategy and the first FailureExample do not
@@ -320,6 +329,9 @@ func adaptiveParallelism(gmp, workers int, pending, weight, liveWeight int64) in
 // spec, generator, or engine bug — is recovered into one Unknown outcome
 // while every other trial's verdict is unaffected.
 func runBatch(name string, sp core.Spec, opts core.CheckOptions, trials int, gen func(int) (*core.History, int64, error), o Options) (HistoryCheck, error) {
+	if err := checkTrials(name, trials); err != nil {
+		return HistoryCheck{}, err
+	}
 	workers := o.BatchWorkers
 	if workers <= 0 {
 		workers = gruntime.GOMAXPROCS(0)

@@ -319,6 +319,9 @@ func LoadCorpus(dir string) ([]Entry, []string, error) {
 // corpus codec can encode faithfully; nothing is dropped silently, the counts
 // are reported in the returned summary.
 func Harvest(sc Scenario, baseSeed int64, trials, keep int) ([]Entry, string, error) {
+	if trials < 0 {
+		return nil, "", fmt.Errorf("%s: negative trial count %d", sc.Name, trials)
+	}
 	plan, err := sc.Plan()
 	if err != nil {
 		return nil, "", err

@@ -428,3 +428,16 @@ func TestCorpusFileRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestHarvestRejectsNegativeTrials checks that Harvest reports a negative
+// trial count as an error instead of harvesting nothing without a word.
+func TestHarvestRejectsNegativeTrials(t *testing.T) {
+	sc, err := Lookup("partition-heal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries, _, err := Harvest(sc, 1, -1, 2)
+	if err == nil || len(entries) != 0 {
+		t.Errorf("Harvest(trials=-1) = %d entries, err %v; want an error", len(entries), err)
+	}
+}

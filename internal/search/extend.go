@@ -433,7 +433,7 @@ func (s *Session) replayCertificate(ext *extension, rh *core.History) bool {
 		if l.IsUpdate() {
 			step := ext.stepBuf[:0]
 			for _, phi := range work {
-				step = core.StepInto(ext.spec, step, phi, l)
+				step = ext.spec.StepAppend(step, phi, l)
 			}
 			step = core.DedupStates(step)
 			ext.stepBuf = step[:0]

@@ -376,11 +376,11 @@ func (s incRejectedAt) Name() string {
 	return "Spec(inc rejected at " + spec.CounterState(s).String() + ")"
 }
 func (incRejectedAt) Init() core.AbsState { return spec.CounterState(0) }
-func (s incRejectedAt) Step(phi core.AbsState, l *core.Label) []core.AbsState {
+func (s incRejectedAt) StepAppend(dst []core.AbsState, phi core.AbsState, l *core.Label) []core.AbsState {
 	if c, ok := phi.(spec.CounterState); ok && l.Method == "inc" && int64(c) == int64(s) {
-		return nil
+		return dst
 	}
-	return spec.Counter{}.Step(phi, l)
+	return spec.Counter{}.StepAppend(dst, phi, l)
 }
 
 // TestExtendRebuildsOnSpecChange is the regression for certificate reuse

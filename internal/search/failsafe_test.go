@@ -141,17 +141,16 @@ func TestBudgetedSessionMatchesUnbudgetedVerdicts(t *testing.T) {
 }
 
 // panicSpec wraps the counter specification and blows up on the first query
-// step. It deliberately does not implement StepAppender so the panic fires
-// through the generic StepInto path in every engine configuration.
+// step, in every engine configuration.
 type panicSpec struct{ inner spec.Counter }
 
 func (p panicSpec) Name() string        { return "Spec(panic)" }
 func (p panicSpec) Init() core.AbsState { return p.inner.Init() }
-func (p panicSpec) Step(phi core.AbsState, l *core.Label) []core.AbsState {
+func (p panicSpec) StepAppend(dst []core.AbsState, phi core.AbsState, l *core.Label) []core.AbsState {
 	if l.Kind == core.KindQuery {
 		panic("panicSpec: injected failure")
 	}
-	return p.inner.Step(phi, l)
+	return p.inner.StepAppend(dst, phi, l)
 }
 
 // TestPanickingSpecIsIsolated checks panic isolation inside the engine: a

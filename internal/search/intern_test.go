@@ -150,7 +150,9 @@ func TestUnkeyableStateDisablesMemo(t *testing.T) {
 	}
 }
 
-// unkeyedCounter wraps spec.Counter in states that hide StateKey.
+// unkeyedCounter wraps spec.Counter in states that hide StateKey. It
+// overrides the promoted StepAppend so that the wrapped counter steps the
+// inner value and every successor is re-wrapped.
 type unkeyedCounter struct{ spec.Counter }
 
 type unkeyedState struct{ v spec.CounterState }
@@ -164,14 +166,15 @@ func (s unkeyedState) String() string { return s.v.String() }
 
 func (unkeyedCounter) Init() core.AbsState { return unkeyedState{v: 0} }
 
-func (c unkeyedCounter) Step(phi core.AbsState, l *core.Label) []core.AbsState {
+func (c unkeyedCounter) StepAppend(dst []core.AbsState, phi core.AbsState, l *core.Label) []core.AbsState {
 	s, ok := phi.(unkeyedState)
 	if !ok {
-		return nil
+		return dst
 	}
-	var out []core.AbsState
-	for _, nxt := range (spec.Counter{}).Step(s.v, l) {
-		out = append(out, unkeyedState{v: nxt.(spec.CounterState)})
+	base := len(dst)
+	dst = c.Counter.StepAppend(dst, s.v, l)
+	for i := base; i < len(dst); i++ {
+		dst[i] = unkeyedState{v: dst[i].(spec.CounterState)}
 	}
-	return out
+	return dst
 }

@@ -89,9 +89,6 @@ type searcher struct {
 	// re-entering the spec (no StateKey rendering, no interner probe).
 	steps *stepCache
 
-	// stepper is spec's allocation-free fast path, nil for foreign specs
-	// (stepAll then falls back to Step).
-	stepper core.StepAppender
 	// stepScratch is the reusable buffer StepAppend fills per transition.
 	stepScratch []core.AbsState
 	// fillIDs is the scratch slice of successor IDs fillStep interns before a
@@ -189,7 +186,6 @@ func newSearcher(recycled *searcher, pre *prepared, spec core.Spec, strong bool,
 	n := len(pre.labels)
 	s.pre = pre
 	s.spec = spec
-	s.stepper, _ = spec.(core.StepAppender)
 	s.strong = strong
 	s.sh = sh
 	s.intern = intern
@@ -287,7 +283,6 @@ func (s *searcher) release() {
 	s.guided = false
 	s.pre = nil
 	s.spec = nil
-	s.stepper = nil
 	s.sh = nil
 	s.intern = nil
 	s.memo = nil
@@ -583,28 +578,15 @@ func (s *searcher) novel(i int) bool {
 		return false
 	}
 	cached := s.steps != nil && len(s.mainIDs) == len(s.main)
-	if s.stepper != nil {
-		for si, phi := range s.main {
-			if cached {
-				if _, ok := s.steps.get(s.mainIDs[si], l); ok {
-					continue
-				}
-			}
-			sc := s.stepper.StepAppend(s.stepScratch[:0], phi, l)
-			s.stepScratch = sc
-			if s.anyNovel(sc) {
-				return true
-			}
-		}
-		return false
-	}
 	for si, phi := range s.main {
 		if cached {
 			if _, ok := s.steps.get(s.mainIDs[si], l); ok {
 				continue
 			}
 		}
-		if s.anyNovel(s.spec.Step(phi, l)) {
+		sc := s.spec.StepAppend(s.stepScratch[:0], phi, l)
+		s.stepScratch = sc
+		if s.anyNovel(sc) {
 			return true
 		}
 	}
@@ -859,12 +841,10 @@ func (s *searcher) putBuf(b setBuf) {
 // view (nil or shorter once keying is off, which routes around the cache).
 // With a session step cache each (source state, label) transition is replayed
 // from the cache when present — no spec call, no StateKey rendering, no
-// interner probe — and computed-and-cached otherwise. Without a cache, specs
-// implementing core.StepAppender are stepped through the allocation-free fast
-// path into a reused scratch buffer; foreign specs fall back to Step's fresh
-// slice per transition. While the specification is keyable, deduplication is
-// a single bit test on the compact-ID bitset; otherwise it falls back to
-// pairwise EqualAbs.
+// interner probe — and computed-and-cached otherwise. Without a cache, each
+// transition steps into a reused scratch buffer. While the specification is
+// keyable, deduplication is a single bit test on the compact-ID bitset;
+// otherwise it falls back to pairwise EqualAbs.
 func (s *searcher) stepAll(states []core.AbsState, ids []uint32, l *core.Label) setBuf {
 	buf := s.getBuf()
 	if s.steps != nil && s.keyable && len(ids) == len(states) {
@@ -896,13 +876,8 @@ func (s *searcher) stepAll(states []core.AbsState, ids []uint32, l *core.Label) 
 // replay inserts the exact sequence the live path would) in the session step
 // cache. It returns false when keying flipped off mid-transition.
 func (s *searcher) fillStep(phi core.AbsState, id uint32, l *core.Label, buf *setBuf) bool {
-	var raw []core.AbsState
-	if s.stepper != nil {
-		raw = s.stepper.StepAppend(s.stepScratch[:0], phi, l)
-		s.stepScratch = raw
-	} else {
-		raw = s.spec.Step(phi, l)
-	}
+	raw := s.spec.StepAppend(s.stepScratch[:0], phi, l)
+	s.stepScratch = raw
 	s.fillIDs = s.fillIDs[:0]
 	for _, nxt := range raw {
 		nid, ok := s.internState(nxt)
@@ -928,18 +903,10 @@ func (s *searcher) fillStep(phi core.AbsState, id uint32, l *core.Label, buf *se
 
 // stepUncached is the cache-less transition loop of stepAll.
 func (s *searcher) stepUncached(buf *setBuf, states []core.AbsState, l *core.Label) {
-	if s.stepper != nil {
-		for _, phi := range states {
-			sc := s.stepper.StepAppend(s.stepScratch[:0], phi, l)
-			s.stepScratch = sc
-			for _, nxt := range sc {
-				s.insert(buf, nxt)
-			}
-		}
-		return
-	}
 	for _, phi := range states {
-		for _, nxt := range s.spec.Step(phi, l) {
+		sc := s.spec.StepAppend(s.stepScratch[:0], phi, l)
+		s.stepScratch = sc
+		for _, nxt := range sc {
 			s.insert(buf, nxt)
 		}
 	}

@@ -24,13 +24,7 @@ func (AddAt1) Name() string { return "Spec(addAt1)" }
 // Init returns the empty list.
 func (AddAt1) Init() core.AbsState { return NewListState() }
 
-// Step applies one label.
-func (a AddAt1) Step(phi core.AbsState, l *core.Label) []core.AbsState {
-	return a.StepAppend(nil, phi, l)
-}
-
-// StepAppend appends the successors of phi under l to dst (the
-// core.StepAppender fast path).
+// StepAppend appends the successors of phi under l to dst.
 func (AddAt1) StepAppend(dst []core.AbsState, phi core.AbsState, l *core.Label) []core.AbsState {
 	s, ok := phi.(ListState)
 	if !ok {
@@ -85,13 +79,7 @@ func (AddAt2) Name() string { return "Spec(addAt2)" }
 // Init returns the empty list.
 func (AddAt2) Init() core.AbsState { return NewListState() }
 
-// Step applies one label.
-func (a AddAt2) Step(phi core.AbsState, l *core.Label) []core.AbsState {
-	return a.StepAppend(nil, phi, l)
-}
-
-// StepAppend appends the successors of phi under l to dst (the
-// core.StepAppender fast path).
+// StepAppend appends the successors of phi under l to dst.
 func (AddAt2) StepAppend(dst []core.AbsState, phi core.AbsState, l *core.Label) []core.AbsState {
 	s, ok := phi.(ListState)
 	if !ok {
@@ -155,13 +143,7 @@ func (AddAt3) Name() string { return "Spec(addAt3)" }
 // removed and never returned.
 func (AddAt3) Init() core.AbsState { return NewListState(Root) }
 
-// Step applies one label.
-func (a AddAt3) Step(phi core.AbsState, l *core.Label) []core.AbsState {
-	return a.StepAppend(nil, phi, l)
-}
-
-// StepAppend appends the successors of phi under l to dst (the
-// core.StepAppender fast path).
+// StepAppend appends the successors of phi under l to dst.
 func (AddAt3) StepAppend(dst []core.AbsState, phi core.AbsState, l *core.Label) []core.AbsState {
 	s, ok := phi.(ListState)
 	if !ok {

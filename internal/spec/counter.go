@@ -43,14 +43,8 @@ func (Counter) Name() string { return "Spec(Counter)" }
 // Init returns the zero counter.
 func (Counter) Init() core.AbsState { return CounterState(0) }
 
-// Step applies one label.
-func (c Counter) Step(phi core.AbsState, l *core.Label) []core.AbsState {
-	return c.StepAppend(nil, phi, l)
-}
-
-// StepAppend appends the successors of phi under l to dst (the
-// core.StepAppender fast path; dst is returned unchanged when the label is
-// not admitted).
+// StepAppend appends the successors of phi under l to dst; dst is returned
+// unchanged when the label is not admitted.
 func (Counter) StepAppend(dst []core.AbsState, phi core.AbsState, l *core.Label) []core.AbsState {
 	s, ok := phi.(CounterState)
 	if !ok {

@@ -148,13 +148,7 @@ func (RGA) Name() string { return "Spec(RGA)" }
 // Init returns the list holding only the root element ◦.
 func (RGA) Init() core.AbsState { return NewListState(Root) }
 
-// Step applies one label.
-func (r RGA) Step(phi core.AbsState, l *core.Label) []core.AbsState {
-	return r.StepAppend(nil, phi, l)
-}
-
-// StepAppend appends the successors of phi under l to dst (the
-// core.StepAppender fast path).
+// StepAppend appends the successors of phi under l to dst.
 func (RGA) StepAppend(dst []core.AbsState, phi core.AbsState, l *core.Label) []core.AbsState {
 	s, ok := phi.(ListState)
 	if !ok {
@@ -212,13 +206,7 @@ func (Wooki) Name() string { return "Spec(Wooki)" }
 // Init returns the list holding the two sentinels.
 func (Wooki) Init() core.AbsState { return NewListState(Begin, End) }
 
-// Step applies one label.
-func (w Wooki) Step(phi core.AbsState, l *core.Label) []core.AbsState {
-	return w.StepAppend(nil, phi, l)
-}
-
-// StepAppend appends the successors of phi under l to dst (the
-// core.StepAppender fast path).
+// StepAppend appends the successors of phi under l to dst.
 func (Wooki) StepAppend(dst []core.AbsState, phi core.AbsState, l *core.Label) []core.AbsState {
 	s, ok := phi.(ListState)
 	if !ok {

@@ -117,7 +117,7 @@ func TestRGASpecRandomInsertionsProperty(t *testing.T) {
 			default:
 				l = qry("read", ls.Visible())
 			}
-			next := (RGA{}).Step(state, l)
+			next := (RGA{}).StepAppend(nil, state, l)
 			if len(next) == 0 {
 				return false
 			}
@@ -176,7 +176,7 @@ func TestSpecsRejectMalformedLabels(t *testing.T) {
 	}
 	for _, s := range specs {
 		// Wrong abstract state type.
-		if got := s.Step(CounterState(0), &core.Label{Method: "read"}); s.Name() != "Spec(Counter)" && len(got) != 0 {
+		if got := s.StepAppend(nil, CounterState(0), &core.Label{Method: "read"}); s.Name() != "Spec(Counter)" && len(got) != 0 {
 			t.Errorf("%s accepted a foreign state type", s.Name())
 		}
 		for _, l := range badLabels {
@@ -186,7 +186,7 @@ func TestSpecsRejectMalformedLabels(t *testing.T) {
 						t.Errorf("%s panicked on %v: %v", s.Name(), l, r)
 					}
 				}()
-				s.Step(s.Init(), l)
+				s.StepAppend(nil, s.Init(), l)
 			}()
 		}
 	}

@@ -39,13 +39,7 @@ func (Register) Name() string { return "Spec(Reg)" }
 // Init returns the empty register.
 func (Register) Init() core.AbsState { return RegisterState("") }
 
-// Step applies one label.
-func (r Register) Step(phi core.AbsState, l *core.Label) []core.AbsState {
-	return r.StepAppend(nil, phi, l)
-}
-
-// StepAppend appends the successors of phi under l to dst (the
-// core.StepAppender fast path).
+// StepAppend appends the successors of phi under l to dst.
 func (Register) StepAppend(dst []core.AbsState, phi core.AbsState, l *core.Label) []core.AbsState {
 	s, ok := phi.(RegisterState)
 	if !ok {
@@ -150,15 +144,9 @@ func (MVRegister) Name() string { return "Spec(MV-Reg)" }
 // Init returns the empty register.
 func (MVRegister) Init() core.AbsState { return MVRegState{} }
 
-// Step applies one label. Writes are labels "write" with arguments
-// (element, version vector); the runtime's query-update rewriting produces
-// them from plain write(a) operations.
-func (m MVRegister) Step(phi core.AbsState, l *core.Label) []core.AbsState {
-	return m.StepAppend(nil, phi, l)
-}
-
-// StepAppend appends the successors of phi under l to dst (the
-// core.StepAppender fast path).
+// StepAppend appends the successors of phi under l to dst. Writes are labels
+// "write" with arguments (element, version vector); the runtime's
+// query-update rewriting produces them from plain write(a) operations.
 func (MVRegister) StepAppend(dst []core.AbsState, phi core.AbsState, l *core.Label) []core.AbsState {
 	s, ok := phi.(MVRegState)
 	if !ok {

@@ -73,13 +73,7 @@ func (Set) Name() string { return "Spec(Set)" }
 // Init returns the empty set.
 func (Set) Init() core.AbsState { return SetState{} }
 
-// Step applies one label.
-func (t Set) Step(phi core.AbsState, l *core.Label) []core.AbsState {
-	return t.StepAppend(nil, phi, l)
-}
-
-// StepAppend appends the successors of phi under l to dst (the
-// core.StepAppender fast path).
+// StepAppend appends the successors of phi under l to dst.
 func (Set) StepAppend(dst []core.AbsState, phi core.AbsState, l *core.Label) []core.AbsState {
 	s, ok := phi.(SetState)
 	if !ok {
@@ -195,13 +189,7 @@ func (ORSet) Name() string { return "Spec(OR-Set)" }
 // Init returns the empty pair set.
 func (ORSet) Init() core.AbsState { return ORSetState{} }
 
-// Step applies one label.
-func (o ORSet) Step(phi core.AbsState, l *core.Label) []core.AbsState {
-	return o.StepAppend(nil, phi, l)
-}
-
-// StepAppend appends the successors of phi under l to dst (the
-// core.StepAppender fast path): updates step a private copy of phi through
+// StepAppend appends the successors of phi under l to dst: updates step a private copy of phi through
 // StepOwned, queries step phi itself (StepOwned never mutates on a query).
 func (o ORSet) StepAppend(dst []core.AbsState, phi core.AbsState, l *core.Label) []core.AbsState {
 	s, ok := phi.(ORSetState)

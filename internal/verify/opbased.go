@@ -212,7 +212,7 @@ func simulatedQuery(d crdt.Descriptor, pre runtime.State, qry *core.Label) bool 
 		return true
 	}
 	absPre := d.Abs(pre)
-	for _, next := range d.Spec.Step(absPre, qry) {
+	for _, next := range d.Spec.StepAppend(nil, absPre, qry) {
 		if next.EqualAbs(absPre) {
 			return true
 		}
@@ -227,7 +227,7 @@ func simulatedUpdate(d crdt.Descriptor, pre, post runtime.State, upd *core.Label
 		return true
 	}
 	absPost := d.Abs(post)
-	for _, next := range d.Spec.Step(d.Abs(pre), upd) {
+	for _, next := range d.Spec.StepAppend(nil, d.Abs(pre), upd) {
 		if next.EqualAbs(absPost) {
 			return true
 		}
