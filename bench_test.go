@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"testing"
 
+	"ralin/internal/clock"
 	"ralin/internal/core"
 	"ralin/internal/crdt"
 	"ralin/internal/crdt/registry"
@@ -442,9 +443,10 @@ func BenchmarkSessionRecheck(b *testing.B) {
 // nonLinearizableHistory builds the adversarial history of the engine
 // comparison: k concurrent counter increments all visible to one read that
 // returns an impossible value. The legacy enumerator validates all k!
-// extensions before rejecting; the pruned engine's shared memo table
-// collapses the commuting prefixes to the 2^k distinct frontier sets — for
-// every worker at once.
+// extensions before rejecting. The increments are twins (same fields, same
+// visibility), so the pruned engine places them in one fixed order and
+// refutes the history in k+1 nodes; without the twin reduction its memo
+// table would still have visited all 2^k placed sets.
 func nonLinearizableHistory(k int) *core.History {
 	h := core.NewHistory()
 	for i := 1; i <= k; i++ {
@@ -503,8 +505,70 @@ func BenchmarkEngineNonLinearizable(b *testing.B) {
 	}
 }
 
+// wideRefutationHistory builds a refute-wide-shaped history: twelve writers
+// on twelve replicas, eight incs and four decs, two deliveries pairing
+// writers of both kinds (1→7 and 4→10), and one read that sees every update
+// and returns the sum plus one, which no order explains. The undelivered
+// incs and the undelivered decs form two twin classes; the delivered pairs
+// are not twins of anything.
+func wideRefutationHistory() *core.History {
+	const k = 12
+	h := core.NewHistory()
+	sum := int64(0)
+	for i := 1; i <= k; i++ {
+		method := "inc"
+		if i%3 == 0 {
+			method = "dec"
+			sum--
+		} else {
+			sum++
+		}
+		h.MustAdd(&core.Label{ID: uint64(i), Method: method, Kind: core.KindUpdate, Origin: clock.ReplicaID(i - 1), GenSeq: uint64(i)})
+	}
+	h.MustAddVis(1, 7)
+	h.MustAddVis(4, 10)
+	r := h.MustAdd(&core.Label{ID: k + 1, Method: "read", Ret: sum + 1, Kind: core.KindQuery, GenSeq: k + 1})
+	for i := 1; i <= k; i++ {
+		h.MustAddVis(uint64(i), r.ID)
+	}
+	return h
+}
+
+// BenchmarkEngineWideRefutation refutes wideRefutationHistory completely
+// with the pruned engine, sequentially and at the default parallelism, and
+// reports the search's nodes per check ("nodes/op"): the twin reduction's
+// gated counter, which stays far below the number of writer subsets the
+// deliveries allow.
+func BenchmarkEngineWideRefutation(b *testing.B) {
+	h := wideRefutationHistory()
+	sp := spec.Counter{}
+	variants := []struct {
+		name string
+		opts core.CheckOptions
+	}{
+		{"pruned-seq", core.CheckOptions{Exhaustive: true, Parallelism: 1}},
+		{"pruned", core.CheckOptions{Exhaustive: true}},
+	}
+	for _, v := range variants {
+		b.Run(v.name, func(b *testing.B) {
+			b.ReportAllocs()
+			nodes := 0
+			for i := 0; i < b.N; i++ {
+				res := core.CheckRA(h, sp, v.opts)
+				if res.Verdict != core.VerdictInvalid {
+					b.Fatalf("history must be refuted completely: %+v", res)
+				}
+				nodes = res.Nodes
+			}
+			b.ReportMetric(float64(nodes), "nodes/op")
+		})
+	}
+}
+
 // BenchmarkDegradedRefutation measures the cost of the memory-budget
-// degraded mode on the gated refutation workload: the same sequential pruned
+// degraded mode on the wide gated refutation (wideRefutationHistory; the
+// twin increments of nonLinearizableHistory refute in k+1 nodes with or
+// without a memo table, so they show no delta): the same sequential pruned
 // refutation with full memoization, with memoization disabled outright, and
 // through a session whose budget trips on the first interned state (the
 // graceful-degradation path the fail-safe machinery falls back to). The
@@ -512,7 +576,7 @@ func BenchmarkEngineNonLinearizable(b *testing.B) {
 // Deliberately NOT part of BENCH_GATE_PATTERN: degraded mode trades speed for
 // bounded memory by design.
 func BenchmarkDegradedRefutation(b *testing.B) {
-	h := nonLinearizableHistory(7)
+	h := wideRefutationHistory()
 	sp := spec.Counter{}
 	base := core.CheckOptions{Exhaustive: true, Engine: core.EnginePruned, Parallelism: 1}
 	variants := []struct {

@@ -27,6 +27,12 @@ type Spec interface {
 	// to dst in a fixed order and returns the extended slice. It must leave
 	// dst[:len(dst)] and phi untouched, so callers can step into a reused
 	// scratch buffer and share states between branches.
+	//
+	// A transition may read l's Object, Method, Args, Ret, TS and Kind, but
+	// never its ID, Origin or GenSeq: two labels that differ only in those
+	// three fields must step every state to equal successors. The search
+	// relies on this to treat such labels as interchangeable twins (a
+	// rewriting that needs an operation's identity puts it into Args).
 	StepAppend(dst []AbsState, phi AbsState, l *Label) []AbsState
 }
 

@@ -82,7 +82,7 @@ func TestSessionReusableAfterExpiredDeadline(t *testing.T) {
 func TestInternerBudgetDegradesSoundly(t *testing.T) {
 	b := Budget{MaxInternedStates: 2}
 	sess := NewSessionWithBudget(b)
-	first := Run(concurrentIncsHistory(6, 99), spec.Counter{}, false, sessOpts(sess))
+	first := Run(distinctIncsHistory(6, 99), spec.Counter{}, false, sessOpts(sess))
 	if first.OK || !first.Complete {
 		t.Fatalf("degraded search must still refute read⇒99: %+v", first)
 	}
@@ -96,8 +96,8 @@ func TestInternerBudgetDegradesSoundly(t *testing.T) {
 		t.Fatalf("tripped session must evict once idle: evictions=%d", got)
 	}
 
-	fresh := Run(concurrentIncsHistory(6, 99), spec.Counter{}, false, sessOpts(NewSessionWithBudget(b)))
-	got := Run(concurrentIncsHistory(6, 99), spec.Counter{}, false, sessOpts(sess))
+	fresh := Run(distinctIncsHistory(6, 99), spec.Counter{}, false, sessOpts(NewSessionWithBudget(b)))
+	got := Run(distinctIncsHistory(6, 99), spec.Counter{}, false, sessOpts(sess))
 	requireByteIdentical(t, got, fresh)
 	if got := sess.Evictions(); got != 2 {
 		t.Fatalf("second tripped check must evict again: evictions=%d", got)
@@ -110,7 +110,7 @@ func TestInternerBudgetDegradesSoundly(t *testing.T) {
 func TestMemoBudgetDegradesSoundly(t *testing.T) {
 	b := Budget{MaxMemoBytes: 1} // rounds up to a one-entry cap
 	sess := NewSessionWithBudget(b)
-	first := Run(concurrentIncsHistory(7, 99), spec.Counter{}, false, sessOpts(sess))
+	first := Run(distinctIncsHistory(7, 99), spec.Counter{}, false, sessOpts(sess))
 	if first.OK || !first.Complete {
 		t.Fatalf("memo-capped search must still refute read⇒99: %+v", first)
 	}
@@ -121,8 +121,8 @@ func TestMemoBudgetDegradesSoundly(t *testing.T) {
 		t.Fatalf("tripped session must evict once idle: evictions=%d", got)
 	}
 
-	fresh := Run(concurrentIncsHistory(7, 99), spec.Counter{}, false, sessOpts(NewSessionWithBudget(b)))
-	got := Run(concurrentIncsHistory(7, 99), spec.Counter{}, false, sessOpts(sess))
+	fresh := Run(distinctIncsHistory(7, 99), spec.Counter{}, false, sessOpts(NewSessionWithBudget(b)))
+	got := Run(distinctIncsHistory(7, 99), spec.Counter{}, false, sessOpts(sess))
 	requireByteIdentical(t, got, fresh)
 }
 
@@ -132,8 +132,8 @@ func TestMemoBudgetDegradesSoundly(t *testing.T) {
 func TestBudgetedSessionMatchesUnbudgetedVerdicts(t *testing.T) {
 	sess := NewSessionWithBudget(Budget{MaxInternedStates: 1, MaxMemoBytes: 1})
 	for _, ret := range []int64{6, 99} {
-		want := Run(concurrentIncsHistory(6, ret), spec.Counter{}, false, sessOpts(nil))
-		got := Run(concurrentIncsHistory(6, ret), spec.Counter{}, false, sessOpts(sess))
+		want := Run(distinctIncsHistory(6, ret), spec.Counter{}, false, sessOpts(nil))
+		got := Run(distinctIncsHistory(6, ret), spec.Counter{}, false, sessOpts(sess))
 		if got.OK != want.OK || got.Complete != want.Complete {
 			t.Fatalf("ret=%d: budgeted verdict %+v differs from unbudgeted %+v", ret, got, want)
 		}

@@ -40,7 +40,7 @@ func TestGuidedDeterminism(t *testing.T) {
 		var nodes []int
 		var wits [][]uint64
 		for _, ret := range batch {
-			out := Run(concurrentIncsHistory(6, ret), spec.Counter{}, false, guidedOpts(sess))
+			out := Run(distinctIncsHistory(6, ret), spec.Counter{}, false, guidedOpts(sess))
 			if !out.Complete {
 				t.Fatalf("ret=%d: guided check truncated: %+v", ret, out)
 			}
@@ -74,7 +74,7 @@ func TestGuidedDeterminism(t *testing.T) {
 // rank-order refutation DAG is a superset of the committed one).
 func TestGuidedMatchesRankOrderVerdicts(t *testing.T) {
 	for _, ret := range []int64{4, 5, 99} {
-		h := concurrentIncsHistory(5, ret)
+		h := distinctIncsHistory(5, ret)
 		rank := Run(h, spec.Counter{}, false, sessOpts(nil))
 		guided := Run(h, spec.Counter{}, false, guidedOpts(nil))
 		if rank.OK != guided.OK || rank.Complete != guided.Complete {
@@ -93,7 +93,7 @@ func TestGuidedMatchesRankOrderVerdicts(t *testing.T) {
 // would be unsound): verdicts match rank order on both polarities.
 func TestGuidedStrongMode(t *testing.T) {
 	for _, ret := range []int64{4, 99} {
-		h := concurrentIncsHistory(4, ret)
+		h := distinctIncsHistory(4, ret)
 		rank := Run(h, spec.Counter{}, true, sessOpts(nil))
 		guided := Run(h, spec.Counter{}, true, guidedOpts(nil))
 		if rank.OK != guided.OK || rank.Complete != guided.Complete {
@@ -107,7 +107,7 @@ func TestGuidedStrongMode(t *testing.T) {
 // counts are scheduling-dependent and exempt).
 func TestGuidedParallelAgrees(t *testing.T) {
 	for _, ret := range []int64{7, 99} {
-		h := concurrentIncsHistory(7, ret)
+		h := distinctIncsHistory(7, ret)
 		seq := Run(h, spec.Counter{}, false, guidedOpts(nil))
 		par := Run(h, spec.Counter{}, false, core.CheckOptions{Parallelism: 4, Guidance: core.GuidanceGuided})
 		if seq.OK != par.OK || seq.Complete != par.Complete {

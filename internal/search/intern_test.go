@@ -98,7 +98,9 @@ func TestHash128Deterministic(t *testing.T) {
 // must compute identical keys for identical prefixes, regardless of the
 // order in which each interned other states first.
 func TestMemoKeyStableAcrossWorkers(t *testing.T) {
-	h := concurrentIncsHistory(4, 4)
+	// Distinct arguments keep the incs from being twins, so every prefix
+	// below is one the search can reach.
+	h := distinctIncsHistory(4, 4)
 	pre := &prepared{}
 	if err := pre.build(h, false); err != nil {
 		t.Fatal(err)
@@ -140,7 +142,7 @@ func TestMemoKeyStableAcrossWorkers(t *testing.T) {
 // whose states expose no canonical key must flip memoization off globally and
 // still refute correctly via the EqualAbs dedup fallback.
 func TestUnkeyableStateDisablesMemo(t *testing.T) {
-	h := concurrentIncsHistory(4, 99)
+	h := distinctIncsHistory(4, 99)
 	out := Run(h, unkeyedCounter{}, false, core.CheckOptions{Parallelism: 1})
 	if out.OK || !out.Complete {
 		t.Fatalf("history must be refuted: %+v", out)

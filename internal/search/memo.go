@@ -120,7 +120,14 @@ func (m *memoTable) claim(k key128, tuple []uint64) bool {
 	}
 	dup := false
 	if sh.seen == nil {
-		sh.seen = make(map[key128]struct{}, 64)
+		// Only the sequential stripe is presized: a parallel check touches
+		// up to memoShardCount stripes, and presizing each would cost more
+		// than most of them ever hold.
+		if m.seq {
+			sh.seen = make(map[key128]struct{}, 64)
+		} else {
+			sh.seen = make(map[key128]struct{})
+		}
 	} else {
 		_, dup = sh.seen[k]
 	}

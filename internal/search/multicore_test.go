@@ -34,8 +34,9 @@ func TestWorkStealingMulticoreSpeedup(t *testing.T) {
 	// k=10 scales the flagship refutation up (~10x the k=7 benchmark
 	// history, low-single-digit milliseconds sequential) so each worker
 	// holds a subtree worth stealing and scheduling noise is small relative
-	// to the measured work.
-	h := concurrentIncsHistory(10, 99)
+	// to the measured work. The incs carry distinct arguments, so they are
+	// not twins and the search still visits every subset of them.
+	h := distinctIncsHistory(10, 99)
 	measure := func(par int) (time.Duration, core.EngineOutcome) {
 		var best time.Duration
 		var out core.EngineOutcome

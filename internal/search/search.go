@@ -25,7 +25,10 @@
 //
 // Because all three conditions are enforced on every prefix, every leaf of
 // the search tree is a witness RA-linearization, and the first leaf ends the
-// search. On top of the pruning the engine shares one memoization layer
+// search. Labels a specification cannot tell apart and that visibility
+// orders the same way (twins, see twins.go) are only ever placed in
+// candidate order, so interchangeable concurrent operations cost one order
+// instead of every subset. On top of the pruning the engine shares one memoization layer
 // across all workers: canonical state keys (core.StateKeyer) are interned to
 // dense IDs, each visited (placed-set, spec-state) configuration is hashed to
 // a 128-bit key over those IDs, and the key is claimed in a lock-striped
@@ -46,6 +49,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"sync"
 
@@ -324,6 +328,10 @@ type prepared struct {
 	// rank order; the search only ever counts and iterates them.
 	preds [][]int
 	succs [][]int
+	// rowSigs[i] holds the hashes of preds[i] and succs[i], mixed in as
+	// build and extend append to the rows, so buildTwins never re-reads a
+	// row.
+	rowSigs []rowSig
 	// affected[i] lists, for an update labels[i], the indices of the queries
 	// it is visible to, in ascending query order (RA mode only).
 	affected [][]int
@@ -341,6 +349,14 @@ type prepared struct {
 	// buildGuide only for guided checks; the searcher ORs in the per-node
 	// novelty bit. Pooled like every other slice here.
 	guide []int64
+	// twinNext[i] is the next member of label i's twin class in candidate
+	// order, or -1 when i is the last (see buildTwins). The searcher counts a
+	// link as one more indegree of its target, so only the first unplaced
+	// twin of each class is ever a candidate.
+	twinNext []int
+	// twinKeys is buildTwins' pooled sort scratch for plans too large for
+	// its stack buffer.
+	twinKeys []uint64
 	// sorter is the reusable sort.Interface state of build's order sort; a
 	// struct field (rather than a slices.SortFunc closure) so a pooled plan's
 	// rebuild does not allocate the comparator.
@@ -384,12 +400,16 @@ func (p *prepared) build(h *core.History, strong bool) error {
 	p.succs = resizeIndexSets(p.succs, n)
 	p.affected = resizeIndexSets(p.affected, n)
 	p.queries = p.queries[:0]
+	p.rowSigs = slices.Grow(p.rowSigs[:0], n)
 	for i := 0; i < n; i++ {
+		p.rowSigs = append(p.rowSigs, newRowSig())
 		h.PredRow(i, func(f int) {
 			p.preds[i] = append(p.preds[i], f)
+			p.rowSigs[i].preds.mix(uint64(f))
 		})
 		h.SuccRow(i, func(t int) {
 			p.succs[i] = append(p.succs[i], t)
+			p.rowSigs[i].succs.mix(uint64(t))
 		})
 	}
 	if !strong {
@@ -404,18 +424,30 @@ func (p *prepared) build(h *core.History, strong bool) error {
 			}
 		}
 	}
-	p.order = resizeInts(p.order, n)
+	p.resizeOrderIndexes(n)
 	for i := range p.order {
 		p.order[i] = i
 	}
 	p.sorter.order, p.sorter.labels = p.order, labels
 	sort.Sort(&p.sorter)
 	p.sorter.order, p.sorter.labels = nil, nil
-	p.pos = resizeInts(p.pos, n)
 	for pi, i := range p.order {
 		p.pos[i] = pi
 	}
+	p.buildTwins()
 	return nil
+}
+
+// resizeOrderIndexes sizes p.order, p.pos and p.twinNext to n. A plan that
+// has to grow takes all three from one allocation, each capped at its own
+// third so extend's appends reallocate instead of running into the next.
+func (p *prepared) resizeOrderIndexes(n int) {
+	if cap(p.order) < n || cap(p.pos) < n || cap(p.twinNext) < n {
+		buf := make([]int, 3*n)
+		p.order, p.pos, p.twinNext = buf[:n:n], buf[n:2*n:2*n], buf[2*n:]
+		return
+	}
+	p.order, p.pos, p.twinNext = p.order[:n], p.pos[:n], p.twinNext[:n]
 }
 
 // extend grows an already-built plan in place after h gained labels at the
@@ -443,9 +475,12 @@ func (p *prepared) extend(h *core.History, oldN int, strong bool) error {
 	// ascending order keeps every succs row ascending, matching build's SuccRow
 	// fill order.
 	for t := oldN; t < n; t++ {
+		p.rowSigs = append(p.rowSigs, newRowSig())
 		h.PredRow(t, func(f int) {
 			p.preds[t] = append(p.preds[t], f)
 			p.succs[f] = append(p.succs[f], t)
+			p.rowSigs[t].preds.mix(uint64(f))
+			p.rowSigs[f].succs.mix(uint64(t))
 		})
 	}
 	if !strong {
@@ -470,20 +505,22 @@ func (p *prepared) extend(h *core.History, oldN int, strong bool) error {
 	p.sorter.order, p.sorter.labels = p.order[oldN:], labels
 	sort.Sort(&p.sorter)
 	p.sorter.order, p.sorter.labels = nil, nil
+	p.pos = growInts(p.pos, n)
 	if oldN > 0 && n > oldN && orderLess(labels, p.order[oldN], labels, p.order[oldN-1]) {
 		p.sorter.order, p.sorter.labels = p.order, labels
 		sort.Sort(&p.sorter)
 		p.sorter.order, p.sorter.labels = nil, nil
-		p.pos = growInts(p.pos, n)
 		for pi, i := range p.order {
 			p.pos[i] = pi
 		}
-		return nil
+	} else {
+		for pi := oldN; pi < n; pi++ {
+			p.pos[p.order[pi]] = pi
+		}
 	}
-	p.pos = growInts(p.pos, n)
-	for pi := oldN; pi < n; pi++ {
-		p.pos[p.order[pi]] = pi
-	}
+	// Twin classes are recomputed whole: a new label can join an old class,
+	// and a new query that sees only some members of one splits it.
+	p.buildTwins()
 	return nil
 }
 

@@ -30,6 +30,22 @@ func concurrentIncsHistory(k int, ret int64) *core.History {
 	return h
 }
 
+// distinctIncsHistory is concurrentIncsHistory with an argument of its own
+// on every inc. Counter ignores it, but the twin predicate does not: no two
+// incs are twins, so a refutation still visits every subset of them — the
+// premise of the memo and scheduler tests that use it.
+func distinctIncsHistory(k int, ret int64) *core.History {
+	h := core.NewHistory()
+	for i := 1; i <= k; i++ {
+		h.MustAdd(mkUpdate(uint64(i), "inc", int64(i)))
+	}
+	r := h.MustAdd(mkRead(uint64(k+1), ret))
+	for i := 1; i <= k; i++ {
+		h.MustAddVis(uint64(i), r.ID)
+	}
+	return h
+}
+
 func TestEmptyHistory(t *testing.T) {
 	out := Run(core.NewHistory(), spec.Counter{}, false, core.CheckOptions{})
 	if !out.OK || !out.Complete || len(out.Witness) != 0 {
@@ -78,7 +94,7 @@ func TestQueryUpdateRejected(t *testing.T) {
 }
 
 func TestMemoizationCollapsesCommutingUpdates(t *testing.T) {
-	h := concurrentIncsHistory(7, 99)
+	h := distinctIncsHistory(7, 99)
 	memo := Run(h, spec.Counter{}, false, core.CheckOptions{Parallelism: 1})
 	nomemo := Run(h, spec.Counter{}, false, core.CheckOptions{Parallelism: 1, DisableMemo: true})
 	if memo.OK || nomemo.OK {
@@ -94,7 +110,7 @@ func TestMemoizationCollapsesCommutingUpdates(t *testing.T) {
 
 func TestParallelMatchesSequential(t *testing.T) {
 	for _, ret := range []int64{6, 99} {
-		h := concurrentIncsHistory(6, ret)
+		h := distinctIncsHistory(6, ret)
 		seq := Run(h, spec.Counter{}, false, core.CheckOptions{Parallelism: 1})
 		par := Run(h, spec.Counter{}, false, core.CheckOptions{Parallelism: 4})
 		if seq.OK != par.OK || seq.Complete != par.Complete {
@@ -125,7 +141,7 @@ func TestNodeBudgetTruncates(t *testing.T) {
 // (TestParallelNodesMatchSequential bounds that noise explicitly). See
 // BENCHMARKS.md for measured numbers.
 func TestPrunedBeatsLegacyFivefold(t *testing.T) {
-	h := concurrentIncsHistory(7, 99)
+	h := distinctIncsHistory(7, 99)
 	legacy := core.CheckRA(h, spec.Counter{}, core.CheckOptions{Exhaustive: true, Engine: core.EngineLegacy})
 	pruned := core.CheckRA(h, spec.Counter{}, core.CheckOptions{Exhaustive: true, Engine: core.EnginePruned})
 	if legacy.Verdict != core.VerdictInvalid || pruned.Verdict != core.VerdictInvalid {
@@ -146,7 +162,7 @@ func TestPrunedBeatsLegacyFivefold(t *testing.T) {
 // history in PR 1); with a shared table a configuration claimed by anyone
 // prunes everyone, so the parallel count must stay within 25% of sequential.
 func TestParallelNodesMatchSequential(t *testing.T) {
-	h := concurrentIncsHistory(7, 99)
+	h := distinctIncsHistory(7, 99)
 	seq := Run(h, spec.Counter{}, false, core.CheckOptions{Parallelism: 1})
 	if seq.OK || !seq.Complete {
 		t.Fatalf("history must be refuted sequentially: %+v", seq)
@@ -171,7 +187,7 @@ func TestParallelNodesMatchSequential(t *testing.T) {
 // configuration) this doubles as the data-race check for the interner, the
 // memo stripes and the queue.
 func TestSharedMemoUnderContention(t *testing.T) {
-	h := concurrentIncsHistory(7, 99)
+	h := distinctIncsHistory(7, 99)
 	for rep := 0; rep < 10; rep++ {
 		out := Run(h, spec.Counter{}, false, core.CheckOptions{Parallelism: 8})
 		if out.OK || !out.Complete {

@@ -96,7 +96,8 @@ type searcher struct {
 	fillIDs []uint32
 
 	// indegree[i] counts the not-yet-placed visibility predecessors of
-	// labels[i]; a label is in the frontier when its count is zero and it is
+	// labels[i], plus one while its preceding twin (pre.twinNext) is
+	// unplaced; a label is in the frontier when its count is zero and it is
 	// not placed.
 	indegree []int
 	placed   bitset
@@ -199,7 +200,14 @@ func newSearcher(recycled *searcher, pre *prepared, spec core.Spec, strong bool,
 	s.frontier = resizeBitset(s.frontier, n)
 	for i := range s.indegree {
 		s.indegree[i] = len(pre.preds[i])
-		if s.indegree[i] == 0 {
+	}
+	for _, t := range pre.twinNext {
+		if t >= 0 {
+			s.indegree[t]++
+		}
+	}
+	for i, d := range s.indegree {
+		if d == 0 {
 			s.frontier.set(pre.pos[i])
 		}
 	}
@@ -748,22 +756,39 @@ func (s *searcher) enter(i int) bool {
 	s.frontier.clear(s.pre.pos[i])
 	s.seq = append(s.seq, i)
 	for _, j := range s.pre.succs[i] {
-		s.indegree[j]--
-		if s.indegree[j] == 0 {
-			s.frontier.set(s.pre.pos[j])
-		}
+		s.unblock(j)
+	}
+	if t := s.pre.twinNext[i]; t >= 0 {
+		s.unblock(t)
 	}
 	return true
+}
+
+// unblock takes one incoming edge (visibility or twin link) off label j,
+// adding it to the frontier when it was the last.
+func (s *searcher) unblock(j int) {
+	s.indegree[j]--
+	if s.indegree[j] == 0 {
+		s.frontier.set(s.pre.pos[j])
+	}
+}
+
+// block puts back an edge unblock took off label j.
+func (s *searcher) block(j int) {
+	if s.indegree[j] == 0 {
+		s.frontier.clear(s.pre.pos[j])
+	}
+	s.indegree[j]++
 }
 
 // leave undoes enter(i), recycling the state-set buffers the matching enter
 // created.
 func (s *searcher) leave(i int) {
+	if t := s.pre.twinNext[i]; t >= 0 {
+		s.block(t)
+	}
 	for _, j := range s.pre.succs[i] {
-		if s.indegree[j] == 0 {
-			s.frontier.clear(s.pre.pos[j])
-		}
-		s.indegree[j]++
+		s.block(j)
 	}
 	s.seq = s.seq[:len(s.seq)-1]
 	s.placed.clear(i)

@@ -20,7 +20,7 @@ func sessOpts(sess *Session) core.CheckOptions {
 func TestSessionReuseMatchesFresh(t *testing.T) {
 	sess := NewSession()
 	for _, ret := range []int64{6, 99} {
-		h := concurrentIncsHistory(6, ret)
+		h := distinctIncsHistory(6, ret)
 		fresh := Run(h, spec.Counter{}, false, sessOpts(nil))
 		for rep := 0; rep < 3; rep++ {
 			got := Run(h, spec.Counter{}, false, sessOpts(sess))
@@ -86,7 +86,7 @@ func TestSessionConcurrentChecks(t *testing.T) {
 				if g%4 == 3 {
 					opts.Parallelism = 2
 				}
-				out := Run(concurrentIncsHistory(5, ret), spec.Counter{}, false, opts)
+				out := Run(distinctIncsHistory(5, ret), spec.Counter{}, false, opts)
 				if out.OK != wantOK || !out.Complete {
 					t.Errorf("g=%d rep=%d: got %+v, want OK=%v", g, rep, out, wantOK)
 					return
@@ -107,19 +107,22 @@ func TestSessionPlanPoolReuse(t *testing.T) {
 	if first.PlanReused {
 		t.Fatalf("first check of a session cannot reuse a plan: %+v", first)
 	}
-	for _, k := range []int{6, 3, 8} { // shrink and grow across reuses
-		fresh := Run(concurrentIncsHistory(k, 99), spec.Counter{}, false, sessOpts(nil))
-		got := Run(concurrentIncsHistory(k, 99), spec.Counter{}, false, sessOpts(sess))
-		if !got.PlanReused {
-			t.Fatalf("k=%d: warm session must reuse a pooled plan: %+v", k, got)
-		}
-		if fresh.PlanReused {
-			t.Fatalf("k=%d: sessionless run cannot reuse a plan: %+v", k, fresh)
-		}
-		got.PlanReused = false
-		if got.OK != fresh.OK || got.Complete != fresh.Complete || got.Nodes != fresh.Nodes ||
-			got.Pruned != fresh.Pruned || got.MemoHits != fresh.MemoHits {
-			t.Fatalf("k=%d: pooled-plan outcome %+v differs from fresh %+v", k, got, fresh)
+	// Twin incs chain into one order; distinct ones branch and hit the memo.
+	for _, mk := range []func(int, int64) *core.History{concurrentIncsHistory, distinctIncsHistory} {
+		for _, k := range []int{6, 3, 8} { // shrink and grow across reuses
+			fresh := Run(mk(k, 99), spec.Counter{}, false, sessOpts(nil))
+			got := Run(mk(k, 99), spec.Counter{}, false, sessOpts(sess))
+			if !got.PlanReused {
+				t.Fatalf("k=%d: warm session must reuse a pooled plan: %+v", k, got)
+			}
+			if fresh.PlanReused {
+				t.Fatalf("k=%d: sessionless run cannot reuse a plan: %+v", k, fresh)
+			}
+			got.PlanReused = false
+			if got.OK != fresh.OK || got.Complete != fresh.Complete || got.Nodes != fresh.Nodes ||
+				got.Pruned != fresh.Pruned || got.MemoHits != fresh.MemoHits {
+				t.Fatalf("k=%d: pooled-plan outcome %+v differs from fresh %+v", k, got, fresh)
+			}
 		}
 	}
 }
@@ -285,7 +288,7 @@ func TestDebugMemoDetectsCollision(t *testing.T) {
 // outcome (and a full refutation under debug mode doubles as a soak of the
 // collision invariant).
 func TestDebugMemoMatchesPlainMemo(t *testing.T) {
-	h := concurrentIncsHistory(6, 99)
+	h := distinctIncsHistory(6, 99)
 	plain := Run(h, spec.Counter{}, false, core.CheckOptions{Parallelism: 1})
 	debug := Run(h, spec.Counter{}, false, core.CheckOptions{Parallelism: 1, DebugMemo: true})
 	if plain.OK != debug.OK || plain.Complete != debug.Complete ||
