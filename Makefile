@@ -2,9 +2,10 @@ GO ?= go
 
 # Benchmarks RUN by `make bench-gate`: the refutation and batch-checking hot
 # paths this repository optimizes. ralin-benchdiff's default -match then
-# gates only their scheduling-independent variants (sequential searches,
-# single-worker batches) — the GOMAXPROCS-dependent variants are measured
-# and reported but would gate on the host's core count, not the code. The
+# gates only their scheduling-independent variants (searches, which run on
+# one goroutine each, and single-worker batches) — the multi-worker batch
+# variants are measured and reported but would gate on the host's core
+# count, not the code. The
 # gate fails on a >1% allocs/op increase and (same-CPU runs, NS_THRESHOLD>0)
 # on a >$(NS_THRESHOLD)% ns/op regression vs the committed BENCH_results.json.
 # On top of the relative diffs, ZERO_ALLOC_PATTERN is an absolute assertion:

@@ -302,10 +302,10 @@ func BenchmarkConstructiveVsExhaustive(b *testing.B) {
 // disabled so every trial drives the search engine) and deterministic
 // aggregation — at the four corners of {per-history fresh engine state,
 // shared batch session} × {1, 4} batch workers. fresh/w1 is the pre-batch
-// pipeline (every history rebuilt the interner, the 64-shard memo table and
-// the searcher scratch from scratch); shared/w4 is the default pipeline after
-// the batch-session change. Inner search parallelism is pinned to 1 so the
-// variants differ only in batch structure. See BENCHMARKS.md for committed
+// pipeline (every history rebuilt the interner, the memo table and the
+// searcher scratch from scratch); shared/w4 is the default pipeline after the
+// batch-session change. Every search runs on one goroutine, so the variants
+// differ only in batch structure. See BENCHMARKS.md for committed
 // numbers; `make bench-gate` diffs the allocs/op of every variant against the
 // committed baseline.
 func BenchmarkBatchCheckRandomHistories(b *testing.B) {
@@ -315,7 +315,6 @@ func BenchmarkBatchCheckRandomHistories(b *testing.B) {
 	}
 	check := d.CheckOptions()
 	check.Strategies = nil
-	check.Parallelism = 1
 	cfg := harness.WorkloadConfig{
 		Seed: 5, Ops: 8, Replicas: 3,
 		Elems: []string{"a", "b", "c"}, DeliveryProb: 40,
@@ -359,7 +358,7 @@ func BenchmarkBatchRefutations(b *testing.B) {
 	for i := 0; i < 12; i++ {
 		hs = append(hs, nonLinearizableHistory(4))
 	}
-	opts := core.CheckOptions{Exhaustive: true, Parallelism: 1}
+	opts := core.CheckOptions{Exhaustive: true}
 	variants := []struct {
 		name  string
 		batch harness.Options
@@ -409,7 +408,6 @@ func BenchmarkSessionRecheck(b *testing.B) {
 	}
 	opts := d.CheckOptions()
 	opts.Strategies = nil
-	opts.Parallelism = 1
 	b.Run("fresh", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -462,10 +460,8 @@ func nonLinearizableHistory(k int) *core.History {
 // BenchmarkEngineNonLinearizable compares the pruned engine against the
 // legacy enumerator on a non-RA-linearizable history, where the whole search
 // space must be refuted. Candidate checks per refutation are reported as the
-// "checks/refute" metric (Result.Tried for legacy, Result.Nodes for pruned);
-// the memo table is shared and claimed on node entry, so the parallel
-// variants' node counts track the sequential one instead of growing with the
-// worker count. See BENCHMARKS.md for committed numbers.
+// "checks/refute" metric (Result.Tried for legacy, Result.Nodes for pruned).
+// See BENCHMARKS.md for committed numbers.
 func BenchmarkEngineNonLinearizable(b *testing.B) {
 	h := nonLinearizableHistory(7)
 	sp := spec.Counter{}
@@ -475,16 +471,12 @@ func BenchmarkEngineNonLinearizable(b *testing.B) {
 	}{
 		{"legacy", core.CheckOptions{Exhaustive: true, Engine: core.EngineLegacy}},
 		{"pruned", core.CheckOptions{Exhaustive: true, Engine: core.EnginePruned}},
-		{"pruned-seq", core.CheckOptions{Exhaustive: true, Engine: core.EnginePruned, Parallelism: 1}},
-		// Pinned to 4 workers so the scheduler cost is comparable across
-		// hosts with different core counts.
-		{"pruned-par4", core.CheckOptions{Exhaustive: true, Engine: core.EnginePruned, Parallelism: 4}},
 	}
 	for _, v := range variants {
 		v := v
 		b.Run(v.name, func(b *testing.B) {
 			b.ReportAllocs()
-			checks, steals := 0, 0
+			checks := 0
 			for i := 0; i < b.N; i++ {
 				res := core.CheckRA(h, sp, v.opts)
 				if res.Verdict != core.VerdictInvalid {
@@ -495,12 +487,8 @@ func BenchmarkEngineNonLinearizable(b *testing.B) {
 				} else {
 					checks = res.Tried
 				}
-				steals = res.Steals
 			}
 			b.ReportMetric(float64(checks), "checks/refute")
-			if v.opts.Engine == core.EnginePruned {
-				b.ReportMetric(float64(steals), "steals/refute")
-			}
 		})
 	}
 }
@@ -535,41 +523,32 @@ func wideRefutationHistory() *core.History {
 }
 
 // BenchmarkEngineWideRefutation refutes wideRefutationHistory completely
-// with the pruned engine, sequentially and at the default parallelism, and
-// reports the search's nodes per check ("nodes/op"): the twin reduction's
-// gated counter, which stays far below the number of writer subsets the
-// deliveries allow.
+// with the pruned engine and reports the search's nodes per check
+// ("nodes/op"): the twin reduction's gated counter, which stays far below the
+// number of writer subsets the deliveries allow.
 func BenchmarkEngineWideRefutation(b *testing.B) {
 	h := wideRefutationHistory()
 	sp := spec.Counter{}
-	variants := []struct {
-		name string
-		opts core.CheckOptions
-	}{
-		{"pruned-seq", core.CheckOptions{Exhaustive: true, Parallelism: 1}},
-		{"pruned", core.CheckOptions{Exhaustive: true}},
-	}
-	for _, v := range variants {
-		b.Run(v.name, func(b *testing.B) {
-			b.ReportAllocs()
-			nodes := 0
-			for i := 0; i < b.N; i++ {
-				res := core.CheckRA(h, sp, v.opts)
-				if res.Verdict != core.VerdictInvalid {
-					b.Fatalf("history must be refuted completely: %+v", res)
-				}
-				nodes = res.Nodes
+	opts := core.CheckOptions{Exhaustive: true}
+	b.Run("pruned", func(b *testing.B) {
+		b.ReportAllocs()
+		nodes := 0
+		for i := 0; i < b.N; i++ {
+			res := core.CheckRA(h, sp, opts)
+			if res.Verdict != core.VerdictInvalid {
+				b.Fatalf("history must be refuted completely: %+v", res)
 			}
-			b.ReportMetric(float64(nodes), "nodes/op")
-		})
-	}
+			nodes = res.Nodes
+		}
+		b.ReportMetric(float64(nodes), "nodes/op")
+	})
 }
 
 // BenchmarkDegradedRefutation measures the cost of the memory-budget
 // degraded mode on the wide gated refutation (wideRefutationHistory; the
 // twin increments of nonLinearizableHistory refute in k+1 nodes with or
-// without a memo table, so they show no delta): the same sequential pruned
-// refutation with full memoization, with memoization disabled outright, and
+// without a memo table, so they show no delta): the same pruned refutation
+// with full memoization, with memoization disabled outright, and
 // through a session whose budget trips on the first interned state (the
 // graceful-degradation path the fail-safe machinery falls back to). The
 // checks/refute metric makes the Nodes delta of memo-less search visible.
@@ -578,7 +557,7 @@ func BenchmarkEngineWideRefutation(b *testing.B) {
 func BenchmarkDegradedRefutation(b *testing.B) {
 	h := wideRefutationHistory()
 	sp := spec.Counter{}
-	base := core.CheckOptions{Exhaustive: true, Engine: core.EnginePruned, Parallelism: 1}
+	base := core.CheckOptions{Exhaustive: true}
 	variants := []struct {
 		name string
 		opts func() core.CheckOptions
@@ -686,7 +665,6 @@ func BenchmarkScenarioCorpus(b *testing.B) {
 			b.Fatalf("%s: %v", paths[i], err)
 		}
 		opts := plan.Options
-		opts.Parallelism = 1
 		opts.Engine = core.EnginePruned
 		jobs = append(jobs, job{paths[i], h, plan, opts, e.RALinearizable})
 	}
@@ -825,7 +803,7 @@ func benchIncrementalStream(b *testing.B, prefix string, sp core.Spec, n int, st
 	}
 	b.Run(fmt.Sprintf("%sextend/n=%d", prefix, n), func(b *testing.B) {
 		sess := search.NewSession()
-		opts := core.CheckOptions{Exhaustive: true, Parallelism: 1, Session: sess}
+		opts := core.CheckOptions{Exhaustive: true, Session: sess}
 		run := func(b *testing.B) {
 			replay(b, func(g *core.History, k int) core.Result {
 				return core.CheckRAExtend(g, sp, labels[k:k+1], opts)
@@ -847,7 +825,7 @@ func benchIncrementalStream(b *testing.B, prefix string, sp core.Spec, n int, st
 		return
 	}
 	b.Run(fmt.Sprintf("%sscratch/n=%d", prefix, n), func(b *testing.B) {
-		opts := core.CheckOptions{Exhaustive: true, Parallelism: 1}
+		opts := core.CheckOptions{Exhaustive: true}
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			replay(b, func(g *core.History, k int) core.Result {
@@ -887,7 +865,6 @@ func BenchmarkGuidedVsRankOrder(b *testing.B) {
 		opts := plan.Options
 		opts.Strategies = nil
 		opts.Exhaustive = true
-		opts.Parallelism = 1
 		opts.Engine = core.EnginePruned
 		jobs = append(jobs, job{paths[i], h, plan, opts, e.RALinearizable})
 	}

@@ -1,6 +1,6 @@
 // Package cliflags factors the flag wiring shared by the cmd/ralin-* tools:
-// the checker/batch flags (-engine, -guidance, -parallel, -batch-workers) and
-// resource limits (-timeout, -max-interned, -max-memo-mb) that resolve to a
+// the checker/batch flags (-engine, -guidance, -batch-workers) and resource
+// limits (-timeout, -max-interned, -max-memo-mb) that resolve to a
 // harness.Options value, the -seed and -incremental flags, and the scenario
 // selection flags (-scenario, -list-scenarios) backed by the
 // internal/scenario library.
@@ -22,21 +22,18 @@ import (
 type Common struct {
 	engine       *string
 	guidance     *string
-	parallel     *int
 	batchWorkers *int
 	timeout      *time.Duration
 	maxInterned  *int
 	maxMemoMB    *int
 }
 
-// AddCommon registers -engine, -guidance, -parallel, -batch-workers and the
-// resource limit flags (-timeout, -max-interned, -max-memo-mb) on the flag
-// set.
+// AddCommon registers -engine, -guidance, -batch-workers and the resource
+// limit flags (-timeout, -max-interned, -max-memo-mb) on the flag set.
 func AddCommon(fs *flag.FlagSet) *Common {
 	return &Common{
 		engine:       fs.String("engine", "pruned", "exhaustive-search engine: pruned or legacy (auto = pruned)"),
 		guidance:     fs.String("guidance", "rank-order", "pruned-engine branch ordering: rank-order or guided (heuristic; same verdicts, fewer nodes on refutations; auto = rank-order)"),
-		parallel:     fs.Int("parallel", 0, "pruned-engine worker goroutines sharing one memo table via work stealing (0 = GOMAXPROCS)"),
 		batchWorkers: fs.Int("batch-workers", 0, "goroutines checking histories of one batch concurrently over a shared engine session (0 = GOMAXPROCS, 1 = sequential)"),
 		timeout:      fs.Duration("timeout", 0, "wall-clock budget for the whole run; trials past the deadline report verdict unknown instead of hanging (0 = none)"),
 		maxInterned:  fs.Int("max-interned", 0, "memory budget: max distinct interned abstract states per session before searches degrade to memo-less mode (0 = unlimited)"),
@@ -64,7 +61,6 @@ func (c *Common) Options() (harness.Options, error) {
 	return harness.Options{
 		Engine:       eng,
 		Guidance:     guide,
-		Parallelism:  *c.parallel,
 		BatchWorkers: *c.batchWorkers,
 		Timeout:      *c.timeout,
 		Budget: search.Budget{

@@ -27,8 +27,8 @@
 //
 // Only benchmarks whose name matches -match are gated — by default the
 // scheduling-independent variants of the refutation and batch-checking
-// benchmarks (sequential searches, single-worker batches), because variants
-// whose effective concurrency floats with the host's core count allocate
+// benchmarks (searches, single-worker batches), because variants whose
+// effective concurrency floats with the host's core count allocate
 // differently per machine. A gated benchmark present in the baseline but
 // missing from the candidate also fails, so the gate cannot be silenced by
 // deleting a benchmark.
@@ -70,10 +70,9 @@ func main() {
 	baselinePath := flag.String("baseline", "BENCH_results.json", "committed baseline JSON")
 	candidatePath := flag.String("candidate", "", "fresh run JSON to gate (required)")
 	// The default gate covers only the scheduling-independent variants:
-	// fixed sequential searches and single-worker batches. Variants whose
-	// worker count floats with GOMAXPROCS (plain "pruned") or whose pool
-	// concurrency actually materializes only on multi-core hosts (w4
-	// batches, pruned-par4) allocate differently per machine, so gating
+	// searches (each runs on one goroutine) and single-worker batches.
+	// Batches whose pool concurrency actually materializes only on
+	// multi-core hosts (w4) allocate differently per machine, so gating
 	// them against a baseline recorded elsewhere would fail on hardware,
 	// not code. IncrementalExtend gates its extend variants only — the
 	// scratch side is the contrast workload, and its small sizes finish too
@@ -81,7 +80,7 @@ func main() {
 	// StrategyValidation gates every Figure 12 type: each is a sequential
 	// validation of fixed histories.
 	match := flag.String("match",
-		"^Benchmark(EngineNonLinearizable/(legacy|pruned-seq)|EngineWideRefutation/pruned-seq|BatchRefutations/(fresh|shared)/w1|BatchCheckRandomHistories/(fresh|shared)/w1|SessionRecheck/(fresh|session)|ScenarioCorpus|IncrementalExtend/(orset/)?extend/n=\\d+|StrategyValidation/[^/]+)\\b",
+		"^Benchmark(EngineNonLinearizable/(legacy|pruned)|EngineWideRefutation/pruned|BatchRefutations/(fresh|shared)/w1|BatchCheckRandomHistories/(fresh|shared)/w1|SessionRecheck/(fresh|session)|ScenarioCorpus|IncrementalExtend/(orset/)?extend/n=\\d+|StrategyValidation/[^/]+)\\b",
 		"regexp selecting the gated benchmarks")
 	maxNS := flag.Float64("max-ns-regression", 25, "maximum tolerated ns/op regression in percent (same-CPU runs); <= 0 makes ns/op advisory")
 	maxAllocs := flag.Float64("max-allocs-regression", 0, "maximum tolerated allocs/op regression in percent; < 0 makes allocs/op advisory (for ns-only gates against a runner-cached baseline)")

@@ -209,13 +209,11 @@ func printStats(res harness.HistoryCheck, engine core.Engine) {
 	fmt.Printf("  candidates tried:    %d (engine %s)\n", res.Tried, engine)
 	if res.Nodes > 0 {
 		fmt.Printf("  search nodes:        %d explored, %d pruned, %d memo hits\n", res.Nodes, res.Pruned, res.MemoHits)
-		fmt.Printf("  scheduler:           %d stolen branches, memo striped over %d shards\n", res.Steals, res.Shards)
 	}
 	if res.Prefixes > 0 {
 		fmt.Printf("  incremental:         %d prefixes checked: %d certificate replays, %d extend searches, %d rebuilds\n",
 			res.Prefixes, res.Replayed, res.ExtendSearches, res.Rebuilds)
 	}
 	fmt.Printf("  batch:               %d workers, %d interned states shared across histories\n", res.BatchWorkers, res.InternedStates)
-	fmt.Printf("  plan cache:          %d pooled plans reused, %d cached rewrites, inner parallelism <= %d\n",
-		res.PlanReuses, res.RewriteHits, res.MaxInnerParallelism)
+	fmt.Printf("  plan cache:          %d pooled plans reused, %d cached rewrites\n", res.PlanReuses, res.RewriteHits)
 }

@@ -14,7 +14,7 @@
 //
 // Alongside the deductive obligations, -histories N (default 10) RA-checks N
 // random histories of each verified CRDT with the configured search engine
-// (-engine, -parallel), tying the obligation run to the checker the rest of
+// (-engine, -guidance), tying the obligation run to the checker the rest of
 // the toolchain uses. With -scenario, the random histories are replaced by
 // the named fault-schedule scenario's histories and the obligations run for
 // that scenario's CRDT.
@@ -136,8 +136,8 @@ func main() {
 			switch {
 			case hc.OK():
 				if hc.Nodes > 0 {
-					fmt.Printf("ok (%d candidates, %d nodes, %d steals, %d plan reuses, %d cached rewrites, engine %s)\n",
-						hc.Tried, hc.Nodes, hc.Steals, hc.PlanReuses, hc.RewriteHits, eng)
+					fmt.Printf("ok (%d candidates, %d nodes, %d plan reuses, %d cached rewrites, engine %s)\n",
+						hc.Tried, hc.Nodes, hc.PlanReuses, hc.RewriteHits, eng)
 				} else {
 					fmt.Printf("ok (%d candidates, engine %s)\n", hc.Tried, eng)
 				}

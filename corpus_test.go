@@ -9,10 +9,12 @@ package ralin
 
 import (
 	"context"
+	"reflect"
 	"testing"
 	"time"
 
 	"ralin/internal/core"
+	"ralin/internal/harness"
 	"ralin/internal/scenario"
 	"ralin/internal/search"
 )
@@ -100,7 +102,6 @@ func TestScenarioCorpusFailSafe(t *testing.T) {
 			opts.Strategies = nil // force the search; a constructive witness would dodge the budget
 			opts.Exhaustive = true
 			opts.Engine = core.EnginePruned
-			opts.Parallelism = 1
 			opts.MaxNodes = 1 // the degraded, memo-less search must then truncate
 			opts.Session = sess
 			res := core.CheckRA(h, plan.Spec, opts)
@@ -144,7 +145,6 @@ func TestScenarioCorpusGuidedDifferential(t *testing.T) {
 		opts.Strategies = nil
 		opts.Exhaustive = true
 		opts.Engine = core.EnginePruned
-		opts.Parallelism = 1
 		opts.DebugMemo = true
 		opts.Guidance = core.GuidanceRankOrder
 		rank := core.CheckRA(h, plan.Spec, opts)
@@ -192,6 +192,91 @@ func TestScenarioCorpusEnginesAgree(t *testing.T) {
 			}
 			if (res.Verdict == core.VerdictValid) != e.RALinearizable {
 				t.Errorf("%s: engine %v verdict %v, corpus recorded RA-linearizable=%v", paths[i], engine, res.Verdict, e.RALinearizable)
+			}
+		}
+	}
+}
+
+// TestBatchWidthDeterminism pins that batch width changes no result: every
+// search runs on one goroutine, so a batch over the corpus must report the
+// same verdicts and the same summed search counters at any BatchWorkers,
+// over fresh and over shared sessions. Each scenario's corpus entries (three
+// decoded copies of each, so four workers stay busy) form one batch, checked
+// by the engine in default rank order with the strategies off. The reference
+// is every history checked alone: the batch's verdict tallies, first failure
+// and summed Nodes/Pruned/MemoHits/Leaves must equal the sum of those
+// standalone checks, and each standalone verdict must match the corpus
+// record. The CI workflow runs this under the race detector.
+func TestBatchWidthDeterminism(t *testing.T) {
+	entries, paths := loadCorpus(t)
+	type group struct {
+		plan scenario.CheckPlan
+		hs   []*core.History
+		want harness.HistoryCheck
+	}
+	var order []string
+	groups := map[string]*group{}
+	for i, e := range entries {
+		plan, err := e.Plan()
+		if err != nil {
+			t.Fatalf("%s: %v", paths[i], err)
+		}
+		plan.Options.Strategies = nil
+		plan.Options.Exhaustive = true
+		g := groups[e.Scenario]
+		if g == nil {
+			g = &group{plan: plan, want: harness.HistoryCheck{ByStrategy: map[string]int{}}}
+			groups[e.Scenario] = g
+			order = append(order, e.Scenario)
+		}
+		for range 3 {
+			h, err := e.History()
+			if err != nil {
+				t.Fatalf("%s: %v", paths[i], err)
+			}
+			res := core.CheckRA(h, plan.Spec, plan.Options)
+			if (res.Verdict == core.VerdictValid) != e.RALinearizable {
+				t.Fatalf("%s: standalone verdict %v, corpus recorded RA-linearizable=%v", paths[i], res.Verdict, e.RALinearizable)
+			}
+			g.want.Histories++
+			g.want.Stats.Add(res.Stats)
+			switch res.Verdict {
+			case core.VerdictValid:
+				g.want.Linearizable++
+				g.want.ByStrategy["exhaustive"]++
+			case core.VerdictInvalid:
+				g.want.Invalid++
+			default:
+				g.want.Unknown++
+			}
+			g.hs = append(g.hs, h)
+		}
+	}
+	for _, name := range order {
+		g := groups[name]
+		var first harness.HistoryCheck
+		for _, o := range []harness.Options{
+			{BatchWorkers: 1, FreshSessions: true},
+			{BatchWorkers: 4, FreshSessions: true},
+			{BatchWorkers: 1},
+			{BatchWorkers: 4},
+		} {
+			got, err := harness.CheckHistoryBatch(name, g.plan.Spec, g.plan.Options, g.hs, o)
+			if err != nil {
+				t.Fatalf("%s %+v: %v", name, o, err)
+			}
+			if got.Histories != g.want.Histories || got.Linearizable != g.want.Linearizable ||
+				got.Invalid != g.want.Invalid || got.Unknown != g.want.Unknown ||
+				!reflect.DeepEqual(got.ByStrategy, g.want.ByStrategy) || got.Stats != g.want.Stats {
+				t.Errorf("%s workers=%d fresh=%v: batch %d/%d valid, %d invalid, %d unknown, %+v; standalone checks %d/%d valid, %d invalid, %d unknown, %+v",
+					name, o.BatchWorkers, o.FreshSessions, got.Linearizable, got.Histories, got.Invalid, got.Unknown, got.Stats,
+					g.want.Linearizable, g.want.Histories, g.want.Invalid, g.want.Unknown, g.want.Stats)
+			}
+			if o.BatchWorkers == 1 && o.FreshSessions {
+				first = got
+			} else if got.FailureExample != first.FailureExample {
+				t.Errorf("%s workers=%d fresh=%v: first failure %q, sequential fresh batch %q",
+					name, o.BatchWorkers, o.FreshSessions, got.FailureExample, first.FailureExample)
 			}
 		}
 	}

@@ -55,7 +55,6 @@ func TestScenarioCorpusIncrementalReplay(t *testing.T) {
 		opts.Strategies = nil // force the search, so certificates matter
 		opts.Exhaustive = true
 		opts.Engine = core.EnginePruned
-		opts.Parallelism = 1
 		opts.DebugMemo = true
 
 		buckets := corpusPrefixBuckets(t, h)

@@ -139,7 +139,7 @@ type EngineSession interface {
 type CheckOptions struct {
 	// Context carries the caller's deadline and cancellation into the check.
 	// When it expires or is cancelled, every layer — the constructive
-	// strategies, the legacy enumerator, and the pruned engine's worker pool —
+	// strategies, the legacy enumerator, and the pruned engine's search —
 	// stops at its next node and the Result reports VerdictUnknown with
 	// ReasonDeadline or ReasonCancelled. Nil means no deadline and no
 	// cancellation, at zero per-node cost.
@@ -164,9 +164,13 @@ type CheckOptions struct {
 	// changes a verdict — only Nodes and wall-clock. See the Guidance
 	// constants.
 	Guidance Guidance
-	// Parallelism bounds the number of worker goroutines the pruned engine
-	// fans the top-level branches across. Zero means GOMAXPROCS; one forces a
-	// sequential search.
+	// Parallelism is ignored: one goroutine runs each check's search, and
+	// concurrency comes from checking many histories at once (see
+	// harness.Options.BatchWorkers).
+	//
+	// Deprecated: kept only so the separate benchmark module, which still
+	// sets it, keeps compiling; it will be deleted with that module's next
+	// update.
 	Parallelism int
 	// MaxNodes caps the number of prefix nodes the pruned engine explores.
 	// Zero derives a budget from MaxExtensions (3× — an unpruned prefix tree
@@ -212,32 +216,25 @@ type Stats struct {
 	Pruned int
 	// MemoHits is the number of subtrees the pruned engine skipped because an
 	// equivalent (frontier-set, spec-state) pair had already been claimed in
-	// the shared memo table by some worker.
+	// the check's memo table.
 	MemoHits int
-	// Steals is the number of donated frontier branches executed by a worker
-	// other than the one that published them (the pruned engine schedules by
-	// work-stealing; always zero for a sequential search).
+	// Steals is always zero: the pruned engine runs each search on one
+	// goroutine.
+	//
+	// Deprecated: kept only so the separate benchmark module, which still
+	// reads it, keeps compiling; it will be deleted with that module's next
+	// update.
 	Steals int
 	// Leaves is the number of complete candidate sequences reached.
 	Leaves int
-	// Shards is the stripe count of the pruned engine's shared lock-striped
-	// memo table (zero when memoization was disabled). A high-water mark.
-	Shards int
-	// Workers is the number of goroutines the pruned engine used. A
-	// high-water mark.
-	Workers int
 }
 
-// Add folds o into s: the work counters are summed and the high-water fields
-// (Shards, Workers) keep the maximum.
+// Add folds o into s by summing the work counters.
 func (s *Stats) Add(o Stats) {
 	s.Nodes += o.Nodes
 	s.Pruned += o.Pruned
 	s.MemoHits += o.MemoHits
-	s.Steals += o.Steals
 	s.Leaves += o.Leaves
-	s.Shards = max(s.Shards, o.Shards)
-	s.Workers = max(s.Workers, o.Workers)
 }
 
 // Result is the outcome of an RA-linearizability check.
@@ -582,9 +579,9 @@ func ApplyEngineOutcome(res *Result, out EngineOutcome, strong bool) {
 // justified by the full prefix of updates preceding it in the linearization
 // (not only the visible ones). This corresponds to the "standard definition
 // of linearizability ... assuming a standard Set specification" discussed in
-// Section 2.2, adapted to visibility-based histories. Only the Engine,
-// Guidance, Parallelism, MaxExtensions, MaxNodes and DisableMemo options are
-// consulted; strategies and rewritings do not apply. In strong mode guided
+// Section 2.2, adapted to visibility-based histories. Only the Context,
+// Engine, Guidance, MaxExtensions, MaxNodes, DisableMemo and DebugMemo options
+// are consulted; strategies and rewritings do not apply. In strong mode guided
 // ordering applies without the query-commit reduction (a strong-mode query is
 // judged against the full preceding prefix, so its justification is not final
 // at enablement).

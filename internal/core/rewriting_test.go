@@ -142,7 +142,7 @@ func TestNilRewritingFallsBackOnGenSeqTies(t *testing.T) {
 		t.Fatalf("fallback must preserve the labels: %d vs %d", rew.History.Len(), aliased.Len())
 	}
 
-	opts := CheckOptions{Strategies: []Strategy{StrategyExecutionOrder}, Exhaustive: true, Parallelism: 1}
+	opts := CheckOptions{Strategies: []Strategy{StrategyExecutionOrder}, Exhaustive: true}
 	viaNil := CheckRA(build(), setSpec{}, opts)
 	identOpts := opts
 	identOpts.Rewriting = IdentityRewriting{}

@@ -54,7 +54,7 @@ const (
 	// to memo-less mode, and the degraded search then could not finish within
 	// its node budget.
 	ReasonMemBudget IncompleteReason = "mem-budget"
-	// ReasonPanic: a worker (or the trial itself) panicked; the panic was
+	// ReasonPanic: the search (or the trial itself) panicked; the panic was
 	// recovered, its stack captured, and the check converted into this
 	// per-check outcome instead of crashing the process.
 	ReasonPanic IncompleteReason = "panic"

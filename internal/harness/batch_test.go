@@ -14,13 +14,12 @@ import (
 
 // normalizeBatch strips the fields that legitimately differ between a
 // shared-session and a fresh-per-history run (pool geometry and session
-// statistics — including the plan-pool, rewrite-cache and adaptive-split
-// counters, which exist to differ between the two pipelines); everything
-// else must be byte-identical.
+// statistics — including the plan-pool and rewrite-cache counters, which
+// exist to differ between the two pipelines); everything else must be
+// byte-identical.
 func normalizeBatch(hc HistoryCheck) HistoryCheck {
 	hc.BatchWorkers = 0
 	hc.InternedStates = 0
-	hc.MaxInnerParallelism = 0
 	hc.PlanReuses = 0
 	hc.RewriteHits = 0
 	return hc
@@ -43,12 +42,11 @@ func incsHistory(k int, ret int64) *core.History {
 // TestBatchSharedSessionDifferential is the cross-history differential: for
 // every CRDT descriptor, a concurrent batch over one shared engine session
 // must produce exactly the verdicts, strategies and search statistics of the
-// sequential fresh-per-history pipeline (inner searches pinned sequential so
-// node counts are deterministic on both sides).
+// sequential fresh-per-history pipeline (node counts are deterministic on
+// both sides).
 func TestBatchSharedSessionDifferential(t *testing.T) {
 	for _, d := range registry.All() {
 		check := d.CheckOptions()
-		check.Parallelism = 1
 		cfg := WorkloadConfig{Seed: 9, Ops: 6, Replicas: 2, Elems: []string{"a", "b"}, DeliveryProb: 40}
 		shared, err := CheckRandomHistoriesWith(d, 6, cfg, Options{BatchWorkers: 4, Check: &check})
 		if err != nil {
@@ -81,7 +79,6 @@ func TestBatchExhaustiveDifferential(t *testing.T) {
 		}
 		check := d.CheckOptions()
 		check.Strategies = nil
-		check.Parallelism = 1
 		check.DebugMemo = true // hash-compaction collisions panic instead of mis-pruning
 		cfg := WorkloadConfig{Seed: 21, Ops: 6, Replicas: 2, Elems: []string{"a", "b"}, DeliveryProb: 40}
 		shared, err := CheckRandomHistoriesWith(d, 5, cfg, Options{BatchWorkers: 3, Check: &check})
@@ -122,7 +119,6 @@ func TestBatchPolarityDifferentialAllDescriptors(t *testing.T) {
 	for _, d := range registry.All() {
 		opts := d.CheckOptions()
 		opts.Strategies = nil // force the engine so plans and rewrites are exercised
-		opts.Parallelism = 1
 		opts.DebugMemo = true
 		var hs []*core.History
 		for trial := 0; trial < 3; trial++ {
@@ -166,9 +162,9 @@ func TestBatchPolarityDifferentialAllDescriptors(t *testing.T) {
 
 // TestHistoryQueryRaceWithBatchRecheck pins the History concurrency
 // contract the closure-free representation documents: Vis/Concurrent/
-// VisibleTo/SeenBy/VisEdges are read-only and safe to issue from parallel
-// search workers while a shared-session batch re-checks the very same
-// history objects (rewrite cache, plan pool, inner parallel searches). CI
+// VisibleTo/SeenBy/VisEdges are read-only and safe to issue from other
+// goroutines while a shared-session batch re-checks the very same history
+// objects on concurrent workers (rewrite cache, plan pool). CI
 // runs the suite under -race, which turns any hidden mutation — scratch
 // reuse inside a query, lazily grown index rows — into a failure here.
 func TestHistoryQueryRaceWithBatchRecheck(t *testing.T) {
@@ -217,8 +213,7 @@ func TestHistoryQueryRaceWithBatchRecheck(t *testing.T) {
 	}
 
 	check := d.CheckOptions()
-	check.Strategies = nil // force the engine so parallel workers read the history plans
-	check.Parallelism = 2
+	check.Strategies = nil // force the engine so concurrent checks read the history plans
 	check.DebugMemo = true
 	out, err := CheckHistoryBatch(d.Name, d.Spec, check, batch, Options{BatchWorkers: 4})
 	close(done)
@@ -260,66 +255,6 @@ func corruptQueryRet(h *core.History, seed int64) *core.History {
 	return c
 }
 
-// TestAdaptiveParallelismPolicy pins the adaptive batch/inner split: wide
-// batches get the static fair-share split (sequential once the batch covers
-// the machine), and the inner parallelism re-widens as the batch drains below
-// the worker count.
-func TestAdaptiveParallelismPolicy(t *testing.T) {
-	cases := []struct {
-		gmp, workers int
-		pending      int64
-		want         int
-	}{
-		{gmp: 8, workers: 4, pending: 100, want: 2}, // wide batch: fair share
-		{gmp: 8, workers: 8, pending: 100, want: 1}, // batch saturates the machine: sequential
-		{gmp: 8, workers: 4, pending: 4, want: 2},   // boundary: still every worker busy
-		{gmp: 8, workers: 4, pending: 2, want: 4},   // draining: idle cores handed back
-		{gmp: 8, workers: 4, pending: 1, want: 8},   // last trial: the whole machine
-		{gmp: 8, workers: 4, pending: 0, want: 8},   // defensive clamp
-		{gmp: 1, workers: 4, pending: 1, want: 1},   // single core: nothing to widen
-		{gmp: 4, workers: 3, pending: 2, want: 2},   // integer share rounds down
-	}
-	for _, c := range cases {
-		if got := adaptiveParallelism(c.gmp, c.workers, c.pending, 0, 0); got != c.want {
-			t.Errorf("adaptiveParallelism(gmp=%d, workers=%d, pending=%d) = %d, want %d",
-				c.gmp, c.workers, c.pending, got, c.want)
-		}
-	}
-}
-
-// TestAdaptiveParallelismWeighted pins the ops²-weighted refinement: a trial
-// carrying most of the in-flight work widens past its headcount share even
-// while the batch is wide, equal weights reproduce the headcount split, and
-// the grant never exceeds the machine.
-func TestAdaptiveParallelismWeighted(t *testing.T) {
-	cases := []struct {
-		gmp, workers       int
-		pending            int64
-		weight, liveWeight int64
-		want               int
-	}{
-		// Four equal trials in flight: weight share = headcount share.
-		{gmp: 8, workers: 4, pending: 100, weight: 25, liveWeight: 100, want: 2},
-		// One heavy trial among small ones: 100/115 of the work ⇒ ~7 cores
-		// even though the headcount share is 2.
-		{gmp: 8, workers: 4, pending: 100, weight: 100, liveWeight: 115, want: 7},
-		// The heavy trial is everything in flight: the whole machine.
-		{gmp: 8, workers: 4, pending: 100, weight: 100, liveWeight: 100, want: 8},
-		// Light trial among heavies: weighting never shrinks below fair share.
-		{gmp: 8, workers: 4, pending: 100, weight: 1, liveWeight: 1000, want: 2},
-		// Zero weight (unknown cost) falls back to the headcount split.
-		{gmp: 8, workers: 4, pending: 2, weight: 0, liveWeight: 50, want: 4},
-		// Stale liveWeight below this trial's own weight is ignored.
-		{gmp: 8, workers: 4, pending: 100, weight: 64, liveWeight: 10, want: 2},
-	}
-	for _, c := range cases {
-		if got := adaptiveParallelism(c.gmp, c.workers, c.pending, c.weight, c.liveWeight); got != c.want {
-			t.Errorf("adaptiveParallelism(gmp=%d, workers=%d, pending=%d, weight=%d, live=%d) = %d, want %d",
-				c.gmp, c.workers, c.pending, c.weight, c.liveWeight, got, c.want)
-		}
-	}
-}
-
 // TestBatchBothPolarities runs a pre-built batch mixing RA-linearizable and
 // refuted histories through CheckHistoryBatch: shared and fresh runs must
 // agree verdict for verdict, and the failure example must be the first
@@ -330,7 +265,7 @@ func TestBatchBothPolarities(t *testing.T) {
 		hs = append(hs, incsHistory(k, int64(k)))   // linearizable
 		hs = append(hs, incsHistory(k, int64(k)+7)) // refuted
 	}
-	opts := core.CheckOptions{Exhaustive: true, Parallelism: 1}
+	opts := core.CheckOptions{Exhaustive: true}
 	shared, err := CheckHistoryBatch("counter-mix", spec.Counter{}, opts, hs, Options{BatchWorkers: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -352,9 +287,9 @@ func TestBatchBothPolarities(t *testing.T) {
 	}
 }
 
-// TestBatchPoolRace saturates the batch pool (8 workers, inner parallelism 2,
-// one shared session) so `go test -race` — the CI configuration — exercises
-// the concurrent session pools, interner and memo stripes end to end.
+// TestBatchPoolRace saturates the batch pool (8 workers, one shared session)
+// so `go test -race` — the CI configuration — exercises the concurrent
+// session pools, interner and memo arena end to end.
 func TestBatchPoolRace(t *testing.T) {
 	d, err := registry.Lookup("OR-Set")
 	if err != nil {
@@ -362,7 +297,6 @@ func TestBatchPoolRace(t *testing.T) {
 	}
 	check := d.CheckOptions()
 	check.Strategies = nil // force the engine on every trial
-	check.Parallelism = 2  // inner parallel search on top of the batch pool
 	check.DebugMemo = true // exercise the debug tuple store under -race too
 	cfg := WorkloadConfig{Seed: 2, Ops: 6, Replicas: 3, Elems: []string{"a", "b"}, DeliveryProb: 40}
 	out, err := CheckRandomHistoriesWith(d, 16, cfg, Options{BatchWorkers: 8, Check: &check})

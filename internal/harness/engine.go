@@ -17,8 +17,8 @@ import (
 // Options is the explicit checker/batch configuration threaded through every
 // entry point of this package: the figure reproductions, the Figure 12 table,
 // the random-workload batches and the generated-history batches. The zero
-// value is the default configuration (pruned engine, GOMAXPROCS parallelism
-// and batch workers, one shared session per batch). It replaces the former
+// value is the default configuration (pruned engine, GOMAXPROCS batch
+// workers, one shared session per batch). It replaces the former
 // package-level SetCheckEngine/SetBatchWorkers globals, so two callers with
 // different configurations no longer race on hidden state.
 type Options struct {
@@ -31,13 +31,16 @@ type Options struct {
 	// GuidanceGuided opts into heuristic ordering — same verdicts, different
 	// node counts. See core.Guidance.
 	Guidance core.Guidance
-	// Parallelism bounds the inner search parallelism of each check. Zero
-	// leaves the choice to the engine (GOMAXPROCS, or the adaptive
-	// batch/inner split inside a batch pool).
+	// Parallelism is ignored: each check's search runs on one goroutine, and
+	// BatchWorkers is the only concurrency setting.
+	//
+	// Deprecated: kept only so the separate benchmark module, which still
+	// sets it, keeps compiling; it will be deleted with that module's next
+	// update.
 	Parallelism int
 	// BatchWorkers bounds the worker pool the batch entry points fan trials
-	// across. Zero uses GOMAXPROCS; one forces the sequential per-trial
-	// loop.
+	// across — the only concurrency setting. Zero uses GOMAXPROCS; one forces
+	// the sequential per-trial loop.
 	BatchWorkers int
 	// FreshSessions disables the shared engine session inside batches,
 	// giving every history fresh interner/memo/scratch state — the
@@ -62,22 +65,19 @@ type Options struct {
 	// trial of the batch entry points that would otherwise derive them
 	// (CheckRandomHistories, CheckGenerated). Entry points taking an
 	// explicit opts parameter (CheckHistoryBatch, CheckGeneratedAgainst)
-	// ignore it. Engine/Parallelism tuning is still applied on top.
+	// ignore it. Engine/Guidance tuning is still applied on top.
 	Check *core.CheckOptions
 }
 
-// Tune applies the engine selection, branch-ordering guidance and parallelism
-// of the Options to checker options. A pinned opts.Parallelism wins over
-// o.Parallelism; opts.Guidance set to GuidanceGuided wins over o.Guidance.
+// Tune applies the engine selection and branch-ordering guidance of the
+// Options to checker options. opts.Guidance set to GuidanceGuided wins over
+// o.Guidance.
 func (o Options) Tune(opts core.CheckOptions) core.CheckOptions {
 	if o.Engine != core.EnginePruned {
 		opts.Engine = o.Engine
 	}
 	if opts.Guidance == core.GuidanceRankOrder {
 		opts.Guidance = o.Guidance
-	}
-	if opts.Parallelism == 0 {
-		opts.Parallelism = o.Parallelism
 	}
 	return opts
 }
@@ -91,9 +91,6 @@ func (o Options) Tune(opts core.CheckOptions) core.CheckOptions {
 func searchEffort(res core.Result) string {
 	if res.Nodes > 0 {
 		s := fmt.Sprintf("explored %d prefixes, %d pruned", res.Nodes, res.Pruned)
-		if res.Steals > 0 {
-			s += fmt.Sprintf(", %d stolen branches", res.Steals)
-		}
 		if res.PlanReused {
 			s += ", pooled plan"
 		}

@@ -53,7 +53,7 @@ func TestBatchPanicIsolation(t *testing.T) {
 		}
 		return incsHistory(5, 5), int64(trial), nil
 	})
-	opts := core.CheckOptions{Exhaustive: true, Parallelism: 1}
+	opts := core.CheckOptions{Exhaustive: true}
 	for _, workers := range []int{1, 4} {
 		res, err := CheckGeneratedAgainst("panic-batch", trialPanicSpec{}, opts, gen, trials, Options{BatchWorkers: workers})
 		if err != nil {
@@ -82,7 +82,7 @@ func TestBatchPreCancelledContextReturnsImmediately(t *testing.T) {
 		return incsHistory(6, 6), int64(trial), nil
 	})
 	start := time.Now()
-	res, err := CheckGeneratedAgainst("cancelled-batch", spec.Counter{}, core.CheckOptions{Exhaustive: true, Parallelism: 1}, gen, trials, Options{BatchWorkers: 4, Context: ctx})
+	res, err := CheckGeneratedAgainst("cancelled-batch", spec.Counter{}, core.CheckOptions{Exhaustive: true}, gen, trials, Options{BatchWorkers: 4, Context: ctx})
 	elapsed := time.Since(start)
 	if err != nil {
 		t.Fatalf("cancellation is a verdict, not an error: %v", err)
@@ -107,7 +107,7 @@ func TestBatchDeadlineInterruptsSlowTrials(t *testing.T) {
 		return incsHistory(8, 99), int64(trial), nil
 	})
 	start := time.Now()
-	res, err := CheckGeneratedAgainst("slow-batch", slowSpec{}, core.CheckOptions{Exhaustive: true, Parallelism: 1}, gen, trials, Options{BatchWorkers: 2, Timeout: 10 * time.Millisecond})
+	res, err := CheckGeneratedAgainst("slow-batch", slowSpec{}, core.CheckOptions{Exhaustive: true}, gen, trials, Options{BatchWorkers: 2, Timeout: 10 * time.Millisecond})
 	elapsed := time.Since(start)
 	if err != nil {
 		t.Fatalf("deadline expiry is a verdict, not an error: %v", err)

@@ -22,7 +22,6 @@ func TestGuidedMatchesRankOrderAllDescriptors(t *testing.T) {
 		opts := d.CheckOptions()
 		opts.Strategies = nil // force the search on both sides
 		opts.Exhaustive = true
-		opts.Parallelism = 1
 		opts.DebugMemo = true
 		var hs []*core.History
 		for trial := 0; trial < 4; trial++ {
@@ -67,7 +66,6 @@ func TestGuidanceThreadsThroughBatch(t *testing.T) {
 	}
 	check := d.CheckOptions()
 	check.Strategies = nil
-	check.Parallelism = 1
 	cfg := WorkloadConfig{Seed: 5, Ops: 6, Replicas: 2, Elems: []string{"a", "b"}, DeliveryProb: 40}
 	rank, err := CheckRandomHistoriesWith(d, 6, cfg, Options{BatchWorkers: 1, Check: &check})
 	if err != nil {

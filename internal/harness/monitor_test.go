@@ -22,7 +22,7 @@ func TestHistoryCheckStatsSumPerCheckResults(t *testing.T) {
 	const trials = 20
 	gen := RandomGenerator{Desc: d, Cfg: DefaultWorkload()}
 	opts := core.CheckOptions{Exhaustive: true, MaxExtensions: 200000}
-	o := Options{BatchWorkers: 1, Parallelism: 1}
+	o := Options{BatchWorkers: 1}
 	checkOpts := o.Tune(opts)
 
 	var want core.Stats

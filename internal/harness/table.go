@@ -125,8 +125,8 @@ func RenderFig12Details(rows []Fig12Row) string {
 			fmt.Fprintf(&b, ", %d via %s", n, strategy)
 		}
 		b.WriteString(")\n")
-		fmt.Fprintf(&b, "  batch: %d workers, %d plan reuses, %d cached rewrites, inner parallelism <= %d\n",
-			r.Histories.BatchWorkers, r.Histories.PlanReuses, r.Histories.RewriteHits, r.Histories.MaxInnerParallelism)
+		fmt.Fprintf(&b, "  batch: %d workers, %d plan reuses, %d cached rewrites\n",
+			r.Histories.BatchWorkers, r.Histories.PlanReuses, r.Histories.RewriteHits)
 		if r.Histories.FailureExample != "" {
 			fmt.Fprintf(&b, "  first failure: %s\n", r.Histories.FailureExample)
 		}

@@ -142,19 +142,12 @@ type HistoryCheck struct {
 	// Tried is the total number of candidate sequences examined.
 	Tried int
 	// Stats sums the search work over every check of the batch with
-	// core.Stats.Add: Nodes, Pruned, MemoHits, Steals and Leaves add up,
-	// while Shards and Workers keep their maximum. The legacy enumerator
-	// reports only Leaves. Under MonitorGenerated every prefix check counts.
+	// core.Stats.Add. The legacy enumerator reports only Leaves. Under
+	// MonitorGenerated every prefix check counts.
 	core.Stats
 	// BatchWorkers is the number of goroutines the batch pool checked trials
 	// across.
 	BatchWorkers int
-	// MaxInnerParallelism is the widest inner search parallelism any trial of
-	// the batch ran with. Under the adaptive batch/inner split this grows as
-	// the batch drains (a wide batch starts its searches sequential and the
-	// tail re-widens them over the idling cores); for pinned options it is
-	// just the pinned value, and 0 means unbounded (GOMAXPROCS).
-	MaxInnerParallelism int
 	// InternedStates is the number of distinct abstract states interned by
 	// the batch's shared engine session — the state vocabulary reused across
 	// histories instead of being rebuilt per check. Zero when sessions were
@@ -270,47 +263,6 @@ func CheckHistoryBatch(name string, sp core.Spec, opts core.CheckOptions, hs []*
 	return runBatch(name, sp, opts, len(hs), gen, o)
 }
 
-// adaptiveParallelism is the policy of the adaptive batch/inner split: the
-// inner search parallelism granted to a trial starting while pending trials
-// (including itself) remain unfinished, on a machine with gmp cores shared by
-// workers batch goroutines. While the batch is wide (pending ≥ workers) every
-// busy worker gets its fair core share — gmp/workers, the old static split,
-// sequential on machines the batch already saturates. As the batch drains
-// below the worker count the idle workers' cores are handed back, so the last
-// heavy searches of a batch fan out instead of serializing on one core each.
-//
-// The split is additionally weighted by history size: weight is this trial's
-// cost proxy (ops² — linearization search cost grows superlinearly in the
-// operation count) and liveWeight the total over the in-flight trials. A
-// trial carrying more than its headcount share of the live work gets cores
-// proportional to its weight share instead, so heavy-tail histories widen
-// while the batch is still wide — which matters once a deadline can expire
-// mid-batch: the heavy trial is the one that would otherwise still be running
-// sequentially when the clock runs out. Zero weights (pinned or unknown)
-// fall back to the pure headcount split.
-func adaptiveParallelism(gmp, workers int, pending, weight, liveWeight int64) int {
-	active := int64(workers)
-	if pending < active {
-		active = pending
-	}
-	if active < 1 {
-		active = 1
-	}
-	par := gmp / int(active)
-	if weight > 0 && liveWeight >= weight {
-		if wpar := int((int64(gmp)*weight + liveWeight - 1) / liveWeight); wpar > par {
-			par = wpar
-		}
-	}
-	if par > gmp {
-		par = gmp
-	}
-	if par < 1 {
-		par = 1
-	}
-	return par
-}
-
 // checkTrials rejects a negative trial count, which would otherwise crash a
 // batch or check nothing without a word.
 func checkTrials(name string, trials int) error {
@@ -361,24 +313,6 @@ func runBatch(name string, sp core.Spec, opts core.CheckOptions, trials int, gen
 		opts.Context = ctx
 	}
 	ctxDead := func() bool { return ctx != nil && ctx.Err() != nil }
-	// Adaptive batch/inner split: divide the cores between the batch pool
-	// and each check's inner search rather than oversubscribing, and re-widen
-	// the inner searches as the batch drains. A wide batch (pending trials ≥
-	// workers) runs each search sequentially, exactly like the old static
-	// GOMAXPROCS/workers split; once fewer trials remain than workers, the
-	// idling cores are handed back to the remaining searches (say the last 2
-	// heavy histories on 16 cores each get 8 workers), so the batch tail no
-	// longer serializes on one core per trial. Callers pinning Parallelism
-	// (or Workers ≤ 1) keep full control — and fully deterministic per-trial
-	// search statistics, which the adaptive tail trades away (parallel node
-	// counts track sequential but are not bit-stable).
-	adaptiveInner := workers > 1 && opts.Parallelism == 0
-	gmp := gruntime.GOMAXPROCS(0)
-	var pending atomic.Int64
-	pending.Store(int64(trials))
-	// liveWeight sums the ops² cost proxy of the in-flight trials, feeding
-	// the weighted adaptive split.
-	var liveWeight atomic.Int64
 	var sess *search.Session
 	if !o.FreshSessions {
 		sess = search.NewSessionWithBudget(o.Budget)
@@ -393,7 +327,6 @@ func runBatch(name string, sp core.Spec, opts core.CheckOptions, trials int, gen
 	// lowest-index error deterministically.
 	var failed atomic.Bool
 	runTrial := func(i int) {
-		defer pending.Add(-1)
 		// Panic isolation: a crashing spec step, generator, or engine bug in
 		// one trial becomes that trial's Unknown outcome (stack captured in
 		// the detail) instead of killing the batch; every other trial's
@@ -413,20 +346,8 @@ func runBatch(name string, sp core.Spec, opts core.CheckOptions, trials int, gen
 			failed.Store(true)
 			return
 		}
-		ops := h.Len()
-		results[i].ops = ops
-		w := int64(ops) * int64(ops)
-		if w < 1 {
-			w = 1
-		}
-		liveWeight.Add(w)
-		defer liveWeight.Add(-w)
-		trialOpts := opts
-		if adaptiveInner {
-			trialOpts.Parallelism = adaptiveParallelism(gmp, workers, pending.Load(), w, liveWeight.Load())
-		}
-		results[i].innerPar = trialOpts.Parallelism
-		results[i].record(core.CheckRAWith(h, sp, trialOpts, sess))
+		results[i].ops = h.Len()
+		results[i].record(core.CheckRAWith(h, sp, opts, sess))
 	}
 	dispatched := 0
 	if workers <= 1 {
@@ -500,7 +421,6 @@ type trialResult struct {
 	lastErr    error
 	tried      int
 	stats      core.Stats
-	innerPar   int
 	degraded   bool
 	planReuse  bool
 	rewriteHit bool
@@ -540,7 +460,6 @@ func (out *HistoryCheck) add(i int, tr *trialResult) {
 	out.Operations += tr.ops
 	out.Tried += tr.tried
 	out.Stats.Add(tr.stats)
-	out.MaxInnerParallelism = max(out.MaxInnerParallelism, tr.innerPar)
 	if tr.planReuse {
 		out.PlanReuses++
 	}

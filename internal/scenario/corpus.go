@@ -328,7 +328,6 @@ func Harvest(sc Scenario, baseSeed int64, trials, keep int) ([]Entry, string, er
 	}
 	prunedOpts := plan.Options
 	prunedOpts.Engine = core.EnginePruned
-	prunedOpts.Parallelism = 1
 	// Score hardness by the exhaustive search even for strategy-first modes:
 	// a constructive witness reports zero nodes, which would make every
 	// candidate look equally easy.

@@ -63,7 +63,8 @@ func TestLookup(t *testing.T) {
 
 // TestGeneratorDeterministicAcrossWorkers runs each scenario through the
 // harness batch pipeline sequentially and with four workers and asserts the
-// verdicts are identical — batch parallelism must not leak into results.
+// verdicts and summed search counters are identical — batch parallelism must
+// not leak into results.
 func TestGeneratorDeterministicAcrossWorkers(t *testing.T) {
 	const trials = 8
 	for _, sc := range All() {
@@ -72,7 +73,6 @@ func TestGeneratorDeterministicAcrossWorkers(t *testing.T) {
 			t.Fatalf("%s: %v", sc.Name, err)
 		}
 		opts := plan.Options
-		opts.Parallelism = 1 // keep per-history node counts deterministic
 		gen := Generator{Scenario: sc, Seed: 1}
 		var runs []harness.HistoryCheck
 		for _, workers := range []int{1, 1, 4} {
@@ -88,10 +88,11 @@ func TestGeneratorDeterministicAcrossWorkers(t *testing.T) {
 			runs[0].Nodes != runs[1].Nodes || runs[0].FailureExample != runs[1].FailureExample {
 			t.Errorf("%s: sequential reruns disagree: %+v vs %+v", sc.Name, runs[0], runs[1])
 		}
-		// Parallel batch checking must not change any verdict.
+		// Parallel batch checking must not change any verdict or count.
 		for _, r := range runs[1:] {
 			if r.Histories != runs[0].Histories || r.Linearizable != runs[0].Linearizable ||
-				r.Operations != runs[0].Operations || r.FailureExample != runs[0].FailureExample {
+				r.Operations != runs[0].Operations || r.FailureExample != runs[0].FailureExample ||
+				r.Stats != runs[0].Stats {
 				t.Errorf("%s: worker counts disagree: %+v vs %+v", sc.Name, runs[0], r)
 			}
 		}
@@ -300,7 +301,6 @@ func probeOptions(opts core.CheckOptions) core.CheckOptions {
 	opts.Strategies = nil
 	opts.Exhaustive = true
 	opts.Engine = core.EnginePruned
-	opts.Parallelism = 1
 	return opts
 }
 
@@ -421,7 +421,6 @@ func TestCorpusFileRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		opts := plan.Options
-		opts.Parallelism = 1
 		res := core.CheckRA(h, plan.Spec, opts)
 		if (res.Verdict == core.VerdictValid) != got.RALinearizable {
 			t.Errorf("replayed verdict %v, corpus recorded RA-linearizable=%v", res.Verdict, got.RALinearizable)

@@ -97,7 +97,6 @@ func TestExtendMatchesFromScratchAllDescriptors(t *testing.T) {
 				opts := core.CheckOptions{
 					Rewriting:     d.Rewriting,
 					Exhaustive:    true,
-					Parallelism:   1,
 					MaxExtensions: 2_000_000,
 					DebugMemo:     true,
 				}
@@ -153,10 +152,9 @@ func TestExtendPropertyUnderPressure(t *testing.T) {
 				}
 			}
 			opts := core.CheckOptions{
-				Rewriting:   d.Rewriting,
-				Exhaustive:  true,
-				Parallelism: 1,
-				Session:     sess,
+				Rewriting:  d.Rewriting,
+				Exhaustive: true,
+				Session:    sess,
 			}
 			cancelled := rng.Intn(3) == 0
 			if cancelled {
@@ -176,9 +174,8 @@ func TestExtendPropertyUnderPressure(t *testing.T) {
 				t.Fatalf("trial %d prefix %d: unexpected Unknown without a truncating budget: %+v", trial, k, res.Incomplete)
 			}
 			scratch := core.CheckRA(g.Clone(), d.Spec, core.CheckOptions{
-				Rewriting:   d.Rewriting,
-				Exhaustive:  true,
-				Parallelism: 1,
+				Rewriting:  d.Rewriting,
+				Exhaustive: true,
 			})
 			if res.Verdict != scratch.Verdict {
 				t.Fatalf("trial %d prefix %d: verdict %v diverges from from-scratch %v", trial, k, res.Verdict, scratch.Verdict)
@@ -201,7 +198,7 @@ func TestMonitorHistoryMatchesFromScratch(t *testing.T) {
 	if err != nil {
 		t.Fatalf("workload: %v", err)
 	}
-	opts := core.CheckOptions{Rewriting: d.Rewriting, Exhaustive: true, Parallelism: 1}
+	opts := core.CheckOptions{Rewriting: d.Rewriting, Exhaustive: true}
 	rep, err := harness.MonitorHistory(h, d.Spec, opts, harness.Options{BatchWorkers: 1})
 	if err != nil {
 		t.Fatal(err)

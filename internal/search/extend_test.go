@@ -13,7 +13,7 @@ import (
 // extension tests: exhaustive (the certificate's parity precondition),
 // sequential, carrying the session.
 func extOpts(sess *Session) core.CheckOptions {
-	return core.CheckOptions{Exhaustive: true, Parallelism: 1, Session: sess}
+	return core.CheckOptions{Exhaustive: true, Session: sess}
 }
 
 // scratchVerdict checks h from scratch — fresh state, same options minus the

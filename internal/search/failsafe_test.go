@@ -154,24 +154,21 @@ func (p panicSpec) StepAppend(dst []core.AbsState, phi core.AbsState, l *core.La
 }
 
 // TestPanickingSpecIsIsolated checks panic isolation inside the engine: a
-// specification that panics mid-search (sequentially and across a parallel
-// worker pool) terminates cleanly with Unknown/panic and a captured stack —
-// no deadlock, no crash of the caller.
+// specification that panics mid-search terminates cleanly with Unknown/panic
+// and a captured stack — no crash of the caller.
 func TestPanickingSpecIsIsolated(t *testing.T) {
-	for _, par := range []int{1, 4} {
-		out := Run(concurrentIncsHistory(5, 5), panicSpec{}, false, core.CheckOptions{Parallelism: par})
-		if out.OK || out.Complete {
-			t.Fatalf("parallelism=%d: panicking spec must not produce a verdict: %+v", par, out)
-		}
-		if out.Incomplete == nil || out.Incomplete.Reason != core.ReasonPanic {
-			t.Fatalf("parallelism=%d: want ReasonPanic, got %+v", par, out.Incomplete)
-		}
-		if !strings.Contains(out.Incomplete.Detail, "injected failure") {
-			t.Fatalf("parallelism=%d: panic message must survive into the detail: %q", par, out.Incomplete.Detail)
-		}
-		if out.Incomplete.Stack == "" {
-			t.Fatalf("parallelism=%d: panic stack must be captured", par)
-		}
+	out := Run(concurrentIncsHistory(5, 5), panicSpec{}, false, core.CheckOptions{})
+	if out.OK || out.Complete {
+		t.Fatalf("panicking spec must not produce a verdict: %+v", out)
+	}
+	if out.Incomplete == nil || out.Incomplete.Reason != core.ReasonPanic {
+		t.Fatalf("want ReasonPanic, got %+v", out.Incomplete)
+	}
+	if !strings.Contains(out.Incomplete.Detail, "injected failure") {
+		t.Fatalf("panic message must survive into the detail: %q", out.Incomplete.Detail)
+	}
+	if out.Incomplete.Stack == "" {
+		t.Fatal("panic stack must be captured")
 	}
 }
 

@@ -102,20 +102,6 @@ func TestGuidedStrongMode(t *testing.T) {
 	}
 }
 
-// TestGuidedParallelAgrees runs the guided search with the work-stealing
-// scheduler: parallel guided verdicts must match the sequential ones (node
-// counts are scheduling-dependent and exempt).
-func TestGuidedParallelAgrees(t *testing.T) {
-	for _, ret := range []int64{7, 99} {
-		h := distinctIncsHistory(7, ret)
-		seq := Run(h, spec.Counter{}, false, guidedOpts(nil))
-		par := Run(h, spec.Counter{}, false, core.CheckOptions{Parallelism: 4, Guidance: core.GuidanceGuided})
-		if seq.OK != par.OK || seq.Complete != par.Complete {
-			t.Errorf("ret=%d: parallel guided diverged: seq %+v vs par %+v", ret, seq, par)
-		}
-	}
-}
-
 // TestScoreTable pins the success-memory semantics: witnesses credit their
 // label classes once each, every recorded outcome decays existing counters,
 // refutations (nil witness) decay without crediting, and counters below

@@ -3,7 +3,7 @@ package search
 import "sync"
 
 // interner maps canonical state keys (core.StateKeyer.StateKey strings) to
-// dense uint32 IDs, shared by every worker of one search. Interning a state
+// dense uint32 IDs, shared by every check of a session. Interning a state
 // key once per distinct abstract state replaces all downstream string work:
 // state sets become sorted ID slices, set equality becomes ID equality, and
 // memo keys become fixed-size hashes over integers instead of quoted,
@@ -21,9 +21,8 @@ type interner struct {
 	// 0 means unlimited. At the cap, id rejects new keys instead of growing,
 	// and the search degrades to unkeyed (memo-less) mode.
 	limit int
-	// seq marks a check-local interner used by a single-worker search:
-	// exactly one goroutine touches the table, so every method skips the
-	// lock. Never set on a session's shared interner — sessions admit
+	// seq marks a check-local interner (a sessionless check): exactly one
+	// goroutine touches the table, so every method skips the lock. Never set on a session's shared interner — sessions admit
 	// concurrent checks.
 	seq bool
 }

@@ -93,57 +93,12 @@ func TestHash128Deterministic(t *testing.T) {
 	}
 }
 
-// TestMemoKeyStableAcrossWorkers checks the configuration hash is a function
-// of the configuration alone: two independent searchers sharing one interner
-// must compute identical keys for identical prefixes, regardless of the
-// order in which each interned other states first.
-func TestMemoKeyStableAcrossWorkers(t *testing.T) {
-	// Distinct arguments keep the incs from being twins, so every prefix
-	// below is one the search can reach.
-	h := distinctIncsHistory(4, 4)
-	pre := &prepared{}
-	if err := pre.build(h, false); err != nil {
-		t.Fatal(err)
-	}
-	sh := newShared(0)
-	intern := newInterner()
-	memo := newMemoTable()
-	a := newSearcher(nil, pre, spec.Counter{}, false, intern, memo, sh, nil, 0)
-	b := newSearcher(nil, pre, spec.Counter{}, false, intern, memo, sh, nil, 1)
-	// Warm b's view of the interner in a different order: place 1 then 0.
-	if !b.enter(1) || !b.enter(0) {
-		t.Fatal("prefix [1 0] must be admissible")
-	}
-	b.reset()
-	for _, s := range []*searcher{a, b} {
-		if !s.enter(0) || !s.enter(1) {
-			t.Fatal("prefix [0 1] must be admissible")
-		}
-	}
-	ka, oka := a.memoKey()
-	kb, okb := b.memoKey()
-	if !oka || !okb {
-		t.Fatalf("counter states are keyable: oka=%v okb=%v", oka, okb)
-	}
-	if ka != kb {
-		t.Fatalf("same configuration hashed differently: %v vs %v", ka, kb)
-	}
-	// And a genuinely different configuration must (overwhelmingly) differ.
-	b.reset()
-	if !b.enter(0) || !b.enter(2) {
-		t.Fatal("prefix [0 2] must be admissible")
-	}
-	if kc, _ := b.memoKey(); kc == ka {
-		t.Fatalf("distinct placed sets hashed equal: %v", kc)
-	}
-}
-
-// TestUnkeyableStateDisablesMemo checks the shared keyability flag: a spec
-// whose states expose no canonical key must flip memoization off globally and
+// TestUnkeyableStateDisablesMemo checks the keyability flag: a spec whose
+// states expose no canonical key must flip memoization off for the check and
 // still refute correctly via the EqualAbs dedup fallback.
 func TestUnkeyableStateDisablesMemo(t *testing.T) {
 	h := distinctIncsHistory(4, 99)
-	out := Run(h, unkeyedCounter{}, false, core.CheckOptions{Parallelism: 1})
+	out := Run(h, unkeyedCounter{}, false, core.CheckOptions{})
 	if out.OK || !out.Complete {
 		t.Fatalf("history must be refuted: %+v", out)
 	}

@@ -3,7 +3,6 @@ package search
 import (
 	"fmt"
 	"slices"
-	"sync"
 	"sync/atomic"
 )
 
@@ -17,29 +16,16 @@ func (b bitset) get(i int) bool { return b[i/64]&(1<<(i%64)) != 0 }
 func (b bitset) set(i int)      { b[i/64] |= 1 << (i % 64) }
 func (b bitset) clear(i int)    { b[i/64] &^= 1 << (i % 64) }
 
-// memoShardCount is the number of independent locks (and maps) the shared
-// memo table is striped across. 64 stripes keep the collision probability of
-// two workers hitting the same lock at the same time negligible for the
-// worker counts the engine runs (≤ GOMAXPROCS).
-const memoShardCount = 64
-
-// memoTable is the shared, lock-striped memoization table of one search: the
-// set of (placed-set, spec-state) configurations some worker has started
-// exploring. All workers share one table, so a configuration claimed — and,
-// since a claimant's DFS only returns after exhausting its subtree, sooner or
-// later fully explored — by any worker prunes every other worker.
+// memoTable is the memoization table of one search: the set of (placed-set,
+// spec-state) configurations the searcher has started exploring.
 //
 // Claims are made on node entry ("claim-on-entry"), not on subtree
 // completion. This is sound because a configuration determines its entire
-// subtree: the first claimant explores it to exhaustion (or the search stops
-// globally, in which case the overall result is a witness or a truncation and
-// memo contents are moot; donated sub-branches are drained by the work queue
-// before the search can terminate), so any later visitor of an equal
-// configuration may skip immediately. Sequentially this is equivalent to
-// marking on completion — a DFS cannot re-reach a configuration that is still
-// on its own stack, because the placed set grows strictly with depth — while
-// in parallel it removes the window in which two workers duplicate a subtree
-// that neither has finished.
+// subtree, and a DFS cannot re-reach a configuration that is still on its own
+// stack (the placed set grows strictly with depth): by the time an equal
+// configuration is reached again, the first claimant has explored it to
+// exhaustion — or the search has stopped, in which case the result is a
+// witness or a truncation and memo contents are moot.
 //
 // In debug mode (core.CheckOptions.DebugMemo) every claimed key additionally
 // stores the full word tuple it was hashed from, and a duplicate key arriving
@@ -48,115 +34,71 @@ const memoShardCount = 64
 // pruning. This turns the ~2⁻⁶⁴ hash-compaction risk into a checked
 // invariant for differential and soak runs, at the cost of one tuple
 // allocation per memoized node.
+//
+// A table serves one check at a time (sessions hand each in-flight check its
+// own), so it takes no lock.
 type memoTable struct {
-	// debug is set by Run from the check's options before any worker touches
-	// the table, and is only read afterwards.
+	// debug is set by Run from the check's options before the search starts.
 	debug bool
-	// seq marks a single-worker search: every claim routes through stripe 0
-	// with no locking — the striping exists only for worker concurrency, and
-	// one lazily-built map allocates far less than 64. Set by Run per check,
-	// cleared by reset.
-	seq bool
 	// live, when non-nil, points at the session's live memo-entry counter:
 	// claim increments it per stored entry and reset hands the table's
 	// entries back. Session.getMemo sets it only when a memo budget
 	// (Budget.MaxMemoBytes) is configured, so the unbudgeted claim path pays
 	// nothing beyond a nil check.
-	live   *atomic.Int64
-	shards [memoShardCount]memoShard
-}
-
-type memoShard struct {
-	mu sync.Mutex
-	// seen is built lazily on the shard's first claim, so a sequential check
-	// (which only ever touches stripe 0) allocates one map, not 64, and a
-	// parallel check allocates only the stripes its keys actually hit.
+	live *atomic.Int64
+	// seen is built lazily on the first claim.
 	seen map[key128]struct{}
 	// tuples holds the full hashed word sequence per key in debug mode
 	// (nil otherwise).
 	tuples map[key128][]uint64
-	// count tracks len(seen) under mu, so reset can return the table's total
-	// to the session's memo-budget counter without walking the maps.
-	count int
-	// Pad the 32 bytes of mutex + two map headers + count to a full 64-byte
-	// cache line so neighboring stripes don't false-share.
-	_ [32]byte
 }
 
 func newMemoTable() *memoTable { return &memoTable{} }
 
-// reset clears every stripe while keeping the maps' allocated buckets, so a
-// session's memo arena allocates its shard maps once per batch instead of
-// once per history. Keys mix per-history label indices, so stale entries must
-// never survive into the next check — clearing, not reuse of contents, is the
+// reset clears the table while keeping the maps' allocated buckets, so a
+// session's memo arena allocates its maps once per batch instead of once per
+// history. Keys mix per-history label indices, so stale entries must never
+// survive into the next check — clearing, not reuse of contents, is the
 // point. Must not be called while a search is still using the table.
 func (m *memoTable) reset() {
 	m.debug = false
-	m.seq = false
-	var drained int64
-	for i := range m.shards {
-		drained += int64(m.shards[i].count)
-		m.shards[i].count = 0
-		clear(m.shards[i].seen)
-		clear(m.shards[i].tuples)
-	}
 	if m.live != nil {
-		m.live.Add(-drained)
+		m.live.Add(-int64(len(m.seen)))
 		m.live = nil
 	}
+	clear(m.seen)
+	clear(m.tuples)
 }
 
 // claim records the configuration key and reports whether this call was the
-// first to do so. A false return means an equal configuration is already
-// being (or has been) explored elsewhere and the caller must skip its
-// subtree. tuple is the word sequence the key was hashed from; it is ignored
-// outside debug mode, where a duplicate key with a non-equal tuple is a hash
-// collision and panics.
+// first to do so. A false return means an equal configuration has already
+// been explored and the caller must skip its subtree. tuple is the word
+// sequence the key was hashed from; it is ignored outside debug mode, where a
+// duplicate key with a non-equal tuple is a hash collision and panics.
 func (m *memoTable) claim(k key128, tuple []uint64) bool {
-	sh := &m.shards[0]
-	if !m.seq {
-		sh = &m.shards[k.lo%memoShardCount]
-		sh.mu.Lock()
-	}
-	dup := false
-	if sh.seen == nil {
-		// Only the sequential stripe is presized: a parallel check touches
-		// up to memoShardCount stripes, and presizing each would cost more
-		// than most of them ever hold.
-		if m.seq {
-			sh.seen = make(map[key128]struct{}, 64)
-		} else {
-			sh.seen = make(map[key128]struct{})
-		}
-	} else {
-		_, dup = sh.seen[k]
-	}
-	if !dup {
-		sh.seen[k] = struct{}{}
-		sh.count++
+	if m.seen == nil {
+		m.seen = make(map[key128]struct{}, 64)
+	} else if _, dup := m.seen[k]; dup {
 		if m.debug {
-			if sh.tuples == nil {
-				sh.tuples = make(map[key128][]uint64)
+			if stored, ok := m.tuples[k]; ok && !slices.Equal(stored, tuple) {
+				panic(fmt.Sprintf(
+					"search: 128-bit memo key collision: key %016x%016x first claimed for configuration %v, re-claimed for distinct configuration %v",
+					k.hi, k.lo, stored, tuple))
 			}
-			sh.tuples[k] = append([]uint64(nil), tuple...)
 		}
-	} else if m.debug {
-		if stored, ok := sh.tuples[k]; ok && !slices.Equal(stored, tuple) {
-			if !m.seq {
-				sh.mu.Unlock()
-			}
-			panic(fmt.Sprintf(
-				"search: 128-bit memo key collision: key %016x%016x first claimed for configuration %v, re-claimed for distinct configuration %v",
-				k.hi, k.lo, stored, tuple))
+		return false
+	}
+	m.seen[k] = struct{}{}
+	if m.debug {
+		if m.tuples == nil {
+			m.tuples = make(map[key128][]uint64)
 		}
+		m.tuples[k] = append([]uint64(nil), tuple...)
 	}
-	if !m.seq {
-		sh.mu.Unlock()
-	}
-	if !dup && m.live != nil {
+	if m.live != nil {
 		m.live.Add(1)
 	}
-	return !dup
+	return true
 }
 
 // memoKey hashes the current search configuration into a fixed-size 128-bit
@@ -172,13 +114,13 @@ func (m *memoTable) claim(k key128, tuple []uint64) bool {
 //
 // The second return value is false when memoization is off: the table is
 // disabled, or some reachable state does not implement core.StateKeyer (the
-// shared unkeyable flag, set by the insert path, covers every worker).
+// unkeyable flag, set by the insert path).
 //
 // In debug mode the walk additionally records the exact word sequence into
 // s.keyTuple (claim stores and cross-checks it); the hot path keeps its
 // append-free loop.
 func (s *searcher) memoKey() (key128, bool) {
-	if s.memo == nil || s.sh.unkeyable.Load() {
+	if s.memo == nil || s.sh.unkeyable {
 		return key128{}, false
 	}
 	if s.memo.debug {

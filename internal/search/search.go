@@ -28,16 +28,18 @@
 // search. Labels a specification cannot tell apart and that visibility
 // orders the same way (twins, see twins.go) are only ever placed in
 // candidate order, so interchangeable concurrent operations cost one order
-// instead of every subset. On top of the pruning the engine shares one memoization layer
-// across all workers: canonical state keys (core.StateKeyer) are interned to
-// dense IDs, each visited (placed-set, spec-state) configuration is hashed to
-// a 128-bit key over those IDs, and the key is claimed in a lock-striped
-// table on node entry — a configuration claimed by any worker prunes every
-// other worker. Scheduling is work-stealing: the search starts from a single
-// seed prefix, and a worker at a shallow node donates unexplored sibling
-// branches to a shared queue whenever another worker is starving, so
-// utilization does not depend on the top-level branching factor. Early
-// cancellation stops everyone once any worker finds a witness.
+// instead of every subset. On top of the pruning the engine memoizes:
+// canonical state keys (core.StateKeyer) are interned to dense IDs, each
+// visited (placed-set, spec-state) configuration is hashed to a 128-bit key
+// over those IDs, and the key is claimed in the check's memo table on node
+// entry — a configuration reached again by another order is skipped.
+//
+// One goroutine runs each check's search. Checks are independent of each
+// other, so concurrency lives one level up: a batch (internal/harness) runs
+// many checks at once over one Session, whose interner, step caches and pools
+// are safe for concurrent checks. Only the context watcher Run starts for a
+// cancellable context touches a check's state from another goroutine, through
+// the stop flag and the interruption record.
 //
 // The engine registers itself with internal/core at init time (core cannot
 // import this package without a cycle), so importing internal/search — even
@@ -47,11 +49,9 @@ package search
 
 import (
 	"fmt"
-	"runtime"
 	"runtime/debug"
 	"slices"
 	"sort"
-	"sync"
 
 	"ralin/internal/core"
 )
@@ -76,12 +76,8 @@ func init() {
 func Run(h *core.History, spec core.Spec, strong bool, opts core.CheckOptions) core.EngineOutcome {
 	sess, _ := opts.Session.(*Session)
 	// Pin the session's cache generation for the whole check: budget eviction
-	// only runs between checks, so interned IDs stay stable while any worker
+	// only runs between checks, so interned IDs stay stable while the search
 	// references them.
-	// Single assignment (no reassignment below): the parallel path's worker
-	// closures capture intern and memo, and a reassigned capture is taken by
-	// reference — which would heap-allocate both variables on every check,
-	// sequential path included.
 	intern := ensureInterner(sess.beginCheck())
 	defer sess.endCheck()
 	pre, planReused := sess.getPlan(h.Len())
@@ -104,16 +100,16 @@ func Run(h *core.History, spec core.Spec, strong bool, opts core.CheckOptions) c
 
 // runPrepared executes the search phase of Run over an already-built plan:
 // shared-block arming, transition-cache gating, context watching, and the
-// sequential or work-stealing worker pool. It is split from Run so the
-// incremental extension path (Session.Extend) can run a search over a plan it
-// grew in place — with witness-seeded guide scores — instead of rebuilding
-// one; Run's own call passes the plan it just built. The caller owns pre's
-// lifetime (Run pools it, Extend keeps it in the extension entry) and must
-// hold the session's check pin (beginCheck) for the duration.
+// search itself. It is split from Run so the incremental extension path
+// (Session.Extend) can run a search over a plan it grew in place — with
+// witness-seeded guide scores — instead of rebuilding one; Run's own call
+// passes the plan it just built. The caller owns pre's lifetime (Run pools it,
+// Extend keeps it in the extension entry) and must hold the session's check
+// pin (beginCheck) for the duration.
 func runPrepared(sess *Session, intern *interner, pre *prepared, h *core.History, spec core.Spec, strong, guided bool, guideTab *scoreTable, planReused bool, opts core.CheckOptions) core.EngineOutcome {
-	// The shared coordination block is pooled per session like the plans and
-	// searchers — but only when no context watcher goroutine can outlive the
-	// check and touch it after release (poolable below).
+	// The shared block is pooled per session like the plans and searchers —
+	// but only when no context watcher goroutine can outlive the check and
+	// touch it after release (poolable below).
 	sh := sess.getShared(nodeBudget(opts))
 	sh.sess = sess
 	// The transition cache only serves re-checks (its keys are label
@@ -136,18 +132,14 @@ func runPrepared(sess *Session, intern *interner, pre *prepared, h *core.History
 	}
 	memo := sessionMemo(sess, opts)
 	defer sess.putMemo(memo)
-	if memo != nil {
-		sh.shards = memoShardCount
-	}
 
 	// Watch the caller's context (when there is one): deadline expiry or
-	// cancellation interrupts every worker through the shared stop flag each
-	// of them already checks on node entry. A context that is already dead
-	// skips the search entirely.
+	// cancellation interrupts the search through the stop flag it checks on
+	// node entry. A context that is already dead skips the search entirely.
 	if ctx := opts.Context; ctx != nil {
 		if inc := core.ContextIncomplete(ctx); inc != nil {
 			sh.interrupt(inc)
-			out := sh.outcome(0)
+			out := sh.outcome()
 			out.PlanReused = planReused
 			// No watcher goroutine was started yet, so the block is safe to
 			// pool regardless of the context's shape.
@@ -167,92 +159,13 @@ func runPrepared(sess *Session, intern *interner, pre *prepared, h *core.History
 		}
 	}
 
-	workers := opts.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	s := newSearcher(sess.getSearcher(len(pre.labels)), pre, spec, strong, intern, memo, sh)
+	s.guided = guided
+	if runGuarded(sh, func() { s.dfs() }) {
+		s.flush()
+		sess.putSearcher(s)
 	}
-	if n := len(pre.labels); workers > n {
-		// More workers than labels can never all be busy (the deepest
-		// donation still leaves at most n live branches of useful size).
-		workers = n
-	}
-	if workers <= 1 {
-		// Single worker: the compactor — and, sessionless, the check-local
-		// interner — is touched by exactly one goroutine, so both run in
-		// their lock-free sequential modes. A session's interner stays
-		// locked: sessions admit concurrent checks. (compactor.reset clears
-		// the flag when the block is pooled.)
-		sh.compact.seq = true
-		if sess == nil {
-			intern.seq = true
-		}
-		if memo != nil {
-			memo.seq = true
-		}
-		s := newSearcher(sess.getSearcher(len(pre.labels)), pre, spec, strong, intern, memo, sh, nil, 0)
-		s.guided = guided
-		if runGuarded(sh, func() { s.dfs() }) {
-			s.flush()
-			sess.putSearcher(s)
-		}
-		out := sh.outcome(1)
-		out.PlanReused = planReused
-		if guided && out.Complete {
-			guideTab.record(out.Witness)
-		}
-		if poolable {
-			sess.putShared(sh)
-		}
-		return out
-	}
-
-	// Work-stealing: the queue is seeded with the single empty prefix; the
-	// worker that pops it donates shallow sibling branches whenever another
-	// worker is starving, so all workers become busy within a few donations
-	// regardless of the top-level branching factor, and imbalanced subtrees
-	// re-balance the same way for the rest of the search.
-	queue := newWorkQueue(workers)
-	queue.push(workItem{donor: -1})
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(id int) {
-			defer wg.Done()
-			s := newSearcher(sess.getSearcher(len(pre.labels)), pre, spec, strong, intern, memo, sh, queue, id)
-			s.guided = guided
-			ok := runGuarded(sh, func() {
-				for {
-					item, ok := queue.pop()
-					if !ok {
-						return
-					}
-					if item.donor >= 0 && item.donor != id {
-						s.steals++
-					}
-					if sh.stop.Load() {
-						continue
-					}
-					s.reset()
-					if s.replay(item.prefix) {
-						s.dfs()
-					}
-				}
-			})
-			if !ok {
-				// The worker died mid-DFS: take it out of the queue's
-				// termination accounting so the survivors don't wait for it
-				// forever. Its counters and scratch are abandoned (a panicking
-				// searcher's frames are not trustworthy enough to flush or
-				// pool).
-				queue.retire()
-				return
-			}
-			s.flush()
-			sess.putSearcher(s)
-		}(w)
-	}
-	wg.Wait()
-	out := sh.outcome(workers)
+	out := sh.outcome()
 	out.PlanReused = planReused
 	if guided && out.Complete {
 		guideTab.record(out.Witness)
@@ -264,12 +177,16 @@ func runPrepared(sess *Session, intern *interner, pre *prepared, h *core.History
 }
 
 // ensureInterner returns in, or a fresh private interner when the check runs
-// sessionless (in nil).
+// sessionless (in nil). The check owns a private interner outright, so it
+// skips its lock; a session's interner stays locked, because sessions admit
+// concurrent checks.
 func ensureInterner(in *interner) *interner {
 	if in != nil {
 		return in
 	}
-	return newInterner()
+	in = newInterner()
+	in.seq = true
+	return in
 }
 
 // sessionMemo draws a cleared memo table from the session arena with the
@@ -287,7 +204,7 @@ func sessionMemo(sess *Session, opts core.CheckOptions) *memoTable {
 // panic, stack captured) instead of crashing the process: the batch the check
 // belongs to keeps running and this check reports VerdictUnknown. It returns
 // false when f panicked — the caller must treat the searcher's state as
-// poisoned.
+// poisoned (its counters are neither flushed nor its scratch pooled).
 func runGuarded(sh *shared, f func()) (ok bool) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -313,8 +230,8 @@ func nodeBudget(opts core.CheckOptions) int64 {
 	return 3 * int64(opts.MaxExtensions)
 }
 
-// prepared is the immutable, index-based view of the history shared by all
-// workers of one check: the history's "plan". Plans are pooled per session in
+// prepared is the immutable, index-based view of the history one check
+// searches: the history's "plan". Plans are pooled per session in
 // size classes (Session.getPlan/putPlan): build clears-not-reallocates every
 // index slice, so after the first few checks of a batch a plan rebuild
 // allocates nothing at all — the same arena discipline the session's memo

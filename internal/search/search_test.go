@@ -33,7 +33,7 @@ func concurrentIncsHistory(k int, ret int64) *core.History {
 // distinctIncsHistory is concurrentIncsHistory with an argument of its own
 // on every inc. Counter ignores it, but the twin predicate does not: no two
 // incs are twins, so a refutation still visits every subset of them — the
-// premise of the memo and scheduler tests that use it.
+// premise of the memo tests that use it.
 func distinctIncsHistory(k int, ret int64) *core.History {
 	h := core.NewHistory()
 	for i := 1; i <= k; i++ {
@@ -95,8 +95,8 @@ func TestQueryUpdateRejected(t *testing.T) {
 
 func TestMemoizationCollapsesCommutingUpdates(t *testing.T) {
 	h := distinctIncsHistory(7, 99)
-	memo := Run(h, spec.Counter{}, false, core.CheckOptions{Parallelism: 1})
-	nomemo := Run(h, spec.Counter{}, false, core.CheckOptions{Parallelism: 1, DisableMemo: true})
+	memo := Run(h, spec.Counter{}, false, core.CheckOptions{})
+	nomemo := Run(h, spec.Counter{}, false, core.CheckOptions{DisableMemo: true})
 	if memo.OK || nomemo.OK {
 		t.Fatalf("history must be rejected: memo=%+v nomemo=%+v", memo, nomemo)
 	}
@@ -108,25 +108,45 @@ func TestMemoizationCollapsesCommutingUpdates(t *testing.T) {
 	}
 }
 
-func TestParallelMatchesSequential(t *testing.T) {
-	for _, ret := range []int64{6, 99} {
-		h := distinctIncsHistory(6, ret)
-		seq := Run(h, spec.Counter{}, false, core.CheckOptions{Parallelism: 1})
-		par := Run(h, spec.Counter{}, false, core.CheckOptions{Parallelism: 4})
-		if seq.OK != par.OK || seq.Complete != par.Complete {
-			t.Fatalf("ret=%d: sequential %+v and parallel %+v verdicts differ", ret, seq, par)
-		}
-		if par.OK {
-			if err := core.IsRALinearization(h, par.Witness, spec.Counter{}); err != nil {
-				t.Fatalf("parallel witness invalid: %v", err)
+// TestMemoKeyIsConfiguration checks the configuration hash is a function of
+// the configuration alone: two orders placing the same commuting updates hash
+// equal — whichever order interned the states first — and a different placed
+// set does not.
+func TestMemoKeyIsConfiguration(t *testing.T) {
+	// Distinct arguments keep the incs from being twins, so every prefix
+	// below is one the search can reach.
+	h := distinctIncsHistory(4, 4)
+	pre := &prepared{}
+	if err := pre.build(h, false); err != nil {
+		t.Fatal(err)
+	}
+	s := newSearcher(nil, pre, spec.Counter{}, false, newInterner(), newMemoTable(), newShared(0))
+	key := func(prefix ...int) key128 {
+		t.Helper()
+		s.reset()
+		for _, i := range prefix {
+			if !s.enter(i) {
+				t.Fatalf("prefix %v must be admissible", prefix)
 			}
 		}
+		k, ok := s.memoKey()
+		if !ok {
+			t.Fatal("counter states are keyable")
+		}
+		return k
+	}
+	k10 := key(1, 0)
+	if k01 := key(0, 1); k01 != k10 {
+		t.Fatalf("same configuration hashed differently: %v vs %v", k01, k10)
+	}
+	if k02 := key(0, 2); k02 == k10 {
+		t.Fatalf("distinct placed sets hashed equal: %v", k02)
 	}
 }
 
 func TestNodeBudgetTruncates(t *testing.T) {
 	h := concurrentIncsHistory(8, 99)
-	out := Run(h, spec.Counter{}, false, core.CheckOptions{Parallelism: 1, MaxNodes: 5, DisableMemo: true})
+	out := Run(h, spec.Counter{}, false, core.CheckOptions{MaxNodes: 5, DisableMemo: true})
 	if out.OK || out.Complete {
 		t.Fatalf("a 5-node budget on a 9-label history must truncate: %+v", out)
 	}
@@ -135,11 +155,7 @@ func TestNodeBudgetTruncates(t *testing.T) {
 // TestPrunedBeatsLegacyFivefold is the committed evidence for the acceptance
 // criterion: on a non-RA-linearizable history the pruned engine must examine
 // at least 5× fewer prefixes than the legacy enumerator examines complete
-// candidates. Parallelism is deliberately left at the default (GOMAXPROCS):
-// since the memo table is shared and claimed on node entry, parallel node
-// counts no longer depend on the host's core count beyond scheduling noise
-// (TestParallelNodesMatchSequential bounds that noise explicitly). See
-// BENCHMARKS.md for measured numbers.
+// candidates. See BENCHMARKS.md for measured numbers.
 func TestPrunedBeatsLegacyFivefold(t *testing.T) {
 	h := distinctIncsHistory(7, 99)
 	legacy := core.CheckRA(h, spec.Counter{}, core.CheckOptions{Exhaustive: true, Engine: core.EngineLegacy})
@@ -155,71 +171,18 @@ func TestPrunedBeatsLegacyFivefold(t *testing.T) {
 		legacy.Tried, pruned.Nodes, pruned.Pruned, pruned.MemoHits, float64(legacy.Tried)/float64(pruned.Nodes))
 }
 
-// TestParallelNodesMatchSequential asserts the shared claim-on-entry memo
-// table closes the gap between parallel and sequential node counts: with
-// per-worker tables, parallel workers re-explored configurations other
-// workers had already exhausted (449 sequential vs 635 parallel nodes on this
-// history in PR 1); with a shared table a configuration claimed by anyone
-// prunes everyone, so the parallel count must stay within 25% of sequential.
-func TestParallelNodesMatchSequential(t *testing.T) {
-	h := distinctIncsHistory(7, 99)
-	seq := Run(h, spec.Counter{}, false, core.CheckOptions{Parallelism: 1})
-	if seq.OK || !seq.Complete {
-		t.Fatalf("history must be refuted sequentially: %+v", seq)
-	}
-	for _, workers := range []int{2, 4, 8} {
-		par := Run(h, spec.Counter{}, false, core.CheckOptions{Parallelism: workers})
-		if par.OK || !par.Complete {
-			t.Fatalf("workers=%d: history must be refuted: %+v", workers, par)
-		}
-		if limit := seq.Nodes + seq.Nodes/4; par.Nodes > limit {
-			t.Fatalf("workers=%d: parallel search explored %d nodes, more than 1.25× the sequential %d",
-				workers, par.Nodes, seq.Nodes)
-		}
-		t.Logf("workers=%d: %d nodes (sequential %d), %d memo hits, %d steals across %d shards",
-			workers, par.Nodes, seq.Nodes, par.MemoHits, par.Steals, par.Shards)
-	}
-}
-
-// TestSharedMemoUnderContention hammers the shared lock-striped memo table
-// and the work-stealing queue with many workers over many repetitions on the
-// non-linearizable flagship history; under `go test -race` (the CI
-// configuration) this doubles as the data-race check for the interner, the
-// memo stripes and the queue.
-func TestSharedMemoUnderContention(t *testing.T) {
-	h := distinctIncsHistory(7, 99)
-	for rep := 0; rep < 10; rep++ {
-		out := Run(h, spec.Counter{}, false, core.CheckOptions{Parallelism: 8})
-		if out.OK || !out.Complete {
-			t.Fatalf("rep %d: history must be refuted definitively: %+v", rep, out)
-		}
-		if out.Workers != 8 {
-			t.Fatalf("rep %d: expected 8 workers, got %d", rep, out.Workers)
-		}
-		if out.Shards != memoShardCount {
-			t.Fatalf("rep %d: expected %d memo shards, got %d", rep, memoShardCount, out.Shards)
-		}
-		if out.MemoHits == 0 {
-			t.Fatalf("rep %d: commuting increments must produce memo hits: %+v", rep, out)
-		}
-	}
-}
-
-// TestStatsSurfaced checks the scheduler statistics reach the engine outcome:
-// a sequential run reports no steals and the shard count of the (still
-// shared-shaped) memo table; disabling memoization zeroes the shard count.
+// TestStatsSurfaced checks the search counters reach the engine outcome: a
+// refutation reports its nodes, prunes and memo hits, and disabling
+// memoization zeroes the hits.
 func TestStatsSurfaced(t *testing.T) {
-	h := concurrentIncsHistory(5, 99)
-	seq := Run(h, spec.Counter{}, false, core.CheckOptions{Parallelism: 1})
-	if seq.Steals != 0 {
-		t.Fatalf("sequential search cannot steal: %+v", seq)
+	h := distinctIncsHistory(5, 99)
+	memo := Run(h, spec.Counter{}, false, core.CheckOptions{})
+	if memo.Nodes == 0 || memo.Pruned == 0 || memo.MemoHits == 0 {
+		t.Fatalf("refutation counters must be surfaced: %+v", memo.Stats)
 	}
-	if seq.Shards != memoShardCount {
-		t.Fatalf("memo shard count must be surfaced: %+v", seq)
-	}
-	nomemo := Run(h, spec.Counter{}, false, core.CheckOptions{Parallelism: 1, DisableMemo: true})
-	if nomemo.Shards != 0 {
-		t.Fatalf("disabled memo must report zero shards: %+v", nomemo)
+	nomemo := Run(h, spec.Counter{}, false, core.CheckOptions{DisableMemo: true})
+	if nomemo.MemoHits != 0 || nomemo.Nodes <= memo.Nodes {
+		t.Fatalf("disabled memo must report no hits and more nodes: %+v vs %+v", nomemo.Stats, memo.Stats)
 	}
 }
 

@@ -11,22 +11,14 @@ import (
 type status int
 
 const (
-	// sExhausted: the subtree was fully explored (locally or, for donated
-	// branches, by whichever worker pops them before the search can
-	// terminate) and the local exploration found no witness.
+	// sExhausted: the subtree was fully explored and holds no witness.
 	sExhausted status = iota
 	// sFound: a witness was found (and recorded in the shared state).
 	sFound
-	// sStopped: the search was cancelled (witness found elsewhere) or the
-	// node budget ran out; the subtree may contain unexplored nodes.
+	// sStopped: the search was cancelled or the node budget ran out; the
+	// subtree may contain unexplored nodes.
 	sStopped
 )
-
-// maxDonateDepth bounds the prefix depth at which a worker donates sibling
-// branches to the work queue. Shallow branches carry the largest subtrees
-// (the best units of stealable work) and keep the replay cost of a stolen
-// prefix trivial; deeper nodes use the scratch-free fast path.
-const maxDonateDepth = 4
 
 // witnessChunkLabels is the allocation unit of the witness arena: witness
 // slices are carved out of chunks this large, so a session re-checking
@@ -36,7 +28,7 @@ const maxDonateDepth = 4
 const witnessChunkLabels = 512
 
 // pruneReason records why a prefix was rejected, kept cheap so the hot path
-// does no formatting; searcher.flush renders the last one per worker.
+// does no formatting; searcher.flush renders the last one.
 type pruneReason struct {
 	label *core.Label
 	cond  string
@@ -70,7 +62,7 @@ type setBuf struct {
 	words  []uint64
 }
 
-// searcher is the per-worker mutable search state.
+// searcher is the mutable search state of one check.
 type searcher struct {
 	pre    *prepared
 	spec   core.Spec
@@ -78,10 +70,8 @@ type searcher struct {
 	sh     *shared
 	intern *interner
 	memo   *memoTable
-	queue  *workQueue
-	worker int
-	// compact assigns dense check-local IDs to session-interner IDs; shared by
-	// every worker of the check (points into sh).
+	// compact assigns dense check-local IDs to session-interner IDs (points
+	// into sh).
 	compact *compactor
 	// steps is the session's per-spec transition cache, nil when the check
 	// runs sessionless or the spec is not cacheable. On a warm session the
@@ -122,9 +112,9 @@ type searcher struct {
 	qstates [][]core.AbsState
 	qids    [][]uint32
 	qwords  [][]uint64
-	// keyable caches whether every state seen by this worker interned; it
-	// flips off (together with the shared flag that disables memoization for
-	// everyone) at the first state without a canonical key.
+	// keyable caches whether every state seen so far interned; it flips off
+	// (together with sh.unkeyable, which disables memoization) at the first
+	// state without a canonical key.
 	keyable bool
 	// initStates/initIDs/initWords back the bottom-of-stack main set ({ϕ0});
 	// they are owned by the searcher (never pooled by putBuf) and reused
@@ -144,8 +134,6 @@ type searcher struct {
 	// stepped stages the advanced query sets of one enter so the searcher is
 	// left untouched when a later query's justification dies.
 	stepped []setBuf
-	// cands[d] is the frontier scratch of donation-eligible depth d.
-	cands [maxDonateDepth][]int
 
 	// witMem is the witness arena: the current chunk witness() carves
 	// complete linearizations from. Carved regions are caller-owned and never
@@ -159,7 +147,7 @@ type searcher struct {
 	// behaviour.
 	guided bool
 	// ord[d] is the guided frontier scratch of depth d (grown lazily, only in
-	// guided mode — the donation-eligible depths keep using cands).
+	// guided mode).
 	ord [][]int
 	// scoreBuf is the transient per-node score scratch orderCands sorts
 	// alongside the candidates; only live during one ordering.
@@ -170,16 +158,13 @@ type searcher struct {
 	leaves  int64
 	pruned  int64
 	memoHit int64
-	steals  int64
-	donated int64
 }
 
 // newSearcher builds a search state over the empty prefix, reusing the
 // backing arrays and buffer pools of recycled (a searcher released into a
-// Session by an earlier check; nil allocates fresh). intern and memo are
-// shared by every worker of the search (memo may be nil when memoization is
-// disabled); queue is nil for a sequential search.
-func newSearcher(recycled *searcher, pre *prepared, spec core.Spec, strong bool, intern *interner, memo *memoTable, sh *shared, queue *workQueue, worker int) *searcher {
+// Session by an earlier check; nil allocates fresh). memo may be nil when
+// memoization is disabled.
+func newSearcher(recycled *searcher, pre *prepared, spec core.Spec, strong bool, intern *interner, memo *memoTable, sh *shared) *searcher {
 	s := recycled
 	if s == nil {
 		s = &searcher{}
@@ -191,8 +176,6 @@ func newSearcher(recycled *searcher, pre *prepared, spec core.Spec, strong bool,
 	s.sh = sh
 	s.intern = intern
 	s.memo = memo
-	s.queue = queue
-	s.worker = worker
 	s.compact = &sh.compact
 	s.steps = sh.steps
 	s.indegree = resizeInts(s.indegree, n)
@@ -212,9 +195,9 @@ func newSearcher(recycled *searcher, pre *prepared, spec core.Spec, strong bool,
 		}
 	}
 	s.seq = s.seq[:0]
-	s.keyable = !sh.unkeyable.Load()
+	s.keyable = !sh.unkeyable
 	s.reason = pruneReason{}
-	s.nodes, s.leaves, s.pruned, s.memoHit, s.steals, s.donated = 0, 0, 0, 0, 0, 0
+	s.nodes, s.leaves, s.pruned, s.memoHit = 0, 0, 0, 0
 	init, initID, initOK := s.cachedInit()
 	s.initStates = append(s.initStates[:0], init)
 	s.main = s.initStates
@@ -294,7 +277,6 @@ func (s *searcher) release() {
 	s.sh = nil
 	s.intern = nil
 	s.memo = nil
-	s.queue = nil
 	s.compact = nil
 	s.steps = nil
 	clear(s.stepScratch[:cap(s.stepScratch)])
@@ -365,31 +347,16 @@ func resizeWordSets(s [][]uint64, n int) [][]uint64 {
 }
 
 // reset unwinds the searcher back to the empty prefix by leaving every placed
-// label, recycling the state-set buffers along the way. Workers call it
-// between work items.
+// label, recycling the state-set buffers along the way.
 func (s *searcher) reset() {
 	for len(s.seq) > 0 {
 		s.leave(s.seq[len(s.seq)-1])
 	}
 }
 
-// replay re-places the labels of a donated prefix. The donor entered every
-// element but the last before donating, and enter is deterministic, so only
-// the final element can prune; a false return means the whole branch was
-// refuted during replay (accounted here, exactly once — the donor never
-// explored it).
-func (s *searcher) replay(prefix []int) bool {
-	for _, i := range prefix {
-		if !s.enter(i) {
-			return false
-		}
-	}
-	return true
-}
-
 // internState interns the canonical key of one abstract state. A state
-// without a key permanently disables keying for this worker and memoization
-// for the whole search; an interner at its memory budget does the same and
+// without a key permanently disables keying and memoization for the rest of
+// the check; an interner at its memory budget does the same and
 // additionally trips the session budget, so the search finishes memo-less
 // and the session evicts once idle. Either way the verdict stays sound —
 // keying only feeds deduplication and memoization, never admissibility.
@@ -406,24 +373,20 @@ func (s *searcher) internState(phi core.AbsState) (uint32, bool) {
 		}
 	}
 	s.keyable = false
-	s.sh.unkeyable.Store(true)
+	s.sh.unkeyable = true
 	return 0, false
 }
 
-// flush merges the worker-local counters and prune reason into the shared
-// state; call once when the worker is done. The prune reason is only rendered
-// (one fmt.Errorf) when the search still needs one — a witness-producing
-// search never reads it, so the warm re-check path skips the formatting
-// allocation entirely.
+// flush copies the counters and prune reason into the shared state; call
+// once when the search is done. The prune reason is only rendered (one
+// fmt.Errorf) when the search found no witness — a witness-producing search
+// never reads it, so the warm re-check path skips the formatting allocation
+// entirely.
 func (s *searcher) flush() {
-	s.sh.nodes.Add(s.nodes)
-	s.sh.leaves.Add(s.leaves)
-	s.sh.pruned.Add(s.pruned)
-	s.sh.memoHits.Add(s.memoHit)
-	s.sh.steals.Add(s.steals)
-	s.sh.donated.Add(s.donated)
-	if s.reason.label != nil && s.sh.wantErr() {
-		s.sh.setErr(s.reason.err())
+	sh := s.sh
+	sh.nodes, sh.leaves, sh.pruned, sh.memoHits = s.nodes, s.leaves, s.pruned, s.memoHit
+	if s.reason.label != nil && sh.witness == nil {
+		sh.lastErr = s.reason.err()
 	}
 }
 
@@ -433,27 +396,29 @@ func (s *searcher) dfs() status {
 		return sStopped
 	}
 	s.nodes++
-	if !s.sh.chargeNode() {
+	if b := s.sh.budget; b > 0 && s.nodes > b {
+		// The node budget is exhausted.
+		s.sh.truncated = true
 		return sStopped
 	}
 	if len(s.seq) == len(s.pre.labels) {
 		// Conditions (i)–(iii) were enforced on every prefix, so a complete
 		// sequence is a witness.
 		s.leaves++
-		s.sh.recordWitness(s.witness())
+		s.sh.witness = s.witness()
 		return sFound
 	}
 	if key, keyed := s.memoKey(); keyed {
 		if !s.memo.claim(key, s.keyTuple) {
-			// An equal configuration is being (or has been) explored by some
-			// worker; its subtree equals ours, so skip.
+			// An equal configuration has been explored; its subtree equals
+			// ours, so skip.
 			s.memoHit++
 			return sExhausted
 		}
 		// Memo-budget accounting rides the store path only (a claimed entry
-		// was just added): past the limit this worker stops memoizing — a
-		// local, allocation-free degradation; other workers degrade the same
-		// way as they store. Zero cost per node when no budget is set.
+		// was just added): past the limit the search stops memoizing — an
+		// allocation-free degradation. Zero cost per node when no budget is
+		// set.
 		if lim := s.sh.memoLimit; lim > 0 && s.sh.memoCount.Load() > lim {
 			s.memo = nil
 			s.sh.tripMemBudget()
@@ -472,13 +437,10 @@ func (s *searcher) dfs() status {
 			return s.explore(q)
 		}
 	}
-	if depth := len(s.seq); s.queue != nil && depth < maxDonateDepth {
-		return s.exploreSplit(depth)
-	}
 	if s.guided {
 		return s.exploreGuided(len(s.seq))
 	}
-	// Rank-order deep nodes: walk the frontier bitset directly. Each word is
+	// Rank order: walk the frontier bitset directly. Each word is
 	// copied once; explore restores the searcher (frontier included) to its
 	// node-entry state before returning, so the remaining bits of the copy
 	// stay the not-yet-tried candidates. Ascending bit position is ascending
@@ -523,7 +485,7 @@ func (s *searcher) collectFrontier(cands []int) []int {
 	return cands
 }
 
-// exploreGuided is the guided deep-node candidate loop: collect the frontier
+// exploreGuided is the guided candidate loop: collect the frontier
 // into per-depth scratch, order it by composite score (orderCands), and
 // explore in that order. The recursion under explore uses strictly deeper
 // scratch slots, so the slice iterated here stays intact.
@@ -620,34 +582,6 @@ func (s *searcher) anyNovel(states []core.AbsState) bool {
 	return false
 }
 
-// exploreSplit is the shallow-depth candidate loop of the work-stealing
-// scheduler: it collects the frontier into per-depth scratch and, when some
-// worker is starving, keeps only the first branch for itself and donates the
-// rest to the queue before descending — so idle workers are fed immediately
-// instead of after this worker finishes its first subtree.
-func (s *searcher) exploreSplit(depth int) status {
-	cands := s.collectFrontier(s.cands[depth][:0])
-	if s.guided {
-		// Guided ordering applies before the split, so the branch this worker
-		// keeps for itself is the best-scored one and donations drain in score
-		// order.
-		s.orderCands(cands)
-	}
-	s.cands[depth] = cands
-	if len(cands) > 1 && s.queue.hungry() {
-		for _, i := range cands[1:] {
-			s.donate(i)
-		}
-		cands = cands[:1]
-	}
-	for _, i := range cands {
-		if st := s.explore(i); st != sExhausted {
-			return st
-		}
-	}
-	return sExhausted
-}
-
 // explore descends into candidate i: enter, recurse, leave.
 func (s *searcher) explore(i int) status {
 	if !s.enter(i) {
@@ -656,16 +590,6 @@ func (s *searcher) explore(i int) status {
 	st := s.dfs()
 	s.leave(i)
 	return st
-}
-
-// donate publishes the branch (current prefix + candidate i) to the work
-// queue for an idle worker to pick up.
-func (s *searcher) donate(i int) {
-	prefix := make([]int, len(s.seq)+1)
-	copy(prefix, s.seq)
-	prefix[len(s.seq)] = i
-	s.queue.push(workItem{prefix: prefix, donor: s.worker})
-	s.donated++
 }
 
 // enter tries to extend the prefix with label index i. It returns false —

@@ -81,7 +81,7 @@ func (c *stepCache) get(id uint32, l *core.Label) (stepEntry, bool) {
 // scratch). First writer wins; at the cap the cache stops growing. The copies
 // are built before the write lock is taken — and skipped entirely when a
 // read-locked probe already sees the cache full or the entry present — so
-// parallel workers filling the cache contend only on the map insert, not on
+// concurrent checks filling the cache contend only on the map insert, not on
 // the allocation and copy of every entry.
 func (c *stepCache) put(id uint32, l *core.Label, states []core.AbsState, ids []uint32) {
 	k := stepKey{state: id, label: l}
@@ -136,11 +136,11 @@ type Budget struct {
 }
 
 // Session is the cross-check state of one batch of searches: the interner
-// assigning dense IDs to canonical state keys, an arena of lock-striped memo
-// tables, a pool of prepared history plans, a rewrite cache, and a pool of
-// per-worker searcher scratch (undo frames, state-set buffers, candidate
-// slices). A single check pays for all of these as warm-up; a batch that
-// threads one Session through every check
+// assigning dense IDs to canonical state keys, an arena of memo tables, a
+// pool of prepared history plans, a rewrite cache, and a pool of searcher
+// scratch (undo frames, state-set buffers, candidate slices). A single check
+// pays for all of these as warm-up; a batch that threads one Session through
+// every check
 // (core.CheckRAWith / CheckOptions.Session) pays once and then only resets.
 //
 // Sharing is safe because the pieces have different lifetimes:
@@ -151,7 +151,7 @@ type Budget struct {
 //   - memo tables are per-check (their keys mix per-history label indices, so
 //     reusing *contents* across histories would alias configurations of
 //     different histories); the arena recycles the tables themselves, cleared
-//     with their buckets kept, so a check allocates no shard maps after the
+//     with their buckets kept, so a check allocates no memo maps after the
 //     arena warms up;
 //   - history plans (the preds/succs/affected/order index arrays prepare()
 //     derives) are per-check; the pool recycles the plan structs with their
@@ -161,7 +161,7 @@ type Budget struct {
 //     session: a history re-checked through the session clones and
 //     re-derives its γ-rewriting once, not once per check (consulted by
 //     core.CheckRA through the core.RewriteCacher interface);
-//   - searchers are per-worker-per-check; the pool recycles their backing
+//   - searchers are per-check; the pool recycles their backing
 //     arrays and buffer pools, re-initialized for each history's label count.
 //
 // A Session may serve concurrent checks and checks of different
@@ -555,7 +555,7 @@ func (s *Session) getMemo() *memoTable {
 	return m
 }
 
-// putMemo clears the table (keeping its shard maps' buckets) and returns it
+// putMemo clears the table (keeping its maps' buckets) and returns it
 // to the arena. No-op on a nil session.
 func (s *Session) putMemo(m *memoTable) {
 	if s == nil || m == nil {

@@ -11,7 +11,7 @@ import (
 // sessOpts builds deterministic (sequential) check options carrying the
 // session.
 func sessOpts(sess *Session) core.CheckOptions {
-	return core.CheckOptions{Parallelism: 1, Session: sess}
+	return core.CheckOptions{Session: sess}
 }
 
 // TestSessionReuseMatchesFresh re-checks the same histories through one
@@ -66,9 +66,9 @@ func TestSessionInternerIsShared(t *testing.T) {
 	}
 }
 
-// TestSessionConcurrentChecks runs many checks of different polarities (and a
-// parallel inner search) concurrently over one session; under `go test -race`
-// this is the data-race check for the session pools and the shared interner.
+// TestSessionConcurrentChecks runs many checks of different polarities
+// concurrently over one session; under `go test -race` this is the data-race
+// check for the session pools and the shared interner.
 func TestSessionConcurrentChecks(t *testing.T) {
 	sess := NewSession()
 	var wg sync.WaitGroup
@@ -82,11 +82,7 @@ func TestSessionConcurrentChecks(t *testing.T) {
 				if (g+rep)%2 == 1 {
 					ret, wantOK = 99, false
 				}
-				opts := sessOpts(sess)
-				if g%4 == 3 {
-					opts.Parallelism = 2
-				}
-				out := Run(distinctIncsHistory(5, ret), spec.Counter{}, false, opts)
+				out := Run(distinctIncsHistory(5, ret), spec.Counter{}, false, sessOpts(sess))
 				if out.OK != wantOK || !out.Complete {
 					t.Errorf("g=%d rep=%d: got %+v, want OK=%v", g, rep, out, wantOK)
 					return
@@ -173,7 +169,7 @@ func (cloneRewriting) Rewrite(l *core.Label) ([]*core.Label, error) {
 func TestSessionRewriteCache(t *testing.T) {
 	sess := NewSession()
 	h := concurrentIncsHistory(5, 5)
-	opts := core.CheckOptions{Rewriting: cloneRewriting{tag: 1}, Exhaustive: true, Parallelism: 1}
+	opts := core.CheckOptions{Rewriting: cloneRewriting{tag: 1}, Exhaustive: true}
 	first := core.CheckRAWith(h, spec.Counter{}, opts, sess)
 	if first.Verdict != core.VerdictValid || first.RewriteCached {
 		t.Fatalf("first check must derive the rewriting itself: %+v", first)
@@ -241,7 +237,7 @@ func TestSessionRewriteCacheTokenedClosure(t *testing.T) {
 			return []*core.Label{l.Clone()}, nil
 		}, token: token}
 	}
-	opts := core.CheckOptions{Rewriting: mk("γ"), Exhaustive: true, Parallelism: 1}
+	opts := core.CheckOptions{Rewriting: mk("γ"), Exhaustive: true}
 	first := core.CheckRAWith(h, spec.Counter{}, opts, sess)
 	if first.Verdict != core.VerdictValid || first.RewriteCached {
 		t.Fatalf("first tokened check must derive the rewriting: %+v", first)
@@ -289,8 +285,8 @@ func TestDebugMemoDetectsCollision(t *testing.T) {
 // collision invariant).
 func TestDebugMemoMatchesPlainMemo(t *testing.T) {
 	h := distinctIncsHistory(6, 99)
-	plain := Run(h, spec.Counter{}, false, core.CheckOptions{Parallelism: 1})
-	debug := Run(h, spec.Counter{}, false, core.CheckOptions{Parallelism: 1, DebugMemo: true})
+	plain := Run(h, spec.Counter{}, false, core.CheckOptions{})
+	debug := Run(h, spec.Counter{}, false, core.CheckOptions{DebugMemo: true})
 	if plain.OK != debug.OK || plain.Complete != debug.Complete ||
 		plain.Nodes != debug.Nodes || plain.MemoHits != debug.MemoHits {
 		t.Fatalf("debug memo changed the search: plain %+v debug %+v", plain, debug)
@@ -306,7 +302,7 @@ func TestDebugMemoMatchesPlainMemo(t *testing.T) {
 func TestSessionThroughCheckRAWith(t *testing.T) {
 	sess := NewSession()
 	h := concurrentIncsHistory(5, 99)
-	opts := core.CheckOptions{Exhaustive: true, Engine: core.EnginePruned, Parallelism: 1}
+	opts := core.CheckOptions{Exhaustive: true, Engine: core.EnginePruned}
 	plain := core.CheckRA(h, spec.Counter{}, opts)
 	with := core.CheckRAWith(h, spec.Counter{}, opts, sess)
 	if with.Verdict != plain.Verdict || with.Nodes != plain.Nodes {

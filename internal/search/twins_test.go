@@ -96,7 +96,7 @@ func TestTwinDifferentialAgainstLegacy(t *testing.T) {
 				if hasTwins(t, h, false) {
 					linked++
 				}
-				base := core.CheckOptions{Exhaustive: true, DebugMemo: true, Parallelism: 1 + int(seed%2)}
+				base := core.CheckOptions{Exhaustive: true, DebugMemo: true}
 				legacyOpts := base
 				legacyOpts.Engine = core.EngineLegacy
 				legacy := core.CheckRA(h, sp, legacyOpts)
@@ -139,11 +139,9 @@ func TestTwinPredicateReadsArgs(t *testing.T) {
 	if hasTwins(t, h, false) {
 		t.Fatal("writes of different values must not be twins")
 	}
-	for _, par := range []int{1, 2} {
-		res := core.CheckRA(h, spec.Register{}, core.CheckOptions{Exhaustive: true, Parallelism: par})
-		if res.Verdict != core.VerdictValid {
-			t.Fatalf("parallelism %d: verdict %v, want Valid: %v", par, res.Verdict, res.LastErr)
-		}
+	res := core.CheckRA(h, spec.Register{}, core.CheckOptions{Exhaustive: true})
+	if res.Verdict != core.VerdictValid {
+		t.Fatalf("verdict %v, want Valid: %v", res.Verdict, res.LastErr)
 	}
 }
 
@@ -158,11 +156,9 @@ func TestTwinPredicateReadsRet(t *testing.T) {
 	if hasTwins(t, h, true) {
 		t.Fatal("reads with different returns must not be twins")
 	}
-	for _, par := range []int{1, 2} {
-		res := core.CheckStrongLinearizable(h, spec.Counter{}, core.CheckOptions{Exhaustive: true, Parallelism: par})
-		if res.Verdict != core.VerdictValid {
-			t.Fatalf("parallelism %d: verdict %v, want Valid: %v", par, res.Verdict, res.LastErr)
-		}
+	res := core.CheckStrongLinearizable(h, spec.Counter{}, core.CheckOptions{Exhaustive: true})
+	if res.Verdict != core.VerdictValid {
+		t.Fatalf("verdict %v, want Valid: %v", res.Verdict, res.LastErr)
 	}
 }
 
