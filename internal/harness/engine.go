@@ -38,9 +38,11 @@ type Options struct {
 	// sets it, keeps compiling; it will be deleted with that module's next
 	// update.
 	Parallelism int
-	// BatchWorkers bounds the worker pool the batch entry points fan trials
-	// across — the only concurrency setting. Zero uses GOMAXPROCS; one forces
-	// the sequential per-trial loop.
+	// BatchWorkers is the number of workers the batch entry points fan
+	// trials across — the only concurrency setting. Zero uses GOMAXPROCS.
+	// The calling goroutine is worker 0, so w workers start w−1 extra
+	// goroutines (and one worker runs the whole batch on the caller). Every
+	// worker claims trial indices in order from one shared counter.
 	BatchWorkers int
 	// FreshSessions disables the shared engine session inside batches,
 	// giving every history fresh interner/memo/scratch state — the

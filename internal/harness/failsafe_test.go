@@ -2,7 +2,11 @@ package harness
 
 import (
 	"context"
+	"errors"
+	"fmt"
+	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -68,6 +72,64 @@ func TestBatchPanicIsolation(t *testing.T) {
 		if !strings.Contains(res.UnknownExample, "injected failure") {
 			t.Fatalf("workers=%d: panic message must surface in the example: %q", workers, res.UnknownExample)
 		}
+	}
+}
+
+// TestBatchGeneratorErrorStopsDispatch checks stop-on-first-error at both
+// pool widths: once trial failAt's generator errors, no worker claims another
+// trial, yet every trial below it has run, so the batch returns exactly that
+// trial's error over the same folded prefix at 1 and 4 workers (up to the
+// pool-geometry counters normalizeBatch strips). Trials past
+// the failing one wait for it and then sleep, so the failure is recorded long
+// before the later trials could run out.
+func TestBatchGeneratorErrorStopsDispatch(t *testing.T) {
+	const trials, failAt = 200, 20
+	errGen := errors.New("injected generator failure")
+	type outcome struct {
+		res HistoryCheck
+		err string
+	}
+	var outcomes []outcome
+	for _, workers := range []int{1, 4} {
+		var generated [trials]atomic.Bool
+		failing := make(chan struct{})
+		gen := GeneratorFunc(func(trial int) (*core.History, int64, error) {
+			generated[trial].Store(true)
+			switch {
+			case trial == failAt:
+				close(failing)
+				return nil, int64(trial), fmt.Errorf("trial %d: %w", trial, errGen)
+			case trial > failAt:
+				<-failing
+				time.Sleep(time.Millisecond)
+			}
+			return incsHistory(3, 3), int64(trial), nil
+		})
+		res, err := CheckGeneratedAgainst("failing-generator", spec.Counter{}, core.CheckOptions{Exhaustive: true}, gen, trials, Options{BatchWorkers: workers})
+		if !errors.Is(err, errGen) || !strings.HasPrefix(err.Error(), fmt.Sprintf("trial %d:", failAt)) {
+			t.Fatalf("workers=%d: want trial %d's generator error, got %v", workers, failAt, err)
+		}
+		n := 0
+		for i := range generated {
+			if generated[i].Load() {
+				n++
+			} else if i < failAt {
+				t.Fatalf("workers=%d: trial %d below the failing trial was never generated", workers, i)
+			}
+		}
+		if n >= trials {
+			t.Fatalf("workers=%d: all %d trials were generated; the failure must stop dispatch", workers, n)
+		}
+		if workers == 1 && n != failAt+1 {
+			t.Fatalf("workers=1: %d trials generated, want exactly %d", n, failAt+1)
+		}
+		if res.Histories != failAt || res.Linearizable != failAt {
+			t.Fatalf("workers=%d: the fold must cover exactly the %d trials below the failure: %+v", workers, failAt, res)
+		}
+		outcomes = append(outcomes, outcome{normalizeBatch(res), err.Error()})
+	}
+	if !reflect.DeepEqual(outcomes[0], outcomes[1]) {
+		t.Fatalf("result depends on pool width:\n  w1: %+v\n  w4: %+v", outcomes[0], outcomes[1])
 	}
 }
 

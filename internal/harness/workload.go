@@ -216,10 +216,12 @@ func (g RandomGenerator) Generate(trial int) (*core.History, int64, error) {
 
 // CheckGenerated checks trials histories drawn from the generator against the
 // descriptor's specification, using the descriptor's designated checker
-// options (overridable via o.Check). Trials are fanned across a bounded
-// worker pool sharing one engine session, and the aggregation is folded in
-// trial order, so the result is deterministic regardless of worker count or
-// completion order (given deterministic per-check options).
+// options (overridable via o.Check). Trials are fanned across o.BatchWorkers
+// workers sharing one engine session: the calling goroutine is worker 0, so w
+// workers start w−1 extra goroutines, and workers claim trial indices in
+// order from one shared counter. The aggregation is folded in trial order, so
+// the result is deterministic regardless of worker count or completion order
+// (given deterministic per-check options).
 func CheckGenerated(d crdt.Descriptor, gen HistoryGenerator, trials int, o Options) (HistoryCheck, error) {
 	opts := d.CheckOptions()
 	if o.Check != nil {
@@ -272,14 +274,17 @@ func checkTrials(name string, trials int) error {
 	return nil
 }
 
-// runBatch is the batch pipeline: a bounded worker pool generates and checks
-// trials over one shared engine session, and the per-trial results are folded
-// in trial order so stats, ByStrategy and the first FailureExample do not
-// depend on completion order. The pipeline is fail-safe: a deadline or
-// cancellation stops dispatch and interrupts running checks (skipped trials
-// are reported Unknown, not dropped), and a panicking trial — a crashing
-// spec, generator, or engine bug — is recovered into one Unknown outcome
-// while every other trial's verdict is unaffected.
+// runBatch is the batch pipeline: w workers generate and check trials over
+// one shared engine session, and the per-trial results are folded in trial
+// order so stats, ByStrategy and the first FailureExample do not depend on
+// completion order. The calling goroutine is worker 0, so w workers start
+// w−1 extra goroutines, and every worker runs the same loop: it claims the
+// next trial index from one shared counter, so indices are claimed in order.
+// The pipeline is fail-safe: a deadline or cancellation stops the claiming
+// and interrupts running checks (unclaimed trials are reported Unknown, not
+// dropped), and a panicking trial — a crashing spec, generator, or engine bug
+// — is recovered into one Unknown outcome while every other trial's verdict
+// is unaffected.
 func runBatch(name string, sp core.Spec, opts core.CheckOptions, trials int, gen func(int) (*core.History, int64, error), o Options) (HistoryCheck, error) {
 	if err := checkTrials(name, trials); err != nil {
 		return HistoryCheck{}, err
@@ -298,7 +303,7 @@ func runBatch(name string, sp core.Spec, opts core.CheckOptions, trials int, gen
 	// Wire the batch deadline/cancellation: o.Timeout derives a deadline from
 	// o.Context (or the background context), and the resulting context is
 	// threaded into every check that does not pin its own, so one expiry
-	// interrupts the dispatch loop and all in-flight searches alike.
+	// stops the claiming and interrupts all in-flight searches alike.
 	ctx := o.Context
 	if o.Timeout > 0 {
 		base := ctx
@@ -312,77 +317,29 @@ func runBatch(name string, sp core.Spec, opts core.CheckOptions, trials int, gen
 	if opts.Context == nil {
 		opts.Context = ctx
 	}
-	ctxDead := func() bool { return ctx != nil && ctx.Err() != nil }
-	var sess *search.Session
+	b := &batch{
+		ctx:     ctx,
+		results: make([]trialResult, trials),
+		gen:     gen,
+		sp:      sp,
+		opts:    opts,
+	}
 	if !o.FreshSessions {
-		sess = search.NewSessionWithBudget(o.Budget)
+		b.sess = search.NewSessionWithBudget(o.Budget)
 	}
-
-	results := make([]trialResult, trials)
-	// failed stops the dispatch of further trials once any trial errors, so
-	// a failing batch does not burn through its remaining histories first.
-	// Only dispatch stops — already-dispatched trials drain normally, and
-	// indices are dispatched in order, so every trial below the first
-	// erroring index has run and the fold below still reports the
-	// lowest-index error deterministically.
-	var failed atomic.Bool
-	runTrial := func(i int) {
-		// Panic isolation: a crashing spec step, generator, or engine bug in
-		// one trial becomes that trial's Unknown outcome (stack captured in
-		// the detail) instead of killing the batch; every other trial's
-		// verdict is computed exactly as if this trial had merely timed out.
-		defer func() {
-			if r := recover(); r != nil {
-				tr := &results[i]
-				tr.verdict = core.VerdictUnknown
-				tr.incReason = string(core.ReasonPanic)
-				tr.incDetail = fmt.Sprintf("trial panicked: %v\n%s", r, debug.Stack())
-			}
-		}()
-		h, seed, err := gen(i)
-		results[i].seed = seed
-		if err != nil {
-			results[i].err = err
-			failed.Store(true)
-			return
-		}
-		results[i].ops = h.Len()
-		results[i].record(core.CheckRAWith(h, sp, opts, sess))
+	b.wg.Add(workers)
+	for w := 1; w < workers; w++ {
+		go b.work()
 	}
-	dispatched := 0
-	if workers <= 1 {
-		for i := 0; i < trials && !failed.Load() && !ctxDead(); i++ {
-			runTrial(i)
-			dispatched = i + 1
-		}
-	} else {
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					runTrial(i)
-				}
-			}()
-		}
-		for i := 0; i < trials && !failed.Load() && !ctxDead(); i++ {
-			idx <- i
-			dispatched = i + 1
-		}
-		close(idx)
-		wg.Wait()
-	}
-	// Trials the dead context kept from dispatching are recorded as Unknown
+	b.work()
+	b.wg.Wait()
+	results, sess := b.results, b.sess
+	// Trials the dead context kept from being claimed are recorded as Unknown
 	// with the context's reason — skipped, never silently dropped.
-	if dispatched < trials {
+	if dispatched := int(min(b.next.Load(), int64(trials))); dispatched < trials {
 		skipInc := core.ContextIncomplete(ctx)
 		for i := dispatched; i < trials; i++ {
 			tr := &results[i]
-			if tr.err != nil || tr.verdict != core.VerdictUnknown || tr.incReason != "" {
-				continue
-			}
 			if skipInc != nil {
 				tr.incReason = string(skipInc.Reason)
 				tr.incDetail = "trial not dispatched: " + skipInc.Detail
@@ -403,6 +360,68 @@ func runBatch(name string, sp core.Spec, opts core.CheckOptions, trials int, gen
 	}
 	out.InternedStates = sess.InternedStates()
 	return out, nil
+}
+
+// batch is the state runBatch's workers share: the claim counter, the stop
+// flag, the per-index result slots, and what every trial checks against.
+type batch struct {
+	// next is the next unclaimed trial index; a worker claims index i by
+	// moving next from i to i+1, so indices are claimed in order. It may run
+	// past the trial count by up to one per worker.
+	next atomic.Int64
+	// failed stops the claiming once any trial's generator errors, so a
+	// failing batch does not burn through its remaining histories first.
+	// Every claimed index still runs, and claims go out in order, so every
+	// trial below the first erroring index has run and the fold still reports
+	// the lowest-index error deterministically.
+	failed  atomic.Bool
+	wg      sync.WaitGroup
+	ctx     context.Context
+	results []trialResult
+	gen     func(int) (*core.History, int64, error)
+	sp      core.Spec
+	opts    core.CheckOptions
+	sess    *search.Session
+}
+
+// work is one worker's loop: before each claim it checks that no trial has
+// failed and the batch context is alive, then claims and runs the next index
+// until every index is claimed. Worker 0 is runBatch's own goroutine; every
+// worker signals wg when it returns.
+func (b *batch) work() {
+	defer b.wg.Done()
+	for !b.failed.Load() && (b.ctx == nil || b.ctx.Err() == nil) {
+		i := int(b.next.Add(1) - 1)
+		if i >= len(b.results) {
+			return
+		}
+		b.run(i)
+	}
+}
+
+// run generates and checks trial i into its result slot. Panic isolation: a
+// crashing spec step, generator, or engine bug in one trial becomes that
+// trial's Unknown outcome (stack captured in the detail) instead of killing
+// the batch; every other trial's verdict is computed exactly as if this trial
+// had merely timed out.
+func (b *batch) run(i int) {
+	tr := &b.results[i]
+	defer func() {
+		if r := recover(); r != nil {
+			tr.verdict = core.VerdictUnknown
+			tr.incReason = string(core.ReasonPanic)
+			tr.incDetail = fmt.Sprintf("trial panicked: %v\n%s", r, debug.Stack())
+		}
+	}()
+	h, seed, err := b.gen(i)
+	tr.seed = seed
+	if err != nil {
+		tr.err = err
+		b.failed.Store(true)
+		return
+	}
+	tr.ops = h.Len()
+	tr.record(core.CheckRAWith(h, b.sp, b.opts, b.sess))
 }
 
 // trialResult is one trial's outcome as the batch fold consumes it. It keeps

@@ -37,9 +37,9 @@
 // One goroutine runs each check's search. Checks are independent of each
 // other, so concurrency lives one level up: a batch (internal/harness) runs
 // many checks at once over one Session, whose interner, step caches and pools
-// are safe for concurrent checks. Only the context watcher Run starts for a
-// cancellable context touches a check's state from another goroutine, through
-// the stop flag and the interruption record.
+// are safe for concurrent checks. Only the context.AfterFunc callback Run
+// registers for a cancellable context touches a check's state from another
+// goroutine, through the stop flag and the interruption record.
 //
 // The engine registers itself with internal/core at init time (core cannot
 // import this package without a cycle), so importing internal/search — even
@@ -48,6 +48,7 @@
 package search
 
 import (
+	"context"
 	"fmt"
 	"runtime/debug"
 	"slices"
@@ -108,8 +109,8 @@ func Run(h *core.History, spec core.Spec, strong bool, opts core.CheckOptions) c
 // pin (beginCheck) for the duration.
 func runPrepared(sess *Session, intern *interner, pre *prepared, h *core.History, spec core.Spec, strong, guided bool, guideTab *scoreTable, planReused bool, opts core.CheckOptions) core.EngineOutcome {
 	// The shared block is pooled per session like the plans and searchers —
-	// but only when no context watcher goroutine can outlive the check and
-	// touch it after release (poolable below).
+	// but only when no context callback can outlive the check and touch it
+	// after release (the stop check below).
 	sh := sess.getShared(nodeBudget(opts))
 	sh.sess = sess
 	// The transition cache only serves re-checks (its keys are label
@@ -120,7 +121,6 @@ func runPrepared(sess *Session, intern *interner, pre *prepared, h *core.History
 	if sess.recheck(h) {
 		sh.steps = sess.stepCacheFor(spec)
 	}
-	poolable := opts.Context == nil || opts.Context.Done() == nil
 	if sess != nil {
 		if max := sess.budget.MaxMemoBytes; max > 0 {
 			sh.memoCount = &sess.memoEntries
@@ -135,27 +135,21 @@ func runPrepared(sess *Session, intern *interner, pre *prepared, h *core.History
 
 	// Watch the caller's context (when there is one): deadline expiry or
 	// cancellation interrupts the search through the stop flag it checks on
-	// node entry. A context that is already dead skips the search entirely.
+	// node entry, from a callback the context runs on its own goroutine. A
+	// context that is already dead skips the search entirely.
+	var stopWatch func() bool
 	if ctx := opts.Context; ctx != nil {
 		if inc := core.ContextIncomplete(ctx); inc != nil {
 			sh.interrupt(inc)
 			out := sh.outcome()
 			out.PlanReused = planReused
-			// No watcher goroutine was started yet, so the block is safe to
-			// pool regardless of the context's shape.
+			// No callback was registered yet, so the block is safe to pool
+			// regardless of the context's shape.
 			sess.putShared(sh)
 			return out
 		}
-		if done := ctx.Done(); done != nil {
-			finished := make(chan struct{})
-			defer close(finished)
-			go func() {
-				select {
-				case <-done:
-					sh.interrupt(core.ContextIncomplete(ctx))
-				case <-finished:
-				}
-			}()
+		if ctx.Done() != nil {
+			stopWatch = context.AfterFunc(ctx, func() { sh.interrupt(core.ContextIncomplete(ctx)) })
 		}
 	}
 
@@ -170,7 +164,9 @@ func runPrepared(sess *Session, intern *interner, pre *prepared, h *core.History
 	if guided && out.Complete {
 		guideTab.record(out.Witness)
 	}
-	if poolable {
+	// stopWatch reports false when the callback has already started: it may
+	// still be running, so the block must not be pooled.
+	if stopWatch == nil || stopWatch() {
 		sess.putShared(sh)
 	}
 	return out

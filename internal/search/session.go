@@ -518,8 +518,8 @@ func (s *Session) getShared(budget int64) *shared {
 }
 
 // putShared releases the block's references into the finished check and pools
-// it. Run only calls this when no context watcher goroutine can still touch
-// the block. No-op on a nil session.
+// it. Run only calls this when no context callback can still touch the
+// block. No-op on a nil session.
 func (s *Session) putShared(sh *shared) {
 	if s == nil || sh == nil {
 		return

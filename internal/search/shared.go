@@ -62,8 +62,8 @@ func (c *compactor) reset() {
 // shared is the per-check state the search reports through: counters, the
 // node budget, the witness slot, the keyability and degradation flags, and the
 // interruption record. One searcher runs each check, so everything it alone
-// touches is plain. Two fields are also written by the context-watcher
-// goroutine Run starts for a cancellable context: stop, and the first
+// touches is plain. Two fields are also written by the context.AfterFunc
+// callback Run registers for a cancellable context: stop, and the first
 // interruption cause under mu.
 type shared struct {
 	// stop asks the searcher to unwind at its next node; interrupt sets it.
@@ -140,8 +140,8 @@ func (sh *shared) reset(budget int64) {
 // release drops every reference the finished check left in the block —
 // witness labels, the prune error, the interruption record, the session and
 // step-cache pointers — so a pooled block pins nothing. The compact map and
-// counters are cleared by the next reset. Run only pools a block no watcher
-// goroutine can still reach.
+// counters are cleared by the next reset. Run only pools a block no context
+// callback can still reach.
 func (sh *shared) release() {
 	sh.witness = nil
 	sh.lastErr = nil
@@ -153,7 +153,7 @@ func (sh *shared) release() {
 
 // interrupt records the cause of an interruption and stops the search. The
 // first recorded cause wins; later interrupts only reinforce the stop flag.
-// Safe to call from the context-watcher goroutine.
+// Safe to call from the context callback's goroutine.
 func (sh *shared) interrupt(inc *core.Incomplete) {
 	sh.mu.Lock()
 	if sh.inc == nil {
