@@ -835,70 +835,3 @@ func benchIncrementalStream(b *testing.B, prefix string, sp core.Spec, n int, st
 		b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "prefixes/sec")
 	})
 }
-
-// BenchmarkGuidedVsRankOrder is the differential benchmark gating guided
-// branch ordering (ROADMAP direction 4): the committed corpus is checked
-// sequentially with strategies disabled — so the engine searches every entry —
-// once in rank order and once guided, under identical options. Verdicts are
-// asserted identical every iteration; the per-polarity mean node counts are
-// reported so the refutation win (query commit shrinks time-to-contradiction)
-// and the witness-side effect are both visible in the committed baseline.
-func BenchmarkGuidedVsRankOrder(b *testing.B) {
-	entries, paths := loadCorpus(b)
-	type job struct {
-		path string
-		h    *core.History
-		plan scenario.CheckPlan
-		opts core.CheckOptions
-		want bool
-	}
-	jobs := make([]job, 0, len(entries))
-	for i, e := range entries {
-		h, err := e.History()
-		if err != nil {
-			b.Fatalf("%s: %v", paths[i], err)
-		}
-		plan, err := e.Plan()
-		if err != nil {
-			b.Fatalf("%s: %v", paths[i], err)
-		}
-		opts := plan.Options
-		opts.Strategies = nil
-		opts.Exhaustive = true
-		opts.Engine = core.EnginePruned
-		jobs = append(jobs, job{paths[i], h, plan, opts, e.RALinearizable})
-	}
-	for _, mode := range []core.Guidance{core.GuidanceRankOrder, core.GuidanceGuided} {
-		b.Run(mode.String(), func(b *testing.B) {
-			b.ReportAllocs()
-			var refNodes, refCount, witNodes, witCount int64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				refNodes, refCount, witNodes, witCount = 0, 0, 0, 0
-				for _, j := range jobs {
-					opts := j.opts
-					opts.Guidance = mode
-					res := core.CheckRA(j.h, j.plan.Spec, opts)
-					if (res.Verdict == core.VerdictValid) != j.want || res.Verdict == core.VerdictUnknown {
-						b.Fatalf("%s (%s): verdict %v, corpus recorded RA-linearizable=%v",
-							j.path, mode, res.Verdict, j.want)
-					}
-					if res.Verdict == core.VerdictValid {
-						witNodes += int64(res.Nodes)
-						witCount++
-					} else {
-						refNodes += int64(res.Nodes)
-						refCount++
-					}
-				}
-			}
-			b.ReportMetric(float64(len(jobs))*float64(b.N)/b.Elapsed().Seconds(), "histories/sec")
-			if refCount > 0 {
-				b.ReportMetric(float64(refNodes)/float64(refCount), "refutation-nodes/check")
-			}
-			if witCount > 0 {
-				b.ReportMetric(float64(witNodes)/float64(witCount), "witness-nodes/check")
-			}
-		})
-	}
-}

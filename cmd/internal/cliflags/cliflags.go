@@ -1,9 +1,8 @@
 // Package cliflags factors the flag wiring shared by the cmd/ralin-* tools:
-// the checker/batch flags (-engine, -guidance, -batch-workers) and resource
-// limits (-timeout, -max-interned, -max-memo-mb) that resolve to a
-// harness.Options value, the -seed and -incremental flags, and the scenario
-// selection flags (-scenario, -list-scenarios) backed by the
-// internal/scenario library.
+// the checker/batch flags (-engine, -batch-workers) and resource limits
+// (-timeout, -max-interned, -max-memo-mb) that resolve to a harness.Options
+// value, the -seed and -incremental flags, and the scenario selection flags
+// (-scenario, -list-scenarios) backed by the internal/scenario library.
 package cliflags
 
 import (
@@ -21,19 +20,17 @@ import (
 // Common holds the checker/batch flags shared by every tool.
 type Common struct {
 	engine       *string
-	guidance     *string
 	batchWorkers *int
 	timeout      *time.Duration
 	maxInterned  *int
 	maxMemoMB    *int
 }
 
-// AddCommon registers -engine, -guidance, -batch-workers and the resource
-// limit flags (-timeout, -max-interned, -max-memo-mb) on the flag set.
+// AddCommon registers -engine, -batch-workers and the resource limit flags
+// (-timeout, -max-interned, -max-memo-mb) on the flag set.
 func AddCommon(fs *flag.FlagSet) *Common {
 	return &Common{
 		engine:       fs.String("engine", "pruned", "exhaustive-search engine: pruned or legacy (auto = pruned)"),
-		guidance:     fs.String("guidance", "rank-order", "pruned-engine branch ordering: rank-order or guided (heuristic; same verdicts, fewer nodes on refutations; auto = rank-order)"),
 		batchWorkers: fs.Int("batch-workers", 0, "goroutines checking histories of one batch concurrently over a shared engine session (0 = GOMAXPROCS, 1 = sequential)"),
 		timeout:      fs.Duration("timeout", 0, "wall-clock budget for the whole run; trials past the deadline report verdict unknown instead of hanging (0 = none)"),
 		maxInterned:  fs.Int("max-interned", 0, "memory budget: max distinct interned abstract states per session before searches degrade to memo-less mode (0 = unlimited)"),
@@ -54,13 +51,8 @@ func (c *Common) Options() (harness.Options, error) {
 	if err != nil {
 		return harness.Options{}, err
 	}
-	guide, err := core.ParseGuidance(*c.guidance)
-	if err != nil {
-		return harness.Options{}, err
-	}
 	return harness.Options{
 		Engine:       eng,
-		Guidance:     guide,
 		BatchWorkers: *c.batchWorkers,
 		Timeout:      *c.timeout,
 		Budget: search.Budget{

@@ -14,8 +14,8 @@
 //
 // Alongside the deductive obligations, -histories N (default 10) RA-checks N
 // random histories of each verified CRDT with the configured search engine
-// (-engine, -guidance), tying the obligation run to the checker the rest of
-// the toolchain uses. With -scenario, the random histories are replaced by
+// (-engine), tying the obligation run to the checker the rest of the
+// toolchain uses. With -scenario, the random histories are replaced by
 // the named fault-schedule scenario's histories and the obligations run for
 // that scenario's CRDT.
 package main

@@ -70,56 +70,21 @@ func ParseEngine(s string) (Engine, error) {
 	}
 }
 
-// Guidance selects how the pruned engine orders the sibling branches of a DFS
-// node (ROADMAP direction 4, after Empc's path prioritization). Ordering is a
-// search heuristic, never a semantics change: every Guidance value explores
-// the same configuration space and produces the same verdict; only Nodes and
-// wall-clock may differ.
+// Guidance is ignored: the pruned engine has one search order. In RA mode it
+// places an enabled query at once (query commit) and otherwise tries
+// frontier labels in generator-sequence rank order.
+//
+// Deprecated: ignored; kept only so the separate benchmark module, which
+// still sets CheckOptions.Guidance, keeps compiling. It will be deleted with
+// that module's next update.
 type Guidance int
 
 const (
-	// GuidanceRankOrder, the zero value, explores sibling branches in
-	// generator-sequence rank order: branch ordering stays a deterministic
-	// function of the history alone, so batches through warm and fresh
-	// sessions report identical node counts. It is also the reference side of
-	// the differential gate on guided mode.
+	// Deprecated: ignored, see Guidance.
 	GuidanceRankOrder Guidance = iota
-	// GuidanceGuided enables heuristic exploration: enabled queries are placed
-	// immediately (their justification is final once every visible update is
-	// placed, so committing to them is a sound reduction in RA mode), and the
-	// remaining candidates are ordered by a composite score — novel spec
-	// states first, then pending-query justification counts, then a per-label
-	// success score learned across a session's batch. Verdicts are identical
-	// to rank order; Nodes and wall-clock may change. Opt-in, because its
-	// signals (interner novelty, session success scores) depend on session
-	// warmth.
+	// Deprecated: ignored, see Guidance.
 	GuidanceGuided
 )
-
-// String renders the guidance mode name as accepted by ParseGuidance.
-func (g Guidance) String() string {
-	switch g {
-	case GuidanceRankOrder:
-		return "rank-order"
-	case GuidanceGuided:
-		return "guided"
-	default:
-		return fmt.Sprintf("Guidance(%d)", int(g))
-	}
-}
-
-// ParseGuidance parses a guidance mode name as accepted by the cmd/ralin-*
-// -guidance flag; "auto" is accepted as a synonym of "rank-order".
-func ParseGuidance(s string) (Guidance, error) {
-	switch s {
-	case "rank-order", "rank", "auto", "":
-		return GuidanceRankOrder, nil
-	case "guided":
-		return GuidanceGuided, nil
-	default:
-		return GuidanceRankOrder, fmt.Errorf("unknown guidance %q (want rank-order or guided)", s)
-	}
-}
 
 // EngineSession is an opaque handle to cross-check state owned by a search
 // engine: interned state IDs, memo-table arenas and pooled scratch that one
@@ -159,10 +124,11 @@ type CheckOptions struct {
 	MaxExtensions int
 	// Engine selects the algorithm used for the exhaustive phase.
 	Engine Engine
-	// Guidance selects the pruned engine's branch ordering: rank order (the
-	// deterministic default) or guided heuristic ordering. Guidance never
-	// changes a verdict — only Nodes and wall-clock. See the Guidance
-	// constants.
+	// Guidance is ignored: the pruned engine has one search order.
+	//
+	// Deprecated: ignored; kept only so the separate benchmark module, which
+	// still sets it, keeps compiling. It will be deleted with that module's
+	// next update.
 	Guidance Guidance
 	// Parallelism is ignored: one goroutine runs each check's search, and
 	// concurrency comes from checking many histories at once (see
@@ -580,11 +546,11 @@ func ApplyEngineOutcome(res *Result, out EngineOutcome, strong bool) {
 // (not only the visible ones). This corresponds to the "standard definition
 // of linearizability ... assuming a standard Set specification" discussed in
 // Section 2.2, adapted to visibility-based histories. Only the Context,
-// Engine, Guidance, MaxExtensions, MaxNodes, DisableMemo and DebugMemo options
-// are consulted; strategies and rewritings do not apply. In strong mode guided
-// ordering applies without the query-commit reduction (a strong-mode query is
-// judged against the full preceding prefix, so its justification is not final
-// at enablement).
+// Engine, MaxExtensions, MaxNodes, DisableMemo and DebugMemo options are
+// consulted; strategies and rewritings do not apply. The pruned engine's
+// query-commit reduction is off in strong mode (a strong-mode query is judged
+// against the full preceding prefix, so its justification is not final at
+// enablement).
 func CheckStrongLinearizable(h *History, spec Spec, opts CheckOptions) Result {
 	res := Result{Rewritten: h}
 	if inc := ContextIncomplete(opts.Context); inc != nil {

@@ -26,11 +26,6 @@ type Options struct {
 	// value, EnginePruned, keeps each check's own engine; EngineLegacy forces
 	// the legacy enumerator.
 	Engine core.Engine
-	// Guidance selects the pruned engine's branch ordering for every check.
-	// The zero value, GuidanceRankOrder, keeps each check's own ordering;
-	// GuidanceGuided opts into heuristic ordering — same verdicts, different
-	// node counts. See core.Guidance.
-	Guidance core.Guidance
 	// Parallelism is ignored: each check's search runs on one goroutine, and
 	// BatchWorkers is the only concurrency setting.
 	//
@@ -67,19 +62,14 @@ type Options struct {
 	// trial of the batch entry points that would otherwise derive them
 	// (CheckRandomHistories, CheckGenerated). Entry points taking an
 	// explicit opts parameter (CheckHistoryBatch, CheckGeneratedAgainst)
-	// ignore it. Engine/Guidance tuning is still applied on top.
+	// ignore it. Engine tuning is still applied on top.
 	Check *core.CheckOptions
 }
 
-// Tune applies the engine selection and branch-ordering guidance of the
-// Options to checker options. opts.Guidance set to GuidanceGuided wins over
-// o.Guidance.
+// Tune applies the engine selection of the Options to checker options.
 func (o Options) Tune(opts core.CheckOptions) core.CheckOptions {
 	if o.Engine != core.EnginePruned {
 		opts.Engine = o.Engine
-	}
-	if opts.Guidance == core.GuidanceRankOrder {
-		opts.Guidance = o.Guidance
 	}
 	return opts
 }

@@ -20,8 +20,8 @@ import "ralin/internal/core"
 //   - certificate fails, or previously Invalid/Unknown: fall back to the full
 //     pruned search — but over the session's *extended* plan (grown in place,
 //     old index rows untouched), with the session's warm interner and step
-//     cache, and with the old witness (when there is one) seeded as the DFS's
-//     first branch via the guided-mode scores.
+//     cache. It searches in the order every check uses; nothing of a stale
+//     witness is carried over.
 //
 // Every incremental precondition is verified, and any violation — new edges
 // into old labels, a tail mismatch, a changed rewriting, an in-place
@@ -84,13 +84,12 @@ type extension struct {
 	witness  []*core.Label
 	witRanks []int
 	states   []core.AbsState
-	// stateBuf/stepBuf/justBuf/visBuf/seedBuf are the certificate replay's
-	// reusable scratch, so a replay allocates only what the spec itself does.
+	// stateBuf/stepBuf/justBuf/visBuf are the certificate replay's reusable
+	// scratch, so a replay allocates only what the spec itself does.
 	stateBuf []core.AbsState
 	stepBuf  []core.AbsState
 	justBuf  []*core.Label
 	visBuf   []uint64
-	seedBuf  []int
 }
 
 // setWitness stores a Valid verdict's witness over rh as the certificate:
@@ -240,8 +239,7 @@ func (s *Session) Extend(h *core.History, spec core.Spec, newOps []*core.Label, 
 	}
 
 	// Certificate unavailable or refuted: full pruned search over the plan
-	// grown in place, seeded (when a witness exists) so the DFS tries the old
-	// witness order first and the PR 8 score table orders the rest.
+	// grown in place.
 	if ext.plan == nil {
 		ext.plan = &prepared{}
 		if err := ext.plan.build(rh, false); err != nil {
@@ -258,38 +256,19 @@ func (s *Session) Extend(h *core.History, spec core.Spec, newOps []*core.Label, 
 	}
 	ext.planN = rhN
 
-	guided := opts.Guidance == core.GuidanceGuided || len(ext.witness) > 0
-	var guideTab *scoreTable
-	if guided {
-		guideTab = s.guideScores()
-		ext.plan.buildGuide(guideTab, false)
-		if len(ext.witness) > 0 {
-			ext.seedBuf = ext.seedBuf[:0]
-			for _, r := range ext.witRanks {
-				if r >= 0 {
-					ext.seedBuf = append(ext.seedBuf, r)
-				}
-			}
-			ext.plan.seedWitness(ext.seedBuf)
-		}
-	}
-	out := runPrepared(s, intern, ext.plan, rh, spec, false, guided, guideTab, true, opts)
+	out := runPrepared(s, intern, ext.plan, rh, spec, false, true, opts)
 	core.ApplyEngineOutcome(&res, out, false)
-	switch {
-	case out.OK:
+	if out.OK {
 		// The engine's witness is carved from a 512-label arena chunk;
 		// setWitness copies it so the certificate pins only itself.
 		ext.setWitness(rh, out.Witness)
-	case out.Complete:
+	} else {
+		// Refuted or truncated: no certificate. The snapshot still advances —
+		// the plan and rewriting already cover the new operations.
 		ext.valid = false
 		ext.witness = nil
 		ext.witRanks = nil
 		ext.states = nil
-	default:
-		// Truncated: no certificate, but keep the stale witness as a seed for
-		// the next attempt's branch order. The snapshot still advances — the
-		// plan and rewriting already cover the new operations.
-		ext.valid = false
 	}
 	s.commitSnapshot(ext, h, rhN, newOps)
 	return res

@@ -168,6 +168,55 @@ func TestExtendFallbackSeededSearch(t *testing.T) {
 	}
 }
 
+// TestExtendTruncatedFallbackDropsWitness breaks a certificate the way
+// TestExtendFallbackSeededSearch does, but under a node budget too small for
+// the fallback search to finish: the step reports Unknown, the stale witness
+// is dropped with the certificate, and the next step without a budget
+// searches again and reaches the from-scratch verdict.
+func TestExtendTruncatedFallbackDropsWitness(t *testing.T) {
+	sess := NewSession()
+	h := core.NewHistory()
+	opts := extOpts(sess)
+	var ops []*core.Label
+	for i := 1; i <= 4; i++ {
+		l := mkUpdate(uint64(i), "inc")
+		h.MustAdd(l)
+		ops = append(ops, l)
+	}
+	if res := sess.Extend(h, spec.Counter{}, ops, opts); res.Verdict != core.VerdictValid {
+		t.Fatalf("four incs must be valid: %+v", res)
+	}
+	r5 := mkRead(5, int64(5))
+	u6 := mkUpdate(6, "inc")
+	h.MustAdd(r5)
+	h.MustAdd(u6)
+	for i := uint64(1); i <= 4; i++ {
+		h.MustAddVis(i, 5)
+	}
+	h.MustAddVis(6, 5)
+	tight := opts
+	tight.MaxNodes = 1
+	res := sess.Extend(h, spec.Counter{}, []*core.Label{r5, u6}, tight)
+	if res.Verdict != core.VerdictUnknown || !res.Extended {
+		t.Fatalf("a one-node budget must truncate the fallback search: %+v", res)
+	}
+	sess.mu.Lock()
+	ext := sess.exts[h]
+	sess.mu.Unlock()
+	if ext == nil || ext.valid || ext.witness != nil || ext.witRanks != nil {
+		t.Fatalf("a truncated fallback must drop the stale witness: %+v", ext)
+	}
+	l7 := mkUpdate(7, "inc")
+	h.MustAdd(l7)
+	next := sess.Extend(h, spec.Counter{}, []*core.Label{l7}, opts)
+	if !next.Extended || next.WitnessReplayed {
+		t.Fatalf("without a certificate the next step must search: %+v", next)
+	}
+	if fresh := scratchVerdict(h, spec.Counter{}, opts); next.Verdict != fresh.Verdict {
+		t.Fatalf("verdict %v diverges from from-scratch %v", next.Verdict, fresh.Verdict)
+	}
+}
+
 // TestExtendEdgeDisciplineViolationRebuilds grows a refuted history with an
 // edge into an old query — the one growth the extension path must not absorb,
 // because the old query's justification set changes. The call must degrade to

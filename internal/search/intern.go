@@ -70,20 +70,6 @@ func (in *interner) assign(key string) (uint32, bool) {
 	return id, true
 }
 
-// has reports whether key is already interned, without inserting it. The
-// guided searcher uses it as its novelty probe, so branch ordering never
-// grows the interner and never consumes its memory budget.
-func (in *interner) has(key string) bool {
-	if in.seq {
-		_, ok := in.ids[key]
-		return ok
-	}
-	in.mu.RLock()
-	_, ok := in.ids[key]
-	in.mu.RUnlock()
-	return ok
-}
-
 // size returns the number of distinct keys interned so far.
 func (in *interner) size() int {
 	if in.seq {

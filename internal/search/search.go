@@ -86,28 +86,17 @@ func Run(h *core.History, spec core.Spec, strong bool, opts core.CheckOptions) c
 	if err := pre.build(h, strong); err != nil {
 		return core.EngineOutcome{Complete: true, LastErr: err}
 	}
-	// Guided mode (core.GuidanceGuided): precompute the static branch scores
-	// once per check; the searcher adds the dynamic novelty bit per node. The
-	// score table is read through the pointer pinned for this check — eviction
-	// only runs while the session is idle.
-	guided := opts.Guidance == core.GuidanceGuided
-	var guideTab *scoreTable
-	if guided {
-		guideTab = sess.guideScores()
-		pre.buildGuide(guideTab, strong)
-	}
-	return runPrepared(sess, intern, pre, h, spec, strong, guided, guideTab, planReused, opts)
+	return runPrepared(sess, intern, pre, h, spec, strong, planReused, opts)
 }
 
 // runPrepared executes the search phase of Run over an already-built plan:
 // shared-block arming, transition-cache gating, context watching, and the
 // search itself. It is split from Run so the incremental extension path
-// (Session.Extend) can run a search over a plan it grew in place — with
-// witness-seeded guide scores — instead of rebuilding one; Run's own call
-// passes the plan it just built. The caller owns pre's lifetime (Run pools it,
-// Extend keeps it in the extension entry) and must hold the session's check
-// pin (beginCheck) for the duration.
-func runPrepared(sess *Session, intern *interner, pre *prepared, h *core.History, spec core.Spec, strong, guided bool, guideTab *scoreTable, planReused bool, opts core.CheckOptions) core.EngineOutcome {
+// (Session.Extend) can run a search over a plan it grew in place instead of
+// rebuilding one; Run's own call passes the plan it just built. The caller
+// owns pre's lifetime (Run pools it, Extend keeps it in the extension entry)
+// and must hold the session's check pin (beginCheck) for the duration.
+func runPrepared(sess *Session, intern *interner, pre *prepared, h *core.History, spec core.Spec, strong, planReused bool, opts core.CheckOptions) core.EngineOutcome {
 	// The shared block is pooled per session like the plans and searchers —
 	// but only when no context callback can outlive the check and touch it
 	// after release (the stop check below).
@@ -154,16 +143,12 @@ func runPrepared(sess *Session, intern *interner, pre *prepared, h *core.History
 	}
 
 	s := newSearcher(sess.getSearcher(len(pre.labels)), pre, spec, strong, intern, memo, sh)
-	s.guided = guided
 	if runGuarded(sh, func() { s.dfs() }) {
 		s.flush()
 		sess.putSearcher(s)
 	}
 	out := sh.outcome()
 	out.PlanReused = planReused
-	if guided && out.Complete {
-		guideTab.record(out.Witness)
-	}
 	// stopWatch reports false when the callback has already started: it may
 	// still be running, so the block must not be pooled.
 	if stopWatch == nil || stopWatch() {
@@ -252,16 +237,11 @@ type prepared struct {
 	queries []int
 	// order lists all label indices sorted by generator sequence; candidates
 	// are tried in this order so the search reaches execution-order-like
-	// witnesses first (and it is the deterministic tie-break of guided mode).
+	// witnesses first.
 	order []int
 	// pos is order's inverse permutation: pos[i] is label i's position in
 	// order, and therefore its bit in the searcher's frontier bitset.
 	pos []int
-	// guide[i] is the static component of label i's guided branch score
-	// (pending-query justification count and session success score), filled by
-	// buildGuide only for guided checks; the searcher ORs in the per-node
-	// novelty bit. Pooled like every other slice here.
-	guide []int64
 	// twinNext[i] is the next member of label i's twin class in candidate
 	// order, or -1 when i is the last (see buildTwins). The searcher counts a
 	// link as one more indegree of its target, so only the first unplaced

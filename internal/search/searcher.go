@@ -140,19 +140,6 @@ type searcher struct {
 	// recycled; the chunk advances and a new one is allocated only when full.
 	witMem []*core.Label
 
-	// guided enables heuristic branch ordering (core.GuidanceGuided): enabled
-	// queries are committed to immediately (RA mode), remaining candidates are
-	// ordered by pre.guide plus the per-node novelty bit. Set by Run right
-	// after construction; false is rank order, the byte-identical historical
-	// behaviour.
-	guided bool
-	// ord[d] is the guided frontier scratch of depth d (grown lazily, only in
-	// guided mode).
-	ord [][]int
-	// scoreBuf is the transient per-node score scratch orderCands sorts
-	// alongside the candidates; only live during one ordering.
-	scoreBuf []int64
-
 	reason  pruneReason
 	nodes   int64
 	leaves  int64
@@ -271,7 +258,6 @@ func appendBit(words []uint64, id uint32) []uint64 {
 func (s *searcher) release() {
 	s.reset()
 	s.reason = pruneReason{} // flush already rendered it; drop its labels
-	s.guided = false
 	s.pre = nil
 	s.spec = nil
 	s.sh = nil
@@ -424,23 +410,25 @@ func (s *searcher) dfs() status {
 			s.sh.tripMemBudget()
 		}
 	}
-	if s.guided && !s.strong {
+	if !s.strong {
 		// Query commit: a frontier query's justification is final (every
 		// visible update is placed), and placing it touches neither the main
-		// update projection nor any other pending query's justification — so
-		// by an exchange argument the subtree that places it right now covers
-		// the whole node: any witness placing it later reorders to one placing
-		// it now, and an inadmissible final justification refutes every
-		// extension. Exploring only this branch is the reduction that shrinks
-		// complete (refuting) searches, which pure sibling reordering cannot.
+		// update projection nor any other pending query's justification. By an
+		// exchange argument the subtree that places it right now covers the
+		// whole node: any witness placing it later reorders to one placing it
+		// now, and an inadmissible final justification refutes every extension
+		// of the prefix. Exploring only this branch shrinks complete
+		// (refuting) searches, which no reordering of siblings can: their
+		// configuration DAG is a property of the history, not of the visit
+		// order. The rule reads nothing but the prefix, so node counts stay a
+		// function of the history and the options. Strong mode judges a query
+		// against the whole preceding prefix, so its justification is not
+		// final at enablement and the rule does not apply.
 		if q := s.enabledQuery(); q >= 0 {
 			return s.explore(q)
 		}
 	}
-	if s.guided {
-		return s.exploreGuided(len(s.seq))
-	}
-	// Rank order: walk the frontier bitset directly. Each word is
+	// Otherwise walk the frontier bitset in rank order. Each word is
 	// copied once; explore restores the searcher (frontier included) to its
 	// node-entry state before returning, so the remaining bits of the copy
 	// stay the not-yet-tried candidates. Ascending bit position is ascending
@@ -469,117 +457,6 @@ func (s *searcher) enabledQuery() int {
 		}
 	}
 	return -1
-}
-
-// collectFrontier appends the frontier's label indices, in ascending order
-// position (= candidate rank order), to cands.
-func (s *searcher) collectFrontier(cands []int) []int {
-	for w, word := range s.frontier {
-		base := w << 6
-		for word != 0 {
-			b := bits.TrailingZeros64(word)
-			word &^= 1 << b
-			cands = append(cands, s.pre.order[base|b])
-		}
-	}
-	return cands
-}
-
-// exploreGuided is the guided candidate loop: collect the frontier
-// into per-depth scratch, order it by composite score (orderCands), and
-// explore in that order. The recursion under explore uses strictly deeper
-// scratch slots, so the slice iterated here stays intact.
-func (s *searcher) exploreGuided(depth int) status {
-	for len(s.ord) <= depth {
-		s.ord = append(s.ord, nil)
-	}
-	cands := s.collectFrontier(s.ord[depth][:0])
-	s.orderCands(cands)
-	s.ord[depth] = cands
-	for _, i := range cands {
-		if st := s.explore(i); st != sExhausted {
-			return st
-		}
-	}
-	return sExhausted
-}
-
-// orderCands sorts frontier candidates in place by descending composite
-// score: the novelty bit (the step reaches a spec state the interner has not
-// seen) above the static pre.guide score (pending-query justification count,
-// then session success score). The insertion sort is stable, so equal scores
-// keep rank order — ordering is a deterministic function of the session state
-// at node entry.
-func (s *searcher) orderCands(cands []int) {
-	if len(cands) < 2 {
-		return
-	}
-	sb := s.scoreBuf[:0]
-	for _, i := range cands {
-		sc := s.pre.guide[i]
-		if s.novel(i) {
-			sc |= guideNoveltyBit
-		}
-		sb = append(sb, sc)
-	}
-	s.scoreBuf = sb
-	for k := 1; k < len(cands); k++ {
-		ci, cs := cands[k], sb[k]
-		j := k - 1
-		for ; j >= 0 && sb[j] < cs; j-- {
-			cands[j+1], sb[j+1] = cands[j], sb[j]
-		}
-		cands[j+1], sb[j+1] = ci, cs
-	}
-}
-
-// novel reports whether placing label i reaches at least one spec state whose
-// canonical key the interner has not seen. The probe is read-only (interner
-// peek, no insertion), so ordering neither grows the interner nor consumes
-// its budget; queries never advance the main set and are never novel. A
-// source state whose transition is in the session step cache is skipped: its
-// successors were interned when the entry was filled, so none can be novel —
-// the same answer the StepAppend probe would compute. Once keying is off the
-// signal degrades to false for everyone — ordering then rests on the static
-// scores alone.
-func (s *searcher) novel(i int) bool {
-	l := s.pre.labels[i]
-	if !s.keyable || l.IsQuery() {
-		return false
-	}
-	cached := s.steps != nil && len(s.mainIDs) == len(s.main)
-	for si, phi := range s.main {
-		if cached {
-			if _, ok := s.steps.get(s.mainIDs[si], l); ok {
-				continue
-			}
-		}
-		sc := s.spec.StepAppend(s.stepScratch[:0], phi, l)
-		s.stepScratch = sc
-		if s.anyNovel(sc) {
-			return true
-		}
-	}
-	return false
-}
-
-// anyNovel reports whether any of the states has a canonical key the interner
-// has not seen yet.
-func (s *searcher) anyNovel(states []core.AbsState) bool {
-	for _, nxt := range states {
-		keyer, ok := nxt.(core.StateKeyer)
-		if !ok {
-			continue
-		}
-		key, ok := keyer.StateKey()
-		if !ok {
-			continue
-		}
-		if !s.intern.has(key) {
-			return true
-		}
-	}
-	return false
 }
 
 // explore descends into candidate i: enter, recurse, leave.

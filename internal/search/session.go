@@ -119,7 +119,7 @@ type specStep struct {
 // check and never changes a verdict's polarity: the search degrades to
 // memo-less mode (the DisableMemo path) for the remainder of the check, and
 // once the session is idle it evicts its caches — interner, memo arena,
-// plan/searcher pools, rewrite cache, guidance scores — so the next check
+// plan/searcher pools, rewrite cache — so the next check
 // starts exactly like one on a fresh session.
 type Budget struct {
 	// MaxInternedStates caps the number of distinct abstract states the
@@ -216,14 +216,6 @@ type Session struct {
 	// plans index the evicted generation's pooled shapes and their witnesses
 	// pin rewritten labels.
 	exts map[*core.History]*extension
-	// guidance is the guided-mode success-score table (core.GuidanceGuided):
-	// decayed per-label-class counters credited from the witnesses of the
-	// session's guided checks. It lives beside the plan pool and is dropped
-	// with the other caches on budget eviction; rank-order checks never touch
-	// it, and it is allocated lazily on the first guided check so rank-order
-	// sessions never pay for it. The table is internally synchronized —
-	// checks read and record through the pointer pinned at beginCheck time.
-	guidance *scoreTable
 }
 
 // NewSession creates an empty, unbudgeted batch session. It implements
@@ -237,23 +229,6 @@ func NewSession() *Session {
 // plan pool are capped by b. See Budget for the degradation semantics.
 func NewSessionWithBudget(b Budget) *Session {
 	return &Session{intern: newInternerLimited(b.MaxInternedStates), budget: b}
-}
-
-// guideScores returns the session's guided-mode success-score table,
-// allocating it on first use; nil on a nil session (sessionless guided checks
-// run with zero success scores). Like the interner, the pointer is stable for
-// the duration of any in-flight check because eviction only runs when the
-// session is idle.
-func (s *Session) guideScores() *scoreTable {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.guidance == nil {
-		s.guidance = newScoreTable()
-	}
-	return s.guidance
 }
 
 // Budget returns the session's configured memory budget (the zero Budget for
@@ -314,9 +289,8 @@ func (s *Session) endCheck() {
 }
 
 // evictLocked is the memory-budget fail-safe: drop every cache the session
-// accumulated — interner, pooled memo tables, plans and searcher scratch, the
-// rewrite cache and the guidance score table — so the memory is reclaimable
-// and the next check is
+// accumulated — interner, pooled memo tables, plans and searcher scratch and
+// the rewrite cache — so the memory is reclaimable and the next check is
 // indistinguishable from one on a fresh session with the same budget. Called
 // with s.mu held and no check in flight.
 func (s *Session) evictLocked() {
@@ -341,7 +315,6 @@ func (s *Session) evictLocked() {
 	s.exts = nil
 	s.memoEntries.Store(0)
 	s.rewrites.Clear()
-	s.guidance = nil
 	s.evictions++
 }
 

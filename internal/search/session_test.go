@@ -1,6 +1,7 @@
 package search
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -310,5 +311,28 @@ func TestSessionThroughCheckRAWith(t *testing.T) {
 	}
 	if sess.InternedStates() == 0 {
 		t.Fatal("the session must have been used (interner still empty)")
+	}
+}
+
+// TestSearchOrderDeterminism pins the search-order contract: the order reads
+// nothing but the history, so a batch checked through one warming session
+// must explore the same nodes and reach the same witnesses, check for check,
+// as the same histories checked sessionless.
+func TestSearchOrderDeterminism(t *testing.T) {
+	batch := []int64{6, 99, 6, 5, 99} // positives, refutations, and a re-check
+	sess := NewSession()
+	for k, ret := range batch {
+		h := distinctIncsHistory(6, ret)
+		warm := Run(h, spec.Counter{}, false, sessOpts(sess))
+		fresh := Run(h, spec.Counter{}, false, sessOpts(nil))
+		if !warm.Complete || !fresh.Complete {
+			t.Fatalf("check %d: truncated search: warm %+v fresh %+v", k, warm, fresh)
+		}
+		if warm.Nodes != fresh.Nodes {
+			t.Errorf("check %d: warm session explored %d nodes, sessionless %d", k, warm.Nodes, fresh.Nodes)
+		}
+		if !slices.Equal(warm.Witness, fresh.Witness) {
+			t.Errorf("check %d: witnesses diverged: warm %v, sessionless %v", k, warm.Witness, fresh.Witness)
+		}
 	}
 }
