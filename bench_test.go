@@ -389,8 +389,8 @@ func BenchmarkBatchRefutations(b *testing.B) {
 // history-plan cache amortizes: one OR-Set history (real query-update
 // rewriting, so every check pays a full history clone without the cache)
 // re-checked exhaustively, fresh engine state per check versus one session
-// whose rewrite cache serves the γ-rewriting and whose plan pool serves the
-// prepare() index arrays after the first check. Sequential search, so the
+// whose rewrite cache serves the γ-rewriting and whose searcher pool serves
+// the plan's index arrays after the first check. Sequential search, so the
 // variants differ only in setup amortization. See BENCHMARKS.md for committed
 // numbers; `make bench-gate` diffs both variants against the baseline.
 func BenchmarkSessionRecheck(b *testing.B) {
@@ -419,7 +419,7 @@ func BenchmarkSessionRecheck(b *testing.B) {
 	b.Run("session", func(b *testing.B) {
 		sess := search.NewSession()
 		// Two warm-up checks fill the session's caches: the first fills the
-		// pools (plan, searcher, shared block, memo arena) and marks the
+		// searcher pool (plan, memo table, scratch) and marks the
 		// history seen, the second — now a recognized re-check — fills the
 		// transition cache. The timed loop then measures the warm re-check
 		// steady state: 0 allocs/op, asserted by `make bench-gate`.

@@ -69,11 +69,3 @@ func (b bitset) forEach(fn func(i int)) {
 		}
 	}
 }
-
-// clone returns an independent copy of the row.
-func (b bitset) clone() bitset {
-	if len(b) == 0 {
-		return nil
-	}
-	return append(bitset(nil), b...)
-}

@@ -154,7 +154,7 @@ type CheckOptions struct {
 	// not production checking.
 	DebugMemo bool
 	// Session optionally carries engine state shared across the checks of a
-	// batch (interner, memo arena, pooled buffers). Nil means fresh state per
+	// batch (interner, pooled searchers, caches). Nil means fresh state per
 	// check. See CheckRAWith.
 	Session EngineSession
 }
@@ -232,7 +232,7 @@ type Result struct {
 	Stats
 	// PlanReused reports that the pruned engine drew this check's prepared
 	// history plan (the preds/succs/affected/order index arrays) from the
-	// session's plan pool instead of allocating it.
+	// session's searcher pool instead of allocating it.
 	PlanReused bool
 	// RewriteCached reports that the γ-rewriting was served from the
 	// session's rewrite cache instead of being re-derived (Rewritten then
@@ -272,7 +272,7 @@ type EngineOutcome struct {
 	// Stats is the work the search performed.
 	Stats
 	// PlanReused reports that the prepared history plan came from the
-	// session's plan pool.
+	// session's searcher pool.
 	PlanReused bool
 	// Incomplete explains why the search truncated (deadline, cancellation,
 	// node budget, memory budget, recovered panic); nil when Complete.

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"ralin/internal/clock"
@@ -31,8 +30,8 @@ type labelAt struct {
 // allocates only when a chunk fills.
 //
 // Queries (Vis, Concurrent, VisEdges, VisibleTo, SeenBy, Label, Labels, ...)
-// are read-only and safe for concurrent use; Add, AddVis and AddVisBatch
-// mutate and require external synchronization.
+// are read-only and safe for concurrent use; Add and AddVis mutate and
+// require external synchronization.
 type History struct {
 	byID map[uint64]labelAt
 	// seq holds the labels by rank, i.e. in insertion order.
@@ -61,13 +60,9 @@ type History struct {
 	epoch uint64
 	stack []int32
 	// words/edgeMem are the chunked arenas the index and adjacency rows are
-	// carved from; runTargets and gain are AddVisBatch's per-run scratch (the
-	// recorded targets, and the exact bits the run added to the source's
-	// reach row — the delta the deferred ancestor flush distributes).
-	words      wordArena
-	edgeMem    int32Arena
-	runTargets []int32
-	gain       bitset
+	// carved from.
+	words   wordArena
+	edgeMem int32Arena
 }
 
 // NewHistory returns an empty history.
@@ -326,219 +321,15 @@ func (h *History) MustAddVis(from, to uint64) {
 	}
 }
 
-// VisEdge is one directed visibility edge by label identifier, the element
-// type of AddVisBatch.
+// VisEdge is one directed visibility edge by label identifier: the unit in
+// which incremental consumers (monitors, op-by-op corpus replays) record the
+// edges that arrive with each appended operation before applying them through
+// AddVis.
 type VisEdge struct {
 	// From is the label that becomes visible to To.
 	From uint64
 	// To is the observing label.
 	To uint64
-}
-
-// AddVisBatch inserts a sequence of visibility edges with deferred, merged
-// propagation: consecutive edges sharing a source form a run whose transitive
-// fan-out is flushed once per run instead of once per edge. The observable
-// outcome — recorded adjacency, skipped implied edges, the closure, errors
-// and their messages — is identical to applying the same sequence through
-// AddVis; on the first error the already-applied prefix is fully propagated
-// and the error is returned (the remaining edges are not attempted). Bulk
-// construction paths whose edges are naturally grouped by source (Project,
-// scenario delivery) get the closure maintenance at one reverse walk and one
-// forward walk per source instead of per edge.
-func (h *History) AddVisBatch(edges []VisEdge) error {
-	for i := 0; i < len(edges); {
-		j := i + 1
-		for j < len(edges) && edges[j].From == edges[i].From {
-			j++
-		}
-		if err := h.addVisRun(edges[i].From, edges[i:j]); err != nil {
-			return err
-		}
-		i = j
-	}
-	return nil
-}
-
-// eagerApply folds one recorded run edge rf -> rt into the rows the rest of
-// the run reads: the source's reach row (so in-run implication checks see
-// every consequence), the target's pred row (its full new ancestry, final
-// because pred[rf] cannot change during the run), and the run-gain scratch
-// (the delta the deferred ancestor flush will distribute).
-func (h *History) eagerApply(rf, rt int) {
-	rrow := &h.reach[rf]
-	need := (rt >> 6) + 1
-	if len(h.reach[rt]) > need {
-		need = len(h.reach[rt])
-	}
-	h.touchRow(rrow, need)
-	rrow.set(rt)
-	rrow.orInto(h.reach[rt])
-	h.gain.set(rt)
-	h.gain.orInto(h.reach[rt])
-	prow := &h.pred[rt]
-	need = (rf >> 6) + 1
-	if len(h.pred[rf]) > need {
-		need = len(h.pred[rf])
-	}
-	h.touchRow(prow, need)
-	prow.set(rf)
-	prow.orInto(h.pred[rf])
-}
-
-// addVisRun applies one same-source run with deferred propagation. Per edge
-// it performs the exact AddVis checks and records the adjacency; while only
-// one edge has been recorded its propagation stays pending, so a run that
-// records a single edge (every run of a chain replay) degrades to exactly
-// the AddVis propagation pair. The moment a second candidate passes the
-// cycle check the pending edge is materialized through eagerApply — the
-// source's reach row must be current before the candidate's implication
-// check — and the run switches to merged mode: per recorded edge only the
-// eager rows are maintained, and the transitive fan-out is flushed once at
-// the end. This is equivalent to sequential AddVis because every edge of the
-// run leaves the source: no new path into the source (or into any other
-// rank's ancestry of it) can form, so the cycle check's row is current
-// wherever it matters, and the eagerly grown source row makes in-run
-// implications visible exactly as full propagation would.
-func (h *History) addVisRun(from uint64, run []VisEdge) error {
-	var err error
-	rf := -1
-	pending := -1
-	multi := false
-	h.runTargets = h.runTargets[:0]
-	h.gain = h.gain[:0]
-	for _, e := range run {
-		to := e.To
-		if from == to {
-			err = fmt.Errorf("history: visibility edge %d -> %d is reflexive", from, to)
-			break
-		}
-		if rf < 0 {
-			fa, ok := h.byID[from]
-			if !ok {
-				err = fmt.Errorf("history: unknown label %d in visibility edge", from)
-				break
-			}
-			rf = int(fa.rank)
-		}
-		ta, ok := h.byID[to]
-		if !ok {
-			err = fmt.Errorf("history: unknown label %d in visibility edge", to)
-			break
-		}
-		rt := int(ta.rank)
-		if h.reach[rt].test(rf) {
-			err = fmt.Errorf("history: visibility edge %d -> %d creates a cycle", from, to)
-			break
-		}
-		if pending >= 0 {
-			h.eagerApply(rf, pending)
-			pending = -1
-			multi = true
-		}
-		if h.reach[rf].test(rt) {
-			continue
-		}
-		h.recordEdge(rf, rt)
-		h.runTargets = append(h.runTargets, int32(rt))
-		if !multi {
-			pending = rt
-			continue
-		}
-		h.eagerApply(rf, rt)
-	}
-	switch {
-	case pending >= 0:
-		h.propagateReach(rf, pending)
-		h.propagatePred(rf, pending)
-	case len(h.runTargets) > 0:
-		h.flushReach(rf)
-		h.flushPred(rf, h.runTargets)
-	}
-	h.runTargets = h.runTargets[:0]
-	return err
-}
-
-// flushReach propagates a merged run's source-row gain to every ancestor of
-// rf: a rank that reaches rf absorbs the run-gain scratch (exactly the bits
-// the run added — using the full source row would make ancestors rescan
-// everything the source already reached). The walk seeds from rf's direct
-// predecessors with rf itself pre-marked — absorbing its own gain into
-// itself would be a no-change and stop the walk before it started.
-func (h *History) flushReach(rf int) {
-	delta := h.gain
-	h.epoch++
-	h.mark[rf] = h.epoch
-	stack := h.stack[:0]
-	for _, p := range h.adjIn[rf] {
-		if h.mark[p] != h.epoch {
-			h.mark[p] = h.epoch
-			stack = append(stack, p)
-		}
-	}
-	for len(stack) > 0 {
-		r := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		row := &h.reach[r]
-		h.touchRow(row, len(delta))
-		if !row.orInto(delta) {
-			continue
-		}
-		for _, p := range h.adjIn[r] {
-			if h.mark[p] != h.epoch {
-				h.mark[p] = h.epoch
-				stack = append(stack, p)
-			}
-		}
-	}
-	h.stack = stack[:0]
-}
-
-// flushPred propagates a run's predecessor delta — {rf} ∪ pred[rf], the
-// exact set of new ancestors any rank can have gained, identical for every
-// target because pred[rf] cannot change during the run — to the descendants
-// of the recorded targets. The targets absorbed the delta eagerly and are
-// pre-marked; rf is pre-marked too (it cannot be a target's descendant, that
-// would be a cycle, but marking it keeps the self-bit unreachable even so).
-func (h *History) flushPred(rf int, targets []int32) {
-	delta := h.pred[rf]
-	need := (rf >> 6) + 1
-	if len(delta) > need {
-		need = len(delta)
-	}
-	h.epoch++
-	h.mark[rf] = h.epoch
-	stack := h.stack[:0]
-	for _, t := range targets {
-		h.mark[t] = h.epoch
-	}
-	for _, t := range targets {
-		for _, s := range h.adjOut[t] {
-			if h.mark[s] != h.epoch {
-				h.mark[s] = h.epoch
-				stack = append(stack, s)
-			}
-		}
-	}
-	for len(stack) > 0 {
-		r := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		row := &h.pred[r]
-		h.touchRow(row, need)
-		changed := row.set(rf)
-		if row.orInto(delta) {
-			changed = true
-		}
-		if !changed {
-			continue
-		}
-		for _, s := range h.adjOut[r] {
-			if h.mark[s] != h.epoch {
-				h.mark[s] = h.epoch
-				stack = append(stack, s)
-			}
-		}
-	}
-	h.stack = stack[:0]
 }
 
 // Vis reports whether the label with identifier from is visible to the label
@@ -670,69 +461,6 @@ func (h *History) Clone() *History {
 		}
 	}
 	return c
-}
-
-// Project returns the sub-history containing only the labels for which keep
-// returns true, with the visibility relation restricted accordingly. The
-// restriction is taken on the closure, so labels related through a dropped
-// label stay related in the projection. Each kept rank's closure row is
-// inserted as one AddVisBatch run, so propagation in the projection is merged
-// per source instead of per edge.
-func (h *History) Project(keep func(*Label) bool) *History {
-	c := NewHistory()
-	kept := make([]bool, len(h.seq))
-	nkept := 0
-	for r, l := range h.seq {
-		if keep(l) {
-			kept[r] = true
-			nkept++
-		}
-	}
-	c.reserve(nkept)
-	for r, l := range h.seq {
-		if kept[r] {
-			c.MustAdd(l.Clone())
-		}
-	}
-	var run []VisEdge
-	for r, row := range h.reach {
-		if !kept[r] {
-			continue
-		}
-		from := h.seq[r].ID
-		run = run[:0]
-		row.forEach(func(s int) {
-			if kept[s] {
-				run = append(run, VisEdge{From: from, To: h.seq[s].ID})
-			}
-		})
-		if len(run) == 0 {
-			continue
-		}
-		if err := c.AddVisBatch(run); err != nil {
-			panic(err)
-		}
-	}
-	return c
-}
-
-// ProjectObject returns the sub-history of operations on the named object.
-func (h *History) ProjectObject(object string) *History {
-	return h.Project(func(l *Label) bool { return l.Object == object })
-}
-
-// Objects returns the distinct object names appearing in the history, sorted.
-func (h *History) Objects() []string {
-	set := map[string]bool{}
-	for _, l := range h.seq {
-		set[l.Object] = true
-	}
-	out := make([]string, 0, len(set))
-	for o := range set {
-		out = append(out, o)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // HistoryTimestamp returns ts_h(l): the label's own timestamp if it generated

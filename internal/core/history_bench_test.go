@@ -22,9 +22,7 @@ func addVisLabels(n int) *History {
 // worst-case reverse walk) and the final closure holds n·(n-1)/2 pairs.
 // Under the previous map-of-maps closure each edge rescanned the whole
 // relation for predecessors and inserted the new closure pairs one map entry
-// at a time; the index ORs word-sized strides instead. The batch variant
-// replays the same edges through AddVisBatch — a chain is all one-edge runs,
-// so it bounds the batch API's per-edge overhead rather than its merging.
+// at a time; the index ORs word-sized strides instead.
 func BenchmarkAddVisDense(b *testing.B) {
 	for _, n := range []int{256, 1024, 4096} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
@@ -39,30 +37,13 @@ func BenchmarkAddVisDense(b *testing.B) {
 				}
 			}
 		})
-		b.Run(fmt.Sprintf("n=%d/batch", n), func(b *testing.B) {
-			edges := make([]VisEdge, 0, n-1)
-			for id := 1; id < n; id++ {
-				edges = append(edges, VisEdge{From: uint64(id), To: uint64(id + 1)})
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				h := addVisLabels(n)
-				b.StartTimer()
-				if err := h.AddVisBatch(edges); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 
 // BenchmarkAddVisSparse measures the disjoint-pairs extreme: n/2 independent
 // edges, no transitive consequences, so the cost is the direct-edge append
 // plus one single-bit propagation each — the floor of AddVis, and the shape
-// whose ~3 allocations/edge the chunked arenas eliminate. The batch variant
-// replays the same pairs through AddVisBatch.
+// whose ~3 allocations/edge the chunked arenas eliminate.
 func BenchmarkAddVisSparse(b *testing.B) {
 	for _, n := range []int{256, 1024, 4096} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
@@ -77,30 +58,12 @@ func BenchmarkAddVisSparse(b *testing.B) {
 				}
 			}
 		})
-		b.Run(fmt.Sprintf("n=%d/batch", n), func(b *testing.B) {
-			edges := make([]VisEdge, 0, n/2)
-			for id := 1; id+1 <= n; id += 2 {
-				edges = append(edges, VisEdge{From: uint64(id), To: uint64(id + 1)})
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				h := addVisLabels(n)
-				b.StartTimer()
-				if err := h.AddVisBatch(edges); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 
 // layeredEdges returns the edges of a layered DAG over n labels in layers of
 // width w: every label of one layer visible to every label of the next,
-// grouped by source — long same-source runs, the shape whose propagation
-// AddVisBatch merges (one reverse and one forward flush per source instead
-// of per edge).
+// grouped by source.
 func layeredEdges(n, w int) []VisEdge {
 	var edges []VisEdge
 	for base := 1; base+w <= n; base += w {
@@ -118,9 +81,8 @@ func layeredEdges(n, w int) []VisEdge {
 	return edges
 }
 
-// BenchmarkAddVisLayered measures the run-merging payoff on a layered DAG
-// (width 16): the sequential variant pays the full propagation walk per
-// edge, the batch variant one merged flush per source.
+// BenchmarkAddVisLayered measures AddVis on a layered DAG (width 16), where
+// every edge pays a propagation walk over the whole layer above it.
 func BenchmarkAddVisLayered(b *testing.B) {
 	const width = 16
 	for _, n := range []int{256, 1024} {
@@ -134,18 +96,6 @@ func BenchmarkAddVisLayered(b *testing.B) {
 				b.StartTimer()
 				for _, e := range edges {
 					h.MustAddVis(e.From, e.To)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("n=%d/batch", n), func(b *testing.B) {
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				h := addVisLabels(n)
-				b.StartTimer()
-				if err := h.AddVisBatch(edges); err != nil {
-					b.Fatal(err)
 				}
 			}
 		})

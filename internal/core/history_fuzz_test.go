@@ -7,9 +7,8 @@ import (
 // FuzzHistoryVis is the fuzz face of the bitset/oracle differential: the
 // input bytes decode into an AddVis sequence over a small label set
 // (including out-of-range identifiers and reflexive and cycle-forming
-// edges), and every insertion verdict plus every visibility query — of both
-// the AddVis history and an AddVisBatch-driven twin — must match the legacy
-// map-closure oracle exactly, predecessor mirror included. CI runs it as a
+// edges), and every insertion verdict plus every visibility query must match
+// the legacy map-closure oracle exactly, predecessor mirror included. CI runs it as a
 // bounded smoke (`go test -fuzz=FuzzHistoryVis -fuzztime=30s`) on top of the
 // seed corpus.
 func FuzzHistoryVis(f *testing.F) {
@@ -20,26 +19,21 @@ func FuzzHistoryVis(f *testing.F) {
 	f.Fuzz(func(t *testing.T, n uint8, data []byte) {
 		labels := 2 + int(n%24)
 		h := NewHistory()
-		hb := NewHistory()
 		o := newLegacyVisOracle()
 		for i := 1; i <= labels; i++ {
 			l := mkLabel(uint64(i), "op", KindUpdate)
 			h.MustAdd(l)
-			hb.MustAdd(mkLabel(uint64(i), "op", KindUpdate))
 			if err := o.add(l); err != nil {
 				t.Fatal(err)
 			}
 		}
 		// Each byte pair is one edge; ids are taken modulo labels+2 so 0 and
-		// labels+1 probe the unknown-label path. The batch twin hb applies
-		// every edge as a one-element AddVisBatch, so the deferred-flush path
-		// sees the same error-heavy sequences as AddVis.
+		// labels+1 probe the unknown-label path.
 		for i := 0; i+1 < len(data) && i < 128; i += 2 {
 			from := uint64(int(data[i]) % (labels + 2))
 			to := uint64(int(data[i+1]) % (labels + 2))
-			applyEdgeDifferential(t, h, hb, o, from, to)
+			applyEdgeDifferential(t, h, o, from, to)
 		}
 		assertMatchesOracle(t, h, o)
-		assertMatchesOracle(t, hb, o)
 	})
 }

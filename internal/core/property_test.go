@@ -193,25 +193,6 @@ func TestTimestampOrderRespectsVisibilityWhenTimestampsDo(t *testing.T) {
 	}
 }
 
-func TestProjectPreservesVisibility(t *testing.T) {
-	prop := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		h := randomHistory(rng, 2+rng.Intn(7))
-		p := h.Project(func(l *Label) bool { return l.ID%2 == 0 })
-		for _, a := range p.Labels() {
-			for _, b := range p.Labels() {
-				if p.Vis(a.ID, b.ID) != h.Vis(a.ID, b.ID) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestRewriteHistoryPreservesStructure(t *testing.T) {
 	// Identity-rewritten histories keep their labels, kinds and visibility.
 	prop := func(seed int64) bool {

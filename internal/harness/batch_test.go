@@ -68,8 +68,8 @@ func TestBatchSharedSessionDifferential(t *testing.T) {
 }
 
 // TestBatchExhaustiveDifferential forces the exhaustive engine on every trial
-// (no constructive strategies), so the shared interner, memo arena and
-// searcher pools are actually exercised by each history — and must still
+// (no constructive strategies), so the shared interner and the searcher pool
+// (plans, memo tables, scratch) are actually exercised by each history — and must still
 // match fresh state exactly, node count for node count.
 func TestBatchExhaustiveDifferential(t *testing.T) {
 	for _, name := range []string{"OR-Set", "RGA", "Counter"} {
@@ -109,11 +109,11 @@ func TestBatchExhaustiveDifferential(t *testing.T) {
 }
 
 // TestBatchPolarityDifferentialAllDescriptors is the cross-history, cross-
-// polarity differential for the session plan pool and rewrite cache: for
+// polarity differential for the session searcher pool and rewrite cache: for
 // every CRDT descriptor, a batch mixing RA-linearizable histories, corrupted
 // (refuted) variants, and re-checked duplicates — the rewrite cache's hit
 // case — must produce byte-identical verdicts and search statistics through a
-// shared session (plan pool + rewrite cache + debug memo) and through fresh
+// shared session (searcher pool + rewrite cache + debug memo) and through fresh
 // per-history state.
 func TestBatchPolarityDifferentialAllDescriptors(t *testing.T) {
 	for _, d := range registry.All() {
@@ -164,7 +164,7 @@ func TestBatchPolarityDifferentialAllDescriptors(t *testing.T) {
 // contract the closure-free representation documents: Vis/Concurrent/
 // VisibleTo/SeenBy/VisEdges are read-only and safe to issue from other
 // goroutines while a shared-session batch re-checks the very same history
-// objects on concurrent workers (rewrite cache, plan pool). CI
+// objects on concurrent workers (rewrite cache, searcher pool). CI
 // runs the suite under -race, which turns any hidden mutation — scratch
 // reuse inside a query, lazily grown index rows — into a failure here.
 func TestHistoryQueryRaceWithBatchRecheck(t *testing.T) {
@@ -289,7 +289,7 @@ func TestBatchBothPolarities(t *testing.T) {
 
 // TestBatchPoolRace saturates the batch pool (8 workers, one shared session)
 // so `go test -race` — the CI configuration — exercises the concurrent
-// session pools, interner and memo arena end to end.
+// searcher pool and interner end to end.
 func TestBatchPoolRace(t *testing.T) {
 	d, err := registry.Lookup("OR-Set")
 	if err != nil {

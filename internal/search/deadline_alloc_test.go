@@ -13,16 +13,16 @@ import (
 
 // deadlineRecheckAllocs is the measured allocation count of one warm
 // re-check under a live deadline: the context.AfterFunc registration that
-// watches the deadline (its callback record, the closure over the shared
-// block, and the stop function). Everything else — plan, searcher, memo
-// table and the shared block itself — comes from the session's pools.
+// watches the deadline (its callback record, the closure over the searcher,
+// and the stop function). Everything else — the searcher with its plan and
+// memo table — comes from the session's pool.
 const deadlineRecheckAllocs = 3
 
 // TestSessionRecheckUnderDeadlineAllocs pins the cost of watching a
 // deadline: a warm re-check on a shared session under a far deadline
 // allocates only the deadline watch, and no more than the same re-check
 // without a context (0, as BenchmarkSessionRecheck/session asserts) plus that
-// watch: the shared block must come back to the pool whenever the deadline
+// watch: the searcher must come back to the pool whenever the deadline
 // did not fire.
 func TestSessionRecheckUnderDeadlineAllocs(t *testing.T) {
 	d, err := registry.Lookup("OR-Set")

@@ -256,7 +256,8 @@ func (s *Session) Extend(h *core.History, spec core.Spec, newOps []*core.Label, 
 	}
 	ext.planN = rhN
 
-	out := runPrepared(s, intern, ext.plan, rh, spec, false, true, opts)
+	w, _ := s.getSearcher(rhN)
+	out := w.run(s, intern, ext.plan, rh, spec, false, true, opts)
 	core.ApplyEngineOutcome(&res, out, false)
 	if out.OK {
 		// The engine's witness is carved from a 512-label arena chunk;
@@ -335,7 +336,11 @@ func (s *Session) extendable(ext *extension, h *core.History, spec core.Spec, to
 // rebuildExt is the degradation ladder's bottom rung: drop the stale entry
 // and the (possibly stale) cached rewriting of the mutated h, run a plain
 // warm core.CheckRA over the full history, and record a fresh extension entry
-// for the next call.
+// for the next call. CheckRA and the RewriteForCheck after it each consult
+// the session's rewrite cache, and a concurrent check (or the spec itself)
+// can evict the cache in between, so the entry's rewriting may be a second
+// clone of h. The witness is recorded as the certificate only when it
+// belongs to that same clone; otherwise the next call searches.
 func (s *Session) rebuildExt(h *core.History, spec core.Spec, opts core.CheckOptions, token any) core.Result {
 	s.dropExt(h)
 	s.rewrites.Invalidate(h)
@@ -360,7 +365,7 @@ func (s *Session) rebuildExt(h *core.History, spec core.Spec, opts core.CheckOpt
 			ext.maxGenSeq = gs
 		}
 	}
-	if res.Verdict == core.VerdictValid {
+	if res.Verdict == core.VerdictValid && res.Rewritten == rew.History {
 		ext.setWitness(rew.History, res.Linearization)
 	}
 	s.storeExt(h, ext)

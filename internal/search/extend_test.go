@@ -459,3 +459,59 @@ func TestExtendRebuildsOnSpecChange(t *testing.T) {
 		t.Fatalf("Extend under %s: verdict %v (replayed=%v), from scratch %v", specB.Name(), res.Verdict, res.WitnessReplayed, want.Verdict)
 	}
 }
+
+// churnSpec is the counter specification with a side effect on its first
+// transition: it rewrites churnHistories fresh histories through the
+// session's rewrite cache, enough to make the cache evict its whole
+// generation while the check that called it is still running.
+type churnSpec struct {
+	spec.Counter
+	churn *churnState
+}
+
+type churnState struct {
+	opts core.CheckOptions
+	done bool
+}
+
+const churnHistories = 300
+
+func (c churnSpec) StepAppend(dst []core.AbsState, phi core.AbsState, l *core.Label) []core.AbsState {
+	if !c.churn.done {
+		c.churn.done = true
+		for i := 0; i < churnHistories; i++ {
+			if _, _, err := core.RewriteForCheck(concurrentIncsHistory(1, 1), c.churn.opts); err != nil {
+				panic(err)
+			}
+		}
+	}
+	return c.Counter.StepAppend(dst, phi, l)
+}
+
+// TestRebuildExtRecordsCheckedClone is the regression for rebuildExt
+// recording its extension entry over a different rewritten clone than the
+// one the check verified: when the rewrite cache evicts the checked clone
+// mid-check, re-deriving the rewriting afterwards yields a second clone, and
+// a certificate made of the first clone's labels must not be replayed over
+// it. Every Valid result must be an RA-linearization of its own Rewritten.
+func TestRebuildExtRecordsCheckedClone(t *testing.T) {
+	sess := NewSession()
+	opts := extOpts(sess)
+	opts.Rewriting = cloneRewriting{tag: 1}
+	sp := churnSpec{churn: &churnState{opts: opts}}
+	h := core.NewHistory()
+	for i := uint64(1); i <= 3; i++ {
+		l := mkUpdate(i, "inc")
+		h.MustAdd(l)
+		res := sess.Extend(h, sp, []*core.Label{l}, opts)
+		if res.Verdict != core.VerdictValid {
+			t.Fatalf("op %d: incs must be valid: %+v", i, res)
+		}
+		if err := core.IsRALinearization(res.Rewritten, res.Linearization, sp); err != nil {
+			t.Fatalf("op %d: witness is not a linearization of its own rewritten history: %v", i, err)
+		}
+	}
+	if !sp.churn.done {
+		t.Fatal("the search never stepped the spec: the churn did not run")
+	}
+}

@@ -3,7 +3,9 @@ package search
 import (
 	"context"
 	"reflect"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -187,4 +189,66 @@ func TestPanickingSpecLeavesSessionUsable(t *testing.T) {
 	if got.OK != fresh.OK || got.Complete != fresh.Complete || got.Nodes != fresh.Nodes {
 		t.Fatalf("session after panic differs from fresh: got %+v want %+v", got, fresh)
 	}
+}
+
+// cancelSpec is the counter specification cancelling its check's context on
+// its first transition and then giving the context's callback goroutine a
+// moment to run, so the interruption arrives mid-search.
+type cancelSpec struct {
+	spec.Counter
+	ctx    context.Context
+	cancel context.CancelFunc
+}
+
+func (c cancelSpec) StepAppend(dst []core.AbsState, phi core.AbsState, l *core.Label) []core.AbsState {
+	if c.ctx.Err() == nil {
+		c.cancel()
+		time.Sleep(time.Millisecond)
+	}
+	return c.Counter.StepAppend(dst, phi, l)
+}
+
+// TestSessionPoolUnderCancellation interleaves checks cancelled mid-search
+// with normal checks on one session, concurrently, so `go test -race` sees
+// the context callback racing the searcher's return to the pool. A searcher
+// the callback may still reach must not be pooled, and a pooled one must
+// carry nothing of its last check: every normal check — run under a live
+// context cancelled only after it returns — must match a sessionless check
+// of the same history in verdict, node counts and witness, with no stale
+// interruption.
+func TestSessionPoolUnderCancellation(t *testing.T) {
+	sess := NewSession()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for rep := 0; rep < 8; rep++ {
+				k := 5 + (g+rep)%3
+				ret := int64(k)
+				if rep%4 < 2 {
+					ret = 99
+				}
+				h := distinctIncsHistory(k, ret)
+				ctx, cancel := context.WithCancel(context.Background())
+				opts := sessOpts(sess)
+				opts.Context = ctx
+				if (g+rep)%2 == 0 {
+					out := Run(h, cancelSpec{ctx: ctx, cancel: cancel}, false, opts)
+					if !out.Complete && (out.Incomplete == nil || out.Incomplete.Reason != core.ReasonCancelled) {
+						t.Errorf("g=%d rep=%d: interrupted check must report ReasonCancelled: %+v", g, rep, out)
+					}
+					continue
+				}
+				got := Run(h, spec.Counter{}, false, opts)
+				cancel()
+				want := Run(h, spec.Counter{}, false, core.CheckOptions{})
+				if got.Incomplete != nil || !slices.Equal(got.Witness, want.Witness) ||
+					!reflect.DeepEqual(normalizeOutcome(got), normalizeOutcome(want)) {
+					t.Errorf("g=%d rep=%d k=%d: pooled check %+v differs from sessionless %+v", g, rep, k, got, want)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

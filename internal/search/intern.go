@@ -119,3 +119,56 @@ func (h *hash128) mix(x uint64) {
 func (h hash128) sum() key128 {
 	return key128{hi: splitmix64(h.a ^ (h.b << 1)), lo: splitmix64(h.b ^ (h.a >> 1))}
 }
+
+// compactor assigns dense check-local IDs to session-interner IDs, in first-
+// contact order. The searcher's state-set bitsets and word-folded memo keys
+// index by compact ID, so their width tracks the states this check actually
+// reaches instead of the session's whole interned vocabulary. Assignment is a
+// bijection for the duration of one check, so two sets get equal word
+// sequences iff they held equal session IDs.
+//
+// Interner IDs are themselves dense from 0, so the forwarding table is a
+// slice indexed by interner ID, not a map — compact is an array load on the
+// hot path. Each entry is stamped with the check's epoch, making reset O(1):
+// bumping the epoch invalidates every stale entry at once. The compactor is
+// part of the check's searcher and only it calls compact, so the table takes
+// no lock.
+type compactor struct {
+	epoch uint32
+	next  uint32
+	// fwd[id] = epoch<<32 | cid, valid only when the stamp matches the
+	// current epoch. Entries never shrink; stale stamps are dead weight until
+	// the slice is reused.
+	fwd []uint64
+}
+
+// compact returns the check-local ID of session-interner ID id, assigning the
+// next dense ID on first contact.
+func (c *compactor) compact(id uint32) uint32 {
+	if int(id) < len(c.fwd) {
+		if e := c.fwd[id]; uint32(e>>32) == c.epoch {
+			return uint32(e)
+		}
+	}
+	for int(id) >= len(c.fwd) {
+		c.fwd = append(c.fwd, 0)
+	}
+	cid := c.next
+	c.next++
+	c.fwd[id] = uint64(c.epoch)<<32 | uint64(cid)
+	return cid
+}
+
+// reset starts a fresh dense ID space for the next check by bumping the
+// epoch; the forwarding slice is kept but every stale entry's stamp stops
+// matching. Epoch 0 is reserved as "never stamped" (the zero value of a grown
+// entry), so a wrap skips it after zeroing the slice, and a zero compactor is
+// reset once before its first check.
+func (c *compactor) reset() {
+	c.epoch++
+	if c.epoch == 0 {
+		clear(c.fwd)
+		c.epoch = 1
+	}
+	c.next = 0
+}

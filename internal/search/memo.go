@@ -3,7 +3,6 @@ package search
 import (
 	"fmt"
 	"slices"
-	"sync/atomic"
 )
 
 // bitset is a fixed-capacity bit vector over label indices; histories can
@@ -35,17 +34,10 @@ func (b bitset) clear(i int)    { b[i/64] &^= 1 << (i % 64) }
 // invariant for differential and soak runs, at the cost of one tuple
 // allocation per memoized node.
 //
-// A table serves one check at a time (sessions hand each in-flight check its
-// own), so it takes no lock.
+// The table is part of its check's searcher, so it takes no lock.
 type memoTable struct {
-	// debug is set by Run from the check's options before the search starts.
+	// debug is set from the check's options before the search starts.
 	debug bool
-	// live, when non-nil, points at the session's live memo-entry counter:
-	// claim increments it per stored entry and reset hands the table's
-	// entries back. Session.getMemo sets it only when a memo budget
-	// (Budget.MaxMemoBytes) is configured, so the unbudgeted claim path pays
-	// nothing beyond a nil check.
-	live *atomic.Int64
 	// seen is built lazily on the first claim.
 	seen map[key128]struct{}
 	// tuples holds the full hashed word sequence per key in debug mode
@@ -53,19 +45,13 @@ type memoTable struct {
 	tuples map[key128][]uint64
 }
 
-func newMemoTable() *memoTable { return &memoTable{} }
-
-// reset clears the table while keeping the maps' allocated buckets, so a
-// session's memo arena allocates its maps once per batch instead of once per
-// history. Keys mix per-history label indices, so stale entries must never
-// survive into the next check — clearing, not reuse of contents, is the
-// point. Must not be called while a search is still using the table.
-func (m *memoTable) reset() {
-	m.debug = false
-	if m.live != nil {
-		m.live.Add(-int64(len(m.seen)))
-		m.live = nil
-	}
+// reset clears the table for a new check while keeping the maps' allocated
+// buckets, so a pooled searcher allocates its memo maps once per session
+// instead of once per history. Keys mix per-history label indices, so stale
+// entries must never survive into the next check — clearing, not reuse of
+// contents, is the point.
+func (m *memoTable) reset(debug bool) {
+	m.debug = debug
 	clear(m.seen)
 	clear(m.tuples)
 }
@@ -95,9 +81,6 @@ func (m *memoTable) claim(k key128, tuple []uint64) bool {
 		}
 		m.tuples[k] = append([]uint64(nil), tuple...)
 	}
-	if m.live != nil {
-		m.live.Add(1)
-	}
 	return true
 }
 
@@ -112,15 +95,16 @@ func (m *memoTable) claim(k key128, tuple []uint64) bool {
 // sequences — the key is whole-word mixing over data that already exists, a
 // word per 64 states where the pre-bitset key mixed one word per state.
 //
-// The second return value is false when memoization is off: the table is
-// disabled, or some reachable state does not implement core.StateKeyer (the
-// unkeyable flag, set by the insert path).
+// The second return value is false when memoization is off: the check runs
+// with DisableMemo, the memory budget tripped, or some reachable state does
+// not implement core.StateKeyer (the keyable flag, cleared by the insert
+// path).
 //
 // In debug mode the walk additionally records the exact word sequence into
 // s.keyTuple (claim stores and cross-checks it); the hot path keeps its
 // append-free loop.
 func (s *searcher) memoKey() (key128, bool) {
-	if s.memo == nil || s.sh.unkeyable {
+	if !s.memoize || !s.keyable {
 		return key128{}, false
 	}
 	if s.memo.debug {

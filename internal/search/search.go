@@ -50,7 +50,6 @@ package search
 import (
 	"context"
 	"fmt"
-	"runtime/debug"
 	"slices"
 	"sort"
 
@@ -69,11 +68,11 @@ func init() {
 // (core checks this before dispatching).
 //
 // When opts.Session carries a *Session (created by NewSession and threaded
-// through core.CheckRAWith), the search draws its interner, memo table and
-// searcher scratch from the session instead of allocating them: interned
-// state IDs are shared across every check of the session, while the memo
-// table and searchers are recycled through the session's pools — reset, not
-// reallocated — when the search finishes.
+// through core.CheckRAWith), the search draws its interner and its searcher
+// from the session instead of allocating them: interned state IDs are shared
+// across every check of the session, while the searcher — plan, memo table
+// and scratch — is recycled through the session's pool, reset, not
+// reallocated, when the search finishes.
 func Run(h *core.History, spec core.Spec, strong bool, opts core.CheckOptions) core.EngineOutcome {
 	sess, _ := opts.Session.(*Session)
 	// Pin the session's cache generation for the whole check: budget eviction
@@ -81,78 +80,56 @@ func Run(h *core.History, spec core.Spec, strong bool, opts core.CheckOptions) c
 	// references them.
 	intern := ensureInterner(sess.beginCheck())
 	defer sess.endCheck()
-	pre, planReused := sess.getPlan(h.Len())
-	defer sess.putPlan(pre)
-	if err := pre.build(h, strong); err != nil {
+	s, reused := sess.getSearcher(h.Len())
+	if err := s.plan.build(h, strong); err != nil {
+		sess.putSearcher(s)
 		return core.EngineOutcome{Complete: true, LastErr: err}
 	}
-	return runPrepared(sess, intern, pre, h, spec, strong, planReused, opts)
+	return s.run(sess, intern, &s.plan, h, spec, strong, reused, opts)
 }
 
-// runPrepared executes the search phase of Run over an already-built plan:
-// shared-block arming, transition-cache gating, context watching, and the
-// search itself. It is split from Run so the incremental extension path
-// (Session.Extend) can run a search over a plan it grew in place instead of
-// rebuilding one; Run's own call passes the plan it just built. The caller
-// owns pre's lifetime (Run pools it, Extend keeps it in the extension entry)
-// and must hold the session's check pin (beginCheck) for the duration.
-func runPrepared(sess *Session, intern *interner, pre *prepared, h *core.History, spec core.Spec, strong, planReused bool, opts core.CheckOptions) core.EngineOutcome {
-	// The shared block is pooled per session like the plans and searchers —
-	// but only when no context callback can outlive the check and touch it
-	// after release (the stop check below).
-	sh := sess.getShared(nodeBudget(opts))
-	sh.sess = sess
+// run executes the search phase of a check over an already-built plan:
+// transition-cache gating, context watching, the search itself, and
+// returning the searcher to the session's pool. The incremental extension
+// path (Session.Extend) runs it over a plan it grew in place instead of
+// rebuilding one; Run passes the searcher's own plan. The caller owns pre's
+// lifetime and must hold the session's check pin (beginCheck) for the
+// duration.
+func (s *searcher) run(sess *Session, intern *interner, pre *prepared, h *core.History, spec core.Spec, strong, planReused bool, opts core.CheckOptions) core.EngineOutcome {
 	// The transition cache only serves re-checks (its keys are label
 	// pointers, so a first-contact history could only fill it with copies
 	// nothing will ever hit); attach it only when the session has seen this
 	// history before. One-shot histories then skip the cache's per-transition
 	// lock probes entirely.
+	var steps *stepCache
 	if sess.recheck(h) {
-		sh.steps = sess.stepCacheFor(spec)
+		steps = sess.stepCacheFor(spec)
 	}
-	if sess != nil {
-		if max := sess.budget.MaxMemoBytes; max > 0 {
-			sh.memoCount = &sess.memoEntries
-			sh.memoLimit = max / memoEntryBytes
-			if sh.memoLimit < 1 {
-				sh.memoLimit = 1
-			}
-		}
-	}
-	memo := sessionMemo(sess, opts)
-	defer sess.putMemo(memo)
-
 	// Watch the caller's context (when there is one): deadline expiry or
 	// cancellation interrupts the search through the stop flag it checks on
 	// node entry, from a callback the context runs on its own goroutine. A
 	// context that is already dead skips the search entirely.
-	var stopWatch func() bool
-	if ctx := opts.Context; ctx != nil {
-		if inc := core.ContextIncomplete(ctx); inc != nil {
-			sh.interrupt(inc)
-			out := sh.outcome()
-			out.PlanReused = planReused
-			// No callback was registered yet, so the block is safe to pool
-			// regardless of the context's shape.
-			sess.putShared(sh)
-			return out
-		}
-		if ctx.Done() != nil {
-			stopWatch = context.AfterFunc(ctx, func() { sh.interrupt(core.ContextIncomplete(ctx)) })
-		}
-	}
-
-	s := newSearcher(sess.getSearcher(len(pre.labels)), pre, spec, strong, intern, memo, sh)
-	if runGuarded(sh, func() { s.dfs() }) {
-		s.flush()
+	ctx := opts.Context
+	if inc := core.ContextIncomplete(ctx); inc != nil {
 		sess.putSearcher(s)
+		return core.EngineOutcome{Incomplete: inc, PlanReused: planReused}
 	}
-	out := sh.outcome()
+	s.start(sess, intern, pre, spec, strong, steps, opts)
+	var stopWatch func() bool
+	if ctx != nil && ctx.Done() != nil {
+		stopWatch = context.AfterFunc(ctx, func() { s.interrupt(core.ContextIncomplete(ctx)) })
+	}
+	ok := s.runGuarded()
+	out := s.outcome()
 	out.PlanReused = planReused
+	if s.memoLimit > 0 {
+		// Hand the check's memo entries back to the session's memo budget.
+		sess.memoEntries.Add(-int64(len(s.memo.seen)))
+	}
 	// stopWatch reports false when the callback has already started: it may
-	// still be running, so the block must not be pooled.
-	if stopWatch == nil || stopWatch() {
-		sess.putShared(sh)
+	// still be running, so the searcher must not be pooled.
+	if ok && (stopWatch == nil || stopWatch()) {
+		sess.putSearcher(s)
 	}
 	return out
 }
@@ -170,33 +147,6 @@ func ensureInterner(in *interner) *interner {
 	return in
 }
 
-// sessionMemo draws a cleared memo table from the session arena with the
-// check's debug flag applied, or nil when memoization is disabled.
-func sessionMemo(sess *Session, opts core.CheckOptions) *memoTable {
-	if opts.DisableMemo {
-		return nil
-	}
-	m := sess.getMemo()
-	m.debug = opts.DebugMemo
-	return m
-}
-
-// runGuarded runs f, converting a panic into a search interruption (reason
-// panic, stack captured) instead of crashing the process: the batch the check
-// belongs to keeps running and this check reports VerdictUnknown. It returns
-// false when f panicked — the caller must treat the searcher's state as
-// poisoned (its counters are neither flushed nor its scratch pooled).
-func runGuarded(sh *shared, f func()) (ok bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			sh.panicked(r, debug.Stack())
-			ok = false
-		}
-	}()
-	f()
-	return true
-}
-
 // nodeBudget derives the prefix-node budget from the options: MaxNodes wins;
 // zero falls back to 3×MaxExtensions (an unpruned prefix tree has at most
 // e·n! internal nodes against the n! complete extensions the legacy cap
@@ -212,11 +162,9 @@ func nodeBudget(opts core.CheckOptions) int64 {
 }
 
 // prepared is the immutable, index-based view of the history one check
-// searches: the history's "plan". Plans are pooled per session in
-// size classes (Session.getPlan/putPlan): build clears-not-reallocates every
-// index slice, so after the first few checks of a batch a plan rebuild
-// allocates nothing at all — the same arena discipline the session's memo
-// tables use.
+// searches: the history's "plan". Each searcher carries one (searcher.plan),
+// pooled with it: build clears-not-reallocates every index slice, so after
+// the first few checks of a batch a plan rebuild allocates nothing at all.
 type prepared struct {
 	labels []*core.Label
 	// preds[i] / succs[i] are the (transitive) visibility predecessors and

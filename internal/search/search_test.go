@@ -116,11 +116,11 @@ func TestMemoKeyIsConfiguration(t *testing.T) {
 	// Distinct arguments keep the incs from being twins, so every prefix
 	// below is one the search can reach.
 	h := distinctIncsHistory(4, 4)
-	pre := &prepared{}
-	if err := pre.build(h, false); err != nil {
+	s := &searcher{}
+	if err := s.plan.build(h, false); err != nil {
 		t.Fatal(err)
 	}
-	s := newSearcher(nil, pre, spec.Counter{}, false, newInterner(), newMemoTable(), newShared(0))
+	s.start(nil, newInterner(), &s.plan, spec.Counter{}, false, nil, core.CheckOptions{})
 	key := func(prefix ...int) key128 {
 		t.Helper()
 		s.reset()

@@ -3,6 +3,9 @@ package search
 import (
 	"fmt"
 	"math/bits"
+	"runtime/debug"
+	"sync"
+	"sync/atomic"
 
 	"ralin/internal/core"
 )
@@ -13,7 +16,7 @@ type status int
 const (
 	// sExhausted: the subtree was fully explored and holds no witness.
 	sExhausted status = iota
-	// sFound: a witness was found (and recorded in the shared state).
+	// sFound: a witness was found (and recorded in searcher.witness).
 	sFound
 	// sStopped: the search was cancelled or the node budget ran out; the
 	// subtree may contain unexplored nodes.
@@ -28,7 +31,7 @@ const (
 const witnessChunkLabels = 512
 
 // pruneReason records why a prefix was rejected, kept cheap so the hot path
-// does no formatting; searcher.flush renders the last one.
+// does no formatting; searcher.outcome renders the last one.
 type pruneReason struct {
 	label *core.Label
 	cond  string
@@ -51,7 +54,7 @@ func (r pruneReason) err() error {
 // setBuf is one reusable state-set buffer. While the specification is keyable
 // it carries three parallel views of the set: the abstract states in arrival
 // order, their session-interner IDs (the step-cache keys), and a bitset over
-// check-local compact IDs (shared.compact) — the set's canonical form.
+// check-local compact IDs (searcher.compact) — the set's canonical form.
 // Membership is a single word test on the bitset, and memo hashing folds the
 // words directly instead of walking IDs one at a time. The bitset is kept in
 // canonical trimmed form (its last word is always nonzero), so two buffers
@@ -62,22 +65,65 @@ type setBuf struct {
 	words  []uint64
 }
 
-// searcher is the mutable search state of one check.
+// searcher is the one per-check object: the search state of one check, its
+// own history plan, memo table and compact ID space, and the record the
+// check reports through — counters, the node budget, the witness, the
+// degradation flag and the interruption record. A Session pools whole
+// searchers (getSearcher/putSearcher), so a warm check reuses every buffer
+// below. One goroutine runs the search, so everything it alone touches is
+// plain. Two fields are also written by the context.AfterFunc callback run
+// registers for a cancellable context: stop, and the first interruption cause
+// under mu; a searcher that callback may still reach is never pooled.
 type searcher struct {
+	// plan is the searcher's own history plan, built by Run; its index
+	// slices are cleared-not-reallocated by each build, so a pooled searcher
+	// rebuilds a plan without allocating. pre is the plan being searched:
+	// &plan, or the grown plan Session.Extend keeps per history.
+	plan   prepared
 	pre    *prepared
 	spec   core.Spec
 	strong bool
-	sh     *shared
 	intern *interner
-	memo   *memoTable
-	// compact assigns dense check-local IDs to session-interner IDs (points
-	// into sh).
-	compact *compactor
+	// sess is the session the check runs through, nil when sessionless; a
+	// memory-budget trip notifies it so it evicts its caches once idle.
+	sess *Session
 	// steps is the session's per-spec transition cache, nil when the check
-	// runs sessionless or the spec is not cacheable. On a warm session the
-	// stepAll fast path replays cached (state, label) transitions without
-	// re-entering the spec (no StateKey rendering, no interner probe).
+	// runs sessionless, is a first contact, or the spec is not cacheable. On
+	// a warm session the stepAll fast path replays cached (state, label)
+	// transitions without re-entering the spec (no StateKey rendering, no
+	// interner probe).
 	steps *stepCache
+	// memo is the check's memoization table, consulted only while memoize
+	// holds: it is off under CheckOptions.DisableMemo and once the memory
+	// budget trips.
+	memo    memoTable
+	memoize bool
+	// memoLimit is the memo-entry cap derived from Budget.MaxMemoBytes, 0
+	// without a memo budget. With a cap every claimed entry is counted into
+	// the session's memoEntries and handed back when the check ends, so the
+	// unbudgeted claim path pays nothing.
+	memoLimit int64
+	// compact assigns dense check-local IDs to session-interner IDs.
+	compact compactor
+
+	// stop asks the search to unwind at its next node; interrupt sets it.
+	stop atomic.Bool
+	mu   sync.Mutex
+	// inc records the first interruption cause (deadline, cancellation,
+	// recovered panic); node-budget truncation is derived in outcome when no
+	// explicit cause was recorded.
+	inc *core.Incomplete
+	// budget caps the nodes the search explores (0 = unlimited); truncated
+	// records that it cut the search.
+	budget    int64
+	truncated bool
+	// memDegraded flips to true once the session memory budget trips
+	// (interner at MaxInternedStates, or memo entries past MaxMemoBytes):
+	// the search keeps running memo-less, the verdict stays sound, and the
+	// outcome reports the degradation.
+	memDegraded bool
+	// witness is the linearization the search found, nil until a leaf.
+	witness []*core.Label
 
 	// stepScratch is the reusable buffer StepAppend fills per transition.
 	stepScratch []core.AbsState
@@ -112,9 +158,9 @@ type searcher struct {
 	qstates [][]core.AbsState
 	qids    [][]uint32
 	qwords  [][]uint64
-	// keyable caches whether every state seen so far interned; it flips off
-	// (together with sh.unkeyable, which disables memoization) at the first
-	// state without a canonical key.
+	// keyable reports whether every state seen so far interned; it flips off
+	// — disabling memoization with it — at the first state without a
+	// canonical key.
 	keyable bool
 	// initStates/initIDs/initWords back the bottom-of-stack main set ({ϕ0});
 	// they are owned by the searcher (never pooled by putBuf) and reused
@@ -135,7 +181,7 @@ type searcher struct {
 	// left untouched when a later query's justification dies.
 	stepped []setBuf
 
-	// witMem is the witness arena: the current chunk witness() carves
+	// witMem is the witness arena: the current chunk carveWitness cuts
 	// complete linearizations from. Carved regions are caller-owned and never
 	// recycled; the chunk advances and a new one is allocated only when full.
 	witMem []*core.Label
@@ -147,24 +193,28 @@ type searcher struct {
 	memoHit int64
 }
 
-// newSearcher builds a search state over the empty prefix, reusing the
-// backing arrays and buffer pools of recycled (a searcher released into a
-// Session by an earlier check; nil allocates fresh). memo may be nil when
-// memoization is disabled.
-func newSearcher(recycled *searcher, pre *prepared, spec core.Spec, strong bool, intern *interner, memo *memoTable, sh *shared) *searcher {
-	s := recycled
-	if s == nil {
-		s = &searcher{}
-	}
+// start arms the searcher for one check of pre and sets up the search over
+// the empty prefix, reusing the backing arrays, memo maps and buffer pools a
+// pooled searcher kept from earlier checks.
+func (s *searcher) start(sess *Session, intern *interner, pre *prepared, spec core.Spec, strong bool, steps *stepCache, opts core.CheckOptions) {
 	n := len(pre.labels)
 	s.pre = pre
 	s.spec = spec
 	s.strong = strong
-	s.sh = sh
 	s.intern = intern
-	s.memo = memo
-	s.compact = &sh.compact
-	s.steps = sh.steps
+	s.sess = sess
+	s.steps = steps
+	s.memo.reset(opts.DebugMemo)
+	s.memoize = !opts.DisableMemo
+	s.memoLimit = 0
+	if sess != nil && sess.budget.MaxMemoBytes > 0 {
+		s.memoLimit = max(1, sess.budget.MaxMemoBytes/memoEntryBytes)
+	}
+	s.compact.reset()
+	s.stop.Store(false)
+	s.budget = nodeBudget(opts)
+	s.truncated = false
+	s.memDegraded = false
 	s.indegree = resizeInts(s.indegree, n)
 	s.placed = resizeBitset(s.placed, n)
 	s.frontier = resizeBitset(s.frontier, n)
@@ -182,7 +232,7 @@ func newSearcher(recycled *searcher, pre *prepared, spec core.Spec, strong bool,
 		}
 	}
 	s.seq = s.seq[:0]
-	s.keyable = !sh.unkeyable
+	s.keyable = true
 	s.reason = pruneReason{}
 	s.nodes, s.leaves, s.pruned, s.memoHit = 0, 0, 0, 0
 	init, initID, initOK := s.cachedInit()
@@ -209,7 +259,6 @@ func newSearcher(recycled *searcher, pre *prepared, spec core.Spec, strong bool,
 			s.qwords[q] = s.mainWords
 		}
 	}
-	return s
 }
 
 // cachedInit returns the specification's initial state and its interned ID.
@@ -251,20 +300,22 @@ func appendBit(words []uint64, id uint32) []uint64 {
 }
 
 // release unwinds the searcher and drops every reference into the finished
-// check (history, specification, shared state, live state sets) so a pooled
-// searcher pins nothing; the backing arrays, undo frames and buffer pool stay
-// for the next check. The witness arena chunk is kept: its carved prefix is
-// caller-owned and its free tail is clean.
+// check (history, specification, session, witness, interruption record, live
+// state sets) so a pooled searcher pins nothing; the backing arrays, undo
+// frames, memo maps and buffer pool stay for the next check. The witness
+// arena chunk is kept: its carved prefix is caller-owned and its free tail is
+// clean.
 func (s *searcher) release() {
 	s.reset()
-	s.reason = pruneReason{} // flush already rendered it; drop its labels
+	s.plan.release()
+	s.reason = pruneReason{}
 	s.pre = nil
 	s.spec = nil
-	s.sh = nil
 	s.intern = nil
-	s.memo = nil
-	s.compact = nil
+	s.sess = nil
 	s.steps = nil
+	s.inc = nil
+	s.witness = nil
 	clear(s.stepScratch[:cap(s.stepScratch)])
 	s.stepScratch = s.stepScratch[:0]
 	clear(s.initStates[:cap(s.initStates)])
@@ -355,43 +406,116 @@ func (s *searcher) internState(phi core.AbsState) (uint32, bool) {
 			if id, ok := s.intern.id(key); ok {
 				return id, true
 			}
-			s.sh.tripMemBudget()
+			s.tripMemBudget()
 		}
 	}
 	s.keyable = false
-	s.sh.unkeyable = true
 	return 0, false
 }
 
-// flush copies the counters and prune reason into the shared state; call
-// once when the search is done. The prune reason is only rendered (one
-// fmt.Errorf) when the search found no witness — a witness-producing search
-// never reads it, so the warm re-check path skips the formatting allocation
-// entirely.
-func (s *searcher) flush() {
-	sh := s.sh
-	sh.nodes, sh.leaves, sh.pruned, sh.memoHits = s.nodes, s.leaves, s.pruned, s.memoHit
-	if s.reason.label != nil && sh.witness == nil {
-		sh.lastErr = s.reason.err()
+// interrupt records the cause of an interruption and stops the search. The
+// first recorded cause wins; later interrupts only reinforce the stop flag.
+// Safe to call from the context callback's goroutine.
+func (s *searcher) interrupt(inc *core.Incomplete) {
+	s.mu.Lock()
+	if s.inc == nil {
+		s.inc = inc
 	}
+	s.mu.Unlock()
+	s.stop.Store(true)
+}
+
+// tripMemBudget records that the session memory budget was hit. The search
+// continues memo-less (graceful degradation, not an abort); the session is
+// told so it evicts its caches when idle.
+func (s *searcher) tripMemBudget() {
+	if !s.memDegraded {
+		s.memDegraded = true
+		s.sess.noteTrip()
+	}
+}
+
+// runGuarded runs the search, converting a panic into a search interruption
+// (reason panic, stack captured) instead of crashing the process: the batch
+// the check belongs to keeps running and this check reports VerdictUnknown.
+// It returns false when the search panicked — the searcher's state is then
+// poisoned and must not be pooled.
+func (s *searcher) runGuarded() (ok bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			s.interrupt(&core.Incomplete{
+				Reason: core.ReasonPanic,
+				Detail: fmt.Sprintf("search panicked: %v", r),
+				Stack:  string(debug.Stack()),
+			})
+			ok = false
+		}
+	}()
+	s.dfs()
+	return true
+}
+
+// outcome assembles the engine outcome of the finished search. The prune
+// reason is only rendered (one fmt.Errorf) when the search found no witness —
+// a witness-producing search never reads it, so the warm re-check path skips
+// the formatting allocation entirely.
+func (s *searcher) outcome() core.EngineOutcome {
+	s.mu.Lock()
+	inc := s.inc
+	s.mu.Unlock()
+	out := core.EngineOutcome{
+		OK:      s.witness != nil,
+		Witness: s.witness,
+		Stats: core.Stats{
+			Nodes:    int(s.nodes),
+			Pruned:   int(s.pruned),
+			MemoHits: int(s.memoHit),
+			Leaves:   int(s.leaves),
+		},
+		MemDegraded: s.memDegraded,
+	}
+	if !out.OK {
+		out.LastErr = s.reason.err()
+	}
+	out.Complete = out.OK || (!s.truncated && inc == nil)
+	if !out.Complete {
+		if inc == nil {
+			// No explicit interruption was recorded: the node budget cut the
+			// search. Attribute it to the memory budget when the truncation
+			// happened after degradation — the memo-less search is the reason
+			// the node budget no longer sufficed.
+			inc = &core.Incomplete{
+				Reason: core.ReasonNodeBudget,
+				Detail: fmt.Sprintf("node budget exhausted after %d nodes", s.nodes),
+			}
+			if out.MemDegraded {
+				inc = &core.Incomplete{
+					Reason: core.ReasonMemBudget,
+					Detail: fmt.Sprintf("memory budget tripped (search degraded to memo-less mode) and the node budget then truncated after %d nodes", s.nodes),
+				}
+			}
+		}
+		out.Incomplete = inc
+	}
+	return out
 }
 
 // dfs explores the subtree under the current prefix.
 func (s *searcher) dfs() status {
-	if s.sh.stop.Load() {
+	if s.stop.Load() {
 		return sStopped
 	}
 	s.nodes++
-	if b := s.sh.budget; b > 0 && s.nodes > b {
+	if b := s.budget; b > 0 && s.nodes > b {
 		// The node budget is exhausted.
-		s.sh.truncated = true
+		s.truncated = true
 		return sStopped
 	}
 	if len(s.seq) == len(s.pre.labels) {
 		// Conditions (i)–(iii) were enforced on every prefix, so a complete
 		// sequence is a witness.
 		s.leaves++
-		s.sh.witness = s.witness()
+		s.witness = s.carveWitness()
 		return sFound
 	}
 	if key, keyed := s.memoKey(); keyed {
@@ -405,9 +529,9 @@ func (s *searcher) dfs() status {
 		// was just added): past the limit the search stops memoizing — an
 		// allocation-free degradation. Zero cost per node when no budget is
 		// set.
-		if lim := s.sh.memoLimit; lim > 0 && s.sh.memoCount.Load() > lim {
-			s.memo = nil
-			s.sh.tripMemBudget()
+		if s.memoLimit > 0 && s.sess.memoEntries.Add(1) > s.memoLimit {
+			s.memoize = false
+			s.tripMemBudget()
 		}
 	}
 	if !s.strong {
@@ -782,12 +906,12 @@ func (s *searcher) insertKnown(buf *setBuf, phi core.AbsState, id uint32) {
 	buf.ids = append(buf.ids, id)
 }
 
-// witness materializes the current (complete) prefix as a label sequence,
+// carveWitness materializes the current (complete) prefix as a label sequence,
 // carved from the witness arena: the slice is caller-owned (it becomes
 // Result.Linearization), the chunk it came from is never recycled, and a new
 // chunk is allocated only when the current one is full — so a warm session
 // amortizes the per-witness allocation to ~0.
-func (s *searcher) witness() []*core.Label {
+func (s *searcher) carveWitness() []*core.Label {
 	n := len(s.seq)
 	if s.witMem == nil || len(s.witMem)+n > cap(s.witMem) {
 		size := witnessChunkLabels

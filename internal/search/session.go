@@ -15,11 +15,11 @@ import (
 // integer comparison instead of a size calculation.
 const memoEntryBytes = 64
 
-// poolClasses is the number of size classes the plan and searcher pools are
-// split into. Class c holds entries whose label capacity has bit length c
-// (i.e. capacities in [2^(c-1), 2^c)), so a batch mixing small and large
-// histories hands each check scratch within a factor of two of its size
-// instead of ping-ponging one pool between shapes.
+// poolClasses is the number of size classes the searcher pool is split into.
+// Class c holds searchers whose label capacity has bit length c (i.e.
+// capacities in [2^(c-1), 2^c)), so a batch mixing small and large histories
+// hands each check scratch within a factor of two of its size instead of
+// ping-ponging one pool between shapes.
 const poolClasses = 16
 
 // sizeClass maps a label count to its pool class.
@@ -118,9 +118,10 @@ type specStep struct {
 // (and any zero field) means unlimited. Tripping a budget never aborts a
 // check and never changes a verdict's polarity: the search degrades to
 // memo-less mode (the DisableMemo path) for the remainder of the check, and
-// once the session is idle it evicts its caches — interner, memo arena,
-// plan/searcher pools, rewrite cache — so the next check
-// starts exactly like one on a fresh session.
+// once the session is idle it evicts its caches — interner, searcher pool,
+// step caches, rewrite cache — so the next check starts exactly like one on a
+// fresh session. The searcher pool needs no cap of its own: it never holds
+// more searchers than the session once ran checks at the same time.
 type Budget struct {
 	// MaxInternedStates caps the number of distinct abstract states the
 	// session interner assigns IDs to.
@@ -129,40 +130,31 @@ type Budget struct {
 	// across the session's in-flight checks (each entry is accounted at
 	// memoEntryBytes).
 	MaxMemoBytes int64
-	// MaxPlanPoolEntries caps the prepared-plan pool (and, with it, the
-	// searcher scratch pool) so an adversarial batch of many distinct
-	// history shapes cannot grow the pools without bound.
-	MaxPlanPoolEntries int
 }
 
 // Session is the cross-check state of one batch of searches: the interner
-// assigning dense IDs to canonical state keys, an arena of memo tables, a
-// pool of prepared history plans, a rewrite cache, and a pool of searcher
-// scratch (undo frames, state-set buffers, candidate slices). A single check
-// pays for all of these as warm-up; a batch that threads one Session through
-// every check
-// (core.CheckRAWith / CheckOptions.Session) pays once and then only resets.
+// assigning dense IDs to canonical state keys, the per-spec transition
+// caches, a rewrite cache, and a pool of searchers — the one per-check object,
+// carrying its plan, memo table and scratch (undo frames, state-set buffers).
+// A single check pays for all of these as warm-up; a batch that threads one
+// Session through every check (core.CheckRAWith / CheckOptions.Session) pays
+// once and then only resets.
 //
 // Sharing is safe because the pieces have different lifetimes:
 //
 //   - the interner is append-only and concurrency-safe, and interned IDs stay
 //     valid for the whole session — states recur across the histories of a
 //     batch, so later checks mostly hit the read lock;
-//   - memo tables are per-check (their keys mix per-history label indices, so
-//     reusing *contents* across histories would alias configurations of
-//     different histories); the arena recycles the tables themselves, cleared
-//     with their buckets kept, so a check allocates no memo maps after the
-//     arena warms up;
-//   - history plans (the preds/succs/affected/order index arrays prepare()
-//     derives) are per-check; the pool recycles the plan structs with their
-//     index slices cleared-not-reallocated, so a check's setup stops paying
-//     the per-history index allocations once the pool warms up;
+//   - searchers are per-check: a check takes one from the pool and returns it
+//     when done. Their memo tables and plans are per-check too (memo keys and
+//     plan indexes are per-history label indices, so reusing *contents*
+//     across histories would alias configurations of different histories);
+//     the pool recycles the maps, index slices and buffers themselves,
+//     cleared-not-reallocated, so a warm check allocates none of them;
 //   - the rewrite cache is keyed by history identity and survives the whole
 //     session: a history re-checked through the session clones and
 //     re-derives its γ-rewriting once, not once per check (consulted by
-//     core.CheckRA through the core.RewriteCacher interface);
-//   - searchers are per-check; the pool recycles their backing
-//     arrays and buffer pools, re-initialized for each history's label count.
+//     core.CheckRA through the core.RewriteCacher interface).
 //
 // A Session may serve concurrent checks and checks of different
 // specifications. Interner IDs are only ever compared within one check, and a
@@ -188,17 +180,9 @@ type Session struct {
 	// internedHigh is the high-water interned-state count across evictions,
 	// so InternedStates keeps reporting the vocabulary actually built.
 	internedHigh int
-	memos        []*memoTable
-	// searchers and plans are pooled in size classes (sizeClass over the label
-	// count they were last sized for); searcherCount/planCount track the
-	// totals across classes for the MaxPlanPoolEntries budget.
-	searchers     [poolClasses][]*searcher
-	plans         [poolClasses][]*prepared
-	searcherCount int
-	planCount     int
-	// shareds pools the per-check coordination blocks (counters, compactor,
-	// stop flags) released by Run.
-	shareds []*shared
+	// searchers is the searcher pool, in size classes (sizeClass over the
+	// label count a searcher was last sized for).
+	searchers [poolClasses][]*searcher
 	// steps holds one transition cache per distinct comparable specification
 	// checked through the session (stepCacheFor).
 	steps []specStep
@@ -213,8 +197,7 @@ type Session struct {
 	// the length, rewriting and prepared plan of each history's last verdict,
 	// plus the witness certificate when that verdict was Valid. Entries are
 	// capped at extensionCap and dropped wholesale on budget eviction — their
-	// plans index the evicted generation's pooled shapes and their witnesses
-	// pin rewritten labels.
+	// witnesses pin rewritten labels.
 	exts map[*core.History]*extension
 }
 
@@ -225,8 +208,8 @@ func NewSession() *Session {
 	return NewSessionWithBudget(Budget{})
 }
 
-// NewSessionWithBudget creates a batch session whose interner, memo arena and
-// plan pool are capped by b. See Budget for the degradation semantics.
+// NewSessionWithBudget creates a batch session whose interner and memo tables
+// are capped by b. See Budget for the degradation semantics.
 func NewSessionWithBudget(b Budget) *Session {
 	return &Session{intern: newInternerLimited(b.MaxInternedStates), budget: b}
 }
@@ -289,22 +272,16 @@ func (s *Session) endCheck() {
 }
 
 // evictLocked is the memory-budget fail-safe: drop every cache the session
-// accumulated — interner, pooled memo tables, plans and searcher scratch and
-// the rewrite cache — so the memory is reclaimable and the next check is
-// indistinguishable from one on a fresh session with the same budget. Called
-// with s.mu held and no check in flight.
+// accumulated — interner, searcher pool, step caches and the rewrite cache —
+// so the memory is reclaimable and the next check is indistinguishable from
+// one on a fresh session with the same budget. Called with s.mu held and no
+// check in flight.
 func (s *Session) evictLocked() {
 	if n := s.intern.size(); n > s.internedHigh {
 		s.internedHigh = n
 	}
 	s.intern = newInternerLimited(s.budget.MaxInternedStates)
-	s.memos = nil
-	for c := range s.plans {
-		s.plans[c] = nil
-		s.searchers[c] = nil
-	}
-	s.planCount, s.searcherCount = 0, 0
-	s.shareds = nil
+	s.searchers = [poolClasses][]*searcher{}
 	// The step caches hold IDs of the evicted interner generation; replaying
 	// them against the fresh generation would alias unrelated states.
 	s.steps = nil
@@ -347,73 +324,6 @@ func (s *Session) RewriteCache() *core.RewriteCache {
 		return nil
 	}
 	return &s.rewrites
-}
-
-// getPlan takes a recycled history plan sized for n labels — its index slices
-// are cleared-not-reallocated by the next build — or a fresh one when the
-// session is nil or no suitable class has an entry. The plan's own size class
-// is tried first, then larger classes (their entries fit with room to spare);
-// smaller classes would only re-grow. The second result reports whether the
-// plan was recycled (surfaced as Result.PlanReused).
-func (s *Session) getPlan(n int) (*prepared, bool) {
-	if s == nil {
-		return &prepared{}, false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if p := takeClassed(s.plans[:], sizeClass(n), &s.planCount); p != nil {
-		return p, true
-	}
-	return &prepared{}, false
-}
-
-// takeClassed pops an entry from a size-classed pool: the wanted class first,
-// then larger classes (their entries fit with room to spare), then smaller
-// ones (reuse with regrowth beats a cold allocation). count is the pool's
-// cross-class total. Returns the zero T when every class is empty.
-func takeClassed[T comparable](classes [][]T, want int, count *int) T {
-	var zero T
-	take := func(c int) (T, bool) {
-		if k := len(classes[c]); k > 0 {
-			e := classes[c][k-1]
-			classes[c][k-1] = zero
-			classes[c] = classes[c][:k-1]
-			*count--
-			return e, true
-		}
-		return zero, false
-	}
-	for c := want; c < poolClasses; c++ {
-		if e, ok := take(c); ok {
-			return e
-		}
-	}
-	for c := want - 1; c >= 0; c-- {
-		if e, ok := take(c); ok {
-			return e
-		}
-	}
-	return zero
-}
-
-// putPlan drops the plan's label references (so a pooled plan pins nothing of
-// the finished check's history) and returns it to its size class — unless the
-// budget caps the pool and it is full, in which case the plan is dropped for
-// the collector (cold-plan eviction). No-op on a nil session.
-func (s *Session) putPlan(p *prepared) {
-	if s == nil || p == nil {
-		return
-	}
-	p.release()
-	s.mu.Lock()
-	if max := s.budget.MaxPlanPoolEntries; max > 0 && s.planCount >= max {
-		s.mu.Unlock()
-		return
-	}
-	c := sizeClass(cap(p.order))
-	s.plans[c] = append(s.plans[c], p)
-	s.planCount++
-	s.mu.Unlock()
 }
 
 // seenHistoryCap bounds the re-check tracking set: past it, first contacts
@@ -468,107 +378,46 @@ func (s *Session) stepCacheFor(spec core.Spec) *stepCache {
 	return c
 }
 
-// getShared takes a pooled per-check coordination block re-armed with the
-// given node budget, or a fresh one when the session is nil or the pool is
-// empty.
-func (s *Session) getShared(budget int64) *shared {
+// getSearcher takes a pooled searcher sized for n labels — the wanted size
+// class first, then larger classes (their searchers fit with room to spare),
+// then smaller ones (reuse with regrowth beats a cold allocation) — or
+// allocates one when the session is nil or the pool is empty. The second
+// result reports whether the searcher, and so its plan, was recycled
+// (surfaced as EngineOutcome.PlanReused).
+func (s *Session) getSearcher(n int) (*searcher, bool) {
 	if s == nil {
-		return newShared(budget)
-	}
-	s.mu.Lock()
-	var sh *shared
-	if n := len(s.shareds); n > 0 {
-		sh = s.shareds[n-1]
-		s.shareds[n-1] = nil
-		s.shareds = s.shareds[:n-1]
-	}
-	s.mu.Unlock()
-	if sh == nil {
-		return newShared(budget)
-	}
-	sh.reset(budget)
-	return sh
-}
-
-// putShared releases the block's references into the finished check and pools
-// it. Run only calls this when no context callback can still touch the
-// block. No-op on a nil session.
-func (s *Session) putShared(sh *shared) {
-	if s == nil || sh == nil {
-		return
-	}
-	sh.release()
-	s.mu.Lock()
-	s.shareds = append(s.shareds, sh)
-	s.mu.Unlock()
-}
-
-// getMemo takes a cleared memo table from the arena (allocating only when the
-// arena is empty). When the session carries a memo budget, the table is wired
-// to the session's live-entry counter so claims are accounted. Safe on a nil
-// session, which always allocates.
-func (s *Session) getMemo() *memoTable {
-	if s == nil {
-		return newMemoTable()
-	}
-	s.mu.Lock()
-	var m *memoTable
-	if n := len(s.memos); n > 0 {
-		m = s.memos[n-1]
-		s.memos[n-1] = nil
-		s.memos = s.memos[:n-1]
-	}
-	s.mu.Unlock()
-	if m == nil {
-		m = newMemoTable()
-	}
-	if s.budget.MaxMemoBytes > 0 {
-		m.live = &s.memoEntries
-	}
-	return m
-}
-
-// putMemo clears the table (keeping its maps' buckets) and returns it
-// to the arena. No-op on a nil session.
-func (s *Session) putMemo(m *memoTable) {
-	if s == nil || m == nil {
-		return
-	}
-	m.reset()
-	s.mu.Lock()
-	s.memos = append(s.memos, m)
-	s.mu.Unlock()
-}
-
-// getSearcher takes a recycled searcher sized for n labels (its own size
-// class first, then larger), or returns nil (which newSearcher treats as
-// "allocate fresh") when the session is nil or no suitable class has one.
-func (s *Session) getSearcher(n int) *searcher {
-	if s == nil {
-		return nil
+		return &searcher{}, false
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return takeClassed(s.searchers[:], sizeClass(n), &s.searcherCount)
+	want := sizeClass(n)
+	for i := range poolClasses {
+		// want, want+1, ..., poolClasses-1, then want-1, ..., 0.
+		c := want + i
+		if c >= poolClasses {
+			c = poolClasses - 1 - i
+		}
+		if k := len(s.searchers[c]); k > 0 {
+			w := s.searchers[c][k-1]
+			s.searchers[c][k-1] = nil
+			s.searchers[c] = s.searchers[c][:k-1]
+			return w, true
+		}
+	}
+	return &searcher{}, false
 }
 
 // putSearcher unwinds the searcher, drops its references to the finished
-// check's history and specification, and pools its backing arrays in their
-// size class for the next check. No-op on a nil session.
+// check, and pools it in its size class for the next check. The caller
+// guarantees nothing else can still reach it: the search did not panic and
+// no context callback started. No-op on a nil session.
 func (s *Session) putSearcher(w *searcher) {
-	if s == nil || w == nil {
+	if s == nil {
 		return
 	}
 	w.release()
-	s.mu.Lock()
-	// The searcher pool rides on the plan-pool budget: searcher scratch is
-	// sized by the same history shapes the plans index.
-	if max := s.budget.MaxPlanPoolEntries; max > 0 && s.searcherCount >= max {
-		s.mu.Unlock()
-		return
-	}
 	c := sizeClass(cap(w.indegree))
+	s.mu.Lock()
 	s.searchers[c] = append(s.searchers[c], w)
-	s.searcherCount++
 	s.mu.Unlock()
 }

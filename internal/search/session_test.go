@@ -94,10 +94,11 @@ func TestSessionConcurrentChecks(t *testing.T) {
 	wg.Wait()
 }
 
-// TestSessionPlanPoolReuse checks the plan pool end to end: the first check
-// of a session builds its plan fresh, later checks draw recycled plans
-// (surfaced as PlanReused), and a recycled plan rebuilt for a history of a
-// different size produces exactly the outcome of a fresh plan.
+// TestSessionPlanPoolReuse checks plan reuse through the searcher pool end
+// to end: the first check of a session builds its plan fresh, later checks
+// draw recycled searchers and rebuild their plans (surfaced as PlanReused),
+// and a recycled plan rebuilt for a history of a different size produces
+// exactly the outcome of a fresh plan.
 func TestSessionPlanPoolReuse(t *testing.T) {
 	sess := NewSession()
 	first := Run(concurrentIncsHistory(6, 99), spec.Counter{}, false, sessOpts(sess))
@@ -124,10 +125,10 @@ func TestSessionPlanPoolReuse(t *testing.T) {
 	}
 }
 
-// TestSessionPlanPoolConcurrent hammers the plan pool with concurrent checks
-// of different history sizes, so `go test -race` exercises concurrent
-// getPlan/putPlan and the clear-not-reallocate resize paths of the pooled
-// index slices.
+// TestSessionPlanPoolConcurrent hammers the searcher pool with concurrent
+// checks of different history sizes, so `go test -race` exercises
+// concurrent getSearcher/putSearcher across size classes and the
+// clear-not-reallocate resize paths of the pooled plans' index slices.
 func TestSessionPlanPoolConcurrent(t *testing.T) {
 	sess := NewSession()
 	var wg sync.WaitGroup
@@ -263,8 +264,7 @@ func TestSessionRewriteCacheTokenedClosure(t *testing.T) {
 // duplicate, re-claiming it with a different tuple — a hash collision — must
 // panic.
 func TestDebugMemoDetectsCollision(t *testing.T) {
-	m := newMemoTable()
-	m.debug = true
+	m := &memoTable{debug: true}
 	k := key128{hi: 1, lo: 2}
 	if !m.claim(k, []uint64{10, 20}) {
 		t.Fatal("first claim must succeed")
