@@ -12,6 +12,8 @@ import (
 	"testing"
 
 	"ralin/internal/core"
+	"ralin/internal/crdt/registry"
+	"ralin/internal/harness"
 	"ralin/internal/search"
 )
 
@@ -91,4 +93,64 @@ func TestScenarioCorpusIncrementalReplay(t *testing.T) {
 			t.Errorf("%s: no prefix replayed its certificate over %d ops — the incremental path never engaged", paths[i], h.Len())
 		}
 	}
+}
+
+// TestSessionRecheckOfGrownHistory re-checks one live history through the
+// same session after it grew, by a label and then by an edge. The session's
+// rewrite cache keys entries by history pointer, so a cache that ignored the
+// growth would serve the rewriting of the shorter history and re-prove its
+// Valid verdict; every re-check must instead rewrite afresh and agree with a
+// sessionless check.
+func TestSessionRecheckOfGrownHistory(t *testing.T) {
+	d, err := registry.Lookup("OR-Set")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := harness.DefaultWorkload()
+	cfg.Seed = 7
+	cfg.Ops = 8
+	h, err := harness.RunRandom(d, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := search.NewSession()
+	opts := d.CheckOptions()
+	if res := core.CheckRAWith(h, d.Spec, opts, sess); res.Verdict != core.VerdictValid {
+		t.Fatalf("generated history: verdict %v, want Valid: %v", res.Verdict, res.LastErr)
+	}
+	recheck := func(step string) {
+		t.Helper()
+		res := core.CheckRAWith(h, d.Spec, opts, sess)
+		fresh := core.CheckRA(h, d.Spec, opts)
+		if res.RewriteCached {
+			t.Errorf("%s: the session served a cached rewriting of the history before it grew", step)
+		}
+		if res.Rewritten.Len() != fresh.Rewritten.Len() || res.Verdict != fresh.Verdict {
+			t.Fatalf("%s: session verdict %v over %d rewritten labels, sessionless %v over %d",
+				step, res.Verdict, res.Rewritten.Len(), fresh.Verdict, fresh.Rewritten.Len())
+		}
+	}
+
+	// A read of an element nothing ever added: Invalid from scratch.
+	var maxID uint64
+	var update uint64
+	for i := 0; i < h.Len(); i++ {
+		l := h.LabelAt(i)
+		maxID = max(maxID, l.ID)
+		if l.Method == "add" {
+			update = l.ID
+		}
+	}
+	read := &core.Label{ID: maxID + 1, Method: "read", Ret: []string{"zzz"}, Kind: core.KindQuery, GenSeq: maxID + 1}
+	h.MustAdd(read)
+	recheck("after a new read")
+	if res := core.CheckRAWith(h, d.Spec, opts, sess); !res.RewriteCached || res.Verdict != core.VerdictInvalid {
+		t.Fatalf("unchanged history: want the cached rewriting and Invalid, got cached=%v verdict %v", res.RewriteCached, res.Verdict)
+	}
+	// An edge alone (no new label) retires the cached rewriting too.
+	if update == 0 {
+		t.Fatal("the generated history has no add to make visible to the read")
+	}
+	h.MustAddVis(update, read.ID)
+	recheck("after a new edge")
 }

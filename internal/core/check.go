@@ -232,7 +232,8 @@ type Result struct {
 	Stats
 	// PlanReused reports that the pruned engine drew this check's prepared
 	// history plan (the preds/succs/affected/order index arrays) from the
-	// session's searcher pool instead of allocating it.
+	// session's searcher pool instead of allocating it. An incremental
+	// extension's fallback search reports the pool the same way.
 	PlanReused bool
 	// RewriteCached reports that the γ-rewriting was served from the
 	// session's rewrite cache instead of being re-derived (Rewritten then
@@ -245,9 +246,10 @@ type Result struct {
 	MemDegraded bool
 	// Extended reports that this verdict was produced by the incremental
 	// extension path (CheckRAExtend through a session that had already
-	// checked a prefix of the history): the prepared plan was grown in place
-	// instead of rebuilt. The verdict itself is byte-identical to a
-	// from-scratch check either way.
+	// checked a prefix of the history): the rewriting was grown in place
+	// instead of re-derived, and the verdict came from the certificate
+	// replay or a search over that grown rewriting. The verdict itself is
+	// byte-identical to a from-scratch check either way.
 	Extended bool
 	// WitnessReplayed reports that the extension validated the previous
 	// check's cached witness as a certificate — the new operations were
@@ -473,8 +475,8 @@ func enumerate(h *History, opts CheckOptions, check func(seq []*Label) error) En
 // Extender is the optional incremental-extension interface an EngineSession
 // may implement (search.Session does). Extend re-checks a history the session
 // has seen before after newOps were appended to it, reusing the previous
-// verdict's witness as a certificate and growing the session's prepared plan
-// in place; it degrades to a warm from-scratch check whenever the incremental
+// verdict's witness as a certificate and growing the cached rewriting in
+// place, and searches that rewriting when the certificate fails; it degrades to a warm from-scratch check whenever the incremental
 // preconditions fail, so the verdict is byte-identical to CheckRA either way.
 type Extender interface {
 	EngineSession
@@ -488,10 +490,11 @@ type Extender interface {
 // newOps (already appended — they are h's final labels) since the session in
 // opts.Session last checked it. When the session supports extension and the
 // pruned engine is selected, the check reuses the previous verdict as a
-// certificate and costs ~the marginal work of the new operations; otherwise
-// it falls back to a plain CheckRA. Verdicts are byte-identical to CheckRA on
-// the full history in every case — only Result.Extended/WitnessReplayed and
-// the engine statistics differ.
+// certificate and costs ~the marginal work of the new operations; when the
+// certificate fails it runs the ordinary pruned search over the grown
+// rewriting; otherwise it falls back to a plain CheckRA. Verdicts are
+// byte-identical to CheckRA on the full history in every case — only
+// Result.Extended/WitnessReplayed and the engine statistics differ.
 func CheckRAExtend(h *History, spec Spec, newOps []*Label, opts CheckOptions) Result {
 	if ext, ok := opts.Session.(Extender); ok && resolveEngine(opts.Engine) == EnginePruned {
 		return ext.Extend(h, spec, newOps, opts)

@@ -18,14 +18,18 @@ const rewriteCacheCap = 256
 // several times through one engine session (differential runs, repeated
 // figure reproductions, re-checked batches) clones and re-derives its
 // rewritten form once instead of once per check. Entries are keyed by history
-// *identity* (the pointer), matching the aliasing fast path's contract that a
-// History is immutable while checks reference it; the cached RewrittenHistory
-// is shared by every subsequent Result.Rewritten the same way the aliased
-// input history already is.
+// *identity* (the pointer); the cached RewrittenHistory is shared by every
+// subsequent Result.Rewritten the same way the aliased input history already
+// is.
 //
 // A cached entry is only returned for the same rewriting it was built with
-// (see rewritingToken). The zero value is ready to use; all methods are safe
-// for concurrent callers.
+// (see rewritingToken) and while the history still has the label count and
+// direct-edge count it had when the entry was stored. A History only grows
+// (Add and AddVis never remove anything), so a history that gained labels or
+// edges since — a live history re-checked after appends — misses and is
+// rewritten afresh instead of being served the clone of its shorter self.
+// The zero value is ready to use; all methods are safe for concurrent
+// callers.
 type RewriteCache struct {
 	mu      sync.Mutex
 	entries map[*History]rewriteEntry
@@ -33,9 +37,20 @@ type RewriteCache struct {
 	misses  int64
 }
 
+// rewriteEntry is one cached rewriting: the rewriting's token, the clone, and
+// the size of the history it was derived from (History.Len and
+// History.DirectEdgeCount at store time).
 type rewriteEntry struct {
 	token any
 	rew   *RewrittenHistory
+	n     int
+	edges int
+}
+
+// matches reports whether e is the rewriting of h, in its current size, under
+// the rewriting identified by token.
+func (e rewriteEntry) matches(h *History, token any) bool {
+	return e.n == h.Len() && e.edges == h.DirectEdgeCount() && tokensEqual(e.token, token)
 }
 
 // RewritingTokener is an optional interface for rewritings that cannot be
@@ -103,12 +118,12 @@ func tokensEqual(a, b any) (eq bool) {
 	return a == b
 }
 
-// lookup returns the cached rewriting of h under the rewriting identified by
-// token, or nil.
+// lookup returns the cached rewriting of h in its current size under the
+// rewriting identified by token, or nil.
 func (c *RewriteCache) lookup(h *History, token any) *RewrittenHistory {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e, ok := c.entries[h]; ok && tokensEqual(e.token, token) {
+	if e, ok := c.entries[h]; ok && e.matches(h, token) {
 		c.hits++
 		return e.rew
 	}
@@ -117,33 +132,23 @@ func (c *RewriteCache) lookup(h *History, token any) *RewrittenHistory {
 }
 
 // store records the rewriting of h, evicting the whole current generation
-// when the cache is full. An existing entry for h wins — concurrent checks of
-// the same history may race to store, and keeping the first published entry
-// keeps the cached pointer stable for everyone who already read it.
+// when the cache is full. An existing entry for h in its current size wins —
+// concurrent checks of the same history may race to store, and keeping the
+// first published entry keeps the cached pointer stable for everyone who
+// already read it; an entry for a smaller h is replaced.
 func (c *RewriteCache) store(h *History, token any, rew *RewrittenHistory) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.entries == nil {
 		c.entries = make(map[*History]rewriteEntry)
 	}
-	if e, ok := c.entries[h]; ok && tokensEqual(e.token, token) {
+	if e, ok := c.entries[h]; ok && e.matches(h, token) {
 		return
 	}
 	if len(c.entries) >= rewriteCacheCap {
 		clear(c.entries)
 	}
-	c.entries[h] = rewriteEntry{token: token, rew: rew}
-}
-
-// Invalidate drops the cached rewriting of one history. The incremental
-// extension path calls it when an in-place extension of the cached clone
-// fails partway: the cache is keyed by history identity under an immutability
-// assumption, so once h has grown past what the cached clone reflects the
-// entry is stale and must not be served to a later from-scratch check.
-func (c *RewriteCache) Invalidate(h *History) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	delete(c.entries, h)
+	c.entries[h] = rewriteEntry{token: token, rew: rew, n: h.Len(), edges: h.DirectEdgeCount()}
 }
 
 // Clear drops every cached rewriting (the hit/miss counters are kept). The
@@ -181,7 +186,9 @@ type RewriteCacher interface {
 // nil-rewriting aliasing fast path — and reports whether it was served from
 // the cache. Engine sessions implementing the incremental Extender entry use
 // it to capture the same RewrittenHistory pointer the preceding from-scratch
-// check worked on, so extending that clone in place keeps the cache coherent.
+// check worked on, which they then extend in place as h grows. Growing h
+// retires its cache entry (see RewriteCache), so a later check of the grown
+// h derives a fresh rewriting.
 func RewriteForCheck(h *History, opts CheckOptions) (*RewrittenHistory, bool, error) {
 	return rewriteForCheck(h, opts)
 }

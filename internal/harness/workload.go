@@ -168,7 +168,7 @@ type HistoryCheck struct {
 	// Prefixes, Replayed, ExtendSearches and Rebuilds are the incremental
 	// monitor's counters (MonitorGenerated): prefixes checked op-by-op,
 	// verdicts produced by replaying the previous witness as a certificate,
-	// extended fallback searches over the grown plan, and prefixes whose
+	// fallback searches over the grown rewriting, and prefixes whose
 	// extension preconditions failed (checked by a plain warm pass). All zero
 	// for the batch entry points.
 	Prefixes       int

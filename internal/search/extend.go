@@ -18,10 +18,10 @@ import "ralin/internal/core"
 //     (all predecessors already placed), update-projection stepping on the
 //     cached post-witness state set, and per-query justification. No search.
 //   - certificate fails, or previously Invalid/Unknown: fall back to the full
-//     pruned search — but over the session's *extended* plan (grown in place,
-//     old index rows untouched), with the session's warm interner and step
-//     cache. It searches in the order every check uses; nothing of a stale
-//     witness is carried over.
+//     pruned search over the grown rewriting — a plain Run, with the plan
+//     built afresh on a pooled searcher and the session's warm interner and
+//     step cache, exactly like every other check. Nothing of a stale witness
+//     is carried over.
 //
 // Every incremental precondition is verified, and any violation — new edges
 // into old labels, a tail mismatch, a changed rewriting, an in-place
@@ -36,15 +36,14 @@ import "ralin/internal/core"
 // certificate.
 
 // extensionCap bounds the number of histories the session tracks extension
-// state for: each entry pins its history, its rewritten clone, a grown plan
-// and a witness. A monitor follows one (or a few) live histories, so the cap
-// is small; at the cap an arbitrary entry is evicted to make room.
+// state for: each entry pins its history, its rewritten clone and a witness.
+// A monitor follows one (or a few) live histories, so the cap is small; at
+// the cap an arbitrary entry is evicted to make room.
 const extensionCap = 64
 
 // extension is the per-history incremental state of Session.Extend: the
-// snapshot of how much of h the last verdict covered, the rewriting and plan
-// grown alongside it, and the witness certificate when that verdict was
-// Valid.
+// snapshot of how much of h the last verdict covered, the rewriting grown
+// alongside it, and the witness certificate when that verdict was Valid.
 type extension struct {
 	// token identifies the rewriting the state was built under
 	// (core.RewritingIdentity) and spec the specification the certificate
@@ -68,11 +67,6 @@ type extension struct {
 	// implied by strictly increasing continuation) is checked per new label
 	// instead of per history.
 	maxGenSeq uint64
-	// plan is the session-owned prepared plan over rew.History, grown lazily:
-	// built on the first fallback search and extended in place afterwards.
-	// planN is the rew.History length it currently covers (0 = not built).
-	plan  *prepared
-	planN int
 	// valid reports the last verdict was Valid; witness is then its
 	// linearization in session-owned backing (never a carved arena
 	// sub-slice — a long-lived certificate must not pin a searcher's witness
@@ -169,8 +163,8 @@ func (s *Session) dropExt(h *core.History) {
 
 // Extend implements core.Extender: check h — which gained newOps as its final
 // labels since this session last checked it — reusing the previous verdict as
-// a certificate and the session's plan, interner and caches for the prefix.
-// The result's verdict is byte-identical to core.CheckRA on the full
+// a certificate and the session's rewriting, interner and caches for the
+// prefix. The result's verdict is byte-identical to core.CheckRA on the full
 // history; see the package comment at the top of this file for the
 // certificate-first flow and the degradation ladder.
 //
@@ -190,14 +184,13 @@ func (s *Session) Extend(h *core.History, spec core.Spec, newOps []*core.Label, 
 	// against the stored entry at all. Both degrade to the plain warm check.
 	token, tokenOK := core.RewritingIdentity(opts.Rewriting)
 	if !opts.Exhaustive || !tokenOK {
-		s.rewrites.Invalidate(h)
 		s.dropExt(h)
 		return core.CheckRA(h, spec, opts)
 	}
 	// Pin the session's cache generation for the whole extension: budget
-	// eviction only runs while no check is in flight, so the entry, its plan
-	// and the interner stay coherent until we return.
-	intern := ensureInterner(s.beginCheck())
+	// eviction only runs while no check is in flight, so it cannot drop the
+	// entry between the checks and the snapshot commit below.
+	s.beginCheck()
 	defer s.endCheck()
 
 	ext := s.getExt(h)
@@ -238,26 +231,10 @@ func (s *Session) Extend(h *core.History, spec core.Spec, newOps []*core.Label, 
 		return res
 	}
 
-	// Certificate unavailable or refuted: full pruned search over the plan
-	// grown in place.
-	if ext.plan == nil {
-		ext.plan = &prepared{}
-		if err := ext.plan.build(rh, false); err != nil {
-			res.LastErr = err
-			res.Verdict = core.VerdictInvalid
-			return res
-		}
-	} else if ext.planN < rhN {
-		if err := ext.plan.extend(rh, ext.planN, false); err != nil {
-			res.LastErr = err
-			res.Verdict = core.VerdictInvalid
-			return res
-		}
-	}
-	ext.planN = rhN
-
-	w, _ := s.getSearcher(rhN)
-	out := w.run(s, intern, ext.plan, rh, spec, false, true, opts)
+	// Certificate unavailable or refuted: the full pruned search over the
+	// grown rewriting, run like every other check of the session.
+	opts.Session = s
+	out := Run(rh, spec, false, opts)
 	core.ApplyEngineOutcome(&res, out, false)
 	if out.OK {
 		// The engine's witness is carved from a 512-label arena chunk;
@@ -265,7 +242,7 @@ func (s *Session) Extend(h *core.History, spec core.Spec, newOps []*core.Label, 
 		ext.setWitness(rh, out.Witness)
 	} else {
 		// Refuted or truncated: no certificate. The snapshot still advances —
-		// the plan and rewriting already cover the new operations.
+		// the rewriting already covers the new operations.
 		ext.valid = false
 		ext.witness = nil
 		ext.witRanks = nil
@@ -333,9 +310,9 @@ func (s *Session) extendable(ext *extension, h *core.History, spec core.Spec, to
 	return true
 }
 
-// rebuildExt is the degradation ladder's bottom rung: drop the stale entry
-// and the (possibly stale) cached rewriting of the mutated h, run a plain
-// warm core.CheckRA over the full history, and record a fresh extension entry
+// rebuildExt is the degradation ladder's bottom rung: drop the stale entry,
+// run a plain warm core.CheckRA over the full history (the rewrite cache
+// never serves a rewriting of a shorter h), and record a fresh extension entry
 // for the next call. CheckRA and the RewriteForCheck after it each consult
 // the session's rewrite cache, and a concurrent check (or the spec itself)
 // can evict the cache in between, so the entry's rewriting may be a second
@@ -343,7 +320,6 @@ func (s *Session) extendable(ext *extension, h *core.History, spec core.Spec, to
 // belongs to that same clone; otherwise the next call searches.
 func (s *Session) rebuildExt(h *core.History, spec core.Spec, opts core.CheckOptions, token any) core.Result {
 	s.dropExt(h)
-	s.rewrites.Invalidate(h)
 	res := core.CheckRA(h, spec, opts)
 	rew, _, err := core.RewriteForCheck(h, opts)
 	if err != nil || !rew.History.IsAcyclic() {

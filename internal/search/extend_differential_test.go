@@ -35,15 +35,16 @@ func prefixBuckets(t *testing.T, h *core.History) [][]core.VisEdge {
 
 // replayCompare replays h op-by-op through core.CheckRAExtend over sess and,
 // at every prefix, compares the incremental verdict against a from-scratch
-// sessionless check of a clone of the same prefix. It returns the final
-// result and the number of prefixes whose certificate replayed.
-func replayCompare(t *testing.T, ctx string, h *core.History, sp core.Spec, opts core.CheckOptions, sess *search.Session) (core.Result, int) {
+// sessionless check of a clone of the same prefix. A prefix the extension
+// decided by its fallback search must also report exactly the work of a
+// sessionless search.Run over the same grown rewriting. It returns the final
+// result, the number of prefixes whose certificate replayed and the number
+// decided by the fallback search.
+func replayCompare(t *testing.T, ctx string, h *core.History, sp core.Spec, opts core.CheckOptions, sess *search.Session) (last core.Result, replayed, searched int) {
 	t.Helper()
 	opts.Session = sess
 	buckets := prefixBuckets(t, h)
 	g := core.NewHistory()
-	var last core.Result
-	replayed := 0
 	for k := 0; k < h.Len(); k++ {
 		l := h.LabelAt(k)
 		if err := g.Add(l); err != nil {
@@ -64,20 +65,34 @@ func replayCompare(t *testing.T, ctx string, h *core.History, sp core.Spec, opts
 		}
 		if res.WitnessReplayed {
 			replayed++
+		} else if res.Extended {
+			searched++
+			out := search.Run(res.Rewritten, sp, false, scratch)
+			if out.Nodes != res.Nodes || out.Pruned != res.Pruned || out.MemoHits != res.MemoHits {
+				t.Fatalf("%s: prefix %d/%d: fallback search did %d nodes, %d pruned, %d memo hits; search.Run over its rewriting %d, %d, %d",
+					ctx, k+1, h.Len(), res.Nodes, res.Pruned, res.MemoHits, out.Nodes, out.Pruned, out.MemoHits)
+			}
 		}
 		last = res
 	}
-	return last, replayed
+	return last, replayed, searched
 }
 
 // TestExtendMatchesFromScratchAllDescriptors is the tentpole differential: for
 // every registered CRDT, in both verdict polarities (as generated and with a
 // corrupted query), the incremental op-by-op replay must report the exact
-// from-scratch verdict at every prefix. DebugMemo is on throughout, so each
-// replay also soaks the memo collision invariant across the warm extended
-// plans.
+// from-scratch verdict at every prefix, and every fallback search the node
+// counts of a sessionless search over its rewriting. DebugMemo is on
+// throughout, so each replay also soaks the memo collision invariant across
+// the warm session.
 func TestExtendMatchesFromScratchAllDescriptors(t *testing.T) {
 	const trials = 4
+	searched := 0
+	t.Cleanup(func() {
+		if searched == 0 && !t.Failed() {
+			t.Error("no prefix reached the fallback search — its node-count parity went unchecked")
+		}
+	})
 	for _, d := range registry.All() {
 		d := d
 		t.Run(d.Name, func(t *testing.T) {
@@ -100,12 +115,14 @@ func TestExtendMatchesFromScratchAllDescriptors(t *testing.T) {
 					MaxExtensions: 2_000_000,
 					DebugMemo:     true,
 				}
-				_, replayed := replayCompare(t, fmt.Sprintf("trial %d", trial), h, d.Spec, opts, sess)
+				_, replayed, n := replayCompare(t, fmt.Sprintf("trial %d", trial), h, d.Spec, opts, sess)
+				searched += n
 				if h.Len() > 1 && replayed == 0 {
 					t.Errorf("trial %d: no prefix replayed its certificate over %d ops — the incremental path never engaged", trial, h.Len())
 				}
 				if bad := corruptQuery(h, int64(trial)); bad != nil {
-					replayCompare(t, fmt.Sprintf("trial %d (corrupted)", trial), bad, d.Spec, opts, sess)
+					_, _, n := replayCompare(t, fmt.Sprintf("trial %d (corrupted)", trial), bad, d.Spec, opts, sess)
+					searched += n
 				}
 			}
 		})

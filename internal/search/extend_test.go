@@ -259,8 +259,8 @@ func TestExtendEdgeDisciplineViolationRebuilds(t *testing.T) {
 
 // TestExtendEvictionDropsState trips the session memory budget mid-extension
 // stream and checks the eviction story: the extension entries are dropped
-// with the other caches (their plans and witnesses belong to the evicted
-// generation), and the stream continues correctly through rebuilds.
+// with the other caches (their witnesses belong to the evicted generation),
+// and the stream continues correctly through rebuilds.
 func TestExtendEvictionDropsState(t *testing.T) {
 	sess := NewSessionWithBudget(Budget{MaxInternedStates: 1})
 	h := concurrentIncsHistory(3, 3)

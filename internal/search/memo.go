@@ -119,7 +119,7 @@ func (s *searcher) memoKey() (key128, bool) {
 		h.mix(w)
 	}
 	if !s.strong {
-		for _, q := range s.pre.queries {
+		for _, q := range s.plan.queries {
 			if s.placed.get(q) {
 				continue
 			}
@@ -151,7 +151,7 @@ func (s *searcher) memoKeyDebug() (key128, bool) {
 		t = append(t, w)
 	}
 	if !s.strong {
-		for _, q := range s.pre.queries {
+		for _, q := range s.plan.queries {
 			if s.placed.get(q) {
 				continue
 			}

@@ -72,7 +72,8 @@ func init() {
 // from the session instead of allocating them: interned state IDs are shared
 // across every check of the session, while the searcher — plan, memo table
 // and scratch — is recycled through the session's pool, reset, not
-// reallocated, when the search finishes.
+// reallocated, when the search finishes. Session.Extend's fallback search
+// runs through here too, over the rewriting it grew.
 func Run(h *core.History, spec core.Spec, strong bool, opts core.CheckOptions) core.EngineOutcome {
 	sess, _ := opts.Session.(*Session)
 	// Pin the session's cache generation for the whole check: budget eviction
@@ -85,17 +86,6 @@ func Run(h *core.History, spec core.Spec, strong bool, opts core.CheckOptions) c
 		sess.putSearcher(s)
 		return core.EngineOutcome{Complete: true, LastErr: err}
 	}
-	return s.run(sess, intern, &s.plan, h, spec, strong, reused, opts)
-}
-
-// run executes the search phase of a check over an already-built plan:
-// transition-cache gating, context watching, the search itself, and
-// returning the searcher to the session's pool. The incremental extension
-// path (Session.Extend) runs it over a plan it grew in place instead of
-// rebuilding one; Run passes the searcher's own plan. The caller owns pre's
-// lifetime and must hold the session's check pin (beginCheck) for the
-// duration.
-func (s *searcher) run(sess *Session, intern *interner, pre *prepared, h *core.History, spec core.Spec, strong, planReused bool, opts core.CheckOptions) core.EngineOutcome {
 	// The transition cache only serves re-checks (its keys are label
 	// pointers, so a first-contact history could only fill it with copies
 	// nothing will ever hit); attach it only when the session has seen this
@@ -112,16 +102,16 @@ func (s *searcher) run(sess *Session, intern *interner, pre *prepared, h *core.H
 	ctx := opts.Context
 	if inc := core.ContextIncomplete(ctx); inc != nil {
 		sess.putSearcher(s)
-		return core.EngineOutcome{Incomplete: inc, PlanReused: planReused}
+		return core.EngineOutcome{Incomplete: inc, PlanReused: reused}
 	}
-	s.start(sess, intern, pre, spec, strong, steps, opts)
+	s.start(sess, intern, spec, strong, steps, opts)
 	var stopWatch func() bool
 	if ctx != nil && ctx.Done() != nil {
 		stopWatch = context.AfterFunc(ctx, func() { s.interrupt(core.ContextIncomplete(ctx)) })
 	}
 	ok := s.runGuarded()
 	out := s.outcome()
-	out.PlanReused = planReused
+	out.PlanReused = reused
 	if s.memoLimit > 0 {
 		// Hand the check's memo entries back to the session's memo budget.
 		sess.memoEntries.Add(-int64(len(s.memo.seen)))
@@ -175,8 +165,7 @@ type prepared struct {
 	preds [][]int
 	succs [][]int
 	// rowSigs[i] holds the hashes of preds[i] and succs[i], mixed in as
-	// build and extend append to the rows, so buildTwins never re-reads a
-	// row.
+	// build appends to the rows, so buildTwins never re-reads a row.
 	rowSigs []rowSig
 	// affected[i] lists, for an update labels[i], the indices of the queries
 	// it is visible to, in ascending query order (RA mode only).
@@ -280,99 +269,14 @@ func (p *prepared) build(h *core.History, strong bool) error {
 }
 
 // resizeOrderIndexes sizes p.order, p.pos and p.twinNext to n. A plan that
-// has to grow takes all three from one allocation, each capped at its own
-// third so extend's appends reallocate instead of running into the next.
+// has to grow takes all three from one allocation.
 func (p *prepared) resizeOrderIndexes(n int) {
 	if cap(p.order) < n || cap(p.pos) < n || cap(p.twinNext) < n {
 		buf := make([]int, 3*n)
-		p.order, p.pos, p.twinNext = buf[:n:n], buf[n:2*n:2*n], buf[2*n:]
+		p.order, p.pos, p.twinNext = buf[:n], buf[n:2*n], buf[2*n:]
 		return
 	}
 	p.order, p.pos, p.twinNext = p.order[:n], p.pos[:n], p.twinNext[:n]
-}
-
-// extend grows an already-built plan in place after h gained labels at the
-// end: only the new ranks' index rows are derived, and every existing row is
-// kept rather than cleared and refilled the way build would. The caller (the
-// incremental extension path) guarantees the edge discipline — every direct
-// visibility edge recorded since the plan was built targets a new rank — so
-// the old rows are still exact: an old label can gain new successors (new
-// queries seeing it, appended here) but never new predecessors. oldN is the
-// label count the plan was built for.
-func (p *prepared) extend(h *core.History, oldN int, strong bool) error {
-	p.labels = h.AppendLabels(p.labels[:0])
-	labels := p.labels
-	n := len(labels)
-	for _, l := range labels[oldN:] {
-		if !strong && l.IsQueryUpdate() {
-			return fmt.Errorf("label %v is a query-update; apply a rewriting first", l)
-		}
-	}
-	p.preds = growIndexSets(p.preds, n)
-	p.succs = growIndexSets(p.succs, n)
-	p.affected = growIndexSets(p.affected, n)
-	// One predecessor-row sweep per new label fills its preds row and extends
-	// the successor rows of everything that reaches it; processing new ranks in
-	// ascending order keeps every succs row ascending, matching build's SuccRow
-	// fill order.
-	for t := oldN; t < n; t++ {
-		p.rowSigs = append(p.rowSigs, newRowSig())
-		h.PredRow(t, func(f int) {
-			p.preds[t] = append(p.preds[t], f)
-			p.succs[f] = append(p.succs[f], t)
-			p.rowSigs[t].preds.mix(uint64(f))
-			p.rowSigs[f].succs.mix(uint64(t))
-		})
-	}
-	if !strong {
-		for t := oldN; t < n; t++ {
-			if labels[t].IsQuery() {
-				p.queries = append(p.queries, t)
-				for _, u := range p.preds[t] {
-					if labels[u].IsUpdate() {
-						p.affected[u] = append(p.affected[u], t)
-					}
-				}
-			}
-		}
-	}
-	// Candidate order: sort the new indices among themselves, then either
-	// append (the common case — a live stream's new GenSeqs follow the old
-	// maximum) or fall back to a full re-sort when a new label sorts before the
-	// old tail. Frontier bit positions (pos) move only in the re-sort case.
-	for i := oldN; i < n; i++ {
-		p.order = append(p.order, i)
-	}
-	p.sorter.order, p.sorter.labels = p.order[oldN:], labels
-	sort.Sort(&p.sorter)
-	p.sorter.order, p.sorter.labels = nil, nil
-	p.pos = growInts(p.pos, n)
-	if oldN > 0 && n > oldN && orderLess(labels, p.order[oldN], labels, p.order[oldN-1]) {
-		p.sorter.order, p.sorter.labels = p.order, labels
-		sort.Sort(&p.sorter)
-		p.sorter.order, p.sorter.labels = nil, nil
-		for pi, i := range p.order {
-			p.pos[i] = pi
-		}
-	} else {
-		for pi := oldN; pi < n; pi++ {
-			p.pos[p.order[pi]] = pi
-		}
-	}
-	// Twin classes are recomputed whole: a new label can join an old class,
-	// and a new query that sees only some members of one splits it.
-	p.buildTwins()
-	return nil
-}
-
-// orderLess is orderSorter's comparison over explicit label slices, shared
-// with extend's append-or-resort decision.
-func orderLess(las []*core.Label, a int, lbs []*core.Label, b int) bool {
-	la, lb := las[a], lbs[b]
-	if la.GenSeq != lb.GenSeq {
-		return la.GenSeq < lb.GenSeq
-	}
-	return la.ID < lb.ID
 }
 
 // release drops the plan's references into the finished check's history so a
@@ -398,33 +302,4 @@ func resizeIndexSets(s [][]int, n int) [][]int {
 		s[i] = s[i][:0]
 	}
 	return s
-}
-
-// growIndexSets extends s to length n keeping every existing row intact —
-// the incremental counterpart of resizeIndexSets, which clears all rows —
-// and truncates only the newly exposed tail rows.
-func growIndexSets(s [][]int, n int) [][]int {
-	old := len(s)
-	if cap(s) < n {
-		grown := make([][]int, n)
-		copy(grown, s)
-		s = grown
-	} else {
-		s = s[:n]
-	}
-	for i := old; i < n; i++ {
-		s[i] = s[i][:0]
-	}
-	return s
-}
-
-// growInts extends s to length n preserving its prefix (resizeInts zeroes on
-// regrowth; extension needs the old values).
-func growInts(s []int, n int) []int {
-	if cap(s) < n {
-		grown := make([]int, n)
-		copy(grown, s)
-		return grown
-	}
-	return s[:n]
 }

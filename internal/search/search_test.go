@@ -120,7 +120,7 @@ func TestMemoKeyIsConfiguration(t *testing.T) {
 	if err := s.plan.build(h, false); err != nil {
 		t.Fatal(err)
 	}
-	s.start(nil, newInterner(), &s.plan, spec.Counter{}, false, nil, core.CheckOptions{})
+	s.start(nil, newInterner(), spec.Counter{}, false, nil, core.CheckOptions{})
 	key := func(prefix ...int) key128 {
 		t.Helper()
 		s.reset()

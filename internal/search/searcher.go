@@ -77,10 +77,8 @@ type setBuf struct {
 type searcher struct {
 	// plan is the searcher's own history plan, built by Run; its index
 	// slices are cleared-not-reallocated by each build, so a pooled searcher
-	// rebuilds a plan without allocating. pre is the plan being searched:
-	// &plan, or the grown plan Session.Extend keeps per history.
+	// rebuilds a plan without allocating.
 	plan   prepared
-	pre    *prepared
 	spec   core.Spec
 	strong bool
 	intern *interner
@@ -132,17 +130,17 @@ type searcher struct {
 	fillIDs []uint32
 
 	// indegree[i] counts the not-yet-placed visibility predecessors of
-	// labels[i], plus one while its preceding twin (pre.twinNext) is
+	// labels[i], plus one while its preceding twin (plan.twinNext) is
 	// unplaced; a label is in the frontier when its count is zero and it is
 	// not placed.
 	indegree []int
 	placed   bitset
 	// frontier is the candidate set as a bitset over order positions
-	// (pre.pos[i] is label i's bit): bit p is set exactly when the label at
+	// (plan.pos[i] is label i's bit): bit p is set exactly when the label at
 	// order position p has indegree zero and is not placed. Candidate
 	// enumeration walks the set bits word by word — ascending position is
 	// ascending rank order, the historical candidate order — instead of
-	// scanning all of pre.order and testing indegree/placed per label.
+	// scanning all of plan.order and testing indegree/placed per label.
 	// enter/leave maintain it with single word operations.
 	frontier bitset
 	seq      []int
@@ -193,12 +191,12 @@ type searcher struct {
 	memoHit int64
 }
 
-// start arms the searcher for one check of pre and sets up the search over
-// the empty prefix, reusing the backing arrays, memo maps and buffer pools a
-// pooled searcher kept from earlier checks.
-func (s *searcher) start(sess *Session, intern *interner, pre *prepared, spec core.Spec, strong bool, steps *stepCache, opts core.CheckOptions) {
-	n := len(pre.labels)
-	s.pre = pre
+// start arms the searcher for one check of its built plan and sets up the
+// search over the empty prefix, reusing the backing arrays, memo maps and
+// buffer pools a pooled searcher kept from earlier checks.
+func (s *searcher) start(sess *Session, intern *interner, spec core.Spec, strong bool, steps *stepCache, opts core.CheckOptions) {
+	plan := &s.plan
+	n := len(plan.labels)
 	s.spec = spec
 	s.strong = strong
 	s.intern = intern
@@ -219,16 +217,16 @@ func (s *searcher) start(sess *Session, intern *interner, pre *prepared, spec co
 	s.placed = resizeBitset(s.placed, n)
 	s.frontier = resizeBitset(s.frontier, n)
 	for i := range s.indegree {
-		s.indegree[i] = len(pre.preds[i])
+		s.indegree[i] = len(plan.preds[i])
 	}
-	for _, t := range pre.twinNext {
+	for _, t := range plan.twinNext {
 		if t >= 0 {
 			s.indegree[t]++
 		}
 	}
 	for i, d := range s.indegree {
 		if d == 0 {
-			s.frontier.set(pre.pos[i])
+			s.frontier.set(plan.pos[i])
 		}
 	}
 	s.seq = s.seq[:0]
@@ -250,7 +248,7 @@ func (s *searcher) start(sess *Session, intern *interner, pre *prepared, spec co
 	s.qids = resizeIDSets(s.qids, n)
 	s.qwords = resizeWordSets(s.qwords, n)
 	if !strong {
-		for _, q := range pre.queries {
+		for _, q := range plan.queries {
 			// All pending justifications start at the initial state; the
 			// shared slice is safe because sets are never mutated in place
 			// and only enter-created buffers are ever recycled.
@@ -309,7 +307,6 @@ func (s *searcher) release() {
 	s.reset()
 	s.plan.release()
 	s.reason = pruneReason{}
-	s.pre = nil
 	s.spec = nil
 	s.intern = nil
 	s.sess = nil
@@ -511,7 +508,7 @@ func (s *searcher) dfs() status {
 		s.truncated = true
 		return sStopped
 	}
-	if len(s.seq) == len(s.pre.labels) {
+	if len(s.seq) == len(s.plan.labels) {
 		// Conditions (i)–(iii) were enforced on every prefix, so a complete
 		// sequence is a witness.
 		s.leaves++
@@ -556,14 +553,14 @@ func (s *searcher) dfs() status {
 	// copied once; explore restores the searcher (frontier included) to its
 	// node-entry state before returning, so the remaining bits of the copy
 	// stay the not-yet-tried candidates. Ascending bit position is ascending
-	// order position — exactly the historical pre.order scan, without the
+	// order position — exactly the historical plan.order scan, without the
 	// O(n) indegree/placed probing per node.
 	for w, word := range s.frontier {
 		base := w << 6
 		for word != 0 {
 			b := bits.TrailingZeros64(word)
 			word &^= 1 << b
-			if st := s.explore(s.pre.order[base|b]); st != sExhausted {
+			if st := s.explore(s.plan.order[base|b]); st != sExhausted {
 				return st
 			}
 		}
@@ -575,8 +572,8 @@ func (s *searcher) dfs() status {
 // -1 when no query is enabled (RA mode only; strong-mode plans have no query
 // index). Frontier membership is one bit probe per query.
 func (s *searcher) enabledQuery() int {
-	for _, q := range s.pre.queries {
-		if s.frontier.get(s.pre.pos[q]) {
+	for _, q := range s.plan.queries {
+		if s.frontier.get(s.plan.pos[q]) {
 			return q
 		}
 	}
@@ -597,7 +594,7 @@ func (s *searcher) explore(i int) status {
 // leaving the searcher unchanged — when the extended prefix is inadmissible
 // or unjustifiable, and records the prune.
 func (s *searcher) enter(i int) bool {
-	l := s.pre.labels[i]
+	l := s.plan.labels[i]
 	if s.strong {
 		next := s.stepAll(s.main, s.mainIDs, l)
 		if len(next.states) == 0 {
@@ -630,7 +627,7 @@ func (s *searcher) enter(i int) bool {
 		// instead of when the query is placed. The advanced sets are staged
 		// in s.stepped so a late death leaves the searcher untouched.
 		s.stepped = s.stepped[:0]
-		for _, q := range s.pre.affected[i] {
+		for _, q := range s.plan.affected[i] {
 			if s.placed.get(q) {
 				continue
 			}
@@ -643,7 +640,7 @@ func (s *searcher) enter(i int) bool {
 				s.stepped = s.stepped[:0]
 				s.putBuf(next)
 				s.pruned++
-				s.reason = pruneReason{label: l, cond: "iii", query: s.pre.labels[q]}
+				s.reason = pruneReason{label: l, cond: "iii", query: s.plan.labels[q]}
 				return false
 			}
 			s.stepped = append(s.stepped, nq)
@@ -652,7 +649,7 @@ func (s *searcher) enter(i int) bool {
 		fr.main, fr.mainIDs, fr.mainWords = s.main, s.mainIDs, s.mainWords
 		fr.advanced = true
 		k := 0
-		for _, q := range s.pre.affected[i] {
+		for _, q := range s.plan.affected[i] {
 			if s.placed.get(q) {
 				continue
 			}
@@ -678,12 +675,12 @@ func (s *searcher) enter(i int) bool {
 		fr.main, fr.mainIDs, fr.mainWords = s.main, s.mainIDs, s.mainWords
 	}
 	s.placed.set(i)
-	s.frontier.clear(s.pre.pos[i])
+	s.frontier.clear(s.plan.pos[i])
 	s.seq = append(s.seq, i)
-	for _, j := range s.pre.succs[i] {
+	for _, j := range s.plan.succs[i] {
 		s.unblock(j)
 	}
-	if t := s.pre.twinNext[i]; t >= 0 {
+	if t := s.plan.twinNext[i]; t >= 0 {
 		s.unblock(t)
 	}
 	return true
@@ -694,14 +691,14 @@ func (s *searcher) enter(i int) bool {
 func (s *searcher) unblock(j int) {
 	s.indegree[j]--
 	if s.indegree[j] == 0 {
-		s.frontier.set(s.pre.pos[j])
+		s.frontier.set(s.plan.pos[j])
 	}
 }
 
 // block puts back an edge unblock took off label j.
 func (s *searcher) block(j int) {
 	if s.indegree[j] == 0 {
-		s.frontier.clear(s.pre.pos[j])
+		s.frontier.clear(s.plan.pos[j])
 	}
 	s.indegree[j]++
 }
@@ -709,15 +706,15 @@ func (s *searcher) block(j int) {
 // leave undoes enter(i), recycling the state-set buffers the matching enter
 // created.
 func (s *searcher) leave(i int) {
-	if t := s.pre.twinNext[i]; t >= 0 {
+	if t := s.plan.twinNext[i]; t >= 0 {
 		s.block(t)
 	}
-	for _, j := range s.pre.succs[i] {
+	for _, j := range s.plan.succs[i] {
 		s.block(j)
 	}
 	s.seq = s.seq[:len(s.seq)-1]
 	s.placed.clear(i)
-	s.frontier.set(s.pre.pos[i])
+	s.frontier.set(s.plan.pos[i])
 	fr := &s.frames[len(s.frames)-1]
 	for k := len(fr.saved) - 1; k >= 0; k-- {
 		sv := fr.saved[k]
@@ -924,7 +921,7 @@ func (s *searcher) carveWitness() []*core.Label {
 	s.witMem = s.witMem[:off+n]
 	out := s.witMem[off : off+n : off+n]
 	for k, i := range s.seq {
-		out[k] = s.pre.labels[i]
+		out[k] = s.plan.labels[i]
 	}
 	return out
 }

@@ -194,8 +194,7 @@ type Session struct {
 	// rewrite cache, the pins are dropped on budget eviction.
 	seen map[*core.History]struct{}
 	// exts tracks per-history incremental-extension state (Session.Extend):
-	// the length, rewriting and prepared plan of each history's last verdict,
-	// plus the witness certificate when that verdict was Valid. Entries are
+	// the length and rewriting of each history's last verdict, plus the witness certificate when that verdict was Valid. Entries are
 	// capped at extensionCap and dropped wholesale on budget eviction — their
 	// witnesses pin rewritten labels.
 	exts map[*core.History]*extension
@@ -287,8 +286,7 @@ func (s *Session) evictLocked() {
 	s.steps = nil
 	s.seen = nil
 	// Extension state is rebuilt on the next Extend of each history: the
-	// cached plans belong to the evicted pool generation and the witness
-	// certificates pin rewritten labels the fresh session should not.
+	// witness certificates pin rewritten labels the fresh session should not.
 	s.exts = nil
 	s.memoEntries.Store(0)
 	s.rewrites.Clear()
