@@ -389,7 +389,7 @@ func BenchmarkBatchRefutations(b *testing.B) {
 // history-plan cache amortizes: one OR-Set history (real query-update
 // rewriting, so every check pays a full history clone without the cache)
 // re-checked exhaustively, fresh engine state per check versus one session
-// whose rewrite cache serves the γ-rewriting and whose searcher pool serves
+// whose history record serves the γ-rewriting and whose searcher pool serves
 // the plan's index arrays after the first check. Sequential search, so the
 // variants differ only in setup amortization. See BENCHMARKS.md for committed
 // numbers; `make bench-gate` diffs both variants against the baseline.

@@ -96,8 +96,8 @@ func TestScenarioCorpusIncrementalReplay(t *testing.T) {
 }
 
 // TestSessionRecheckOfGrownHistory re-checks one live history through the
-// same session after it grew, by a label and then by an edge. The session's
-// rewrite cache keys entries by history pointer, so a cache that ignored the
+// same session after it grew, by a label and then by an edge. The session
+// keys its history records by history pointer, so a record that ignored the
 // growth would serve the rewriting of the shorter history and re-prove its
 // Valid verdict; every re-check must instead rewrite afresh and agree with a
 // sessionless check.
@@ -153,4 +153,59 @@ func TestSessionRecheckOfGrownHistory(t *testing.T) {
 	}
 	h.MustAddVis(update, read.ID)
 	recheck("after a new edge")
+}
+
+// TestSessionRecheckAfterExtend replays a history op by op through
+// core.CheckRAExtend and then checks the whole history plainly through the
+// same session. The extensions grew the history's rewriting in place, so the
+// plain check must be served that grown rewriting instead of cloning the
+// history again, and must reach the verdict and node count of a sessionless
+// check.
+func TestSessionRecheckAfterExtend(t *testing.T) {
+	d, err := registry.Lookup("OR-Set")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := harness.DefaultWorkload()
+	cfg.Seed = 7
+	cfg.Ops = 12
+	h, err := harness.RunRandom(d, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := d.CheckOptions()
+	opts.Strategies = nil // force the search, so the node counts are compared
+	opts.Exhaustive = true
+	sess := search.NewSession()
+	incOpts := opts
+	incOpts.Session = sess
+
+	buckets := corpusPrefixBuckets(t, h)
+	g := core.NewHistory()
+	var last core.Result
+	for k := 0; k < h.Len(); k++ {
+		l := h.LabelAt(k)
+		g.MustAdd(l)
+		for _, e := range buckets[k] {
+			g.MustAddVis(e.From, e.To)
+		}
+		last = core.CheckRAExtend(g, d.Spec, []*core.Label{l}, incOpts)
+	}
+	if !last.Extended {
+		t.Fatalf("the last prefix did not go through the extension: %+v", last)
+	}
+
+	res := core.CheckRAWith(g, d.Spec, opts, sess)
+	fresh := core.CheckRA(g, d.Spec, opts)
+	if !res.RewriteCached || res.Rewritten != last.Rewritten {
+		t.Errorf("re-check after Extend: RewriteCached=%v, same rewriting as the extension %v; want the grown rewriting served",
+			res.RewriteCached, res.Rewritten == last.Rewritten)
+	}
+	if res.Verdict != fresh.Verdict || res.Nodes != fresh.Nodes {
+		t.Fatalf("session re-check: verdict %v in %d nodes, sessionless %v in %d nodes",
+			res.Verdict, res.Nodes, fresh.Verdict, fresh.Nodes)
+	}
+	if fresh.Nodes == 0 {
+		t.Fatal("the sessionless check did not search: the node counts compare nothing")
+	}
 }

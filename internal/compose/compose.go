@@ -473,7 +473,7 @@ func (s *Spec) StepAppend(dst []core.AbsState, phi core.AbsState, l *core.Label)
 
 // composedRewriting rewrites each label by its own object's rewriting. It is
 // a comparable value carrying the system it was built for — *not* a closure —
-// so an engine session's rewrite cache can key on it without aliasing the
+// so an engine session's history records can match on it without aliasing the
 // rewritings of two different composed systems (same function body, different
 // per-system object tables).
 type composedRewriting struct {

@@ -235,9 +235,11 @@ type Result struct {
 	// session's searcher pool instead of allocating it. An incremental
 	// extension's fallback search reports the pool the same way.
 	PlanReused bool
-	// RewriteCached reports that the γ-rewriting was served from the
-	// session's rewrite cache instead of being re-derived (Rewritten then
-	// aliases the cached clone).
+	// RewriteCached reports that the session served the γ-rewriting from
+	// its record of the history instead of re-deriving it (Rewritten then
+	// aliases the recorded clone). A record serves a history only in the
+	// size it covers; an incremental extension grows it along with the
+	// history, so a later plain check of the grown history is served too.
 	RewriteCached bool
 	// MemDegraded reports that the session memory budget tripped during this
 	// check and the search finished (or truncated) in memo-less degraded
@@ -368,24 +370,51 @@ func IsRALinearization(h *History, seq []*Label, spec Spec) error {
 	return nil
 }
 
+// SessionRewriter is implemented by engine sessions that keep the
+// γ-rewriting of each history they check (search.Session does). CheckRA asks
+// it for the rewriting, so a history checked several times through one
+// session is cloned and rewritten once. SessionRewrite returns the session's
+// rewriting of h in its current size under g — deriving it on a miss — and
+// reports whether it was served rather than derived.
+type SessionRewriter interface {
+	SessionRewrite(h *History, g Rewriting) (*RewrittenHistory, bool, error)
+}
+
+// RewriteForCheck derives the γ-rewriting of h exactly the way CheckRA with
+// the same options would — through the session's SessionRewrite when
+// opts.Session implements SessionRewriter, by RewriteHistory otherwise — and
+// reports whether the session served it.
+func RewriteForCheck(h *History, opts CheckOptions) (*RewrittenHistory, bool, error) {
+	if sr, ok := opts.Session.(SessionRewriter); ok {
+		return sr.SessionRewrite(h, opts.Rewriting)
+	}
+	rew, err := RewriteHistory(h, opts.Rewriting)
+	return rew, false, err
+}
+
 // CheckRA checks whether the history h is RA-linearizable with respect to
 // spec (Definition 3.7): it applies the query-update rewriting, tries the
 // configured constructive strategies, and optionally searches all linear
 // extensions of the visibility relation.
 func CheckRA(h *History, spec Spec, opts CheckOptions) Result {
-	res := Result{}
 	if inc := ContextIncomplete(opts.Context); inc != nil {
-		res.Incomplete = inc
-		return res
+		return Result{Incomplete: inc}
 	}
-	rew, cached, err := rewriteForCheck(h, opts)
+	rew, cached, err := RewriteForCheck(h, opts)
 	if err != nil {
-		res.LastErr = err
-		res.Verdict = VerdictInvalid
-		return res
+		return Result{Verdict: VerdictInvalid, LastErr: err}
 	}
-	res.Rewritten = rew.History
+	res := CheckRewritten(rew, spec, opts)
 	res.RewriteCached = cached
+	return res
+}
+
+// CheckRewritten is CheckRA after the rewriting: it checks the rewritten
+// history rew against spec — acyclicity, the constructive strategies, then
+// the exhaustive search. An engine session that already holds the rewriting
+// of a history checks exactly that rewriting through it.
+func CheckRewritten(rew *RewrittenHistory, spec Spec, opts CheckOptions) Result {
+	res := Result{Rewritten: rew.History}
 	if !rew.History.IsAcyclic() {
 		res.LastErr = fmt.Errorf("%w: visibility relation is cyclic", ErrNotRALinearizable)
 		res.Verdict = VerdictInvalid
@@ -474,14 +503,15 @@ func enumerate(h *History, opts CheckOptions, check func(seq []*Label) error) En
 
 // Extender is the optional incremental-extension interface an EngineSession
 // may implement (search.Session does). Extend re-checks a history the session
-// has seen before after newOps were appended to it, reusing the previous
-// verdict's witness as a certificate and growing the cached rewriting in
-// place, and searches that rewriting when the certificate fails; it degrades to a warm from-scratch check whenever the incremental
+// has seen before after newOps were appended to it: it grows the session's
+// rewriting of the history in place, replays the previous verdict's witness
+// as a certificate, and searches the grown rewriting when the certificate
+// fails. It degrades to a warm from-scratch check whenever the incremental
 // preconditions fail, so the verdict is byte-identical to CheckRA either way.
 type Extender interface {
 	EngineSession
 	// Extend checks h (which already contains newOps as its final labels)
-	// incrementally against the session's cached state for h's prefix. The
+	// incrementally against the session's record of h's prefix. The
 	// returned Result is complete — Verdict and Incomplete are populated.
 	Extend(h *History, spec Spec, newOps []*Label, opts CheckOptions) Result
 }
@@ -489,10 +519,12 @@ type Extender interface {
 // CheckRAExtend is the incremental entry point of the checker: h grew by
 // newOps (already appended — they are h's final labels) since the session in
 // opts.Session last checked it. When the session supports extension and the
-// pruned engine is selected, the check reuses the previous verdict as a
-// certificate and costs ~the marginal work of the new operations; when the
-// certificate fails it runs the ordinary pruned search over the grown
-// rewriting; otherwise it falls back to a plain CheckRA. Verdicts are
+// pruned engine is selected, the check grows the session's rewriting of h,
+// reuses the previous verdict as a certificate and costs ~the marginal work
+// of the new operations; the grown rewriting then also serves later plain
+// checks of h through the session. When the certificate fails it runs the
+// ordinary pruned search over the grown rewriting; otherwise it falls back
+// to a plain CheckRA. Verdicts are
 // byte-identical to CheckRA on the full history in every case — only
 // Result.Extended/WitnessReplayed and the engine statistics differ.
 func CheckRAExtend(h *History, spec Spec, newOps []*Label, opts CheckOptions) Result {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"slices"
 )
 
@@ -13,6 +14,26 @@ import (
 type Rewriting interface {
 	// Rewrite maps a label to its γ-image: a slice of length one or two.
 	Rewrite(l *Label) ([]*Label, error)
+}
+
+// RewritingIdentity returns a comparable value identifying the semantics of a
+// rewriting, or ok=false when the rewriting has none. Two rewritings with
+// equal identities produce the same γ(h) for every h, so an engine session
+// may serve one the rewriting it derived under the other. The nil rewriting
+// is its own identity, and a rewriting of a comparable type is identified by
+// its value (the descriptor rewritings are zero-size named types, composed
+// rewritings carry their *System). Function-typed rewritings (RewriteFunc)
+// have no usable identity: a code pointer would alias closures over the same
+// body whose captured state differs, so a session derives their γ(h) afresh
+// on every check.
+func RewritingIdentity(g Rewriting) (any, bool) {
+	if g == nil {
+		return nil, true
+	}
+	if reflect.TypeOf(g).Comparable() {
+		return g, true
+	}
+	return nil, false
 }
 
 // IdentityRewriting leaves every label unchanged. It is only applicable to

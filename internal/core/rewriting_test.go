@@ -200,74 +200,6 @@ func TestRewriteVisTransportMatchesAllPairs(t *testing.T) {
 	}
 }
 
-// fakeCacherSession is a minimal EngineSession carrying a rewrite cache, so
-// the cache plumbing can be tested without the search engine.
-type fakeCacherSession struct{ cache RewriteCache }
-
-func (*fakeCacherSession) EngineSessionKind() string     { return "test-cache" }
-func (s *fakeCacherSession) RewriteCache() *RewriteCache { return &s.cache }
-
-// tokenedCloneRewriting wraps a RewriteFunc — a non-comparable value that
-// would bypass the cache — and opts back in through RewritingToken.
-type tokenedCloneRewriting struct {
-	fn    RewriteFunc
-	token any
-}
-
-func (t tokenedCloneRewriting) Rewrite(l *Label) ([]*Label, error) { return t.fn(l) }
-func (t tokenedCloneRewriting) RewritingToken() any                { return t.token }
-
-// TestRewritingTokenOptsFuncRewritingsIntoCache covers the RewritingToken
-// escape hatch next to the closure-bypass behaviour it relaxes: a func-backed
-// rewriting with an explicit token is cached (second derivation served from
-// the cache, same RewrittenHistory pointer), a different token misses, a nil
-// token keeps the bypass, and an explicit token never aliases the value
-// identity of a comparable rewriting type.
-func TestRewritingTokenOptsFuncRewritingsIntoCache(t *testing.T) {
-	h := NewHistory()
-	a := h.MustAdd(&Label{ID: 1, Method: "add", Args: []Value{"a"}, Kind: KindUpdate, GenSeq: 1})
-	b := h.MustAdd(&Label{ID: 2, Method: "read", Ret: []string{"a"}, Kind: KindQuery, GenSeq: 2})
-	h.MustAddVis(a.ID, b.ID)
-
-	clone := RewriteFunc(func(l *Label) ([]*Label, error) { return []*Label{l.Clone()}, nil })
-	sess := &fakeCacherSession{}
-	mk := func(token any) CheckOptions {
-		return CheckOptions{Rewriting: tokenedCloneRewriting{fn: clone, token: token}, Session: sess}
-	}
-
-	first, cached, err := rewriteForCheck(h, mk("γ1"))
-	if err != nil || cached {
-		t.Fatalf("first derivation must miss the cache: cached=%v err=%v", cached, err)
-	}
-	// A separately constructed value with an equal token must hit.
-	second, cached, err := rewriteForCheck(h, mk("γ1"))
-	if err != nil || !cached {
-		t.Fatalf("equal token must hit the cache: cached=%v err=%v", cached, err)
-	}
-	if first != second {
-		t.Fatal("cache hit must return the stored RewrittenHistory, not a re-derivation")
-	}
-	// A different token for the same history must miss.
-	if _, cached, err = rewriteForCheck(h, mk("γ2")); err != nil || cached {
-		t.Fatalf("different token must miss: cached=%v err=%v", cached, err)
-	}
-	// A nil token opts out: never cached, even on repeat.
-	for i := 0; i < 2; i++ {
-		if _, cached, err = rewriteForCheck(h, mk(nil)); err != nil || cached {
-			t.Fatalf("nil token must bypass the cache (run %d): cached=%v err=%v", i, cached, err)
-		}
-	}
-	// An explicit token must not alias a comparable rewriting used as its own
-	// identity, even when the token value equals that rewriting value.
-	compRew := IdentityRewriting{}
-	if _, cached, err = rewriteForCheck(h, CheckOptions{Rewriting: compRew, Session: sess}); err != nil || cached {
-		t.Fatalf("comparable rewriting first use must miss: cached=%v err=%v", cached, err)
-	}
-	if _, cached, err = rewriteForCheck(h, mk(compRew)); err != nil || cached {
-		t.Fatalf("token equal to a comparable rewriting value must not alias its entry: cached=%v err=%v", cached, err)
-	}
-}
-
 func TestRewriteHistoryValidatesKinds(t *testing.T) {
 	badKind := RewriteFunc(func(l *Label) ([]*Label, error) {
 		c := l.Clone()

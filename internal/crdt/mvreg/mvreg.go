@@ -195,7 +195,7 @@ func Abs(s runtime.State) core.AbsState {
 // rewriting moves the version vector returned by write into its arguments
 // (Appendix E.1: write(a) becomes write(a, V')). A named zero-size
 // (comparable) type rather than a RewriteFunc closure, so engine sessions can
-// key their rewrite cache on its value.
+// reuse a history's rewriting by its value.
 type rewriting struct{}
 
 // Rewrite implements core.Rewriting.

@@ -172,7 +172,8 @@ func Abs(s runtime.State) core.AbsState {
 
 // rewriting is the query-update rewriting γ of Example 3.6. It is a named
 // zero-size (comparable) type rather than a RewriteFunc closure so engine
-// sessions can key their rewrite cache on its value (core.rewritingToken).
+// sessions can reuse a history's rewriting by its value
+// (core.RewritingIdentity).
 type rewriting struct{}
 
 // Rewrite implements core.Rewriting:

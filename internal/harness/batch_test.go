@@ -14,7 +14,7 @@ import (
 
 // normalizeBatch strips the fields that legitimately differ between a
 // shared-session and a fresh-per-history run (pool geometry and session
-// statistics — including the plan-pool and rewrite-cache counters, which
+// statistics — including the plan-pool and history-record counters, which
 // exist to differ between the two pipelines); everything else must be
 // byte-identical.
 func normalizeBatch(hc HistoryCheck) HistoryCheck {
@@ -109,11 +109,11 @@ func TestBatchExhaustiveDifferential(t *testing.T) {
 }
 
 // TestBatchPolarityDifferentialAllDescriptors is the cross-history, cross-
-// polarity differential for the session searcher pool and rewrite cache: for
+// polarity differential for the session searcher pool and history records: for
 // every CRDT descriptor, a batch mixing RA-linearizable histories, corrupted
-// (refuted) variants, and re-checked duplicates — the rewrite cache's hit
+// (refuted) variants, and re-checked duplicates — the history records' hit
 // case — must produce byte-identical verdicts and search statistics through a
-// shared session (searcher pool + rewrite cache + debug memo) and through fresh
+// shared session (searcher pool + history records + debug memo) and through fresh
 // per-history state.
 func TestBatchPolarityDifferentialAllDescriptors(t *testing.T) {
 	for _, d := range registry.All() {
@@ -133,8 +133,9 @@ func TestBatchPolarityDifferentialAllDescriptors(t *testing.T) {
 			}
 		}
 		// Re-check every history a second time through the same batch: on the
-		// shared side the second occurrence must hit the rewrite cache (for
-		// descriptors with a real rewriting) and still match fresh state.
+		// shared side the second occurrence must be served by its history
+		// record (for descriptors with a real rewriting) and still match fresh
+		// state.
 		hs = append(hs, hs...)
 		shared, err := CheckHistoryBatch(d.Name, d.Spec, opts, hs, Options{BatchWorkers: 3})
 		if err != nil {
@@ -152,10 +153,10 @@ func TestBatchPolarityDifferentialAllDescriptors(t *testing.T) {
 			t.Errorf("%s: shared session reused no pooled plans", d.Name)
 		}
 		if d.Rewriting != nil && shared.RewriteHits == 0 {
-			t.Errorf("%s: duplicated histories must hit the rewrite cache", d.Name)
+			t.Errorf("%s: duplicated histories must be served by their history records", d.Name)
 		}
 		if fresh.RewriteHits != 0 {
-			t.Errorf("%s: fresh runs must not hit a rewrite cache", d.Name)
+			t.Errorf("%s: fresh runs must not be served a recorded rewriting", d.Name)
 		}
 	}
 }
@@ -164,7 +165,7 @@ func TestBatchPolarityDifferentialAllDescriptors(t *testing.T) {
 // contract the closure-free representation documents: Vis/Concurrent/
 // VisibleTo/SeenBy/VisEdges are read-only and safe to issue from other
 // goroutines while a shared-session batch re-checks the very same history
-// objects on concurrent workers (rewrite cache, searcher pool). CI
+// objects on concurrent workers (history records, searcher pool). CI
 // runs the suite under -race, which turns any hidden mutation — scratch
 // reuse inside a query, lazily grown index rows — into a failure here.
 func TestHistoryQueryRaceWithBatchRecheck(t *testing.T) {
@@ -182,7 +183,7 @@ func TestHistoryQueryRaceWithBatchRecheck(t *testing.T) {
 		hs = append(hs, h)
 	}
 	// Duplicate the batch so the shared session re-checks each history (the
-	// rewrite cache's hit case) while the query hammers below keep reading it.
+	// history records' hit case) while the query hammers below keep reading it.
 	batch := append(append([]*core.History(nil), hs...), hs...)
 
 	done := make(chan struct{})

@@ -159,8 +159,8 @@ type HistoryCheck struct {
 	// running worker misses once the pool is warm.
 	PlanReuses int
 	// RewriteHits counts the trials whose γ-rewriting was served from the
-	// session's rewrite cache — nonzero only when the same history object is
-	// checked more than once through one session.
+	// session's record of the history — nonzero only when the same history
+	// object is checked more than once through one session.
 	RewriteHits int
 	// FailureExample describes the first definitively non-linearizable
 	// history (by trial index), if any.

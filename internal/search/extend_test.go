@@ -92,13 +92,13 @@ func TestExtendCertificateReplay(t *testing.T) {
 	}
 }
 
-// TestExtendFallbackSeededSearch forces a certificate failure whose history
+// TestExtendFallbackSearchRecoversValid forces a certificate failure whose history
 // is still linearizable — a new read that must be placed after a new update
 // inserted behind it — and checks the fallback search recovers the Valid
 // verdict, stores the found witness in exact-size backing (satellite: a
 // long-lived certificate must not pin a searcher's 512-label arena chunk),
 // and that the stored witness then replays on the next growth step.
-func TestExtendFallbackSeededSearch(t *testing.T) {
+func TestExtendFallbackSearchRecoversValid(t *testing.T) {
 	sess := NewSession()
 	h := core.NewHistory()
 	opts := extOpts(sess)
@@ -136,7 +136,7 @@ func TestExtendFallbackSeededSearch(t *testing.T) {
 	}
 
 	sess.mu.Lock()
-	ext := sess.exts[h]
+	ext := sess.records[h]
 	sess.mu.Unlock()
 	if ext == nil || !ext.valid {
 		t.Fatal("a Valid fallback must store a fresh certificate")
@@ -169,7 +169,7 @@ func TestExtendFallbackSeededSearch(t *testing.T) {
 }
 
 // TestExtendTruncatedFallbackDropsWitness breaks a certificate the way
-// TestExtendFallbackSeededSearch does, but under a node budget too small for
+// TestExtendFallbackSearchRecoversValid does, but under a node budget too small for
 // the fallback search to finish: the step reports Unknown, the stale witness
 // is dropped with the certificate, and the next step without a budget
 // searches again and reaches the from-scratch verdict.
@@ -201,7 +201,7 @@ func TestExtendTruncatedFallbackDropsWitness(t *testing.T) {
 		t.Fatalf("a one-node budget must truncate the fallback search: %+v", res)
 	}
 	sess.mu.Lock()
-	ext := sess.exts[h]
+	ext := sess.records[h]
 	sess.mu.Unlock()
 	if ext == nil || ext.valid || ext.witness != nil || ext.witRanks != nil {
 		t.Fatalf("a truncated fallback must drop the stale witness: %+v", ext)
@@ -269,10 +269,10 @@ func TestExtendEvictionDropsState(t *testing.T) {
 		t.Fatalf("budget pressure must not change the verdict: %+v", res)
 	}
 	sess.mu.Lock()
-	exts := sess.exts
+	records := sess.records
 	sess.mu.Unlock()
-	if exts != nil {
-		t.Fatalf("tripped budget must evict the extension state with the other caches, still tracking %d", len(exts))
+	if records != nil {
+		t.Fatalf("tripped budget must evict the history records with the other caches, still tracking %d", len(records))
 	}
 	// The next growth finds no entry and rebuilds — same verdict as scratch.
 	l5 := mkUpdate(5, "inc")
@@ -353,7 +353,7 @@ func TestExtendDropUnpinsSeen(t *testing.T) {
 		t.Fatalf("setup check failed: %+v", res)
 	}
 	sess.mu.Lock()
-	ext := sess.exts[h]
+	ext := sess.records[h]
 	sess.mu.Unlock()
 	if ext == nil || ext.rew == nil || ext.rew.Aliased() {
 		t.Fatal("a cloning rewriting must store a non-aliased extension entry")
@@ -462,8 +462,9 @@ func TestExtendRebuildsOnSpecChange(t *testing.T) {
 
 // churnSpec is the counter specification with a side effect on its first
 // transition: it rewrites churnHistories fresh histories through the
-// session's rewrite cache, enough to make the cache evict its whole
-// generation while the check that called it is still running.
+// session, recording each, enough to make the session evict its whole
+// generation of history records while the check that called it is still
+// running.
 type churnSpec struct {
 	spec.Counter
 	churn *churnState
@@ -489,11 +490,11 @@ func (c churnSpec) StepAppend(dst []core.AbsState, phi core.AbsState, l *core.La
 }
 
 // TestRebuildExtRecordsCheckedClone is the regression for rebuildExt
-// recording its extension entry over a different rewritten clone than the
-// one the check verified: when the rewrite cache evicts the checked clone
-// mid-check, re-deriving the rewriting afterwards yields a second clone, and
-// a certificate made of the first clone's labels must not be replayed over
-// it. Every Valid result must be an RA-linearization of its own Rewritten.
+// recording its certificate over a different rewritten clone than the one the
+// check verified: when the session evicts the history's record mid-check, a
+// certificate made of the checked clone's labels must not be replayed over
+// any other clone. Every Valid result must be an RA-linearization of its own
+// Rewritten.
 func TestRebuildExtRecordsCheckedClone(t *testing.T) {
 	sess := NewSession()
 	opts := extOpts(sess)

@@ -38,8 +38,8 @@ const stepCacheCap = 1 << 18
 // stepKey identifies one cached transition: the source state's session-
 // interner ID and the label stepped over. The label is keyed by pointer —
 // re-checks of one history through a session see the same label pointers
-// (the session's rewrite cache returns the cached rewriting), which is
-// exactly the warm path the cache exists for; fresh histories miss and fill.
+// (the history's record serves the same rewriting), which is exactly the
+// warm path the cache exists for; fresh histories miss and fill.
 type stepKey struct {
 	state uint32
 	label *core.Label
@@ -119,8 +119,8 @@ type specStep struct {
 // check and never changes a verdict's polarity: the search degrades to
 // memo-less mode (the DisableMemo path) for the remainder of the check, and
 // once the session is idle it evicts its caches — interner, searcher pool,
-// step caches, rewrite cache — so the next check starts exactly like one on a
-// fresh session. The searcher pool needs no cap of its own: it never holds
+// step caches, history records — so the next check starts exactly like one on
+// a fresh session. The searcher pool needs no cap of its own: it never holds
 // more searchers than the session once ran checks at the same time.
 type Budget struct {
 	// MaxInternedStates caps the number of distinct abstract states the
@@ -134,8 +134,9 @@ type Budget struct {
 
 // Session is the cross-check state of one batch of searches: the interner
 // assigning dense IDs to canonical state keys, the per-spec transition
-// caches, a rewrite cache, and a pool of searchers — the one per-check object,
-// carrying its plan, memo table and scratch (undo frames, state-set buffers).
+// caches, one record per checked history, and a pool of searchers — the one
+// per-check object, carrying its plan, memo table and scratch (undo frames,
+// state-set buffers).
 // A single check pays for all of these as warm-up; a batch that threads one
 // Session through every check (core.CheckRAWith / CheckOptions.Session) pays
 // once and then only resets.
@@ -151,18 +152,19 @@ type Budget struct {
 //     across histories would alias configurations of different histories);
 //     the pool recycles the maps, index slices and buffers themselves,
 //     cleared-not-reallocated, so a warm check allocates none of them;
-//   - the rewrite cache is keyed by history identity and survives the whole
-//     session: a history re-checked through the session clones and
-//     re-derives its γ-rewriting once, not once per check (consulted by
-//     core.CheckRA through the core.RewriteCacher interface).
+//   - a history's record is keyed by history identity and holds the
+//     γ-rewriting every check of that history uses (served to core.CheckRA
+//     through core.SessionRewriter) plus, once Extend has decided the
+//     history, its certificate: a history re-checked through the session
+//     clones and re-derives its rewriting once, not once per check, and an
+//     extension grows that same rewriting in place.
 //
 // A Session may serve concurrent checks and checks of different
 // specifications. Interner IDs are only ever compared within one check, and a
 // check only reaches states of its own specification, so cross-spec key
 // collisions in the shared interner are harmless.
 type Session struct {
-	rewrites core.RewriteCache
-	budget   Budget
+	budget Budget
 	// memoEntries counts live memo-table entries across the session's
 	// in-flight checks; maintained only when a memo budget is configured.
 	memoEntries atomic.Int64
@@ -190,14 +192,13 @@ type Session struct {
 	// session, so Run attaches the transition cache only to re-checks: a
 	// first-contact history would fill the cache with entries keyed by its
 	// label pointers — copies that can never be hit again unless that very
-	// history object returns. Capped at seenHistoryCap pointers; like the
-	// rewrite cache, the pins are dropped on budget eviction.
+	// history object returns. Capped at seenHistoryCap pointers; a record
+	// leaving records un-pins its clone, and budget eviction drops them all.
 	seen map[*core.History]struct{}
-	// exts tracks per-history incremental-extension state (Session.Extend):
-	// the length and rewriting of each history's last verdict, plus the witness certificate when that verdict was Valid. Entries are
-	// capped at extensionCap and dropped wholesale on budget eviction — their
-	// witnesses pin rewritten labels.
-	exts map[*core.History]*extension
+	// records holds one record per history checked through the session
+	// (recordFor): its rewriting, and its certificate once Extend decided
+	// it. Capped at recordCap and dropped on budget eviction.
+	records map[*core.History]*record
 }
 
 // NewSession creates an empty, unbudgeted batch session. It implements
@@ -271,7 +272,7 @@ func (s *Session) endCheck() {
 }
 
 // evictLocked is the memory-budget fail-safe: drop every cache the session
-// accumulated — interner, searcher pool, step caches and the rewrite cache —
+// accumulated — interner, searcher pool, step caches and history records —
 // so the memory is reclaimable and the next check is indistinguishable from
 // one on a fresh session with the same budget. Called with s.mu held and no
 // check in flight.
@@ -285,11 +286,10 @@ func (s *Session) evictLocked() {
 	// them against the fresh generation would alias unrelated states.
 	s.steps = nil
 	s.seen = nil
-	// Extension state is rebuilt on the next Extend of each history: the
-	// witness certificates pin rewritten labels the fresh session should not.
-	s.exts = nil
+	// Records are rebuilt on the next check of each history: their clones
+	// and certificates pin rewritten labels the fresh session should not.
+	s.records = nil
 	s.memoEntries.Store(0)
-	s.rewrites.Clear()
 	s.evictions++
 }
 
@@ -311,17 +311,6 @@ func (s *Session) InternedStates() int {
 		return n
 	}
 	return high
-}
-
-// RewriteCache exposes the session's γ-rewriting cache; it implements
-// core.RewriteCacher, which core.CheckRA consults so re-checked histories
-// clone their rewriting once per session instead of once per check. Returns
-// nil on a nil session (no caching).
-func (s *Session) RewriteCache() *core.RewriteCache {
-	if s == nil {
-		return nil
-	}
-	return &s.rewrites
 }
 
 // seenHistoryCap bounds the re-check tracking set: past it, first contacts
@@ -351,6 +340,138 @@ func (s *Session) recheck(h *core.History) bool {
 		s.seen[h] = struct{}{}
 	}
 	return false
+}
+
+// record is the session's state for one history h: the γ-rewriting every
+// check of h through the session uses, the size of h it covers, and — once
+// Extend has decided h — the specification and the certificate the next
+// Extend replays. Plain checks and Extend share it, so the certificate is
+// always a witness over the record's own rewriting.
+type record struct {
+	// token identifies the rewriting (core.RewritingIdentity).
+	token any
+	// rew is the γ-rewriting of h's first n labels and edges direct edges:
+	// a clone on the cloning path, or an alias wrapper (rew.History == h) on
+	// the identity fast path. Extend grows it in place and advances n and
+	// edges with it.
+	rew   *core.RewrittenHistory
+	n     int
+	edges int
+	// spec is the specification Extend last decided h under; nil until
+	// Extend has decided h (a record made by a plain check).
+	spec core.Spec
+	// maxGenSeq is the largest generator sequence number across h's labels,
+	// maintained so the aliasing fast path's precondition (no GenSeq ties, as
+	// implied by strictly increasing continuation) is checked per new label
+	// instead of per history.
+	maxGenSeq uint64
+	// valid reports the last verdict was Valid; witness is then its
+	// linearization in session-owned backing (never a carved arena
+	// sub-slice — a long-lived certificate must not pin a searcher's witness
+	// chunk), grown by amortized append as replays extend it; witRanks holds
+	// each witness label's rank in rew.History (-1 if absent); and states is
+	// the spec state set reachable after witness's update projection, from
+	// which new updates step.
+	valid    bool
+	witness  []*core.Label
+	witRanks []int
+	states   []core.AbsState
+	// stateBuf/stepBuf/justBuf/visBuf are the certificate replay's reusable
+	// scratch, so a replay allocates only what the spec itself does.
+	stateBuf []core.AbsState
+	stepBuf  []core.AbsState
+	justBuf  []*core.Label
+	visBuf   []uint64
+}
+
+// covers reports whether rec is the rewriting of h, in its current size,
+// under the rewriting identified by token.
+func (rec *record) covers(h *core.History, token any) bool {
+	return rec.n == h.Len() && rec.edges == h.DirectEdgeCount() && safeTokenEqual(rec.token, token)
+}
+
+// recordCap bounds the histories a session keeps a record for: each pins its
+// history and its rewritten clone (and, once Extend decided it, a witness).
+// Batch pipelines record every history they clone, so without a cap a long
+// batch would keep all of them live. At the cap the whole map is dropped and
+// refilled (generation eviction), the one rule for every record. Re-checks
+// cycle a small working set and a monitor follows one live history at a
+// time, which the record being inserted always survives, so a generation is
+// enough; and unlike evicting a single entry, it depends on no map order.
+const recordCap = 256
+
+// SessionRewrite implements core.SessionRewriter: the rewriting of h's
+// record when it covers h in its current size under g, derived and recorded
+// otherwise. The second result reports a served rewriting. The nil
+// rewriting's aliasing fast path is cheaper than a record probe, and a
+// rewriting without an identity (core.RewritingIdentity) cannot be matched
+// against a record, so both — like a nil session — derive γ(h) every time.
+func (s *Session) SessionRewrite(h *core.History, g core.Rewriting) (*core.RewrittenHistory, bool, error) {
+	token, ok := core.RewritingIdentity(g)
+	if s == nil || g == nil || !ok {
+		rew, err := core.RewriteHistory(h, g)
+		return rew, false, err
+	}
+	rec, hit, err := s.recordFor(h, g, token)
+	if err != nil {
+		return nil, false, err
+	}
+	return rec.rew, hit, nil
+}
+
+// recordFor returns h's record when it covers h in its current size under
+// the rewriting g identified by token, and otherwise derives γ(h) into a new
+// record and stores it. Of two checks that derive the same history's record
+// at once, the first to store it wins; the other checks its own rewriting.
+// The second result reports a hit.
+func (s *Session) recordFor(h *core.History, g core.Rewriting, token any) (*record, bool, error) {
+	s.mu.Lock()
+	rec := s.records[h]
+	hit := rec != nil && rec.covers(h, token)
+	s.mu.Unlock()
+	if hit {
+		return rec, true, nil
+	}
+	rew, err := core.RewriteHistory(h, g)
+	if err != nil {
+		return nil, false, err
+	}
+	rec = &record{token: token, rew: rew, n: h.Len(), edges: h.DirectEdgeCount()}
+	s.mu.Lock()
+	if cur := s.records[h]; cur == nil || !cur.covers(h, token) {
+		s.putLocked(h, rec)
+	}
+	s.mu.Unlock()
+	return rec, false, nil
+}
+
+// putLocked makes rec h's record, first dropping the whole map when it holds
+// recordCap records of other histories. Every record that leaves the map
+// un-pins its rewritten clone from the seen set: no later check is served
+// that clone again, unless rebuildExt puts its record back, and then that
+// check's search pins it anew. Called with s.mu held.
+func (s *Session) putLocked(h *core.History, rec *record) {
+	if old, ok := s.records[h]; ok {
+		s.unpinLocked(old)
+	} else if len(s.records) >= recordCap {
+		for _, old := range s.records {
+			s.unpinLocked(old)
+		}
+		clear(s.records)
+	}
+	if s.records == nil {
+		s.records = make(map[*core.History]*record)
+	}
+	s.records[h] = rec
+}
+
+// unpinLocked removes rec's rewritten clone from the seen set; an aliased
+// rewriting is the history itself, which may be checked again. Called with
+// s.mu held.
+func (s *Session) unpinLocked(rec *record) {
+	if !rec.rew.Aliased() {
+		delete(s.seen, rec.rew.History)
+	}
 }
 
 // stepCacheFor returns the session's transition cache for spec, creating it

@@ -94,12 +94,12 @@ func TestSessionConcurrentChecks(t *testing.T) {
 	wg.Wait()
 }
 
-// TestSessionPlanPoolReuse checks plan reuse through the searcher pool end
+// TestSessionSearcherPoolReuse checks plan reuse through the searcher pool end
 // to end: the first check of a session builds its plan fresh, later checks
 // draw recycled searchers and rebuild their plans (surfaced as PlanReused),
 // and a recycled plan rebuilt for a history of a different size produces
 // exactly the outcome of a fresh plan.
-func TestSessionPlanPoolReuse(t *testing.T) {
+func TestSessionSearcherPoolReuse(t *testing.T) {
 	sess := NewSession()
 	first := Run(concurrentIncsHistory(6, 99), spec.Counter{}, false, sessOpts(sess))
 	if first.PlanReused {
@@ -125,11 +125,11 @@ func TestSessionPlanPoolReuse(t *testing.T) {
 	}
 }
 
-// TestSessionPlanPoolConcurrent hammers the searcher pool with concurrent
+// TestSessionSearcherPoolConcurrent hammers the searcher pool with concurrent
 // checks of different history sizes, so `go test -race` exercises
 // concurrent getSearcher/putSearcher across size classes and the
 // clear-not-reallocate resize paths of the pooled plans' index slices.
-func TestSessionPlanPoolConcurrent(t *testing.T) {
+func TestSessionSearcherPoolConcurrent(t *testing.T) {
 	sess := NewSession()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -154,7 +154,7 @@ func TestSessionPlanPoolConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// cloneRewriting is a comparable cloning rewriting for the cache tests; tag
+// cloneRewriting is a comparable cloning rewriting for the record tests; tag
 // distinguishes rewriting *values* of the same type.
 type cloneRewriting struct{ tag int }
 
@@ -162,13 +162,13 @@ func (cloneRewriting) Rewrite(l *core.Label) ([]*core.Label, error) {
 	return []*core.Label{l.Clone()}, nil
 }
 
-// TestSessionRewriteCache checks the rewrite cache through the full
-// core.CheckRA plumbing: the first check of a history under a cloning
-// rewriting derives the rewriting, the second is served from the session
-// cache (same Rewritten pointer, RewriteCached set), a different rewriting
-// value for the same history misses, and function-typed rewritings — which
-// have no safe identity — bypass the cache entirely.
-func TestSessionRewriteCache(t *testing.T) {
+// TestSessionRecordServesRewriting checks the history record's rewriting
+// through the full core.CheckRA plumbing: the first check of a history under
+// a cloning rewriting derives the rewriting, the second is served from the
+// history's record (same Rewritten pointer, RewriteCached set), a different
+// rewriting value for the same history misses, and function-typed rewritings
+// — which have no safe identity — bypass the record entirely.
+func TestSessionRecordServesRewriting(t *testing.T) {
 	sess := NewSession()
 	h := concurrentIncsHistory(5, 5)
 	opts := core.CheckOptions{Rewriting: cloneRewriting{tag: 1}, Exhaustive: true}
@@ -178,20 +178,17 @@ func TestSessionRewriteCache(t *testing.T) {
 	}
 	second := core.CheckRAWith(h, spec.Counter{}, opts, sess)
 	if second.Verdict != core.VerdictValid || !second.RewriteCached {
-		t.Fatalf("second check of the same history must hit the rewrite cache: %+v", second)
+		t.Fatalf("second check of the same history must be served from the record: %+v", second)
 	}
 	if first.Rewritten != second.Rewritten {
 		t.Fatal("cached rewriting must be the same derived history, not a re-clone")
-	}
-	if hits, misses := sess.RewriteCache().Stats(); hits != 1 || misses != 1 {
-		t.Fatalf("want 1 hit / 1 miss, got %d / %d", hits, misses)
 	}
 	// A different rewriting value must not be served the first one's clone.
 	otherOpts := opts
 	otherOpts.Rewriting = cloneRewriting{tag: 2}
 	third := core.CheckRAWith(h, spec.Counter{}, otherOpts, sess)
 	if third.RewriteCached {
-		t.Fatalf("a different rewriting value must miss the cache: %+v", third)
+		t.Fatalf("a different rewriting value must miss the record: %+v", third)
 	}
 	// RewriteFunc closures have no comparable identity (a code pointer would
 	// alias same-body closures with different captured state, e.g. two
@@ -205,57 +202,13 @@ func TestSessionRewriteCache(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		res := core.CheckRAWith(h, spec.Counter{}, fnOpts, sess)
 		if res.Verdict != core.VerdictValid || res.RewriteCached {
-			t.Fatalf("func-typed rewriting must bypass the cache (run %d): %+v", i, res)
+			t.Fatalf("func-typed rewriting must bypass the record (run %d): %+v", i, res)
 		}
 	}
 	// Nil sessions and fresh runs never report cache hits.
 	plain := core.CheckRA(h, spec.Counter{}, opts)
 	if plain.RewriteCached {
-		t.Fatalf("sessionless check cannot hit a rewrite cache: %+v", plain)
-	}
-}
-
-// tokenedRewriting is a func-backed (non-comparable) rewriting opting into
-// the cache via core.RewritingTokener; token carries the semantic identity.
-type tokenedRewriting struct {
-	fn    core.RewriteFunc
-	token string
-}
-
-func (r tokenedRewriting) Rewrite(l *core.Label) ([]*core.Label, error) { return r.fn(l) }
-func (r tokenedRewriting) RewritingToken() any                          { return r.token }
-
-// TestSessionRewriteCacheTokenedClosure is the cache-hit counterpart of the
-// closure-bypass assertions above: a RewriteFunc-style rewriting that
-// implements RewritingToken is cached across checks — even across distinct
-// closure values — as long as the tokens agree, and distinct tokens still
-// miss.
-func TestSessionRewriteCacheTokenedClosure(t *testing.T) {
-	sess := NewSession()
-	h := concurrentIncsHistory(5, 5)
-	mk := func(token string) core.Rewriting {
-		// A fresh closure per call: only the token can make these hit.
-		return tokenedRewriting{fn: func(l *core.Label) ([]*core.Label, error) {
-			return []*core.Label{l.Clone()}, nil
-		}, token: token}
-	}
-	opts := core.CheckOptions{Rewriting: mk("γ"), Exhaustive: true}
-	first := core.CheckRAWith(h, spec.Counter{}, opts, sess)
-	if first.Verdict != core.VerdictValid || first.RewriteCached {
-		t.Fatalf("first tokened check must derive the rewriting: %+v", first)
-	}
-	opts.Rewriting = mk("γ")
-	second := core.CheckRAWith(h, spec.Counter{}, opts, sess)
-	if second.Verdict != core.VerdictValid || !second.RewriteCached {
-		t.Fatalf("equal-token closure must hit the rewrite cache: %+v", second)
-	}
-	if first.Rewritten != second.Rewritten {
-		t.Fatal("tokened cache hit must serve the stored rewriting")
-	}
-	opts.Rewriting = mk("δ")
-	third := core.CheckRAWith(h, spec.Counter{}, opts, sess)
-	if third.RewriteCached {
-		t.Fatalf("a different token must miss the cache: %+v", third)
+		t.Fatalf("sessionless check cannot be served a recorded rewriting: %+v", plain)
 	}
 }
 
