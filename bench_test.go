@@ -419,10 +419,10 @@ func BenchmarkSessionRecheck(b *testing.B) {
 	b.Run("session", func(b *testing.B) {
 		sess := search.NewSession()
 		// Two warm-up checks fill the session's caches: the first fills the
-		// searcher pool (plan, memo table, scratch) and marks the
-		// history seen, the second — now a recognized re-check — fills the
-		// transition cache. The timed loop then measures the warm re-check
-		// steady state: 0 allocs/op, asserted by `make bench-gate`.
+		// searcher pool (plan, memo table, scratch, transition table) and the
+		// history's record, the second runs warm. The timed loop then
+		// measures the warm re-check steady state: 0 allocs/op, asserted by
+		// `make bench-gate`.
 		for w := 0; w < 2; w++ {
 			if res := core.CheckRAWith(h, d.Spec, opts, sess); res.Verdict != core.VerdictValid {
 				b.Fatalf("history must be RA-linearizable: %v", res.LastErr)
@@ -681,6 +681,53 @@ func BenchmarkScenarioCorpus(b *testing.B) {
 	b.ReportMetric(float64(len(jobs))*float64(b.N)/b.Elapsed().Seconds(), "histories/sec")
 }
 
+// BenchmarkScenarioSession measures first-contact traffic through one
+// session: fresh histories of every library scenario (40 each, seed 1),
+// strategies off so every check searches, checked on one goroutine through
+// one new session per op — the shape of a scenario batch, where no history
+// is ever checked twice. What a session can carry from one such check to the
+// next is only what does not depend on the history's identity: the interner,
+// the searcher pool and each searcher's transition table. Verdicts are
+// asserted against sessionless checks each iteration.
+func BenchmarkScenarioSession(b *testing.B) {
+	const perScenario = 40
+	type job struct {
+		h    *core.History
+		sp   core.Spec
+		opts core.CheckOptions
+		want core.Verdict
+	}
+	var jobs []job
+	for _, sc := range scenario.All() {
+		plan, err := sc.Plan()
+		if err != nil {
+			b.Fatal(err)
+		}
+		opts := plan.Options
+		opts.Strategies = nil
+		opts.Engine = core.EnginePruned
+		gen := scenario.Generator{Scenario: sc, Seed: 1}
+		for i := 0; i < perScenario; i++ {
+			h, _, err := gen.Generate(i)
+			if err != nil {
+				b.Fatalf("%s trial %d: %v", sc.Name, i, err)
+			}
+			jobs = append(jobs, job{h, plan.Spec, opts, core.CheckRA(h, plan.Spec, opts).Verdict})
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sess := search.NewSession()
+		for k, j := range jobs {
+			if res := core.CheckRAWith(j.h, j.sp, j.opts, sess); res.Verdict != j.want {
+				b.Fatalf("history %d: session verdict %v, sessionless %v", k, res.Verdict, j.want)
+			}
+		}
+	}
+	b.ReportMetric(float64(len(jobs))*float64(b.N)/b.Elapsed().Seconds(), "histories/sec")
+}
+
 // incrementalStream builds the deterministic n-op monitor workload of
 // BenchmarkIncrementalExtend: counter increments with a read every fourth
 // operation that sees every update so far (edges attached as the read is
@@ -810,7 +857,7 @@ func benchIncrementalStream(b *testing.B, prefix string, sp core.Spec, n int, st
 			})
 		}
 		// Two warm-up replays fill the session caches (pools, interner,
-		// transition cache); the timed loop measures the steady state.
+		// transition tables); the timed loop measures the steady state.
 		for w := 0; w < 2; w++ {
 			run(b)
 		}

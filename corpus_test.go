@@ -9,6 +9,7 @@ package ralin
 
 import (
 	"context"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
@@ -129,6 +130,11 @@ func TestScenarioCorpusFailSafe(t *testing.T) {
 // for every replay, so the run doubles as the corpus-wide soak of the memo
 // table's hash-collision check (two distinct configurations sharing a
 // 128-bit key would panic here).
+//
+// Each entry's transitions — live spec steps plus transition-table replays,
+// Stats.Steps+StepHits — are pinned too: the table may only replace a live
+// step, never add or drop one, so the sum equals the spec steps the engine
+// took when every transition stepped live (corpusTransitions).
 func TestScenarioCorpusNodeCounts(t *testing.T) {
 	entries, paths := loadCorpus(t)
 	for i, e := range entries {
@@ -152,7 +158,29 @@ func TestScenarioCorpusNodeCounts(t *testing.T) {
 		if res.Nodes != e.Nodes {
 			t.Errorf("%s: explored %d nodes, corpus records %d", paths[i], res.Nodes, e.Nodes)
 		}
+		want, ok := corpusTransitions[filepath.Base(paths[i])]
+		if !ok {
+			t.Errorf("%s: no pinned transition count", paths[i])
+		} else if got := res.Steps + res.StepHits; got != want {
+			t.Errorf("%s: %d transitions (%d stepped, %d replayed), want %d", paths[i], got, res.Steps, res.StepHits, want)
+		}
 	}
+}
+
+// corpusTransitions is each corpus entry's transition count under
+// TestScenarioCorpusNodeCounts' options: the Spec.StepAppend calls the
+// engine made on the entry when every transition stepped live.
+var corpusTransitions = map[string]int{
+	"convergence-storm-1.json":     22,
+	"convergence-storm-7920.json":  21,
+	"hot-key-261328.json":          32,
+	"hot-key-95029.json":           28,
+	"long-fork-attempt-31677.json": 50,
+	"long-fork-attempt-7920.json":  42,
+	"partition-heal-158381.json":   953,
+	"partition-heal-269247.json":   564,
+	"rolling-restart-1.json":       43,
+	"rolling-restart-7920.json":    51,
 }
 
 // TestScenarioCorpusEnginesAgree checks every corpus entry with the pruned
@@ -187,6 +215,15 @@ func TestScenarioCorpusEnginesAgree(t *testing.T) {
 	}
 }
 
+// foldSteps folds the table replays into the live steps: which transitions
+// a warm transition table replays depends on the checks its searcher ran
+// before, but their sum does not.
+func foldSteps(st core.Stats) core.Stats {
+	st.Steps += st.StepHits
+	st.StepHits = 0
+	return st
+}
+
 // TestBatchWidthDeterminism pins that batch width changes no result: every
 // search runs on one goroutine, so a batch over the corpus must report the
 // same verdicts and the same summed search counters at any BatchWorkers,
@@ -194,8 +231,8 @@ func TestScenarioCorpusEnginesAgree(t *testing.T) {
 // decoded copies of each, so four workers stay busy) form one batch, checked
 // by the engine in default rank order with the strategies off. The reference
 // is every history checked alone: the batch's verdict tallies, first failure
-// and summed Nodes/Pruned/MemoHits/Leaves must equal the sum of those
-// standalone checks, and each standalone verdict must match the corpus
+// and summed Nodes/Pruned/MemoHits/Leaves and transitions (Steps+StepHits)
+// must equal the sum of those standalone checks, and each standalone verdict must match the corpus
 // record. The CI workflow runs this under the race detector.
 func TestBatchWidthDeterminism(t *testing.T) {
 	entries, paths := loadCorpus(t)
@@ -257,7 +294,7 @@ func TestBatchWidthDeterminism(t *testing.T) {
 			}
 			if got.Histories != g.want.Histories || got.Linearizable != g.want.Linearizable ||
 				got.Invalid != g.want.Invalid || got.Unknown != g.want.Unknown ||
-				!reflect.DeepEqual(got.ByStrategy, g.want.ByStrategy) || got.Stats != g.want.Stats {
+				!reflect.DeepEqual(got.ByStrategy, g.want.ByStrategy) || foldSteps(got.Stats) != foldSteps(g.want.Stats) {
 				t.Errorf("%s workers=%d fresh=%v: batch %d/%d valid, %d invalid, %d unknown, %+v; standalone checks %d/%d valid, %d invalid, %d unknown, %+v",
 					name, o.BatchWorkers, o.FreshSessions, got.Linearizable, got.Histories, got.Invalid, got.Unknown, got.Stats,
 					g.want.Linearizable, g.want.Histories, g.want.Invalid, g.want.Unknown, g.want.Stats)

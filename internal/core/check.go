@@ -193,6 +193,14 @@ type Stats struct {
 	Steals int
 	// Leaves is the number of complete candidate sequences reached.
 	Leaves int
+	// Steps is the number of live Spec.StepAppend calls the pruned engine
+	// made. Steps+StepHits is the number of (state, label) transitions the
+	// search took, which depends only on the history and the options.
+	Steps int
+	// StepHits is the number of transitions the pruned engine replayed from
+	// its transition table instead of stepping the spec; how many depends
+	// on how warm the table was.
+	StepHits int
 }
 
 // Add folds o into s by summing the work counters.
@@ -201,6 +209,8 @@ func (s *Stats) Add(o Stats) {
 	s.Pruned += o.Pruned
 	s.MemoHits += o.MemoHits
 	s.Leaves += o.Leaves
+	s.Steps += o.Steps
+	s.StepHits += o.StepHits
 }
 
 // Result is the outcome of an RA-linearizability check.
@@ -317,6 +327,17 @@ func ResolveEngine(e Engine) Engine { return resolveEngine(e) }
 // ErrNotRALinearizable is wrapped by errors reporting a definitive negative
 // verdict.
 var ErrNotRALinearizable = errors.New("history is not RA-linearizable")
+
+// notRALinearizable is an engine's refutation reason wrapped as a definitive
+// negative verdict. It renders as "<ErrNotRALinearizable>: <reason>" only when
+// asked, so a refutation nobody prints costs no formatting.
+type notRALinearizable struct{ reason error }
+
+func (e notRALinearizable) Error() string {
+	return ErrNotRALinearizable.Error() + ": " + e.reason.Error()
+}
+
+func (e notRALinearizable) Unwrap() error { return ErrNotRALinearizable }
 
 // IsRALinearization checks conditions (i)–(iii) of Definition 3.5 for the
 // sequence seq on the (already rewritten) history h with respect to spec.
@@ -564,7 +585,7 @@ func ApplyEngineOutcome(res *Result, out EngineOutcome, strong bool) {
 	case out.Complete:
 		res.Verdict = VerdictInvalid
 		if !strong && res.LastErr != nil {
-			res.LastErr = fmt.Errorf("%w: %v", ErrNotRALinearizable, res.LastErr)
+			res.LastErr = notRALinearizable{res.LastErr}
 		}
 	default:
 		res.Verdict = VerdictUnknown

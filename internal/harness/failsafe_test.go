@@ -34,8 +34,13 @@ func (p trialPanicSpec) StepAppend(dst []core.AbsState, phi core.AbsState, l *co
 }
 
 // slowSpec delegates to the counter specification with an artificial delay
-// per step, so a deadline reliably lands mid-search.
-type slowSpec struct{ inner spec.Counter }
+// per step, so a deadline reliably lands mid-search. Its slice field makes
+// it non-comparable, so no transition table replays a step in its place and
+// every step pays the delay.
+type slowSpec struct {
+	inner   spec.Counter
+	noTable []int
+}
 
 func (p slowSpec) Name() string        { return "Spec(slow)" }
 func (p slowSpec) Init() core.AbsState { return p.inner.Init() }

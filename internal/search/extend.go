@@ -19,9 +19,9 @@ import "ralin/internal/core"
 //     cached post-witness state set, and per-query justification. No search.
 //   - certificate fails, or previously Invalid/Unknown: fall back to the full
 //     pruned search over the grown rewriting — a plain Run, with the plan
-//     built afresh on a pooled searcher and the session's warm interner and
-//     step cache, exactly like every other check. Nothing of a stale witness
-//     is carried over.
+//     built afresh on a pooled searcher (with its warm transition table) and
+//     the session's warm interner, exactly like every other check. Nothing of
+//     a stale witness is carried over.
 //
 // Every incremental precondition is verified, and any violation — new edges
 // into old labels, a tail mismatch, a changed rewriting, an in-place

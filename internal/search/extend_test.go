@@ -340,83 +340,6 @@ func TestExtendNonExhaustiveDegrades(t *testing.T) {
 	}
 }
 
-// TestExtendDropUnpinsSeen is the satellite regression for the re-check seen
-// set: when a history's extension entry is superseded, its rewritten clone —
-// which can never be checked again — must be dropped from the seen set
-// instead of pinning a dead history for the rest of the session.
-func TestExtendDropUnpinsSeen(t *testing.T) {
-	sess := NewSession()
-	h := concurrentIncsHistory(4, 4)
-	opts := extOpts(sess)
-	opts.Rewriting = cloneRewriting{tag: 1}
-	if res := sess.Extend(h, spec.Counter{}, h.Labels(), opts); res.Verdict != core.VerdictValid {
-		t.Fatalf("setup check failed: %+v", res)
-	}
-	sess.mu.Lock()
-	ext := sess.records[h]
-	sess.mu.Unlock()
-	if ext == nil || ext.rew == nil || ext.rew.Aliased() {
-		t.Fatal("a cloning rewriting must store a non-aliased extension entry")
-	}
-	clone := ext.rew.History
-	sess.mu.Lock()
-	_, pinned := sess.seen[clone]
-	sess.mu.Unlock()
-	if !pinned {
-		t.Fatal("the rewritten clone must be in the seen set after its check")
-	}
-
-	// A different rewriting identity supersedes the entry; the old clone must
-	// be unpinned by the rebuild.
-	opts.Rewriting = cloneRewriting{tag: 2}
-	if res := sess.Extend(h, spec.Counter{}, h.Labels(), opts); res.Verdict != core.VerdictValid {
-		t.Fatalf("rebuild under the new rewriting failed: %+v", res)
-	}
-	sess.mu.Lock()
-	_, pinned = sess.seen[clone]
-	sess.mu.Unlock()
-	if pinned {
-		t.Fatal("superseding an extension entry must unpin its rewritten clone from the seen set")
-	}
-}
-
-// TestStepCachePutDupAndCap is the satellite regression for stepCache.put:
-// the first writer wins (a duplicate put must not replace the stored entry),
-// a full cache refuses new entries without copying them first, and stored
-// entries are copies — later mutation of the caller's scratch must not leak
-// into the cache.
-func TestStepCachePutDupAndCap(t *testing.T) {
-	c := &stepCache{}
-	l := mkUpdate(1, "inc")
-
-	ids := []uint32{7}
-	c.put(5, l, nil, ids)
-	ids[0] = 99 // callers recycle their scratch; the cache must hold a copy
-	c.put(5, l, nil, []uint32{42})
-	e, ok := c.get(5, l)
-	if !ok || len(e.ids) != 1 || e.ids[0] != 7 {
-		t.Fatalf("first writer must win and must be copied: %+v ok=%v", e, ok)
-	}
-
-	// Fill to the cap and check a put of a fresh key is refused.
-	c.mu.Lock()
-	for i := len(c.entries); i < stepCacheCap; i++ {
-		c.entries[stepKey{state: uint32(i + 1000)}] = stepEntry{}
-	}
-	c.mu.Unlock()
-	fresh := mkUpdate(2, "inc")
-	c.put(6, fresh, nil, []uint32{1})
-	if _, ok := c.get(6, fresh); ok {
-		t.Fatal("a full cache must refuse new entries")
-	}
-	c.mu.Lock()
-	n := len(c.entries)
-	c.mu.Unlock()
-	if n != stepCacheCap {
-		t.Fatalf("cache grew past the cap: %d", n)
-	}
-}
-
 // incRejectedAt is a counter specification whose inc is not admitted in
 // state n; two instances differ only in which state rejects inc.
 type incRejectedAt int64

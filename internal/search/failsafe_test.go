@@ -15,12 +15,15 @@ import (
 
 // normalizeOutcome strips the fields that legitimately differ between a warm
 // session and a fresh one (plan pooling, the representative prune error's
-// identity, witness label pointers) so the rest of the outcome can be
-// compared byte for byte.
+// identity, witness label pointers, and how many transitions a warm table
+// replayed rather than stepped — their sum stays) so the rest of the outcome
+// can be compared byte for byte.
 func normalizeOutcome(out core.EngineOutcome) core.EngineOutcome {
 	out.PlanReused = false
 	out.LastErr = nil
 	out.Witness = nil
+	out.Stats.Steps += out.Stats.StepHits
+	out.Stats.StepHits = 0
 	return out
 }
 

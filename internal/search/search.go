@@ -36,8 +36,8 @@
 //
 // One goroutine runs each check's search. Checks are independent of each
 // other, so concurrency lives one level up: a batch (internal/harness) runs
-// many checks at once over one Session, whose interner, step caches and pools
-// are safe for concurrent checks. Only the context.AfterFunc callback Run
+// many checks at once over one Session, whose interner, records and searcher
+// pool are safe for concurrent checks. Only the context.AfterFunc callback Run
 // registers for a cancellable context touches a check's state from another
 // goroutine, through the stop flag and the interruption record.
 //
@@ -70,10 +70,11 @@ func init() {
 // When opts.Session carries a *Session (created by NewSession and threaded
 // through core.CheckRAWith), the search draws its interner and its searcher
 // from the session instead of allocating them: interned state IDs are shared
-// across every check of the session, while the searcher — plan, memo table
-// and scratch — is recycled through the session's pool, reset, not
-// reallocated, when the search finishes. Session.Extend's fallback search
-// runs through here too, over the rewriting it grew.
+// across every check of the session, while the searcher — plan, memo table,
+// transition table and scratch — is recycled through the session's pool,
+// reset, not reallocated, when the search finishes, so its transition table
+// stays warm for the next check of the same spec. Session.Extend's fallback
+// search runs through here too, over the rewriting it grew.
 func Run(h *core.History, spec core.Spec, strong bool, opts core.CheckOptions) core.EngineOutcome {
 	sess, _ := opts.Session.(*Session)
 	// Pin the session's cache generation for the whole check: budget eviction
@@ -86,15 +87,6 @@ func Run(h *core.History, spec core.Spec, strong bool, opts core.CheckOptions) c
 		sess.putSearcher(s)
 		return core.EngineOutcome{Complete: true, LastErr: err}
 	}
-	// The transition cache only serves re-checks (its keys are label
-	// pointers, so a first-contact history could only fill it with copies
-	// nothing will ever hit); attach it only when the session has seen this
-	// history before. One-shot histories then skip the cache's per-transition
-	// lock probes entirely.
-	var steps *stepCache
-	if sess.recheck(h) {
-		steps = sess.stepCacheFor(spec)
-	}
 	// Watch the caller's context (when there is one): deadline expiry or
 	// cancellation interrupts the search through the stop flag it checks on
 	// node entry, from a callback the context runs on its own goroutine. A
@@ -104,7 +96,7 @@ func Run(h *core.History, spec core.Spec, strong bool, opts core.CheckOptions) c
 		sess.putSearcher(s)
 		return core.EngineOutcome{Incomplete: inc, PlanReused: reused}
 	}
-	s.start(sess, intern, spec, strong, steps, opts)
+	s.start(sess, intern, spec, strong, opts)
 	var stopWatch func() bool
 	if ctx != nil && ctx.Done() != nil {
 		stopWatch = context.AfterFunc(ctx, func() { s.interrupt(core.ContextIncomplete(ctx)) })

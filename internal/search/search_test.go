@@ -1,6 +1,8 @@
 package search
 
 import (
+	"errors"
+	"fmt"
 	"testing"
 
 	"ralin/internal/core"
@@ -120,7 +122,7 @@ func TestMemoKeyIsConfiguration(t *testing.T) {
 	if err := s.plan.build(h, false); err != nil {
 		t.Fatal(err)
 	}
-	s.start(nil, newInterner(), spec.Counter{}, false, nil, core.CheckOptions{})
+	s.start(nil, newInterner(), spec.Counter{}, false, core.CheckOptions{})
 	key := func(prefix ...int) key128 {
 		t.Helper()
 		s.reset()
@@ -198,5 +200,33 @@ func TestStrongModeMatchesLegacy(t *testing.T) {
 		if legacy.Verdict != pruned.Verdict {
 			t.Fatalf("%s: strong verdicts differ: legacy=%+v pruned=%+v", name, legacy, pruned)
 		}
+	}
+}
+
+// TestRefutationErrorText pins the refutation error: rendered only on
+// demand, it must read exactly as the eager fmt.Errorf renderings did, and
+// the verdict's wrapped error must still match core.ErrNotRALinearizable.
+func TestRefutationErrorText(t *testing.T) {
+	u, q := mkUpdate(1, "inc"), mkRead(2, int64(7))
+	for _, r := range []pruneReason{{label: u, cond: "ii"}, {label: u, cond: "iii", query: q}, {label: q, cond: "prefix"}} {
+		want := fmt.Sprintf("condition (%s): prefix rejected at %v", r.cond, r.label)
+		if r.query != nil {
+			want = fmt.Sprintf("condition (%s): placing %v leaves query %v unjustifiable by its visible updates", r.cond, r.label, r.query)
+		}
+		if got := r.Error(); got != want {
+			t.Errorf("reason renders %q, want %q", got, want)
+		}
+	}
+	h := concurrentIncsHistory(3, 99)
+	out := Run(h, spec.Counter{}, false, core.CheckOptions{})
+	res := core.CheckRA(h, spec.Counter{}, core.CheckOptions{Exhaustive: true})
+	if res.Verdict != core.VerdictInvalid || out.LastErr == nil {
+		t.Fatalf("the history must be refuted with a reason: %+v", res)
+	}
+	if !errors.Is(res.LastErr, core.ErrNotRALinearizable) {
+		t.Fatalf("%v must wrap core.ErrNotRALinearizable", res.LastErr)
+	}
+	if want := fmt.Sprintf("%v: %v", core.ErrNotRALinearizable, out.LastErr); res.LastErr.Error() != want {
+		t.Fatalf("verdict error %q, want %q", res.LastErr, want)
 	}
 }

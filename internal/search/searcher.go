@@ -30,8 +30,9 @@ const (
 // its witness — so a handed-out witness keeps at most one chunk alive.
 const witnessChunkLabels = 512
 
-// pruneReason records why a prefix was rejected, kept cheap so the hot path
-// does no formatting; searcher.outcome renders the last one.
+// pruneReason records why a prefix was rejected. It is the error a search
+// without a witness reports, rendered only when Error is called, so neither
+// the hot path nor a refutation nobody prints does any formatting.
 type pruneReason struct {
 	label *core.Label
 	cond  string
@@ -40,21 +41,18 @@ type pruneReason struct {
 	query *core.Label
 }
 
-func (r pruneReason) err() error {
-	if r.label == nil {
-		return nil
-	}
+func (r pruneReason) Error() string {
 	if r.query != nil {
-		return fmt.Errorf("condition (%s): placing %v leaves query %v unjustifiable by its visible updates",
-			r.cond, r.label, r.query)
+		return "condition (" + r.cond + "): placing " + r.label.String() + " leaves query " +
+			r.query.String() + " unjustifiable by its visible updates"
 	}
-	return fmt.Errorf("condition (%s): prefix rejected at %v", r.cond, r.label)
+	return "condition (" + r.cond + "): prefix rejected at " + r.label.String()
 }
 
 // setBuf is one reusable state-set buffer. While the specification is keyable
 // it carries three parallel views of the set: the abstract states in arrival
-// order, their session-interner IDs (the step-cache keys), and a bitset over
-// check-local compact IDs (searcher.compact) — the set's canonical form.
+// order, their session-interner IDs (the transition-table keys), and a bitset
+// over check-local compact IDs (searcher.compact) — the set's canonical form.
 // Membership is a single word test on the bitset, and memo hashing folds the
 // words directly instead of walking IDs one at a time. The bitset is kept in
 // canonical trimmed form (its last word is always nonzero), so two buffers
@@ -85,12 +83,12 @@ type searcher struct {
 	// sess is the session the check runs through, nil when sessionless; a
 	// memory-budget trip notifies it so it evicts its caches once idle.
 	sess *Session
-	// steps is the session's per-spec transition cache, nil when the check
-	// runs sessionless, is a first contact, or the spec is not cacheable. On
-	// a warm session the stepAll fast path replays cached (state, label)
+	// table is the searcher's transition table, kept across the checks a
+	// pooled searcher runs: stepAll replays stored (state, label content)
 	// transitions without re-entering the spec (no StateKey rendering, no
-	// interner probe).
-	steps *stepCache
+	// interner probe). cids[i] is plan label i's content ID in it.
+	table stepTable
+	cids  []uint32
 	// memo is the check's memoization table, consulted only while memoize
 	// holds: it is off under CheckOptions.DisableMemo and once the memory
 	// budget trips.
@@ -126,7 +124,7 @@ type searcher struct {
 	// stepScratch is the reusable buffer StepAppend fills per transition.
 	stepScratch []core.AbsState
 	// fillIDs is the scratch slice of successor IDs fillStep interns before a
-	// transition is stored in the step cache.
+	// transition is stored in the table.
 	fillIDs []uint32
 
 	// indegree[i] counts the not-yet-placed visibility predecessors of
@@ -184,24 +182,27 @@ type searcher struct {
 	// recycled; the chunk advances and a new one is allocated only when full.
 	witMem []*core.Label
 
-	reason  pruneReason
-	nodes   int64
-	leaves  int64
-	pruned  int64
-	memoHit int64
+	reason   pruneReason
+	nodes    int64
+	leaves   int64
+	pruned   int64
+	memoHit  int64
+	steps    int64
+	stepHits int64
 }
 
 // start arms the searcher for one check of its built plan and sets up the
 // search over the empty prefix, reusing the backing arrays, memo maps and
 // buffer pools a pooled searcher kept from earlier checks.
-func (s *searcher) start(sess *Session, intern *interner, spec core.Spec, strong bool, steps *stepCache, opts core.CheckOptions) {
+func (s *searcher) start(sess *Session, intern *interner, spec core.Spec, strong bool, opts core.CheckOptions) {
 	plan := &s.plan
 	n := len(plan.labels)
 	s.spec = spec
 	s.strong = strong
 	s.intern = intern
 	s.sess = sess
-	s.steps = steps
+	s.table.attach(spec, intern)
+	s.cids = s.table.contentIDs(s.cids, plan.labels)
 	s.memo.reset(opts.DebugMemo)
 	s.memoize = !opts.DisableMemo
 	s.memoLimit = 0
@@ -232,7 +233,7 @@ func (s *searcher) start(sess *Session, intern *interner, spec core.Spec, strong
 	s.seq = s.seq[:0]
 	s.keyable = true
 	s.reason = pruneReason{}
-	s.nodes, s.leaves, s.pruned, s.memoHit = 0, 0, 0, 0
+	s.nodes, s.leaves, s.pruned, s.memoHit, s.steps, s.stepHits = 0, 0, 0, 0, 0, 0
 	init, initID, initOK := s.cachedInit()
 	s.initStates = append(s.initStates[:0], init)
 	s.main = s.initStates
@@ -260,28 +261,19 @@ func (s *searcher) start(sess *Session, intern *interner, spec core.Spec, strong
 }
 
 // cachedInit returns the specification's initial state and its interned ID.
-// With a session step cache the pair is served from the cache after the first
-// check, skipping both spec.Init's fresh state and the StateKey rendering the
-// interner probe needs — the last per-check allocations of a warm re-check.
-// Interning failures (unkeyable spec, interner at budget) are never cached.
+// A warm transition table serves the pair, skipping both spec.Init's fresh
+// state and the StateKey rendering the interner probe needs — the last
+// per-check allocations of a warm re-check. Interning failures (unkeyable
+// spec, interner at budget) are never cached.
 func (s *searcher) cachedInit() (core.AbsState, uint32, bool) {
-	if c := s.steps; c != nil {
-		c.mu.RLock()
-		init, id := c.initState, c.initID
-		c.mu.RUnlock()
-		if init != nil {
-			return init, id, true
-		}
+	t := &s.table
+	if t.init != nil {
+		return t.init, t.initID, true
 	}
 	init := s.spec.Init()
 	id, ok := s.internState(init)
-	if ok && s.steps != nil {
-		c := s.steps
-		c.mu.Lock()
-		if c.initState == nil {
-			c.initState, c.initID = init, id
-		}
-		c.mu.Unlock()
+	if ok && t.on {
+		t.init, t.initID = init, id
 	}
 	return init, id, ok
 }
@@ -298,10 +290,11 @@ func appendBit(words []uint64, id uint32) []uint64 {
 }
 
 // release unwinds the searcher and drops every reference into the finished
-// check (history, specification, session, witness, interruption record, live
-// state sets) so a pooled searcher pins nothing; the backing arrays, undo
-// frames, memo maps and buffer pool stay for the next check. The witness
-// arena chunk is kept: its carved prefix is caller-owned and its free tail is
+// check (history, session, witness, interruption record, live state sets) so
+// a pooled searcher pins nothing of it; the backing arrays, undo frames, memo
+// maps and buffer pool stay for the next check, and so does the transition
+// table with its spec, states and content representatives. The witness arena
+// chunk is kept: its carved prefix is caller-owned and its free tail is
 // clean.
 func (s *searcher) release() {
 	s.reset()
@@ -310,7 +303,6 @@ func (s *searcher) release() {
 	s.spec = nil
 	s.intern = nil
 	s.sess = nil
-	s.steps = nil
 	s.inc = nil
 	s.witness = nil
 	clear(s.stepScratch[:cap(s.stepScratch)])
@@ -452,10 +444,8 @@ func (s *searcher) runGuarded() (ok bool) {
 	return true
 }
 
-// outcome assembles the engine outcome of the finished search. The prune
-// reason is only rendered (one fmt.Errorf) when the search found no witness —
-// a witness-producing search never reads it, so the warm re-check path skips
-// the formatting allocation entirely.
+// outcome assembles the engine outcome of the finished search. A search
+// without a witness reports its last prune reason as the error, unrendered.
 func (s *searcher) outcome() core.EngineOutcome {
 	s.mu.Lock()
 	inc := s.inc
@@ -468,11 +458,13 @@ func (s *searcher) outcome() core.EngineOutcome {
 			Pruned:   int(s.pruned),
 			MemoHits: int(s.memoHit),
 			Leaves:   int(s.leaves),
+			Steps:    int(s.steps),
+			StepHits: int(s.stepHits),
 		},
 		MemDegraded: s.memDegraded,
 	}
-	if !out.OK {
-		out.LastErr = s.reason.err()
+	if !out.OK && s.reason.label != nil {
+		out.LastErr = s.reason
 	}
 	out.Complete = out.OK || (!s.truncated && inc == nil)
 	if !out.Complete {
@@ -596,7 +588,7 @@ func (s *searcher) explore(i int) status {
 func (s *searcher) enter(i int) bool {
 	l := s.plan.labels[i]
 	if s.strong {
-		next := s.stepAll(s.main, s.mainIDs, l)
+		next := s.stepAll(s.main, s.mainIDs, i)
 		if len(next.states) == 0 {
 			s.putBuf(next)
 			s.pruned++
@@ -615,7 +607,7 @@ func (s *searcher) enter(i int) bool {
 			s.putBuf(next)
 		}
 	} else if l.IsUpdate() {
-		next := s.stepAll(s.main, s.mainIDs, l)
+		next := s.stepAll(s.main, s.mainIDs, i)
 		if len(next.states) == 0 {
 			s.putBuf(next)
 			s.pruned++
@@ -631,7 +623,7 @@ func (s *searcher) enter(i int) bool {
 			if s.placed.get(q) {
 				continue
 			}
-			nq := s.stepAll(s.qstates[q], s.qids[q], l)
+			nq := s.stepAll(s.qstates[q], s.qids[q], i)
 			if len(nq.states) == 0 {
 				s.putBuf(nq)
 				for _, b := range s.stepped {
@@ -663,7 +655,7 @@ func (s *searcher) enter(i int) bool {
 		// Queries: the justification (visible updates in placed order,
 		// then the query) must be admitted. All visible updates are
 		// necessarily placed already, so qstates[i] is final.
-		res := s.stepAll(s.qstates[i], s.qids[i], l)
+		res := s.stepAll(s.qstates[i], s.qids[i], i)
 		admitted := len(res.states) > 0
 		s.putBuf(res)
 		if !admitted {
@@ -783,32 +775,39 @@ func (s *searcher) putBuf(b setBuf) {
 	s.pool = append(s.pool, setBuf{states: b.states[:0], ids: b.ids[:0], words: b.words[:0]})
 }
 
-// stepAll applies label l to every state of the set and returns the deduped
-// successor set in a pooled buffer; ids is the set's parallel interner-ID
-// view (nil or shorter once keying is off, which routes around the cache).
-// With a session step cache each (source state, label) transition is replayed
-// from the cache when present — no spec call, no StateKey rendering, no
-// interner probe — and computed-and-cached otherwise. Without a cache, each
-// transition steps into a reused scratch buffer. While the specification is
-// keyable, deduplication is a single bit test on the compact-ID bitset;
-// otherwise it falls back to pairwise EqualAbs.
-func (s *searcher) stepAll(states []core.AbsState, ids []uint32, l *core.Label) setBuf {
+// stepAll applies plan label i to every state of the set and returns the
+// deduped successor set in a pooled buffer; ids is the set's parallel
+// interner-ID view (nil or shorter once keying is off, which routes around
+// the table). With a transition table each (source state, label content)
+// transition is replayed from the table when present — no spec call, no
+// StateKey rendering, no interner probe — and stepped-and-stored otherwise.
+// While the specification is keyable, deduplication is a single bit test on
+// the compact-ID bitset; otherwise it falls back to pairwise EqualAbs.
+func (s *searcher) stepAll(states []core.AbsState, ids []uint32, i int) setBuf {
 	buf := s.getBuf()
-	if s.steps != nil && s.keyable && len(ids) == len(states) {
+	l := s.plan.labels[i]
+	t := &s.table
+	if t.on && s.keyable && len(ids) == len(states) {
+		cid := s.cids[i]
 		for si := 0; si < len(states); si++ {
-			e, hit := s.steps.get(ids[si], l)
-			if !hit {
-				if !s.fillStep(states[si], ids[si], l, &buf) {
+			sl := t.get(ids[si], cid)
+			if sl == nil {
+				if !s.fillStep(states[si], ids[si], l, cid, &buf) {
 					// Keying flipped off mid-transition: the buffer already
 					// fell back to EqualAbs dedup; route the remaining source
-					// states through the uncached path.
+					// states through the live path.
 					s.stepUncached(&buf, states[si+1:], l)
 					return buf
 				}
 				continue
 			}
-			for k := range e.states {
-				s.insertKnown(&buf, e.states[k], e.ids[k])
+			s.stepHits++
+			if sl.n == 1 {
+				s.insertKnown(&buf, sl.state, sl.id)
+				continue
+			}
+			for k := sl.id; k < sl.id+sl.n; k++ {
+				s.insertKnown(&buf, t.states[k], t.ids[k])
 			}
 		}
 		return buf
@@ -819,10 +818,12 @@ func (s *searcher) stepAll(states []core.AbsState, ids []uint32, l *core.Label) 
 
 // fillStep computes the successors of one (state, label) transition, inserts
 // them into buf, and — when every successor interned — stores the raw
-// transition (successors in emission order, duplicates included, so a cache
-// replay inserts the exact sequence the live path would) in the session step
-// cache. It returns false when keying flipped off mid-transition.
-func (s *searcher) fillStep(phi core.AbsState, id uint32, l *core.Label, buf *setBuf) bool {
+// transition (successors in emission order, duplicates included, so a replay
+// inserts the exact sequence the live path would) in the transition table
+// under content ID cid. It returns false when keying flipped off
+// mid-transition.
+func (s *searcher) fillStep(phi core.AbsState, id uint32, l *core.Label, cid uint32, buf *setBuf) bool {
+	s.steps++
 	raw := s.spec.StepAppend(s.stepScratch[:0], phi, l)
 	s.stepScratch = raw
 	s.fillIDs = s.fillIDs[:0]
@@ -844,12 +845,13 @@ func (s *searcher) fillStep(phi core.AbsState, id uint32, l *core.Label, buf *se
 	for k := range raw {
 		s.insertKnown(buf, raw[k], s.fillIDs[k])
 	}
-	s.steps.put(id, l, raw, s.fillIDs)
+	s.table.put(id, cid, raw, s.fillIDs, len(s.plan.labels))
 	return true
 }
 
-// stepUncached is the cache-less transition loop of stepAll.
+// stepUncached is the table-less transition loop of stepAll.
 func (s *searcher) stepUncached(buf *setBuf, states []core.AbsState, l *core.Label) {
+	s.steps += int64(len(states))
 	for _, phi := range states {
 		sc := s.spec.StepAppend(s.stepScratch[:0], phi, l)
 		s.stepScratch = sc

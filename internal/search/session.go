@@ -2,7 +2,6 @@ package search
 
 import (
 	"math/bits"
-	"reflect"
 	"sync"
 	"sync/atomic"
 
@@ -30,96 +29,13 @@ func sizeClass(n int) int {
 	return poolClasses - 1
 }
 
-// stepCacheCap bounds the entries of one per-spec transition cache: a
-// runaway batch of ever-new histories stops filling the cache past the cap
-// (lookups continue; new transitions are just recomputed).
-const stepCacheCap = 1 << 18
-
-// stepKey identifies one cached transition: the source state's session-
-// interner ID and the label stepped over. The label is keyed by pointer —
-// re-checks of one history through a session see the same label pointers
-// (the history's record serves the same rewriting), which is exactly the
-// warm path the cache exists for; fresh histories miss and fill.
-type stepKey struct {
-	state uint32
-	label *core.Label
-}
-
-// stepEntry is one cached transition result: the successor states in raw
-// emission order with their interner IDs, duplicates included, so a cache
-// replay feeds the set-insert path the exact sequence the live spec call
-// would.
-type stepEntry struct {
-	states []core.AbsState
-	ids    []uint32
-}
-
-// stepCache memoizes a specification's transition function across the checks
-// of a session: (source-state ID, label) → interned successors. It also
-// caches the spec's initial state and its ID (searcher.cachedInit), the last
-// per-check allocation of a warm re-check. Entries are only stored when every
-// successor interned, so replaying an entry never needs a StateKey rendering
-// or an interner probe. Dropped whole on budget eviction — its IDs belong to
-// the evicted interner generation.
-type stepCache struct {
-	mu        sync.RWMutex
-	initState core.AbsState
-	initID    uint32
-	entries   map[stepKey]stepEntry
-}
-
-// get returns the cached transition for (id, l), if present.
-func (c *stepCache) get(id uint32, l *core.Label) (stepEntry, bool) {
-	k := stepKey{state: id, label: l}
-	c.mu.RLock()
-	e, ok := c.entries[k]
-	c.mu.RUnlock()
-	return e, ok
-}
-
-// put stores one transition result, copying both slices (callers pass
-// scratch). First writer wins; at the cap the cache stops growing. The copies
-// are built before the write lock is taken — and skipped entirely when a
-// read-locked probe already sees the cache full or the entry present — so
-// concurrent checks filling the cache contend only on the map insert, not on
-// the allocation and copy of every entry.
-func (c *stepCache) put(id uint32, l *core.Label, states []core.AbsState, ids []uint32) {
-	k := stepKey{state: id, label: l}
-	c.mu.RLock()
-	full := len(c.entries) >= stepCacheCap
-	_, dup := c.entries[k]
-	c.mu.RUnlock()
-	if full || dup {
-		return
-	}
-	e := stepEntry{
-		states: append([]core.AbsState(nil), states...),
-		ids:    append([]uint32(nil), ids...),
-	}
-	c.mu.Lock()
-	if c.entries == nil {
-		c.entries = make(map[stepKey]stepEntry)
-	}
-	if _, dup := c.entries[k]; !dup && len(c.entries) < stepCacheCap {
-		c.entries[k] = e
-	}
-	c.mu.Unlock()
-}
-
-// specStep pairs a specification with its transition cache; the session keeps
-// one per distinct (comparable) spec value, found by linear scan — batches
-// use a handful of specs at most.
-type specStep struct {
-	spec  core.Spec
-	cache *stepCache
-}
-
 // Budget caps the memory-consuming structures of a Session. The zero value
 // (and any zero field) means unlimited. Tripping a budget never aborts a
 // check and never changes a verdict's polarity: the search degrades to
 // memo-less mode (the DisableMemo path) for the remainder of the check, and
-// once the session is idle it evicts its caches — interner, searcher pool,
-// step caches, history records — so the next check starts exactly like one on
+// once the session is idle it evicts its caches — interner, searcher pool
+// (transition tables included), history records — so the next check starts
+// exactly like one on
 // a fresh session. The searcher pool needs no cap of its own: it never holds
 // more searchers than the session once ran checks at the same time.
 type Budget struct {
@@ -133,10 +49,10 @@ type Budget struct {
 }
 
 // Session is the cross-check state of one batch of searches: the interner
-// assigning dense IDs to canonical state keys, the per-spec transition
-// caches, one record per checked history, and a pool of searchers — the one
-// per-check object, carrying its plan, memo table and scratch (undo frames,
-// state-set buffers).
+// assigning dense IDs to canonical state keys, one record per checked
+// history, and a pool of searchers — the one per-check object, carrying its
+// plan, memo table, transition table and scratch (undo frames, state-set
+// buffers).
 // A single check pays for all of these as warm-up; a batch that threads one
 // Session through every check (core.CheckRAWith / CheckOptions.Session) pays
 // once and then only resets.
@@ -151,7 +67,10 @@ type Budget struct {
 //     plan indexes are per-history label indices, so reusing *contents*
 //     across histories would alias configurations of different histories);
 //     the pool recycles the maps, index slices and buffers themselves,
-//     cleared-not-reallocated, so a warm check allocates none of them;
+//     cleared-not-reallocated, so a warm check allocates none of them. A
+//     searcher's transition table is keyed by interner state ID and label
+//     content, which mean the same in every history of the session, so it
+//     stays warm across the checks the searcher runs;
 //   - a history's record is keyed by history identity and holds the
 //     γ-rewriting every check of that history uses (served to core.CheckRA
 //     through core.SessionRewriter) plus, once Extend has decided the
@@ -160,8 +79,9 @@ type Budget struct {
 //     extension grows that same rewriting in place.
 //
 // A Session may serve concurrent checks and checks of different
-// specifications. Interner IDs are only ever compared within one check, and a
-// check only reaches states of its own specification, so cross-spec key
+// specifications. A check only reaches states of its own specification, and
+// a transition table only ever serves the spec it was filled under (a
+// searcher running a check of another spec resets it), so cross-spec key
 // collisions in the shared interner are harmless.
 type Session struct {
 	budget Budget
@@ -185,16 +105,6 @@ type Session struct {
 	// searchers is the searcher pool, in size classes (sizeClass over the
 	// label count a searcher was last sized for).
 	searchers [poolClasses][]*searcher
-	// steps holds one transition cache per distinct comparable specification
-	// checked through the session (stepCacheFor).
-	steps []specStep
-	// seen tracks the (rewritten) history pointers checked through the
-	// session, so Run attaches the transition cache only to re-checks: a
-	// first-contact history would fill the cache with entries keyed by its
-	// label pointers — copies that can never be hit again unless that very
-	// history object returns. Capped at seenHistoryCap pointers; a record
-	// leaving records un-pins its clone, and budget eviction drops them all.
-	seen map[*core.History]struct{}
 	// records holds one record per history checked through the session
 	// (recordFor): its rewriting, and its certificate once Extend decided
 	// it. Capped at recordCap and dropped on budget eviction.
@@ -272,7 +182,8 @@ func (s *Session) endCheck() {
 }
 
 // evictLocked is the memory-budget fail-safe: drop every cache the session
-// accumulated — interner, searcher pool, step caches and history records —
+// accumulated — interner, searcher pool (with the searchers' transition
+// tables) and history records —
 // so the memory is reclaimable and the next check is indistinguishable from
 // one on a fresh session with the same budget. Called with s.mu held and no
 // check in flight.
@@ -281,11 +192,10 @@ func (s *Session) evictLocked() {
 		s.internedHigh = n
 	}
 	s.intern = newInternerLimited(s.budget.MaxInternedStates)
+	// The searchers' transition tables hold IDs of the evicted interner
+	// generation; replaying them against the fresh generation would alias
+	// unrelated states.
 	s.searchers = [poolClasses][]*searcher{}
-	// The step caches hold IDs of the evicted interner generation; replaying
-	// them against the fresh generation would alias unrelated states.
-	s.steps = nil
-	s.seen = nil
 	// Records are rebuilt on the next check of each history: their clones
 	// and certificates pin rewritten labels the fresh session should not.
 	s.records = nil
@@ -311,35 +221,6 @@ func (s *Session) InternedStates() int {
 		return n
 	}
 	return high
-}
-
-// seenHistoryCap bounds the re-check tracking set: past it, first contacts
-// are no longer recorded (their later re-checks just lose transition
-// caching), so an unbounded stream of distinct histories cannot grow the set
-// — or pin its histories — without limit.
-const seenHistoryCap = 1 << 16
-
-// recheck reports whether h was already checked through this session, and
-// records it for the next check if not. Run gates the transition cache on it:
-// only a history seen before is worth filling the cache for, because the
-// cache keys transitions by label pointer and distinct histories never share
-// labels. Nil-safe (sessionless checks are never re-checks).
-func (s *Session) recheck(h *core.History) bool {
-	if s == nil || h == nil {
-		return false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.seen[h]; ok {
-		return true
-	}
-	if s.seen == nil {
-		s.seen = make(map[*core.History]struct{})
-	}
-	if len(s.seen) < seenHistoryCap {
-		s.seen[h] = struct{}{}
-	}
-	return false
 }
 
 // record is the session's state for one history h: the γ-rewriting every
@@ -446,55 +327,15 @@ func (s *Session) recordFor(h *core.History, g core.Rewriting, token any) (*reco
 }
 
 // putLocked makes rec h's record, first dropping the whole map when it holds
-// recordCap records of other histories. Every record that leaves the map
-// un-pins its rewritten clone from the seen set: no later check is served
-// that clone again, unless rebuildExt puts its record back, and then that
-// check's search pins it anew. Called with s.mu held.
+// recordCap records of other histories. Called with s.mu held.
 func (s *Session) putLocked(h *core.History, rec *record) {
-	if old, ok := s.records[h]; ok {
-		s.unpinLocked(old)
-	} else if len(s.records) >= recordCap {
-		for _, old := range s.records {
-			s.unpinLocked(old)
-		}
+	if _, ok := s.records[h]; !ok && len(s.records) >= recordCap {
 		clear(s.records)
 	}
 	if s.records == nil {
 		s.records = make(map[*core.History]*record)
 	}
 	s.records[h] = rec
-}
-
-// unpinLocked removes rec's rewritten clone from the seen set; an aliased
-// rewriting is the history itself, which may be checked again. Called with
-// s.mu held.
-func (s *Session) unpinLocked(rec *record) {
-	if !rec.rew.Aliased() {
-		delete(s.seen, rec.rew.History)
-	}
-}
-
-// stepCacheFor returns the session's transition cache for spec, creating it
-// on first contact. Only comparable spec values are cacheable (the cache is
-// found by interface equality); a non-comparable spec — or a nil session —
-// gets nil, and the search falls back to live stepping.
-func (s *Session) stepCacheFor(spec core.Spec) *stepCache {
-	if s == nil || spec == nil {
-		return nil
-	}
-	if t := reflect.TypeOf(spec); t == nil || !t.Comparable() {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, e := range s.steps {
-		if e.spec == spec {
-			return e.cache
-		}
-	}
-	c := &stepCache{}
-	s.steps = append(s.steps, specStep{spec: spec, cache: c})
-	return c
 }
 
 // getSearcher takes a pooled searcher sized for n labels — the wanted size

@@ -95,18 +95,8 @@ func (p *prepared) linkBucket(bucket []uint64, posMask uint64) {
 
 // twins is the exact twin predicate over plan indices a and b.
 func (p *prepared) twins(a, b int) bool {
-	la, lb := p.labels[a], p.labels[b]
-	if la.Object != lb.Object || la.Method != lb.Method || la.Kind != lb.Kind || la.TS != lb.TS ||
-		len(la.Args) != len(lb.Args) ||
-		!slices.Equal(p.preds[a], p.preds[b]) || !slices.Equal(p.succs[a], p.succs[b]) {
-		return false
-	}
-	for k := range la.Args {
-		if !core.ValueEqual(la.Args[k], lb.Args[k]) {
-			return false
-		}
-	}
-	return core.ValueEqual(la.Ret, lb.Ret)
+	return slices.Equal(p.preds[a], p.preds[b]) && slices.Equal(p.succs[a], p.succs[b]) &&
+		sameContent(p.labels[a], p.labels[b])
 }
 
 // twinFingerprint hashes every input of the twin predicate for label i, the
@@ -114,7 +104,20 @@ func (p *prepared) twins(a, b int) bool {
 // types mixValue does not know hash by a shared tag and are told apart by
 // the exact predicate.
 func (p *prepared) twinFingerprint(i int) uint64 {
-	l := p.labels[i]
+	h := contentFNV(p.labels[i])
+	sig := p.rowSigs[i]
+	h.mix(uint64(sig.preds))
+	h.mix(uint64(sig.succs))
+	// FNV's low bits depend only on its inputs' low bits; the finalizer
+	// spreads every input bit over the whole key.
+	return splitmix64(uint64(h))
+}
+
+// contentFNV hashes the fields a transition may read — the content
+// sameContent compares — into an unfinalized FNV state. Labels of equal
+// content always hash equal; values of types mixValue does not know hash by a
+// shared tag and are told apart by the exact comparison.
+func contentFNV(l *core.Label) fnv {
 	h := fnv(fnvOffset)
 	h.mixString(l.Object)
 	h.mixString(l.Method)
@@ -126,12 +129,7 @@ func (p *prepared) twinFingerprint(i int) uint64 {
 		h.mixValue(a)
 	}
 	h.mixValue(l.Ret)
-	sig := p.rowSigs[i]
-	h.mix(uint64(sig.preds))
-	h.mix(uint64(sig.succs))
-	// FNV's low bits depend only on its inputs' low bits; the finalizer
-	// spreads every input bit over the whole key.
-	return splitmix64(uint64(h))
+	return h
 }
 
 // fnv accumulates FNV-1a over whole words: one multiply per word. It is
