@@ -215,15 +215,6 @@ func TestScenarioCorpusEnginesAgree(t *testing.T) {
 	}
 }
 
-// foldSteps folds the table replays into the live steps: which transitions
-// a warm transition table replays depends on the checks its searcher ran
-// before, but their sum does not.
-func foldSteps(st core.Stats) core.Stats {
-	st.Steps += st.StepHits
-	st.StepHits = 0
-	return st
-}
-
 // TestBatchWidthDeterminism pins that batch width changes no result: every
 // search runs on one goroutine, so a batch over the corpus must report the
 // same verdicts and the same summed search counters at any BatchWorkers,
@@ -294,7 +285,7 @@ func TestBatchWidthDeterminism(t *testing.T) {
 			}
 			if got.Histories != g.want.Histories || got.Linearizable != g.want.Linearizable ||
 				got.Invalid != g.want.Invalid || got.Unknown != g.want.Unknown ||
-				!reflect.DeepEqual(got.ByStrategy, g.want.ByStrategy) || foldSteps(got.Stats) != foldSteps(g.want.Stats) {
+				!reflect.DeepEqual(got.ByStrategy, g.want.ByStrategy) || got.Stats.FoldSteps() != g.want.Stats.FoldSteps() {
 				t.Errorf("%s workers=%d fresh=%v: batch %d/%d valid, %d invalid, %d unknown, %+v; standalone checks %d/%d valid, %d invalid, %d unknown, %+v",
 					name, o.BatchWorkers, o.FreshSessions, got.Linearizable, got.Histories, got.Invalid, got.Unknown, got.Stats,
 					g.want.Linearizable, g.want.Histories, g.want.Invalid, g.want.Unknown, g.want.Stats)

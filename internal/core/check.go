@@ -213,6 +213,16 @@ func (s *Stats) Add(o Stats) {
 	s.StepHits += o.StepHits
 }
 
+// FoldSteps returns s with StepHits folded into Steps. How a check's
+// transitions split between live steps and table replays depends on what the
+// searcher's table saw before (so on batch width and session warmth); their
+// sum does not, so runs that must agree compare folded Stats.
+func (s Stats) FoldSteps() Stats {
+	s.Steps += s.StepHits
+	s.StepHits = 0
+	return s
+}
+
 // Result is the outcome of an RA-linearizability check.
 type Result struct {
 	// Verdict is the three-valued outcome: Valid (witness found), Invalid

@@ -157,24 +157,6 @@ func formatValues(vs []Value) string {
 
 // ValueEqual compares two data-domain values structurally.
 func ValueEqual(a, b Value) bool {
-	// The scalar types the specifications use compare directly; for them
-	// this is exactly reflect.DeepEqual.
-	switch x := a.(type) {
-	case nil:
-		return b == nil
-	case string:
-		y, ok := b.(string)
-		return ok && x == y
-	case int64:
-		y, ok := b.(int64)
-		return ok && x == y
-	case int:
-		y, ok := b.(int)
-		return ok && x == y
-	case uint64:
-		y, ok := b.(uint64)
-		return ok && x == y
-	}
 	return reflect.DeepEqual(a, b)
 }
 

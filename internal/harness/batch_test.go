@@ -23,8 +23,7 @@ func normalizeBatch(hc HistoryCheck) HistoryCheck {
 	hc.InternedStates = 0
 	hc.PlanReuses = 0
 	hc.RewriteHits = 0
-	hc.Stats.Steps += hc.Stats.StepHits
-	hc.Stats.StepHits = 0
+	hc.Stats = hc.Stats.FoldSteps()
 	return hc
 }
 

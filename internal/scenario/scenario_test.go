@@ -92,7 +92,7 @@ func TestGeneratorDeterministicAcrossWorkers(t *testing.T) {
 		for _, r := range runs[1:] {
 			if r.Histories != runs[0].Histories || r.Linearizable != runs[0].Linearizable ||
 				r.Operations != runs[0].Operations || r.FailureExample != runs[0].FailureExample ||
-				foldSteps(r.Stats) != foldSteps(runs[0].Stats) {
+				r.Stats.FoldSteps() != runs[0].Stats.FoldSteps() {
 				t.Errorf("%s: worker counts disagree: %+v vs %+v", sc.Name, runs[0], r)
 			}
 		}
@@ -439,13 +439,4 @@ func TestHarvestRejectsNegativeTrials(t *testing.T) {
 	if err == nil || len(entries) != 0 {
 		t.Errorf("Harvest(trials=-1) = %d entries, err %v; want an error", len(entries), err)
 	}
-}
-
-// foldSteps folds the transition-table replays into the live steps: which
-// transitions a warm table replays depends on which checks its searcher ran
-// before — so on the batch width — but their sum does not.
-func foldSteps(st core.Stats) core.Stats {
-	st.Steps += st.StepHits
-	st.StepHits = 0
-	return st
 }

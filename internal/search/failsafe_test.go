@@ -22,8 +22,7 @@ func normalizeOutcome(out core.EngineOutcome) core.EngineOutcome {
 	out.PlanReused = false
 	out.LastErr = nil
 	out.Witness = nil
-	out.Stats.Steps += out.Stats.StepHits
-	out.Stats.StepHits = 0
+	out.Stats = out.Stats.FoldSteps()
 	return out
 }
 

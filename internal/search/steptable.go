@@ -32,10 +32,11 @@ const noContent = ^uint32(0)
 // (attach resets it on a change of either); a non-comparable spec gets none.
 // It is owned by its searcher, which one goroutine runs at a time, so it
 // takes no lock, and it is dropped with the searcher on budget eviction.
-// Storage is flat, sized from the plan and allocated on first use: an
-// open-addressed transition array holding a lone successor inline, two
-// successor arenas for transitions with more, and an open-addressed content
-// index holding each representative label by value.
+// Storage is flat, sized from the plan and allocated on first use, then
+// doubled as it fills: an open-addressed transition array holding a lone
+// successor inline, two successor arenas for transitions with more, a dense
+// array of the representative labels held by value, and — once more than
+// scanMax contents arrived — an open-addressed index over that array.
 type stepTable struct {
 	// on reports the table serves the current check.
 	on     bool
@@ -56,20 +57,25 @@ type stepTable struct {
 	states []core.AbsState
 	ids    []uint32
 
-	// contents is the content index (linear probing over content hashes,
-	// power-of-two size, at most half full); ncontents counts its entries,
-	// which are numbered densely in arrival order.
-	contents  []contentSlot
-	ncontents int
+	// reps holds one representative per distinct content, indexed by
+	// content ID: IDs are dense, in arrival order. contents indexes reps by
+	// hash (linear probing, power-of-two size, at most half full; a slot
+	// holds a content ID plus one, zero marks it empty); it is built only
+	// past scanMax contents, below which a scan of reps is as fast.
+	reps     []contentRep
+	contents []uint32
 }
 
-// contentSlot is one distinct label content: its hash, its content ID plus
-// one (zero marks an empty slot), and a representative label held by value.
-type contentSlot struct {
-	hash uint64
-	id   uint32
-	rep  core.Label
+// contentRep is one distinct label content: its hash and a representative
+// label held by value.
+type contentRep struct {
+	hash  uint64
+	label core.Label
 }
+
+// scanMax is the number of contents a table finds by scanning reps before it
+// builds its hash index.
+const scanMax = 8
 
 // stepSlot is one stored transition: its key (plus one) and its n
 // successors. A single successor is held inline (state, id); more sit at
@@ -102,14 +108,16 @@ func (t *stepTable) reset() {
 	clear(t.states)
 	t.states, t.ids = t.states[:0], t.ids[:0]
 	clear(t.contents)
-	t.ncontents = 0
+	clear(t.reps)
+	t.reps = t.reps[:0]
 }
 
 // contentIDs returns dst resized to one content ID per label, assigning the
-// next dense ID to each content seen for the first time. The index is
-// probed by hash and each candidate is compared exactly (sameContent), so a
-// hash collision costs a comparison and never aliases two contents. Without
-// a table there are no IDs.
+// next dense ID to each content seen for the first time. A content is found
+// by hash, scanning the representatives or probing their index, and each
+// candidate is compared exactly (sameContent), so a hash collision costs a
+// comparison and never aliases two contents. Without a table there are no
+// IDs.
 func (t *stepTable) contentIDs(dst []uint32, labels []*core.Label) []uint32 {
 	if !t.on {
 		return dst[:0]
@@ -123,38 +131,49 @@ func (t *stepTable) contentIDs(dst []uint32, labels []*core.Label) []uint32 {
 
 // contentID returns l's content ID; hint sizes a first allocation.
 func (t *stepTable) contentID(l *core.Label, hint int) uint32 {
-	if len(t.contents) == 0 {
-		t.contents = make([]contentSlot, tableSize(2*hint))
-	}
 	h := splitmix64(uint64(contentFNV(l)))
-	i := t.contentSlot(h, l)
-	if sl := &t.contents[i]; sl.id != 0 {
-		return sl.id - 1
-	}
-	if t.ncontents >= contentCap {
-		return noContent
-	}
-	t.ncontents++
-	t.contents[i] = contentSlot{hash: h, id: uint32(t.ncontents), rep: *l}
-	if 2*t.ncontents > len(t.contents) {
-		old := t.contents
-		t.contents = make([]contentSlot, 2*len(old))
-		for k := range old {
-			if old[k].id != 0 {
-				t.contents[t.contentSlot(old[k].hash, nil)] = old[k]
+	slot := -1
+	if t.contents == nil {
+		for id := range t.reps {
+			if r := &t.reps[id]; r.hash == h && sameContent(&r.label, l) {
+				return uint32(id)
 			}
 		}
+	} else {
+		slot = t.contentSlot(h, l)
+		if id := t.contents[slot]; id != 0 {
+			return id - 1
+		}
 	}
-	return uint32(t.ncontents) - 1
+	if len(t.reps) >= contentCap {
+		return noContent
+	}
+	if t.reps == nil {
+		t.reps = make([]contentRep, 0, hint)
+	}
+	t.reps = append(t.reps, contentRep{hash: h, label: *l})
+	id := uint32(len(t.reps))
+	switch {
+	case 2*len(t.reps) > len(t.contents) && len(t.reps) > scanMax:
+		// Build or double the index over every representative.
+		t.contents = make([]uint32, tableSize(4*len(t.reps)))
+		for k := range t.reps {
+			t.contents[t.contentSlot(t.reps[k].hash, nil)] = uint32(k) + 1
+		}
+	case slot >= 0:
+		t.contents[slot] = id
+	}
+	return id - 1
 }
 
-// contentSlot returns the index of the slot holding l's content (hash h),
-// or of the empty slot ending its probe sequence. A nil l matches nothing.
+// contentSlot returns the index of the index slot holding l's content (hash
+// h), or of the empty slot ending its probe sequence. A nil l matches
+// nothing.
 func (t *stepTable) contentSlot(h uint64, l *core.Label) int {
 	mask := len(t.contents) - 1
 	i := int(h) & mask
-	for t.contents[i].id != 0 {
-		if sl := &t.contents[i]; l != nil && sl.hash == h && sameContent(&sl.rep, l) {
+	for id := t.contents[i]; id != 0; id = t.contents[i] {
+		if r := &t.reps[id-1]; l != nil && r.hash == h && sameContent(&r.label, l) {
 			break
 		}
 		i = (i + 1) & mask
@@ -198,14 +217,15 @@ func (t *stepTable) get(state, content uint32) *stepSlot {
 }
 
 // put stores one transition, copying the successors (callers pass scratch);
-// hint sizes the first allocation. At the cap, and for a label without a
-// content ID, the table stops growing.
+// hint sizes the first allocation, room for one transition per plan label,
+// which a first-contact check rarely outgrows. At the cap, and for a label
+// without a content ID, the table stops growing.
 func (t *stepTable) put(state, content uint32, states []core.AbsState, ids []uint32, hint int) {
 	if content == noContent || t.used >= stepCacheCap {
 		return
 	}
 	if len(t.slots) == 0 {
-		t.slots = make([]stepSlot, tableSize(8*hint))
+		t.slots = make([]stepSlot, tableSize(2*hint))
 	}
 	key := stepKey(state, content)
 	i := t.slot(key)
@@ -241,15 +261,36 @@ func (t *stepTable) growSlots() {
 }
 
 // sameContent reports whether a and b agree on every field a transition may
-// read: Object, Method, Kind and TS by ==, Args and Ret by core.ValueEqual.
+// read: Object, Method, Kind and TS by ==, Args and Ret by sameValue.
 func sameContent(a, b *core.Label) bool {
 	if a.Object != b.Object || a.Method != b.Method || a.Kind != b.Kind || a.TS != b.TS || len(a.Args) != len(b.Args) {
 		return false
 	}
 	for k := range a.Args {
-		if !core.ValueEqual(a.Args[k], b.Args[k]) {
+		if !sameValue(a.Args[k], b.Args[k]) {
 			return false
 		}
 	}
-	return core.ValueEqual(a.Ret, b.Ret)
+	return sameValue(a.Ret, b.Ret)
+}
+
+// sameValue is core.ValueEqual with the scalar types the specifications use
+// compared directly, which for them is exactly reflect.DeepEqual: every
+// check compares each label's content once, so on a warm re-check the
+// reflection walk is a visible share of the check.
+func sameValue(a, b core.Value) bool {
+	switch x := a.(type) {
+	case nil:
+		return b == nil
+	case string:
+		y, ok := b.(string)
+		return ok && x == y
+	case int64:
+		y, ok := b.(int64)
+		return ok && x == y
+	case core.Pair:
+		y, ok := b.(core.Pair)
+		return ok && x == y
+	}
+	return core.ValueEqual(a, b)
 }

@@ -90,6 +90,23 @@ func TestStepTableContentExact(t *testing.T) {
 	if ids := tab.contentIDs(nil, []*core.Label{a, b, mkRead(3, opaque{1})}); ids[0] == ids[1] || ids[0] != ids[2] {
 		t.Fatalf("content IDs %v: equal contents must share an ID and distinct ones must not", ids)
 	}
+	// Past scanMax contents the table finds them through its hash index,
+	// where every one of these shares a probe sequence; after a reset the
+	// kept index serves a fresh numbering.
+	for round := 0; round < 2; round++ {
+		tab.reset()
+		tab.attach(opaqueReads{}, newInterner())
+		var labels []*core.Label
+		for k := 0; k < 2*(scanMax+2); k++ {
+			labels = append(labels, mkRead(uint64(k+1), opaque{int64(k % (scanMax + 2))}))
+		}
+		ids := tab.contentIDs(nil, labels)
+		for k, id := range ids {
+			if id != uint32(k%(scanMax+2)) {
+				t.Fatalf("round %d: content IDs %v, want each opaque value numbered in arrival order", round, ids)
+			}
+		}
+	}
 
 	sess := NewSession()
 	valid, invalid := opaqueHistory(2, 2), opaqueHistory(2, 3)
