@@ -100,55 +100,27 @@ func (m *memoTable) claim(k key128, tuple []uint64) bool {
 // not implement core.StateKeyer (the keyable flag, cleared by the insert
 // path).
 //
-// In debug mode the walk additionally records the exact word sequence into
-// s.keyTuple (claim stores and cross-checks it); the hot path keeps its
-// append-free loop.
+// In debug mode the same walk also records the exact word sequence into
+// s.keyTuple (claim stores and cross-checks it): each run of words is
+// appended right after it is hashed, once per run rather than per word, so
+// the hot path keeps its append-free loops.
 func (s *searcher) memoKey() (key128, bool) {
 	if !s.memoize || !s.keyable {
 		return key128{}, false
 	}
-	if s.memo.debug {
-		return s.memoKeyDebug()
-	}
+	debug := s.memo.debug
+	s.keyTuple = s.keyTuple[:0]
 	h := newHash128()
 	for _, w := range s.placed {
 		h.mix(w)
-	}
-	h.mix(uint64(len(s.mainWords)))
-	for _, w := range s.mainWords {
-		h.mix(w)
-	}
-	if !s.strong {
-		for _, q := range s.plan.queries {
-			if s.placed.get(q) {
-				continue
-			}
-			words := s.qwords[q]
-			h.mix(uint64(q)<<32 | uint64(len(words)))
-			for _, w := range words {
-				h.mix(w)
-			}
-		}
-	}
-	return h.sum(), true
-}
-
-// memoKeyDebug is memoKey with the hashed words captured in s.keyTuple. The
-// tuple walk must stay in lockstep with memoKey: the tuple is the
-// collision-check witness for exactly the words the hash consumed.
-func (s *searcher) memoKeyDebug() (key128, bool) {
-	h := newHash128()
-	t := s.keyTuple[:0]
-	for _, w := range s.placed {
-		h.mix(w)
-		t = append(t, w)
 	}
 	w0 := uint64(len(s.mainWords))
 	h.mix(w0)
-	t = append(t, w0)
 	for _, w := range s.mainWords {
 		h.mix(w)
-		t = append(t, w)
+	}
+	if debug {
+		s.keyTuple = append(append(append(s.keyTuple, s.placed...), w0), s.mainWords...)
 	}
 	if !s.strong {
 		for _, q := range s.plan.queries {
@@ -158,13 +130,13 @@ func (s *searcher) memoKeyDebug() (key128, bool) {
 			words := s.qwords[q]
 			wq := uint64(q)<<32 | uint64(len(words))
 			h.mix(wq)
-			t = append(t, wq)
 			for _, w := range words {
 				h.mix(w)
-				t = append(t, w)
+			}
+			if debug {
+				s.keyTuple = append(append(s.keyTuple, wq), words...)
 			}
 		}
 	}
-	s.keyTuple = t
 	return h.sum(), true
 }

@@ -143,10 +143,12 @@ func nodeBudget(opts core.CheckOptions) int64 {
 	return 3 * int64(opts.MaxExtensions)
 }
 
-// prepared is the immutable, index-based view of the history one check
-// searches: the history's "plan". Each searcher carries one (searcher.plan),
-// pooled with it: build clears-not-reallocates every index slice, so after
-// the first few checks of a batch a plan rebuild allocates nothing at all.
+// prepared is the index-based view of the history one check searches: the
+// history's "plan", fixed for the whole search. Each searcher carries one
+// (searcher.plan), pooled with it. build fills the visibility and order
+// indexes; searcher.start then fills cids and twinNext. Every index slice
+// is cleared, not reallocated, so after the first few checks of a batch a
+// plan rebuild allocates nothing at all.
 type prepared struct {
 	labels []*core.Label
 	// preds[i] / succs[i] are the (transitive) visibility predecessors and
@@ -159,6 +161,10 @@ type prepared struct {
 	// rowSigs[i] holds the hashes of preds[i] and succs[i], mixed in as
 	// build appends to the rows, so buildTwins never re-reads a row.
 	rowSigs []rowSig
+	// cids[i] is labels[i]'s content ID in the searcher's transition table,
+	// assigned by the ID pass after build (stepTable.contentIDs): the one
+	// label-content identity of the check, read by buildTwins and stepAll.
+	cids []uint32
 	// affected[i] lists, for an update labels[i], the indices of the queries
 	// it is visible to, in ascending query order (RA mode only).
 	affected [][]int
@@ -172,9 +178,10 @@ type prepared struct {
 	// order, and therefore its bit in the searcher's frontier bitset.
 	pos []int
 	// twinNext[i] is the next member of label i's twin class in candidate
-	// order, or -1 when i is the last (see buildTwins). The searcher counts a
-	// link as one more indegree of its target, so only the first unplaced
-	// twin of each class is ever a candidate.
+	// order, or -1 when i is the last (see buildTwins, which runs after the
+	// ID pass fills cids). The searcher counts a link as one more indegree
+	// of its target, so only the first unplaced twin of each class is ever a
+	// candidate.
 	twinNext []int
 	// twinKeys is buildTwins' pooled sort scratch for plans too large for
 	// its stack buffer.
@@ -256,7 +263,6 @@ func (p *prepared) build(h *core.History, strong bool) error {
 	for pi, i := range p.order {
 		p.pos[i] = pi
 	}
-	p.buildTwins()
 	return nil
 }
 

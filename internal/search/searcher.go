@@ -84,11 +84,11 @@ type searcher struct {
 	// memory-budget trip notifies it so it evicts its caches once idle.
 	sess *Session
 	// table is the searcher's transition table, kept across the checks a
-	// pooled searcher runs: stepAll replays stored (state, label content)
-	// transitions without re-entering the spec (no StateKey rendering, no
-	// interner probe). cids[i] is plan label i's content ID in it.
+	// pooled searcher runs: it numbers the plan's label contents (plan.cids)
+	// for twin classes and transitions alike, and stepAll replays stored
+	// (state, content) transitions without re-entering the spec (no StateKey
+	// rendering, no interner probe).
 	table stepTable
-	cids  []uint32
 	// memo is the check's memoization table, consulted only while memoize
 	// holds: it is off under CheckOptions.DisableMemo and once the memory
 	// budget trips.
@@ -191,9 +191,11 @@ type searcher struct {
 	stepHits int64
 }
 
-// start arms the searcher for one check of its built plan and sets up the
-// search over the empty prefix, reusing the backing arrays, memo maps and
-// buffer pools a pooled searcher kept from earlier checks.
+// start arms the searcher for one check of its built plan — the ID pass
+// numbers the plan's label contents in the transition table, then
+// buildTwins links its twin classes — and sets up the search over the empty
+// prefix, reusing the backing arrays, memo maps and buffer pools a pooled
+// searcher kept from earlier checks.
 func (s *searcher) start(sess *Session, intern *interner, spec core.Spec, strong bool, opts core.CheckOptions) {
 	plan := &s.plan
 	n := len(plan.labels)
@@ -202,7 +204,8 @@ func (s *searcher) start(sess *Session, intern *interner, spec core.Spec, strong
 	s.intern = intern
 	s.sess = sess
 	s.table.attach(spec, intern)
-	s.cids = s.table.contentIDs(s.cids, plan.labels)
+	plan.cids = s.table.contentIDs(plan.cids, plan.labels)
+	plan.buildTwins(s.table.reps)
 	s.memo.reset(opts.DebugMemo)
 	s.memoize = !opts.DisableMemo
 	s.memoLimit = 0
@@ -245,9 +248,9 @@ func (s *searcher) start(sess *Session, intern *interner, spec core.Spec, strong
 		s.initWords = appendBit(s.initWords[:0], cid)
 		s.mainWords = s.initWords
 	}
-	s.qstates = resizeStateSets(s.qstates, n)
-	s.qids = resizeIDSets(s.qids, n)
-	s.qwords = resizeWordSets(s.qwords, n)
+	s.qstates = resizeSets(s.qstates, n)
+	s.qids = resizeSets(s.qids, n)
+	s.qwords = resizeSets(s.qwords, n)
 	if !strong {
 		for _, q := range plan.queries {
 			// All pending justifications start at the initial state; the
@@ -344,29 +347,11 @@ func resizeBitset(b bitset, n int) bitset {
 	return b
 }
 
-// resizeStateSets returns a length-n slice of nil state sets, reusing s's
-// backing array (scrubbed over its full capacity so no stale sets survive).
-func resizeStateSets(s [][]core.AbsState, n int) [][]core.AbsState {
+// resizeSets returns a length-n slice of nil sets, reusing s's backing array
+// (scrubbed over its full capacity so no stale sets survive).
+func resizeSets[T any](s [][]T, n int) [][]T {
 	if cap(s) < n {
-		return make([][]core.AbsState, n)
-	}
-	clear(s[:cap(s)])
-	return s[:n]
-}
-
-// resizeIDSets is resizeStateSets for the parallel interned-ID sets.
-func resizeIDSets(s [][]uint32, n int) [][]uint32 {
-	if cap(s) < n {
-		return make([][]uint32, n)
-	}
-	clear(s[:cap(s)])
-	return s[:n]
-}
-
-// resizeWordSets is resizeStateSets for the parallel compact-bitset sets.
-func resizeWordSets(s [][]uint64, n int) [][]uint64 {
-	if cap(s) < n {
-		return make([][]uint64, n)
+		return make([][]T, n)
 	}
 	clear(s[:cap(s)])
 	return s[:n]
@@ -788,7 +773,7 @@ func (s *searcher) stepAll(states []core.AbsState, ids []uint32, i int) setBuf {
 	l := s.plan.labels[i]
 	t := &s.table
 	if t.on && s.keyable && len(ids) == len(states) {
-		cid := s.cids[i]
+		cid := s.plan.cids[i]
 		for si := 0; si < len(states); si++ {
 			sl := t.get(ids[si], cid)
 			if sl == nil {

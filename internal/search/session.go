@@ -38,10 +38,10 @@ func sizeClass(n int) int {
 // exactly like one on
 // a fresh session. The searcher pool needs no cap of its own: it never holds
 // more searchers than the session once ran checks at the same time. No field
-// caps the transition tables: each searcher bounds its own at stepCacheCap
-// transitions and contentCap contents, so their worst case grows with the
-// number of pooled searchers (at most the peak of concurrent checks), and
-// only eviction drops them.
+// caps the transition tables: each searcher bounds its own — it stops
+// storing transitions at stepCacheCap and restarts once it holds contentCap
+// contents — so their worst case grows with the number of pooled searchers
+// (at most the peak of concurrent checks), and only eviction drops them.
 type Budget struct {
 	// MaxInternedStates caps the number of distinct abstract states the
 	// session interner assigns IDs to.

@@ -250,6 +250,31 @@ func TestDebugMemoMatchesPlainMemo(t *testing.T) {
 	}
 }
 
+// TestDebugMemoTupleIsHashedWords pins that debug mode records exactly the
+// words memoKey hashes, in order: the placed bitset, the main set's length
+// and words, and each pending query's header and words (placed queries
+// skipped). Re-hashing the recorded tuple must give the key.
+func TestDebugMemoTupleIsHashedWords(t *testing.T) {
+	s := &searcher{memoize: true, keyable: true}
+	s.memo.debug = true
+	s.placed = bitset{0b101}
+	s.mainWords = []uint64{7, 9}
+	s.plan.queries = []int{1, 2, 3}
+	s.qwords = [][]uint64{nil, {3}, {5}, {1, 4}}
+	key, ok := s.memoKey()
+	want := []uint64{0b101, 2, 7, 9, 1<<32 | 1, 3, 3<<32 | 2, 1, 4}
+	if !ok || !slices.Equal(s.keyTuple, want) {
+		t.Fatalf("recorded tuple %v, want %v", s.keyTuple, want)
+	}
+	h := newHash128()
+	for _, w := range want {
+		h.mix(w)
+	}
+	if h.sum() != key {
+		t.Fatal("the key must be the hash of the recorded tuple")
+	}
+}
+
 // TestSessionThroughCheckRAWith exercises the full core → engine plumbing:
 // CheckRAWith must deliver the session to the pruned engine and behave like
 // CheckRA otherwise.

@@ -12,33 +12,37 @@ import (
 // transitions are just stepped live).
 const stepCacheCap = 1 << 18
 
-// contentCap bounds the distinct label contents one table assigns IDs to; a
-// label whose content arrives past the cap gets noContent and steps live.
+// contentCap bounds the distinct label contents one table keeps across
+// checks: a table holding contentCap contents restarts — contents and
+// transitions alike — at the next check's ID pass.
 const contentCap = 1 << 16
 
-// noContent is the content ID of a label the table does not serve.
-const noContent = ^uint32(0)
-
-// stepTable memoizes a specification's transition function for one searcher:
-// (source-state interner ID, label content ID) → the successors' states and
+// stepTable is a searcher's label-content identity and its memo of the
+// specification's transition function. Each check's ID pass (contentIDs)
+// gives every plan label a content ID, shared exactly by the labels that
+// agree on every field a transition may read — Object, Method, Kind, TS,
+// Args and Ret; core.Spec's contract rules out ID, Origin and GenSeq. Twin
+// classes (twins.go) and transitions both key on it. A transition maps
+// (source-state interner ID, content ID) to the successors' states and
 // interner IDs, in raw emission order with duplicates, so a replay feeds the
-// set-insert path the exact sequence the live spec call would. A transition
-// depends only on the source state and the label's content — Object, Method,
-// Kind, TS, Args and Ret; core.Spec's contract rules out ID, Origin and
-// GenSeq — so one table serves every history its searcher checks, and labels
-// that repeat content within one history (twins, memo re-entries) too.
+// set-insert path the exact sequence the live spec call would; one table
+// serves every history its searcher checks, and labels that repeat content
+// within one history (twins, memo re-entries) too.
 //
-// The table belongs to one comparable spec value and one interner generation
-// (attach resets it on a change of either); a non-comparable spec gets none.
-// It is owned by its searcher, which one goroutine runs at a time, so it
-// takes no lock, and it is dropped with the searcher on budget eviction.
-// Storage is flat, sized from the plan and allocated on first use, then
-// doubled as it fills: an open-addressed transition array holding a lone
-// successor inline, two successor arenas for transitions with more, a dense
-// array of the representative labels held by value, and — once more than
-// scanMax contents arrived — an open-addressed index over that array.
+// Transitions belong to one comparable spec value and one interner
+// generation (attach resets the table on a change of either); under a
+// non-comparable spec the table assigns content IDs but stores no
+// transitions, and restarts at every check. It is owned by its searcher,
+// which one goroutine runs at a time, so it takes no lock, and it is dropped
+// with the searcher on budget eviction. Storage is flat, sized from the plan
+// and allocated on first use, then doubled as it fills: an open-addressed
+// transition array holding a lone successor inline, two successor arenas for
+// transitions with more, a dense array of the representative labels held by
+// value, and — once more than scanMax contents arrived — an open-addressed
+// index over that array.
 type stepTable struct {
-	// on reports the table serves the current check.
+	// on reports the table stores and replays the current check's
+	// transitions: its spec is comparable.
 	on     bool
 	spec   core.Spec
 	intern *interner
@@ -88,21 +92,21 @@ type stepSlot struct {
 
 // attach readies the table for a check of spec over interner in: a warm
 // table of the same spec and interner generation is kept, anything else is
-// reset. A spec whose dynamic type is not comparable gets no table.
+// reset. Only a spec whose dynamic type is comparable turns transitions on.
 func (t *stepTable) attach(spec core.Spec, in *interner) {
 	if t.on && t.intern == in && safeTokenEqual(t.spec, spec) {
 		return
 	}
-	t.reset()
+	t.restart()
+	t.on, t.spec, t.intern = false, nil, nil
+	t.init, t.initID = nil, 0
 	if typ := reflect.TypeOf(spec); typ != nil && typ.Comparable() {
 		t.on, t.spec, t.intern = true, spec, in
 	}
 }
 
-// reset empties the table, keeping its storage for the next spec.
-func (t *stepTable) reset() {
-	t.on, t.spec, t.intern = false, nil, nil
-	t.init, t.initID = nil, 0
+// restart drops every content and transition, keeping their storage.
+func (t *stepTable) restart() {
 	clear(t.slots)
 	t.used = 0
 	clear(t.states)
@@ -113,14 +117,15 @@ func (t *stepTable) reset() {
 }
 
 // contentIDs returns dst resized to one content ID per label, assigning the
-// next dense ID to each content seen for the first time. A content is found
-// by hash, scanning the representatives or probing their index, and each
-// candidate is compared exactly (sameContent), so a hash collision costs a
-// comparison and never aliases two contents. Without a table there are no
-// IDs.
+// next dense ID to each content seen for the first time; a table already
+// holding contentCap contents restarts first, so every label gets an ID and
+// no transition outlives the numbering it was stored under. A content is
+// found by hash, scanning the representatives or probing their index, and
+// each candidate is compared exactly (sameContent), so a hash collision
+// costs a comparison and never aliases two contents.
 func (t *stepTable) contentIDs(dst []uint32, labels []*core.Label) []uint32 {
-	if !t.on {
-		return dst[:0]
+	if len(t.reps) >= contentCap {
+		t.restart()
 	}
 	dst = slices.Grow(dst[:0], len(labels))[:len(labels)]
 	for i, l := range labels {
@@ -144,9 +149,6 @@ func (t *stepTable) contentID(l *core.Label, hint int) uint32 {
 		if id := t.contents[slot]; id != 0 {
 			return id - 1
 		}
-	}
-	if len(t.reps) >= contentCap {
-		return noContent
 	}
 	if t.reps == nil {
 		t.reps = make([]contentRep, 0, hint)
@@ -218,10 +220,10 @@ func (t *stepTable) get(state, content uint32) *stepSlot {
 
 // put stores one transition, copying the successors (callers pass scratch);
 // hint sizes the first allocation, room for one transition per plan label,
-// which a first-contact check rarely outgrows. At the cap, and for a label
-// without a content ID, the table stops growing.
+// which a first-contact check rarely outgrows. At the cap the table stops
+// growing.
 func (t *stepTable) put(state, content uint32, states []core.AbsState, ids []uint32, hint int) {
-	if content == noContent || t.used >= stepCacheCap {
+	if t.used >= stepCacheCap {
 		return
 	}
 	if len(t.slots) == 0 {
@@ -258,6 +260,25 @@ func (t *stepTable) growSlots() {
 			t.slots[t.slot(sl.key-1)] = sl
 		}
 	}
+}
+
+// contentFNV hashes the fields a transition may read — the content
+// sameContent compares — into an unfinalized FNV state. Labels of equal
+// content always hash equal; values of types mixValue does not know hash by a
+// shared tag and are told apart by the exact comparison.
+func contentFNV(l *core.Label) fnv {
+	h := fnv(fnvOffset)
+	h.mixString(l.Object)
+	h.mixString(l.Method)
+	h.mix(uint64(l.Kind))
+	h.mix(l.TS.Time)
+	h.mix(uint64(l.TS.Replica))
+	h.mix(uint64(len(l.Args)))
+	for _, a := range l.Args {
+		h.mixValue(a)
+	}
+	h.mixValue(l.Ret)
+	return h
 }
 
 // sameContent reports whether a and b agree on every field a transition may

@@ -91,11 +91,10 @@ func TestStepTableContentExact(t *testing.T) {
 		t.Fatalf("content IDs %v: equal contents must share an ID and distinct ones must not", ids)
 	}
 	// Past scanMax contents the table finds them through its hash index,
-	// where every one of these shares a probe sequence; after a reset the
+	// where every one of these shares a probe sequence; after a restart the
 	// kept index serves a fresh numbering.
 	for round := 0; round < 2; round++ {
-		tab.reset()
-		tab.attach(opaqueReads{}, newInterner())
+		tab.restart()
 		var labels []*core.Label
 		for k := 0; k < 2*(scanMax+2); k++ {
 			labels = append(labels, mkRead(uint64(k+1), opaque{int64(k % (scanMax + 2))}))
@@ -167,8 +166,11 @@ type listCounter struct {
 }
 
 // TestStepTableNonComparableSpec pins that a spec the table cannot be keyed
-// by runs without one: every transition steps live, on a warm session too,
-// and outcomes match sessionless checks.
+// by still gets content IDs and twin classes, but no transitions: every
+// transition steps live, on a warm session too, and outcomes match
+// sessionless checks. Its searches visit exactly the nodes Counter's do on
+// the same histories — the concurrent incs are twins under both — and step
+// the same transitions, only none from the table.
 func TestStepTableNonComparableSpec(t *testing.T) {
 	sess := NewSession()
 	sp := listCounter{tags: []string{"x"}}
@@ -176,14 +178,19 @@ func TestStepTableNonComparableSpec(t *testing.T) {
 	for k := 1; k <= 4; k++ {
 		hs = append(hs, distinctIncsHistory(k, int64(k)), concurrentIncsHistory(k, int64(k+1)))
 	}
-	for _, h := range hs {
-		if out := Run(h, sp, false, sessOpts(sess)); out.Stats.StepHits != 0 || out.Stats.Steps == 0 {
+	for i, h := range hs {
+		ref := Run(h, spec.Counter{}, false, sessOpts(sess))
+		out := Run(h, sp, false, sessOpts(sess))
+		if out.Stats.StepHits != 0 || out.Stats.Steps == 0 {
 			t.Fatalf("a non-comparable spec must step every transition live: %+v", out.Stats)
+		}
+		if got, want := out.Stats.FoldSteps(), ref.Stats.FoldSteps(); out.OK != ref.OK || got != want {
+			t.Fatalf("history %d: listCounter ok=%v %+v, Counter ok=%v %+v", i, out.OK, got, ref.OK, want)
 		}
 	}
 	w, _ := sess.getSearcher(1)
 	if w.table.on || w.table.spec != nil {
-		t.Fatal("a pooled searcher must carry no table for a non-comparable spec")
+		t.Fatal("a pooled searcher must carry no transitions for a non-comparable spec")
 	}
 	sess.putSearcher(w)
 	checkAgainstSessionless(t, sess, sp, hs, 4)
@@ -191,8 +198,10 @@ func TestStepTableNonComparableSpec(t *testing.T) {
 
 // TestStepTableCap pins the table's bounds and store semantics: the first
 // store of a key wins, a store copies its successors (callers pass scratch),
-// the table stops growing at stepCacheCap transitions, and contents past
-// contentCap get noContent, which is never stored.
+// the table stops growing at stepCacheCap transitions, and a table holding
+// contentCap contents restarts at the next check's ID pass — every label of
+// that check gets an ID, numbered afresh, and no transition stored under the
+// old numbering replays.
 func TestStepTableCap(t *testing.T) {
 	var tab stepTable
 	tab.attach(spec.Counter{}, newInterner())
@@ -221,17 +230,23 @@ func TestStepTableCap(t *testing.T) {
 		t.Fatal("a full table must keep serving its transitions")
 	}
 
+	var full stepTable
+	full.attach(spec.Counter{}, newInterner())
 	labels := make([]*core.Label, contentCap+1)
 	for i := range labels {
 		labels[i] = mkUpdate(uint64(i+1), fmt.Sprintf("m%d", i))
 	}
-	cids := tab.contentIDs(nil, labels)
-	if cids[contentCap-1] != contentCap-1 || cids[contentCap] != noContent {
-		t.Fatalf("content IDs at the cap: %d, %d", cids[contentCap-1], cids[contentCap])
+	cids := full.contentIDs(nil, labels)
+	if cids[0] != 0 || cids[contentCap] != contentCap {
+		t.Fatalf("one check's labels must all get IDs, past the cap too: %d, %d", cids[0], cids[contentCap])
 	}
-	tab.used = 0
-	tab.put(1, noContent, states[:1], ids[:1], 1)
-	if tab.get(1, noContent) != nil {
-		t.Fatal("a label without a content ID must never be stored")
+	full.put(1, cids[0], states[:1], ids[:1], 1)
+	next := []*core.Label{mkUpdate(1, "fresh"), labels[0]}
+	cids = full.contentIDs(cids, next)
+	if cids[0] != 0 || cids[1] != 1 || len(full.reps) != 2 {
+		t.Fatalf("a table at the cap must restart its numbering: IDs %v, %d contents", cids, len(full.reps))
+	}
+	if full.get(1, cids[0]) != nil || full.used != 0 {
+		t.Fatal("a restarted table must replay no transition of the old numbering")
 	}
 }

@@ -10,9 +10,8 @@ import (
 // Twin symmetry. Two labels are twins when a specification cannot tell them
 // apart and visibility orders them the same way:
 //
-//   - they agree on every field a transition may read — Object, Method, Kind
-//     and TS by ==, Args and Ret by core.ValueEqual (core.Spec's contract
-//     rules out ID, Origin and GenSeq);
+//   - they share a content ID (stepTable): they agree on every field a
+//     transition may read;
 //   - they have identical transitive predecessor and successor rows.
 //
 // Twins are concurrent (a twin in its twin's predecessor row would be its
@@ -34,16 +33,16 @@ import (
 // quadratic pair scan.
 const maxTwinClasses = 4
 
-// buildTwins fills p.twinNext from the plan's labels, rows and candidate
-// order. Each label gets one sort key: its fingerprint's high bits above its
-// candidate position. Sorting the keys makes every bucket (labels with equal
-// high bits) a contiguous run in candidate order, and the exact predicate —
-// core.ValueEqual included — runs only inside a bucket, against at most
-// maxTwinClasses class heads. Plans of up to 64 labels sort on the stack;
-// larger ones reuse the plan's pooled p.twinKeys.
-func (p *prepared) buildTwins() {
-	n := len(p.labels)
-	p.twinNext = resizeInts(p.twinNext, n)
+// buildTwins fills p.twinNext (sized by build) from the plan's content IDs
+// (p.cids, numbered by the table whose representatives are reps), rows and
+// candidate order. Each label gets one sort key: its fingerprint's high bits
+// above its candidate position. Sorting the keys makes every bucket (labels
+// with equal high bits) a contiguous run in candidate order, and the exact
+// predicate runs only inside a bucket, against at most maxTwinClasses class
+// heads. Plans of up to 64 labels sort on the stack; larger ones reuse the
+// plan's pooled p.twinKeys.
+func (p *prepared) buildTwins(reps []contentRep) {
+	n := len(p.order)
 	shift := bits.Len(uint(n))
 	var small [64]uint64
 	keys := small[:0]
@@ -55,7 +54,7 @@ func (p *prepared) buildTwins() {
 	}
 	for pi, i := range p.order {
 		p.twinNext[i] = -1
-		keys = append(keys, p.twinFingerprint(i)>>shift<<shift|uint64(pi))
+		keys = append(keys, p.twinFingerprint(i, reps)>>shift<<shift|uint64(pi))
 	}
 	slices.Sort(keys)
 	for lo := 0; lo < n; {
@@ -95,41 +94,23 @@ func (p *prepared) linkBucket(bucket []uint64, posMask uint64) {
 
 // twins is the exact twin predicate over plan indices a and b.
 func (p *prepared) twins(a, b int) bool {
-	return slices.Equal(p.preds[a], p.preds[b]) && slices.Equal(p.succs[a], p.succs[b]) &&
-		sameContent(p.labels[a], p.labels[b])
+	return p.cids[a] == p.cids[b] && slices.Equal(p.preds[a], p.preds[b]) && slices.Equal(p.succs[a], p.succs[b])
 }
 
-// twinFingerprint hashes every input of the twin predicate for label i, the
-// rows through their cached hashes (p.rowSigs). Twins always hash equal; values of
-// types mixValue does not know hash by a shared tag and are told apart by
-// the exact predicate.
-func (p *prepared) twinFingerprint(i int) uint64 {
-	h := contentFNV(p.labels[i])
+// twinFingerprint hashes every input of the twin predicate for label i: its
+// content through the hash the ID pass stored with its representative — a
+// function of the content alone, where the ID also depends on which contents
+// the table met first — and its rows through their cached hashes
+// (p.rowSigs). Twins always hash equal.
+func (p *prepared) twinFingerprint(i int, reps []contentRep) uint64 {
+	h := fnv(fnvOffset)
+	h.mix(reps[p.cids[i]].hash)
 	sig := p.rowSigs[i]
 	h.mix(uint64(sig.preds))
 	h.mix(uint64(sig.succs))
 	// FNV's low bits depend only on its inputs' low bits; the finalizer
 	// spreads every input bit over the whole key.
 	return splitmix64(uint64(h))
-}
-
-// contentFNV hashes the fields a transition may read — the content
-// sameContent compares — into an unfinalized FNV state. Labels of equal
-// content always hash equal; values of types mixValue does not know hash by a
-// shared tag and are told apart by the exact comparison.
-func contentFNV(l *core.Label) fnv {
-	h := fnv(fnvOffset)
-	h.mixString(l.Object)
-	h.mixString(l.Method)
-	h.mix(uint64(l.Kind))
-	h.mix(l.TS.Time)
-	h.mix(uint64(l.TS.Replica))
-	h.mix(uint64(len(l.Args)))
-	for _, a := range l.Args {
-		h.mixValue(a)
-	}
-	h.mixValue(l.Ret)
-	return h
 }
 
 // fnv accumulates FNV-1a over whole words: one multiply per word. It is

@@ -3,6 +3,7 @@ package search
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ralin/internal/core"
@@ -61,19 +62,111 @@ func twinRichHistory(rng *rand.Rand, register, deliveries bool) *core.History {
 	return h
 }
 
-// hasTwins reports whether the plan of h links any twins.
-func hasTwins(t *testing.T, h *core.History, strong bool) bool {
+// twinPlan builds the plan of h on s and arms s for a check of it under sp,
+// which numbers the plan's label contents in s's table and links its twin
+// classes.
+func twinPlan(t *testing.T, s *searcher, h *core.History, sp core.Spec, strong bool) *prepared {
 	t.Helper()
-	p := &prepared{}
-	if err := p.build(h, strong); err != nil {
+	if err := s.plan.build(h, strong); err != nil {
 		t.Fatal(err)
 	}
-	for _, nx := range p.twinNext {
+	s.start(nil, newInterner(), sp, strong, core.CheckOptions{})
+	return &s.plan
+}
+
+// hasTwins reports whether the plan of h links any twins.
+func hasTwins(t *testing.T, h *core.History, sp core.Spec, strong bool) bool {
+	t.Helper()
+	for _, nx := range twinPlan(t, &searcher{}, h, sp, strong).twinNext {
 		if nx >= 0 {
 			return true
 		}
 	}
 	return false
+}
+
+// twinsByDefinition is the twin predicate by definition: equal content
+// (sameContent) and equal predecessor and successor rows.
+func twinsByDefinition(p *prepared, a, b int) bool {
+	return sameContent(p.labels[a], p.labels[b]) && slices.Equal(p.preds[a], p.preds[b]) && slices.Equal(p.succs[a], p.succs[b])
+}
+
+// definedTwinNext is the twin chaining by definition, in O(n²): each label,
+// in candidate order, follows the last earlier label it is a twin of.
+func definedTwinNext(p *prepared) []int {
+	next := make([]int, len(p.labels))
+	for k, i := range p.order {
+		next[i] = -1
+		for _, j := range slices.Backward(p.order[:k]) {
+			if twinsByDefinition(p, i, j) {
+				next[j] = i
+				break
+			}
+		}
+	}
+	return next
+}
+
+// opaqueTwinHistory is two concurrent incs seen by three reads returning
+// opaque values: reads of distinct values agree on their rows and hash
+// equal (mixValue's shared tag), so they share a twin bucket and only the
+// content IDs tell them apart.
+func opaqueTwinHistory(rng *rand.Rand) *core.History {
+	h := core.NewHistory()
+	h.MustAdd(mkUpdate(1, "inc"))
+	h.MustAdd(mkUpdate(2, "inc"))
+	for id := uint64(3); id <= 5; id++ {
+		h.MustAdd(mkRead(id, opaque{int64(rng.Intn(2))}))
+		h.MustAddVis(1, id)
+		h.MustAddVis(2, id)
+	}
+	return h
+}
+
+// TestTwinClassesMatchDefinition checks the twin classes buildTwins links
+// from content IDs and row hashes against their definition, on twin-rich
+// counter and register histories and on reads whose distinct contents hash
+// equal, in RA and strong mode: the predicate must agree with
+// twinsByDefinition on every pair, and the chains with definedTwinNext. One
+// searcher per spec checks every history, so its table numbers contents in
+// the order the histories bring them, not per history. listCounter, which
+// gets content IDs but no transitions, must link the same chains as
+// Counter.
+func TestTwinClassesMatchDefinition(t *testing.T) {
+	linked := 0
+	for _, sp := range []core.Spec{spec.Counter{}, listCounter{tags: []string{"x"}}, spec.Register{}} {
+		_, register := sp.(spec.Register)
+		s := &searcher{}
+		for _, deliveries := range []bool{false, true} {
+			for seed := int64(0); seed < 60; seed++ {
+				rng := rand.New(rand.NewSource(seed))
+				for _, h := range []*core.History{twinRichHistory(rng, register, deliveries), opaqueTwinHistory(rng)} {
+					for _, strong := range []bool{false, true} {
+						p := twinPlan(t, s, h, sp, strong)
+						ctx := fmt.Sprintf("%T deliveries=%v seed %d strong=%v", sp, deliveries, seed, strong)
+						for a := range p.labels {
+							for b := range p.labels {
+								if got, want := p.twins(a, b), twinsByDefinition(p, a, b); got != want {
+									t.Fatalf("%s: twins(%v, %v) = %v, by definition %v\n%s", ctx, p.labels[a], p.labels[b], got, want, h)
+								}
+							}
+						}
+						want := definedTwinNext(p)
+						if !slices.Equal(p.twinNext, want) {
+							t.Fatalf("%s: twin chains %v, by definition %v\n%s", ctx, p.twinNext, want, h)
+						}
+						if slices.ContainsFunc(want, func(nx int) bool { return nx >= 0 }) {
+							linked++
+						}
+						s.release()
+					}
+				}
+			}
+		}
+	}
+	if linked < 400 {
+		t.Fatalf("generator too weak: %d plans with twins", linked)
+	}
 }
 
 // TestTwinDifferentialAgainstLegacy checks the twin reduction against the
@@ -93,7 +186,7 @@ func TestTwinDifferentialAgainstLegacy(t *testing.T) {
 				rng := rand.New(rand.NewSource(seed))
 				h := twinRichHistory(rng, register, deliveries)
 				ctx := fmt.Sprintf("%s deliveries=%v seed %d", sp.Name(), deliveries, seed)
-				if hasTwins(t, h, false) {
+				if hasTwins(t, h, sp, false) {
 					linked++
 				}
 				base := core.CheckOptions{Exhaustive: true, DebugMemo: true}
@@ -136,7 +229,7 @@ func TestTwinPredicateReadsArgs(t *testing.T) {
 	h.MustAdd(mkRead(3, "1"))
 	h.MustAddVis(1, 3)
 	h.MustAddVis(2, 3)
-	if hasTwins(t, h, false) {
+	if hasTwins(t, h, spec.Register{}, false) {
 		t.Fatal("writes of different values must not be twins")
 	}
 	res := core.CheckRA(h, spec.Register{}, core.CheckOptions{Exhaustive: true})
@@ -153,7 +246,7 @@ func TestTwinPredicateReadsRet(t *testing.T) {
 	h.MustAdd(mkUpdate(1, "inc"))
 	h.MustAdd(mkRead(2, int64(1)))
 	h.MustAdd(mkRead(3, int64(0)))
-	if hasTwins(t, h, true) {
+	if hasTwins(t, h, spec.Counter{}, true) {
 		t.Fatal("reads with different returns must not be twins")
 	}
 	res := core.CheckStrongLinearizable(h, spec.Counter{}, core.CheckOptions{Exhaustive: true})
