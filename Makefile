@@ -12,7 +12,7 @@ GO ?= go
 # the warm-session re-check steady state must report exactly 0 allocs/op,
 # baseline regardless, so a reintroduced per-check allocation fails the gate
 # even if the committed baseline carried it too.
-BENCH_GATE_PATTERN = BenchmarkEngineNonLinearizable|BenchmarkEngineWideRefutation|BenchmarkBatchCheckRandomHistories|BenchmarkBatchRefutations|BenchmarkSessionRecheck|BenchmarkScenarioCorpus|BenchmarkScenarioSession|BenchmarkIncrementalExtend|BenchmarkStrategyValidation
+BENCH_GATE_PATTERN = BenchmarkEngineNonLinearizable|BenchmarkEngineWideRefutation|BenchmarkBatchCheckRandomHistories|BenchmarkBatchRefutations|BenchmarkSessionRecheck|BenchmarkScenarioCorpus|BenchmarkScenarioSession|BenchmarkIncrementalExtend|BenchmarkStrategyValidation|BenchmarkRewriteSmall
 NS_THRESHOLD ?= 25
 ZERO_ALLOC_PATTERN = ^BenchmarkSessionRecheck/session\b
 # NS_BASELINE optionally names a second, same-runner baseline JSON (the CI

@@ -206,6 +206,41 @@ func BenchmarkStrategyValidation(b *testing.B) {
 	}
 }
 
+// BenchmarkRewriteSmall isolates the γ-rewriting layer of the Figure 12
+// traffic (core.rewrite in bench/) on the two types whose rewriting clones:
+// core.RewriteHistory of the first 64 harness.DefaultWorkload histories
+// (seed 1) of OR-Set, whose removes split into (query, update) pairs, and of
+// MV-Reg, whose writes are retagged. One op rewrites all 64; allocs/op and
+// B/op are deterministic, and `make bench-gate` diffs allocs/op against the
+// committed baseline.
+func BenchmarkRewriteSmall(b *testing.B) {
+	const histories = 64
+	for _, c := range []struct{ name, desc string }{{"OR-Set", "OR-Set"}, {"MV-Reg", "Multi-Value Reg."}} {
+		d, err := registry.Lookup(c.desc)
+		if err != nil {
+			b.Fatal(err)
+		}
+		g := d.CheckOptions().Rewriting
+		gen := harness.RandomGenerator{Desc: d, Cfg: harness.DefaultWorkload()}
+		hs := make([]*core.History, histories)
+		for i := range hs {
+			if hs[i], _, err = gen.Generate(i); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, h := range hs {
+					if _, err := core.RewriteHistory(h, g); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkCheckerScalingOps measures RA-linearizability checking of random
 // RGA histories as the number of operations grows (E-SCALE).
 func BenchmarkCheckerScalingOps(b *testing.B) {

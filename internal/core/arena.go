@@ -12,6 +12,12 @@ package core
 // weight inside its chunk, which stays reachable only while some row still
 // points into it. That waste is bounded by the doubling and is the price of
 // keeping rows ordinary slices (no indirection on the read path).
+//
+// The γ-rewriting does not use the arenas: RewriteHistory's transport knows
+// every row of γ(h) up front and carves them from slabs sized exactly for
+// γ(h), so a small rewritten history pays no 12 KiB of first chunks. Its rows
+// are capped at their length; a later AddVis (ExtendRewriting) that grows
+// one re-carves it from the arenas like any other row.
 
 // arenaChunkWords is the allocation unit of wordArena: 8 KiB of row words.
 const arenaChunkWords = 1024

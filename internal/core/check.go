@@ -354,7 +354,7 @@ func (e notRALinearizable) Unwrap() error { return ErrNotRALinearizable }
 // It returns nil when seq is an RA-linearization of h.
 func IsRALinearization(h *History, seq []*Label, spec Spec) error {
 	// The definition applies to histories of queries and updates only.
-	for _, l := range h.Labels() {
+	for _, l := range h.seq {
 		if l.IsQueryUpdate() {
 			return fmt.Errorf("label %v is a query-update; apply a rewriting first", l)
 		}

@@ -33,6 +33,10 @@ type labelAt struct {
 // are read-only and safe for concurrent use; Add and AddVis mutate and
 // require external synchronization.
 type History struct {
+	// byID indexes the labels by identifier. It is nil while the history is
+	// dense — the label at rank r has identifier r+1, the numbering the
+	// γ-rewriting assigns — so lookups are rank arithmetic and the index
+	// costs no map; the first Add that breaks the numbering builds the map.
 	byID map[uint64]labelAt
 	// seq holds the labels by rank, i.e. in insertion order.
 	seq []*Label
@@ -70,20 +74,16 @@ func NewHistory() *History {
 	return &History{byID: make(map[uint64]labelAt)}
 }
 
-// reserve pre-sizes the per-rank arrays (and the identifier index) for n
-// labels, so construction code that knows the final size up front — the
-// rewriting, cloning — pays no append growth per label.
-func (h *History) reserve(n int) {
-	if n <= len(h.seq) || len(h.seq) > 0 {
-		return
+// lookup returns the label with identifier id and its rank.
+func (h *History) lookup(id uint64) (labelAt, bool) {
+	if h.byID != nil {
+		e, ok := h.byID[id]
+		return e, ok
 	}
-	h.byID = make(map[uint64]labelAt, n)
-	h.seq = make([]*Label, 0, n)
-	h.adjOut = make([][]int32, 0, n)
-	h.adjIn = make([][]int32, 0, n)
-	h.reach = make([]bitset, 0, n)
-	h.pred = make([]bitset, 0, n)
-	h.mark = make([]uint64, 0, n)
+	if r := id - 1; r < uint64(len(h.seq)) {
+		return labelAt{label: h.seq[r], rank: int32(r)}, true
+	}
+	return labelAt{}, false
 }
 
 // Add inserts a label into the history. Adding a label with a duplicate
@@ -92,10 +92,18 @@ func (h *History) Add(l *Label) error {
 	if l == nil {
 		return fmt.Errorf("history: nil label")
 	}
-	if _, ok := h.byID[l.ID]; ok {
+	if _, ok := h.lookup(l.ID); ok {
 		return fmt.Errorf("history: duplicate label id %d", l.ID)
 	}
-	h.byID[l.ID] = labelAt{label: l, rank: int32(len(h.seq))}
+	if h.byID == nil && l.ID != uint64(len(h.seq))+1 {
+		h.byID = make(map[uint64]labelAt, len(h.seq)+1)
+		for r, x := range h.seq {
+			h.byID[x.ID] = labelAt{label: x, rank: int32(r)}
+		}
+	}
+	if h.byID != nil {
+		h.byID[l.ID] = labelAt{label: l, rank: int32(len(h.seq))}
+	}
 	h.seq = append(h.seq, l)
 	h.adjOut = append(h.adjOut, nil)
 	h.adjIn = append(h.adjIn, nil)
@@ -115,13 +123,16 @@ func (h *History) MustAdd(l *Label) *Label {
 }
 
 // Label returns the label with the given identifier, or nil.
-func (h *History) Label(id uint64) *Label { return h.byID[id].label }
+func (h *History) Label(id uint64) *Label {
+	e, _ := h.lookup(id)
+	return e.label
+}
 
 // RankOf returns the insertion rank of the label with the given identifier
 // and whether the history contains it. Incremental consumers use it to verify
 // that claimed-new labels really are the history's tail.
 func (h *History) RankOf(id uint64) (int, bool) {
-	e, ok := h.byID[id]
+	e, ok := h.lookup(id)
 	return int(e.rank), ok
 }
 
@@ -160,8 +171,6 @@ func (h *History) VisEdges(fn func(from, to uint64)) {
 // DirectVisEdges calls fn once for every directly inserted edge — the
 // generating set AddVis recorded, without its transitive consequences — in
 // rank order per source and edge insertion order within one source.
-// RewriteHistory transports exactly these edges; the rewritten history's own
-// index re-derives the closure.
 func (h *History) DirectVisEdges(fn func(from, to uint64)) {
 	for r, outs := range h.adjOut {
 		from := h.seq[r].ID
@@ -218,11 +227,11 @@ func (h *History) AddVis(from, to uint64) error {
 	if from == to {
 		return fmt.Errorf("history: visibility edge %d -> %d is reflexive", from, to)
 	}
-	fa, ok := h.byID[from]
+	fa, ok := h.lookup(from)
 	if !ok {
 		return fmt.Errorf("history: unknown label %d in visibility edge", from)
 	}
-	ta, ok := h.byID[to]
+	ta, ok := h.lookup(to)
 	if !ok {
 		return fmt.Errorf("history: unknown label %d in visibility edge", to)
 	}
@@ -335,11 +344,11 @@ type VisEdge struct {
 // Vis reports whether the label with identifier from is visible to the label
 // with identifier to: one bit probe of the reachability index.
 func (h *History) Vis(from, to uint64) bool {
-	fa, ok := h.byID[from]
+	fa, ok := h.lookup(from)
 	if !ok {
 		return false
 	}
-	ta, ok := h.byID[to]
+	ta, ok := h.lookup(to)
 	if !ok {
 		return false
 	}
@@ -356,7 +365,7 @@ func (h *History) Concurrent(a, b uint64) bool {
 // one row sweep of the predecessor mirror (the pre-mirror version scanned the
 // reachability column, probing every rank's row).
 func (h *History) VisibleTo(l *Label) []*Label {
-	la, ok := h.byID[l.ID]
+	la, ok := h.lookup(l.ID)
 	if !ok {
 		return nil
 	}
@@ -369,7 +378,7 @@ func (h *History) VisibleTo(l *Label) []*Label {
 
 // SeenBy returns the labels that see l (vis(l)), in insertion order.
 func (h *History) SeenBy(l *Label) []*Label {
-	la, ok := h.byID[l.ID]
+	la, ok := h.lookup(l.ID)
 	if !ok {
 		return nil
 	}
@@ -424,7 +433,6 @@ func (h *History) IsAcyclic() bool {
 // allocates per chunk, not per row.
 func (h *History) Clone() *History {
 	c := &History{
-		byID:   make(map[uint64]labelAt, len(h.byID)),
 		nedges: h.nedges,
 		seq:    make([]*Label, len(h.seq)),
 		adjOut: make([][]int32, len(h.adjOut)),
@@ -433,10 +441,15 @@ func (h *History) Clone() *History {
 		pred:   make([]bitset, len(h.pred)),
 		mark:   make([]uint64, len(h.mark)),
 	}
+	if h.byID != nil {
+		c.byID = make(map[uint64]labelAt, len(h.byID))
+	}
 	for r, l := range h.seq {
 		cl := l.Clone()
 		c.seq[r] = cl
-		c.byID[cl.ID] = labelAt{label: cl, rank: int32(r)}
+		if c.byID != nil {
+			c.byID[cl.ID] = labelAt{label: cl, rank: int32(r)}
+		}
 	}
 	for r := range h.adjOut {
 		if n := len(h.adjOut[r]); n > 0 {
@@ -473,7 +486,7 @@ func (h *History) HistoryTimestamp(l *Label) clock.Timestamp {
 	// The predecessor mirror is transitively closed, so the maximum over one
 	// row sweep is the maximum over the whole past.
 	max := clock.Bottom
-	la, ok := h.byID[l.ID]
+	la, ok := h.lookup(l.ID)
 	if !ok {
 		return max
 	}
@@ -509,7 +522,7 @@ func (h *History) seqRanks(seq []*Label) ([]int32, error) {
 		if l == nil {
 			return nil, fmt.Errorf("sequence label %d is nil", i)
 		}
-		e, ok := h.byID[l.ID]
+		e, ok := h.lookup(l.ID)
 		if !ok {
 			return nil, fmt.Errorf("sequence label %v not in history", l)
 		}

@@ -506,3 +506,55 @@ func TestHistoryString(t *testing.T) {
 		t.Fatalf("unexpected rendering:\n%s", s)
 	}
 }
+
+// TestDenseHistoryLookups pins the identifier index of a dense history —
+// the rewriting's, whose label at rank r has identifier r+1 and which keeps
+// no map: lookups, duplicate detection and Clone work without one, an Add
+// that continues the numbering keeps the history dense, and the first Add
+// that breaks it builds the map over every earlier label.
+func TestDenseHistoryLookups(t *testing.T) {
+	h := NewHistory()
+	for i := uint64(1); i <= 3; i++ {
+		h.MustAdd(&Label{ID: 10 * i, Method: "add", Kind: KindUpdate, GenSeq: i})
+	}
+	h.MustAddVis(10, 30)
+	rew, err := RewriteHistory(h, IdentityRewriting{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := rew.History
+	check := func(d *History, dense bool) {
+		t.Helper()
+		if (d.byID == nil) != dense {
+			t.Fatalf("dense = %v, want %v", d.byID == nil, dense)
+		}
+		for r := 0; r < d.Len(); r++ {
+			l := d.LabelAt(r)
+			if k, ok := d.RankOf(l.ID); !ok || k != r || d.Label(l.ID) != l {
+				t.Fatalf("identifier %d resolves to rank %d (%v), want %d", l.ID, k, ok, r)
+			}
+		}
+		for _, id := range []uint64{0, uint64(d.Len()) + 7} {
+			if _, ok := d.RankOf(id); ok || d.Label(id) != nil || d.Vis(id, 1) {
+				t.Fatalf("unknown identifier %d resolved", id)
+			}
+		}
+		if !d.Vis(1, 3) || d.Vis(3, 1) || !d.Concurrent(1, 2) {
+			t.Fatal("visibility lookups by identifier disagree with the source")
+		}
+	}
+	check(d, true)
+	check(d.Clone(), true)
+	if err := d.Add(&Label{ID: 2, Method: "add", Kind: KindUpdate}); err == nil {
+		t.Fatal("a duplicate identifier must be rejected")
+	}
+	d.MustAdd(&Label{ID: 4, Method: "add", Kind: KindUpdate, GenSeq: 8})
+	check(d, true)
+	d.MustAdd(&Label{ID: 100, Method: "add", Kind: KindUpdate, GenSeq: 9})
+	check(d, false)
+	d.MustAddVis(4, 100)
+	if !d.Vis(4, 100) || !d.Vis(1, 3) {
+		t.Fatal("edges after the index was built must resolve")
+	}
+	check(d.Clone(), false)
+}

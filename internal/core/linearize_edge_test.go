@@ -50,7 +50,9 @@ func TestLinearExtensionsSingleLabel(t *testing.T) {
 // closure propagation. Test-only: it lets tests build the cyclic relations
 // AddVis rejects.
 func plantVisUnchecked(h *History, from, to uint64) {
-	rf, rt := h.byID[from].rank, h.byID[to].rank
+	f, _ := h.lookup(from)
+	t, _ := h.lookup(to)
+	rf, rt := f.rank, t.rank
 	h.adjOut[rf] = append(h.adjOut[rf], rt)
 	h.adjIn[rt] = append(h.adjIn[rt], rf)
 	h.reach[rf].set(int(rt))

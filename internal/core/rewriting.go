@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"reflect"
 	"slices"
 )
@@ -51,49 +52,52 @@ type RewriteFunc func(l *Label) ([]*Label, error)
 // Rewrite calls the function.
 func (f RewriteFunc) Rewrite(l *Label) ([]*Label, error) { return f(l) }
 
-// rewrittenPair records the γ-image of a label inside a rewritten history:
-// the query part and the update part (equal for singleton images).
-type rewrittenPair struct {
-	qry uint64
-	upd uint64
-}
-
 // RewrittenHistory is the γ-rewriting γ(h) of a history together with the
-// mapping from original label identifiers to the identifiers of their images.
+// mapping from original labels to their images.
 type RewrittenHistory struct {
 	// History is the rewritten history (L', vis'). For the identity fast
 	// path (nil rewriting, no query-updates) it aliases the input history.
 	History *History
-	// images maps each original label identifier to its query/update parts;
-	// nil means the identity rewriting, whose images are the labels
-	// themselves.
-	images map[uint64]rewrittenPair
-	// nextID is the last image identifier assigned on the cloning path, kept
-	// so ExtendRewriting continues the sequence exactly where a from-scratch
-	// rewrite of the longer history would.
-	nextID uint64
+	// src is the history γ(h) was derived from (grown with it by
+	// ExtendRewriting); QueryPart and UpdatePart resolve original
+	// identifiers through it.
+	src *History
+	// off maps source ranks to image ranks: the image of the label at source
+	// rank r occupies ranks off[r] .. off[r+1]-1 of History — one rank, or
+	// two for a query-update's (query, update) pair. Image identifiers are
+	// ranks plus one. nil means the identity rewriting, whose images are the
+	// labels themselves.
+	off []int32
 }
 
 // Aliased reports whether the rewriting took the identity fast path: History
 // aliases the checked input instead of being a rewritten clone.
-func (r *RewrittenHistory) Aliased() bool { return r.images == nil }
+func (r *RewrittenHistory) Aliased() bool { return r.off == nil }
 
 // QueryPart returns the rewritten label playing the role qry(γ(ℓ)) for the
 // original label identifier id.
 func (r *RewrittenHistory) QueryPart(id uint64) *Label {
-	if r.images == nil {
+	if r.off == nil {
 		return r.History.Label(id)
 	}
-	return r.History.Label(r.images[id].qry)
+	rank, ok := r.src.RankOf(id)
+	if !ok {
+		return nil
+	}
+	return r.History.LabelAt(int(r.off[rank]))
 }
 
 // UpdatePart returns the rewritten label playing the role upd(γ(ℓ)) for the
 // original label identifier id.
 func (r *RewrittenHistory) UpdatePart(id uint64) *Label {
-	if r.images == nil {
+	if r.off == nil {
 		return r.History.Label(id)
 	}
-	return r.History.Label(r.images[id].upd)
+	rank, ok := r.src.RankOf(id)
+	if !ok {
+		return nil
+	}
+	return r.History.LabelAt(int(r.off[rank+1]) - 1)
 }
 
 // RewriteHistory builds the γ-rewriting of h following Definition 3.7:
@@ -126,7 +130,7 @@ func RewriteHistory(h *History, g Rewriting) (*RewrittenHistory, error) {
 		// watches for ties — GenSeqs issued by the runtimes increase along
 		// insertion order, so the common case stays a single allocation-free
 		// pass, and only an out-of-order history pays for a duplicate check —
-		// and a tie falls back to the cloning path below, keeping aliased and
+		// and a tie falls back to the transport below, keeping aliased and
 		// cloned runs byte-identical on every input.
 		monotone := true
 		var prev uint64
@@ -145,100 +149,255 @@ func RewriteHistory(h *History, g Rewriting) (*RewrittenHistory, error) {
 			return &RewrittenHistory{History: h}, nil
 		}
 	}
-	out := &RewrittenHistory{History: NewHistory(), images: make(map[uint64]rewrittenPair, len(h.seq))}
-	out.History.reserve(2 * len(h.seq))
+	return transport(h, g)
+}
+
+// transport builds γ(h) by rank arithmetic. The images of the label at
+// source rank r take ranks off[r] .. off[r+1]-1 — two for a query-update,
+// one otherwise, a prefix sum over the kinds — and identifier rank+1, so
+// the rewritten history is dense (History.byID stays nil). One pass calls γ
+// on every label in rank order and validates the images (rewriteLabel), so
+// the first invalid label names the error. Labels, their Args, the
+// adjacency rows and the closure rows are then carved from slabs sized
+// exactly for γ(h), and every row is the image of h's row: bit s of a
+// source row becomes the bits of s's images, an edge ℓ → ℓ' becomes
+// upd(γ(ℓ)) → qry(γ(ℓ')), and a (query, update) pair adds its own q → u
+// edge. The closures agree with inserting those edges one by
+// one, because every source path ℓ → ℓ₁ → … → ℓ' transports to a path
+// through the pairs' q → u edges. h's index must be closed and mirrored, as
+// AddVis keeps it; the adjacency transported is h's whole generating set,
+// whether or not an edge is implied by the others in γ(h).
+func transport(h *History, g Rewriting) (*RewrittenHistory, error) {
+	n := len(h.seq)
+	edges := 0
+	for _, outs := range h.adjOut {
+		edges += len(outs)
+	}
+	pairs := 0
 	for _, l := range h.seq {
-		if err := out.appendImage(l, g); err != nil {
-			return nil, err
+		if l.IsQueryUpdate() {
+			pairs++
 		}
 	}
-	// Transport the visibility relation: only the DIRECT edges move — for
-	// (ℓ, ℓ') directly inserted, (upd(γ(ℓ)), qry(γ(ℓ'))) is inserted into
-	// vis', whose own reachability index re-derives the closure. Transporting
-	// the closure edge by edge (the previous representation's only option —
-	// it stored nothing else) made the transport itself Θ(|vis⁺|) AddVis
-	// calls; the generating set is what the original construction actually
-	// inserted, typically Θ(n). The closures agree because every transitive
-	// source path ℓ → ℓ₁ → … → ℓ' transports to a vis' path through the
-	// per-pair qry→upd edges added above. Target ranks are sorted per source
-	// so the transport (and any error it surfaces) is deterministic for a
-	// given history.
-	var tos []int32
-	for rf, outs := range h.adjOut {
-		if len(outs) == 0 {
+	m := n + pairs
+	// One int32 slab holds off (capped, so ExtendRewriting's appends move
+	// it out) and every adjacency row.
+	ints := make([]int32, n+1+2*(edges+pairs))
+	off := ints[: n+1 : n+1]
+	ints = ints[n+1:]
+	for r, l := range h.seq {
+		off[r+1] = off[r] + 1
+		if l.IsQueryUpdate() {
+			off[r+1]++
+		}
+	}
+
+	labels := make([]Label, m)
+	nargs := 0
+	for r, l := range h.seq {
+		imgs, err := rewriteLabel(l, g)
+		if err != nil {
+			return nil, err
+		}
+		for part, img := range imgs {
+			k := off[r] + int32(part)
+			labels[k] = *img
+			setImage(&labels[k], k, l, uint64(part))
+			nargs += len(img.Args)
+		}
+	}
+	// The images are copies, so each takes its own Args from one slab (an
+	// empty list becomes nil, as Label.Clone leaves it).
+	args := make([]Value, nargs)
+	seq := make([]*Label, m)
+	for k := range labels {
+		img := &labels[k]
+		seq[k] = img
+		if a := len(img.Args); a > 0 {
+			img.Args = args[:copy(args[:a:a], img.Args):a]
+			args = args[a:]
+		} else {
+			img.Args = nil
+		}
+	}
+
+	adj := make([][]int32, 2*m)
+	adjOut, adjIn := adj[:m:m], adj[m:]
+	carve := func(k int) []int32 {
+		row := ints[:k:k]
+		ints = ints[k:]
+		return row
+	}
+	for r := range h.seq {
+		q, u := off[r], off[r+1]-1
+		if outs := h.adjOut[r]; len(outs) > 0 {
+			row := carve(len(outs))
+			for i, t := range outs {
+				row[i] = off[t]
+			}
+			adjOut[u] = row
+		}
+		if ins := h.adjIn[r]; len(ins) > 0 {
+			row := carve(len(ins))
+			for i, f := range ins {
+				row[i] = off[f+1] - 1
+			}
+			adjIn[q] = row
+		}
+		if q != u {
+			adjOut[q] = append(carve(1)[:0], u)
+			adjIn[u] = append(carve(1)[:0], q)
+		}
+	}
+
+	// Row sizes first, so one word slab holds every closure row and the
+	// propagation marks.
+	words := m
+	for r := range h.seq {
+		q, u := int(off[r]), int(off[r+1]-1)
+		reachW, predW := imageWords(h.reach[r], off), imageWords(h.pred[r], off)
+		words += reachW + predW
+		if q != u {
+			words += max(reachW, u>>6+1) + max(predW, q>>6+1)
+		}
+	}
+	slab := make([]uint64, words)
+	mark := slab[:m:m]
+	slab = slab[m:]
+	rows := make([]bitset, 2*m)
+	reach, pred := rows[:m:m], rows[m:]
+	row := func(src bitset, extra int) bitset {
+		k := imageWords(src, off)
+		if extra >= 0 {
+			k = max(k, extra>>6+1)
+		}
+		if k == 0 {
+			return nil
+		}
+		b := bitset(slab[:k:k])
+		slab = slab[k:]
+		if pairs == 0 {
+			copy(b, src)
+		} else {
+			imageBits(b, src, off)
+		}
+		if extra >= 0 {
+			b[extra>>6] |= 1 << (uint(extra) & 63)
+		}
+		return b
+	}
+	for r := range h.seq {
+		q, u := int(off[r]), int(off[r+1]-1)
+		if q == u {
+			reach[q], pred[q] = row(h.reach[r], -1), row(h.pred[r], -1)
 			continue
 		}
-		tos = append(tos[:0], outs...)
-		slices.Sort(tos)
-		from := h.seq[rf]
-		updFrom := out.images[from.ID].upd
-		for _, rt := range tos {
-			to := h.seq[rt]
-			if err := out.History.AddVis(updFrom, out.images[to.ID].qry); err != nil {
-				return nil, fmt.Errorf("rewrite visibility %v -> %v: %w", from, to, err)
+		reach[q], reach[u] = row(h.reach[r], u), row(h.reach[r], -1)
+		pred[q], pred[u] = row(h.pred[r], -1), row(h.pred[r], q)
+	}
+
+	return &RewrittenHistory{
+		History: &History{
+			seq:    seq,
+			adjOut: adjOut,
+			adjIn:  adjIn,
+			nedges: edges + pairs,
+			reach:  reach,
+			pred:   pred,
+			mark:   mark,
+		},
+		src: h,
+		off: off,
+	}, nil
+}
+
+// setImage gives the image at rank k of l its identifier, l's origin and its
+// GenSeq: twice l's, plus one for a pair's update part, so the pair stays
+// adjacent in generation order.
+func setImage(img *Label, k int32, l *Label, part uint64) {
+	img.ID = uint64(k) + 1
+	img.Origin = l.Origin
+	img.GenSeq = l.GenSeq*2 + part
+}
+
+// imageWords returns the number of words the image of row src needs: up to
+// the word holding the last image bit of its highest set bit.
+func imageWords(src bitset, off []int32) int {
+	for w := len(src) - 1; w >= 0; w-- {
+		if word := src[w]; word != 0 {
+			top := w<<6 + bits.Len64(word) - 1
+			return int(off[top+1]-1)>>6 + 1
+		}
+	}
+	return 0
+}
+
+// imageBits sets in dst, sized by imageWords, the images of src's bits: bit
+// s becomes bits off[s] .. off[s+1]-1.
+func imageBits(dst, src bitset, off []int32) {
+	for w, word := range src {
+		for word != 0 {
+			s := w<<6 + bits.TrailingZeros64(word)
+			word &= word - 1
+			for k := off[s]; k < off[s+1]; k++ {
+				dst[k>>6] |= 1 << (uint(k) & 63)
 			}
 		}
 	}
-	return out, nil
 }
 
-// appendImage clones l's γ-image into the rewritten history on the cloning
-// path, assigning the next fresh identifier(s) and the doubled GenSeqs, and
-// records the image pair. Identifier assignment depends only on the labels
-// appended before this one, so appending through ExtendRewriting reproduces
-// exactly the labels a from-scratch rewrite of the longer history would
-// build.
-func (r *RewrittenHistory) appendImage(l *Label, g Rewriting) error {
+// rewriteLabel calls γ on l and validates its image: one label of l's kind,
+// or a (query, update) pair exactly when l is a query-update.
+func rewriteLabel(l *Label, g Rewriting) ([]*Label, error) {
 	imgs, err := g.Rewrite(l)
 	if err != nil {
-		return fmt.Errorf("rewrite %v: %w", l, err)
+		return nil, fmt.Errorf("rewrite %v: %w", l, err)
 	}
 	switch len(imgs) {
 	case 1:
-		img := imgs[0].Clone()
 		if l.IsQueryUpdate() {
-			return fmt.Errorf("rewrite %v: query-update must map to a (query, update) pair", l)
+			return nil, fmt.Errorf("rewrite %v: query-update must map to a (query, update) pair", l)
 		}
-		if img.Kind != l.Kind {
-			return fmt.Errorf("rewrite %v: image kind %v differs from original kind %v", l, img.Kind, l.Kind)
+		if imgs[0].Kind != l.Kind {
+			return nil, fmt.Errorf("rewrite %v: image kind %v differs from original kind %v", l, imgs[0].Kind, l.Kind)
 		}
-		r.nextID++
-		img.ID = r.nextID
-		img.Origin = l.Origin
-		img.GenSeq = l.GenSeq * 2
+	case 2:
+		if !l.IsQueryUpdate() {
+			return nil, fmt.Errorf("rewrite %v: only query-updates may map to pairs", l)
+		}
+		if q, u := imgs[0], imgs[1]; !q.IsQuery() || !u.IsUpdate() {
+			return nil, fmt.Errorf("rewrite %v: pair must be (query, update), got (%v, %v)", l, q.Kind, u.Kind)
+		}
+	default:
+		return nil, fmt.Errorf("rewrite %v: image must have one or two labels, got %d", l, len(imgs))
+	}
+	return imgs, nil
+}
+
+// appendImage clones l's γ-image onto the end of the rewritten history (the
+// incremental path), assigning the next identifier(s), the doubled GenSeqs
+// and l's origin, and extends off. Identifiers depend only on the images
+// appended before, so appending through ExtendRewriting reproduces exactly
+// the labels a transport of the longer history builds.
+func (r *RewrittenHistory) appendImage(l *Label, g Rewriting) error {
+	imgs, err := rewriteLabel(l, g)
+	if err != nil {
+		return err
+	}
+	k := int32(r.History.Len())
+	for part, img := range imgs {
+		img = img.Clone()
+		setImage(img, k+int32(part), l, uint64(part))
 		if err := r.History.Add(img); err != nil {
 			return err
 		}
-		r.images[l.ID] = rewrittenPair{qry: img.ID, upd: img.ID}
-	case 2:
-		if !l.IsQueryUpdate() {
-			return fmt.Errorf("rewrite %v: only query-updates may map to pairs", l)
-		}
-		q, u := imgs[0].Clone(), imgs[1].Clone()
-		if !q.IsQuery() || !u.IsUpdate() {
-			return fmt.Errorf("rewrite %v: pair must be (query, update), got (%v, %v)", l, q.Kind, u.Kind)
-		}
-		r.nextID++
-		q.ID = r.nextID
-		q.Origin = l.Origin
-		q.GenSeq = l.GenSeq * 2
-		r.nextID++
-		u.ID = r.nextID
-		u.Origin = l.Origin
-		u.GenSeq = l.GenSeq*2 + 1
-		if err := r.History.Add(q); err != nil {
-			return err
-		}
-		if err := r.History.Add(u); err != nil {
-			return err
-		}
-		if err := r.History.AddVis(q.ID, u.ID); err != nil {
-			return err
-		}
-		r.images[l.ID] = rewrittenPair{qry: q.ID, upd: u.ID}
-	default:
-		return fmt.Errorf("rewrite %v: image must have one or two labels, got %d", l, len(imgs))
 	}
+	if len(imgs) == 2 {
+		if err := r.History.AddVis(uint64(k)+1, uint64(k)+2); err != nil {
+			return err
+		}
+	}
+	r.off = append(r.off, int32(r.History.Len()))
 	return nil
 }
 
@@ -251,21 +410,20 @@ func (r *RewrittenHistory) appendImage(l *Label, g Rewriting) error {
 // label-for-label and closure-identical to RewriteHistory(h, g); on any error
 // rew may hold a partial extension and must be discarded and rebuilt.
 func ExtendRewriting(rew *RewrittenHistory, h *History, oldLen int, g Rewriting) error {
-	if rew.images == nil {
+	if rew.off == nil {
 		return fmt.Errorf("rewrite: cannot extend an aliased identity rewriting")
 	}
 	if g == nil {
 		g = IdentityRewriting{}
 	}
+	rew.src = h
 	for _, l := range h.seq[oldLen:] {
 		if err := rew.appendImage(l, g); err != nil {
 			return err
 		}
 	}
-	// Transport the new direct edges. From-scratch transport iterates sources
-	// in rank order with sorted targets; here the new edges are found per
-	// target instead (sorted sources), which inserts the same generating set —
-	// the closures, and therefore every check-visible query, agree.
+	// Transport the new direct edges, found per target (sorted sources) —
+	// they generate the same closure, whatever order the transport took.
 	var froms []int32
 	for rt := oldLen; rt < len(h.seq); rt++ {
 		ins := h.adjIn[rt]
@@ -274,12 +432,10 @@ func ExtendRewriting(rew *RewrittenHistory, h *History, oldLen int, g Rewriting)
 		}
 		froms = append(froms[:0], ins...)
 		slices.Sort(froms)
-		to := h.seq[rt]
-		qryTo := rew.images[to.ID].qry
+		qryTo := uint64(rew.off[rt]) + 1
 		for _, rf := range froms {
-			from := h.seq[rf]
-			if err := rew.History.AddVis(rew.images[from.ID].upd, qryTo); err != nil {
-				return fmt.Errorf("rewrite visibility %v -> %v: %w", from, to, err)
+			if err := rew.History.AddVis(uint64(rew.off[rf+1]), qryTo); err != nil {
+				return fmt.Errorf("rewrite visibility %v -> %v: %w", h.seq[rf], h.seq[rt], err)
 			}
 		}
 	}

@@ -55,6 +55,9 @@ type StateKeyer interface {
 // clones its start state once and steps that copy through the whole
 // sequence, where StepAppend would clone it for every update. The search
 // keeps StepAppend: its states are shared between branches and interned.
+// spec.Set, spec.ORSet, spec.MVRegister and spec.RGA implement it, each with
+// one transition function: StepAppend clones phi for an update and steps
+// the copy through StepOwned, and steps phi itself for a query.
 type OwnedStepper interface {
 	StepOwned(phi AbsState, l *Label) (AbsState, bool)
 }
@@ -67,8 +70,8 @@ type OwnedStepper interface {
 // that consumes the whole sequence. StatesAfter and FirstRejected, which need
 // every reachable state or the rejection index, keep the breadth-first fold.
 func Admits(s Spec, seq []*Label) bool {
-	if _, ok := s.(OwnedStepper); ok {
-		_, rejected := fold(s, seq)
+	if stepper, ok := s.(OwnedStepper); ok {
+		_, rejected := foldOwned(s, stepper, seq)
 		return rejected < 0
 	}
 	return admitsDepthFirst(s, seq)
@@ -144,11 +147,9 @@ func FirstRejected(s Spec, seq []*Label) int {
 // StepAppend and DedupStates.
 func fold(s Spec, seq []*Label) ([]AbsState, int) {
 	if stepper, ok := s.(OwnedStepper); ok {
-		phi := s.Init().CloneAbs()
-		for i, l := range seq {
-			if phi, ok = stepper.StepOwned(phi, l); !ok {
-				return nil, i
-			}
+		phi, rejected := foldOwned(s, stepper, seq)
+		if rejected >= 0 {
+			return nil, rejected
 		}
 		return []AbsState{phi}, -1
 	}
@@ -164,6 +165,20 @@ func fold(s Spec, seq []*Label) ([]AbsState, int) {
 		}
 	}
 	return states, -1
+}
+
+// foldOwned steps one private copy of Init() — Init may return a shared
+// value — through seq in place and returns the final state and -1, or the
+// index of the first rejected label.
+func foldOwned(s Spec, stepper OwnedStepper, seq []*Label) (AbsState, int) {
+	phi := s.Init().CloneAbs()
+	for i, l := range seq {
+		var ok bool
+		if phi, ok = stepper.StepOwned(phi, l); !ok {
+			return nil, i
+		}
+	}
+	return phi, -1
 }
 
 // DedupStates removes duplicates from a set of abstract states, preserving

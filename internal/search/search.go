@@ -96,7 +96,7 @@ func Run(h *core.History, spec core.Spec, strong bool, opts core.CheckOptions) c
 		sess.putSearcher(s)
 		return core.EngineOutcome{Incomplete: inc, PlanReused: reused}
 	}
-	s.start(sess, intern, spec, strong, opts)
+	s.start(h, sess, intern, spec, strong, opts)
 	var stopWatch func() bool
 	if ctx != nil && ctx.Done() != nil {
 		stopWatch = context.AfterFunc(ctx, func() { s.interrupt(core.ContextIncomplete(ctx)) })

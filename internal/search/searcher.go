@@ -182,6 +182,13 @@ type searcher struct {
 	// recycled; the chunk advances and a new one is allocated only when full.
 	witMem []*core.Label
 
+	// idPass keys the content IDs in plan.cids: the history they number,
+	// its size and direct edge count, and the table generation they were
+	// assigned under. A re-check of the same unchanged history under the
+	// same generation keeps them instead of re-running the ID pass. It is
+	// the one reference a pooled searcher keeps into an earlier check.
+	idPass idPassKey
+
 	reason   pruneReason
 	nodes    int64
 	leaves   int64
@@ -191,12 +198,20 @@ type searcher struct {
 	stepHits int64
 }
 
-// start arms the searcher for one check of its built plan — the ID pass
-// numbers the plan's label contents in the transition table, then
-// buildTwins links its twin classes — and sets up the search over the empty
-// prefix, reusing the backing arrays, memo maps and buffer pools a pooled
-// searcher kept from earlier checks.
-func (s *searcher) start(sess *Session, intern *interner, spec core.Spec, strong bool, opts core.CheckOptions) {
+// idPassKey identifies the plan an ID pass numbered.
+type idPassKey struct {
+	h        *core.History
+	n, edges int
+	gen      uint64
+}
+
+// start arms the searcher for one check of its plan, built from h — the ID
+// pass numbers the plan's label contents in the transition table (unless
+// idPass shows they already number this very plan), then buildTwins links
+// its twin classes — and sets up the search over the empty prefix, reusing
+// the backing arrays, memo maps and buffer pools a pooled searcher kept from
+// earlier checks.
+func (s *searcher) start(h *core.History, sess *Session, intern *interner, spec core.Spec, strong bool, opts core.CheckOptions) {
 	plan := &s.plan
 	n := len(plan.labels)
 	s.spec = spec
@@ -204,7 +219,11 @@ func (s *searcher) start(sess *Session, intern *interner, spec core.Spec, strong
 	s.intern = intern
 	s.sess = sess
 	s.table.attach(spec, intern)
-	plan.cids = s.table.contentIDs(plan.cids, plan.labels)
+	if key := (idPassKey{h, n, h.DirectEdgeCount(), s.table.gen}); key != s.idPass {
+		plan.cids = s.table.contentIDs(plan.cids, plan.labels)
+		key.gen = s.table.gen // the pass may have restarted the table
+		s.idPass = key
+	}
 	plan.buildTwins(s.table.reps)
 	s.memo.reset(opts.DebugMemo)
 	s.memoize = !opts.DisableMemo
@@ -293,8 +312,9 @@ func appendBit(words []uint64, id uint32) []uint64 {
 }
 
 // release unwinds the searcher and drops every reference into the finished
-// check (history, session, witness, interruption record, live state sets) so
-// a pooled searcher pins nothing of it; the backing arrays, undo frames, memo
+// check (labels, session, witness, interruption record, live state sets) so
+// a pooled searcher pins nothing of it but the history its ID-pass key
+// names; the backing arrays, undo frames, memo
 // maps and buffer pool stay for the next check, and so does the transition
 // table with its spec, states and content representatives. The witness arena
 // chunk is kept: its carved prefix is caller-owned and its free tail is

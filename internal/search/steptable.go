@@ -68,6 +68,9 @@ type stepTable struct {
 	// past scanMax contents, below which a scan of reps is as fast.
 	reps     []contentRep
 	contents []uint32
+	// gen counts restarts: content IDs assigned under one generation mean
+	// nothing under the next.
+	gen uint64
 }
 
 // contentRep is one distinct label content: its hash and a representative
@@ -105,8 +108,10 @@ func (t *stepTable) attach(spec core.Spec, in *interner) {
 	}
 }
 
-// restart drops every content and transition, keeping their storage.
+// restart drops every content and transition, keeping their storage, and
+// starts a new generation.
 func (t *stepTable) restart() {
+	t.gen++
 	clear(t.slots)
 	t.used = 0
 	clear(t.states)

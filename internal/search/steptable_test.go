@@ -3,6 +3,7 @@ package search
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -248,5 +249,76 @@ func TestStepTableCap(t *testing.T) {
 	}
 	if full.get(1, cids[0]) != nil || full.used != 0 {
 		t.Fatal("a restarted table must replay no transition of the old numbering")
+	}
+}
+
+// TestContentIDsKeptOnlyForUnchangedPlan pins when a check keeps the content
+// IDs of the searcher's previous ID pass: only for the same history in the
+// same size and direct edge count, under the same table generation. Every
+// check below starts from poisoned IDs (all zero): a kept pass leaves them,
+// a re-run numbers the contents afresh. A re-check after the history grew
+// by a label, by an edge, or past contentCap contents must re-run the pass.
+func TestContentIDsKeptOnlyForUnchangedPlan(t *testing.T) {
+	s := &searcher{}
+	in := newInterner()
+	check := func(h *core.History) []uint32 {
+		t.Helper()
+		if err := s.plan.build(h, false); err != nil {
+			t.Fatal(err)
+		}
+		clear(s.plan.cids)
+		s.start(h, nil, in, spec.Counter{}, false, core.CheckOptions{})
+		return s.plan.cids
+	}
+	numbered := func(ids []uint32) bool {
+		for i, id := range ids {
+			if id != uint32(i) {
+				return false
+			}
+		}
+		return true
+	}
+	// An inc and reads of distinct returns: every label its own content,
+	// numbered in rank order by a first pass.
+	h := core.NewHistory()
+	h.MustAdd(mkUpdate(1, "inc"))
+	for i := uint64(2); i <= 5; i++ {
+		h.MustAdd(mkRead(i, int64(i)))
+	}
+	if ids := check(h); !numbered(ids) {
+		t.Fatalf("first check: content IDs %v, want 0..%d", ids, h.Len()-1)
+	}
+	if ids := check(h); !slices.Equal(ids, make([]uint32, h.Len())) {
+		t.Fatalf("re-check of the unchanged history re-ran the ID pass: %v", ids)
+	}
+	h.MustAdd(mkRead(6, int64(6)))
+	if ids := check(h); !numbered(ids) {
+		t.Fatalf("re-check after a new label kept stale IDs: %v", ids)
+	}
+	h.MustAddVis(1, 6)
+	if ids := check(h); !numbered(ids) {
+		t.Fatalf("re-check after a new edge kept stale IDs: %v", ids)
+	}
+
+	// A history of contentCap distinct contents fills the table; grown by
+	// one label, its re-check restarts the table and numbers it afresh.
+	s = &searcher{}
+	big := core.NewHistory()
+	for i := uint64(1); i <= contentCap; i++ {
+		big.MustAdd(mkRead(i, int64(i)))
+	}
+	if ids := check(big); !numbered(ids) || len(s.table.reps) != contentCap {
+		t.Fatalf("a table of %d contents after the first check, want %d", len(s.table.reps), contentCap)
+	}
+	if ids := check(big); !slices.Equal(ids, make([]uint32, big.Len())) {
+		t.Fatal("re-check of the unchanged full history re-ran the ID pass")
+	}
+	gen := s.table.gen
+	big.MustAdd(mkRead(contentCap+1, int64(contentCap+1)))
+	if ids := check(big); !numbered(ids) || s.table.gen == gen || len(s.table.reps) != big.Len() {
+		t.Fatalf("re-check past contentCap: generation %d -> %d, %d contents for %d labels", gen, s.table.gen, len(s.table.reps), big.Len())
+	}
+	if ids := check(big); !slices.Equal(ids, make([]uint32, big.Len())) {
+		t.Fatal("re-check after the restart re-ran the ID pass: its key must carry the new generation")
 	}
 }

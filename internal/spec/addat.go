@@ -58,8 +58,7 @@ func (AddAt1) StepAppend(dst []core.AbsState, phi core.AbsState, l *core.Label) 
 		n.Elems = append(append([]string{}, n.Elems[:i]...), n.Elems[i+1:]...)
 		return append(dst, n)
 	case "read":
-		ret, ok := l.Ret.([]string)
-		if ok && core.ValueEqual(ret, s.Visible()) {
+		if ret, ok := l.Ret.([]string); ok && s.reads(ret) {
 			return append(dst, s)
 		}
 		return dst
@@ -91,7 +90,7 @@ func (AddAt2) StepAppend(dst []core.AbsState, phi core.AbsState, l *core.Label) 
 		if !ok || s.Contains(elem) {
 			return dst
 		}
-		visible := len(s.Visible())
+		visible := visibleCount(s, len(s.Elems))
 		if k <= visible {
 			// Every split l1·l2 with |l1/T| = k yields a successor.
 			for i := 0; i <= len(s.Elems); i++ {
@@ -120,8 +119,7 @@ func (AddAt2) StepAppend(dst []core.AbsState, phi core.AbsState, l *core.Label) 
 		n.Tomb[elem] = true
 		return append(dst, n)
 	case "read":
-		ret, ok := l.Ret.([]string)
-		if ok && core.ValueEqual(ret, s.Visible()) {
+		if ret, ok := l.Ret.([]string); ok && s.reads(ret) {
 			return append(dst, s)
 		}
 		return dst
@@ -214,8 +212,7 @@ func (AddAt3) StepAppend(dst []core.AbsState, phi core.AbsState, l *core.Label) 
 		n.Tomb[elem] = true
 		return append(dst, n)
 	case "read":
-		ret, ok := l.Ret.([]string)
-		if ok && core.ValueEqual(ret, s.Visible()) {
+		if ret, ok := l.Ret.([]string); ok && s.reads(ret) {
 			return append(dst, s)
 		}
 		return dst

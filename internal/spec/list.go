@@ -1,6 +1,7 @@
 package spec
 
 import (
+	"slices"
 	"sort"
 	"strings"
 
@@ -33,9 +34,10 @@ func NewListState(sentinels ...string) ListState {
 	return ListState{Elems: append([]string(nil), sentinels...), Tomb: map[string]bool{}}
 }
 
-// CloneAbs deep-copies the state.
+// CloneAbs deep-copies the state, with room to insert one more element in
+// place.
 func (s ListState) CloneAbs() core.AbsState {
-	c := ListState{Elems: append([]string(nil), s.Elems...), Tomb: make(map[string]bool, len(s.Tomb))}
+	c := ListState{Elems: append(make([]string, 0, len(s.Elems)+1), s.Elems...), Tomb: make(map[string]bool, len(s.Tomb))}
 	for k := range s.Tomb {
 		c.Tomb[k] = true
 	}
@@ -113,6 +115,26 @@ func (s ListState) Visible() []string {
 	return out
 }
 
+// reads reports whether a read returning ret is admitted in s: exactly
+// core.ValueEqual(ret, s.Visible()), walking l/T against ret instead of
+// building it. Visible is never nil, so a nil ret never matches.
+func (s ListState) reads(ret []string) bool {
+	if ret == nil {
+		return false
+	}
+	j := 0
+	for _, e := range s.Elems {
+		if e == Root || e == Begin || e == End || s.Tomb[e] {
+			continue
+		}
+		if j == len(ret) || ret[j] != e {
+			return false
+		}
+		j++
+	}
+	return j == len(ret)
+}
+
 // insertAfter returns a copy of the list with elem placed immediately after
 // position i.
 func insertAfter(elems []string, i int, elem string) []string {
@@ -148,48 +170,63 @@ func (RGA) Name() string { return "Spec(RGA)" }
 // Init returns the list holding only the root element ◦.
 func (RGA) Init() core.AbsState { return NewListState(Root) }
 
-// StepAppend appends the successors of phi under l to dst.
-func (RGA) StepAppend(dst []core.AbsState, phi core.AbsState, l *core.Label) []core.AbsState {
+// StepAppend appends the successors of phi under l to dst: updates step a
+// private copy of phi through StepOwned, reads step phi itself (StepOwned
+// never mutates on a query).
+func (r RGA) StepAppend(dst []core.AbsState, phi core.AbsState, l *core.Label) []core.AbsState {
 	s, ok := phi.(ListState)
 	if !ok {
 		return dst
 	}
 	switch l.Method {
+	case "addAfter", "remove":
+		phi = s.CloneAbs()
+	}
+	if next, ok := r.StepOwned(phi, l); ok {
+		return append(dst, next)
+	}
+	return dst
+}
+
+// StepOwned applies l to phi in place (the core.OwnedStepper fold path):
+// Spec(RGA) is deterministic, so a justification fold steps one private copy
+// of the list instead of cloning it per update.
+func (RGA) StepOwned(phi core.AbsState, l *core.Label) (core.AbsState, bool) {
+	s, ok := phi.(ListState)
+	if !ok {
+		return nil, false
+	}
+	switch l.Method {
 	case "addAfter":
 		if len(l.Args) != 2 {
-			return dst
+			return nil, false
 		}
 		after, okA := l.Args[0].(string)
 		elem, okB := l.Args[1].(string)
 		if !okA || !okB {
-			return dst
+			return nil, false
 		}
 		i := s.IndexOf(after)
 		if i < 0 || s.Contains(elem) {
-			return dst
+			return nil, false
 		}
-		n := s.CloneAbs().(ListState)
-		n.Elems = insertAfter(n.Elems, i, elem)
-		return append(dst, n)
+		s.Elems = slices.Insert(s.Elems, i+1, elem)
+		return s, true
 	case "remove":
 		if len(l.Args) != 1 {
-			return dst
+			return nil, false
 		}
 		elem, ok := l.Args[0].(string)
 		if !ok || elem == Root || !s.Contains(elem) {
-			return dst
+			return nil, false
 		}
-		n := s.CloneAbs().(ListState)
-		n.Tomb[elem] = true
-		return append(dst, n)
+		s.Tomb[elem] = true
+		return s, true
 	case "read":
 		ret, ok := l.Ret.([]string)
-		if ok && core.ValueEqual(ret, s.Visible()) {
-			return append(dst, s)
-		}
-		return dst
+		return s, ok && s.reads(ret)
 	default:
-		return dst
+		return nil, false
 	}
 }
 
@@ -249,8 +286,7 @@ func (Wooki) StepAppend(dst []core.AbsState, phi core.AbsState, l *core.Label) [
 		n.Tomb[elem] = true
 		return append(dst, n)
 	case "read":
-		ret, ok := l.Ret.([]string)
-		if ok && core.ValueEqual(ret, s.Visible()) {
+		if ret, ok := l.Ret.([]string); ok && s.reads(ret) {
 			return append(dst, s)
 		}
 		return dst

@@ -1,6 +1,7 @@
 package spec
 
 import (
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -77,9 +78,9 @@ type MVPair struct {
 // version vector) pairs whose vectors are pairwise incomparable.
 type MVRegState []MVPair
 
-// CloneAbs deep-copies the pair set.
+// CloneAbs deep-copies the pair set, with room for one more pair.
 func (s MVRegState) CloneAbs() core.AbsState {
-	c := make(MVRegState, len(s))
+	c := make(MVRegState, len(s), len(s)+1)
 	for i, p := range s {
 		c[i] = MVPair{Elem: p.Elem, VV: p.VV.Copy()}
 	}
@@ -116,6 +117,27 @@ func (s MVRegState) Values() []string {
 	return core.SortedSet(elems)
 }
 
+// reads reports whether a read returning ret is admitted in s: exactly
+// core.ValueEqual(ret, s.Values()) — ret non-nil, strictly ascending, every
+// element held by some pair and every pair's element in ret — without
+// building and sorting the value slice.
+func (s MVRegState) reads(ret []string) bool {
+	if ret == nil || !strictlyAscending(ret) {
+		return false
+	}
+	for _, p := range s {
+		if _, ok := slices.BinarySearch(ret, p.Elem); !ok {
+			return false
+		}
+	}
+	for _, e := range ret {
+		if !slices.ContainsFunc(s, func(p MVPair) bool { return p.Elem == e }) {
+			return false
+		}
+	}
+	return true
+}
+
 // String renders the state.
 func (s MVRegState) String() string {
 	return core.FormatValue(s.Values())
@@ -144,47 +166,63 @@ func (MVRegister) Name() string { return "Spec(MV-Reg)" }
 // Init returns the empty register.
 func (MVRegister) Init() core.AbsState { return MVRegState{} }
 
-// StepAppend appends the successors of phi under l to dst. Writes are labels
-// "write" with arguments (element, version vector); the runtime's
-// query-update rewriting produces them from plain write(a) operations.
-func (MVRegister) StepAppend(dst []core.AbsState, phi core.AbsState, l *core.Label) []core.AbsState {
+// StepAppend appends the successors of phi under l to dst: a write steps a
+// private copy of phi through StepOwned, a read steps phi itself (StepOwned
+// never mutates on a query).
+func (m MVRegister) StepAppend(dst []core.AbsState, phi core.AbsState, l *core.Label) []core.AbsState {
 	s, ok := phi.(MVRegState)
 	if !ok {
 		return dst
 	}
+	if l.Method == "write" {
+		phi = s.CloneAbs()
+	}
+	if next, ok := m.StepOwned(phi, l); ok {
+		return append(dst, next)
+	}
+	return dst
+}
+
+// StepOwned applies l to phi in place (the core.OwnedStepper fold path):
+// Spec(MV-Reg) is deterministic, so a justification fold steps one private
+// copy of the pair set instead of cloning it per write. Writes are labels
+// "write" with arguments (element, version vector); the runtime's
+// query-update rewriting produces them from plain write(a) operations.
+func (MVRegister) StepOwned(phi core.AbsState, l *core.Label) (core.AbsState, bool) {
+	s, ok := phi.(MVRegState)
+	if !ok {
+		return nil, false
+	}
 	switch l.Method {
 	case "write":
 		if len(l.Args) != 2 {
-			return dst
+			return nil, false
 		}
 		elem, okE := l.Args[0].(string)
 		vv, okV := l.Args[1].(clock.VersionVector)
 		if !okE || !okV {
-			return dst
+			return nil, false
 		}
 		// Precondition: the identifier is not less than or equal to any
 		// identifier already present.
 		for _, p := range s {
 			if vv.Leq(p.VV) {
-				return dst
+				return nil, false
 			}
 		}
-		next := MVRegState{}
+		// Drop every dominated pair in place, then add the new one.
+		next := s[:0]
 		for _, p := range s {
-			if p.VV.Less(vv) {
-				continue
+			if !p.VV.Less(vv) {
+				next = append(next, p)
 			}
-			next = append(next, MVPair{Elem: p.Elem, VV: p.VV.Copy()})
 		}
-		next = append(next, MVPair{Elem: elem, VV: vv.Copy()})
-		return append(dst, next)
+		clear(s[len(next):])
+		return append(next, MVPair{Elem: elem, VV: vv.Copy()}), true
 	case "read":
 		ret, ok := l.Ret.([]string)
-		if ok && core.ValueEqual(ret, s.Values()) {
-			return append(dst, s)
-		}
-		return dst
+		return s, ok && s.reads(ret)
 	default:
-		return dst
+		return nil, false
 	}
 }

@@ -1,6 +1,7 @@
 package spec
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 
@@ -13,9 +14,9 @@ import (
 // OR-Set is shown not to be linearizable.
 type SetState map[string]bool
 
-// CloneAbs deep-copies the set.
+// CloneAbs deep-copies the set, with room for one more element.
 func (s SetState) CloneAbs() core.AbsState {
-	c := make(SetState, len(s))
+	c := make(SetState, len(s)+1)
 	for k := range s {
 		c[k] = true
 	}
@@ -48,6 +49,22 @@ func (s SetState) Values() []string {
 // String renders the set.
 func (s SetState) String() string { return core.FormatValue(s.Values()) }
 
+// reads reports whether a read returning ret is admitted in s: exactly
+// core.ValueEqual(ret, s.Values()), without building and sorting that
+// slice. Values is sorted, duplicate-free and never nil, so ret must be
+// non-nil, strictly ascending and hold exactly the set's elements.
+func (s SetState) reads(ret []string) bool {
+	if ret == nil || len(ret) != len(s) {
+		return false
+	}
+	for i, e := range ret {
+		if _, ok := s[e]; !ok || i > 0 && ret[i-1] >= e {
+			return false
+		}
+	}
+	return true
+}
+
 // StateKey returns the canonical key (sorted quoted elements), enabling
 // search memoization.
 func (s SetState) StateKey() (string, bool) { return quoteJoin(s.Values()), true }
@@ -73,43 +90,52 @@ func (Set) Name() string { return "Spec(Set)" }
 // Init returns the empty set.
 func (Set) Init() core.AbsState { return SetState{} }
 
-// StepAppend appends the successors of phi under l to dst.
-func (Set) StepAppend(dst []core.AbsState, phi core.AbsState, l *core.Label) []core.AbsState {
+// StepAppend appends the successors of phi under l to dst: updates step a
+// private copy of phi through StepOwned, queries step phi itself (StepOwned
+// never mutates on a query).
+func (o Set) StepAppend(dst []core.AbsState, phi core.AbsState, l *core.Label) []core.AbsState {
 	s, ok := phi.(SetState)
 	if !ok {
 		return dst
 	}
 	switch l.Method {
-	case "add":
+	case "add", "remove":
+		phi = s.CloneAbs()
+	}
+	if next, ok := o.StepOwned(phi, l); ok {
+		return append(dst, next)
+	}
+	return dst
+}
+
+// StepOwned applies l to phi in place (the core.OwnedStepper fold path):
+// Spec(Set) is deterministic, so a justification fold steps one private copy
+// of the set instead of cloning it per update.
+func (Set) StepOwned(phi core.AbsState, l *core.Label) (core.AbsState, bool) {
+	s, ok := phi.(SetState)
+	if !ok {
+		return nil, false
+	}
+	switch l.Method {
+	case "add", "remove":
 		if len(l.Args) != 1 {
-			return dst
+			return nil, false
 		}
 		v, ok := l.Args[0].(string)
 		if !ok {
-			return dst
+			return nil, false
 		}
-		n := s.CloneAbs().(SetState)
-		n[v] = true
-		return append(dst, n)
-	case "remove":
-		if len(l.Args) != 1 {
-			return dst
+		if l.Method == "add" {
+			s[v] = true
+		} else {
+			delete(s, v)
 		}
-		v, ok := l.Args[0].(string)
-		if !ok {
-			return dst
-		}
-		n := s.CloneAbs().(SetState)
-		delete(n, v)
-		return append(dst, n)
+		return s, true
 	case "read":
 		ret, ok := l.Ret.([]string)
-		if ok && core.ValueEqual(ret, s.Values()) {
-			return append(dst, s)
-		}
-		return dst
+		return s, ok && s.reads(ret)
 	default:
-		return dst
+		return nil, false
 	}
 }
 
@@ -117,9 +143,9 @@ func (Set) StepAppend(dst []core.AbsState, phi core.AbsState, l *core.Label) []c
 // element-identifier pairs.
 type ORSetState map[core.Pair]bool
 
-// CloneAbs deep-copies the pair set.
+// CloneAbs deep-copies the pair set, with room for one more pair.
 func (s ORSetState) CloneAbs() core.AbsState {
-	c := make(ORSetState, len(s))
+	c := make(ORSetState, len(s)+1)
 	for k := range s {
 		c[k] = true
 	}
@@ -160,6 +186,78 @@ func (s ORSetState) Values() []string {
 
 // String renders the pair set.
 func (s ORSetState) String() string { return core.FormatValue(s.Pairs()) }
+
+// reads reports whether a read returning ret is admitted in s: exactly
+// core.ValueEqual(ret, s.Values()) — ret non-nil, strictly ascending, every
+// element held by some pair and every pair's element in ret — without
+// building and sorting the value slice.
+func (s ORSetState) reads(ret []string) bool {
+	if ret == nil || !strictlyAscending(ret) {
+		return false
+	}
+	for p := range s {
+		if _, ok := slices.BinarySearch(ret, p.Elem); !ok {
+			return false
+		}
+	}
+	for _, e := range ret {
+		if !s.holds(e) {
+			return false
+		}
+	}
+	return true
+}
+
+// holds reports whether some pair carries elem.
+func (s ORSetState) holds(elem string) bool {
+	for p := range s {
+		if p.Elem == elem {
+			return true
+		}
+	}
+	return false
+}
+
+// readsIDs reports whether readIds(elem) returning ret is admitted in s:
+// exactly core.ValueEqual(ret, want) for want the sorted, never-nil slice of
+// the pairs with element elem — ret a non-nil []core.Pair, strictly
+// ascending, holding only such pairs and as many as s has.
+func (s ORSetState) readsIDs(ret core.Value, elem string) bool {
+	got, ok := ret.([]core.Pair)
+	if !ok || got == nil {
+		return false
+	}
+	for i, p := range got {
+		if _, ok := s[p]; !ok || p.Elem != elem || i > 0 && !pairLess(got[i-1], p) {
+			return false
+		}
+	}
+	n := 0
+	for p := range s {
+		if p.Elem == elem {
+			n++
+		}
+	}
+	return n == len(got)
+}
+
+// pairLess is core.SortPairs' order: by element, then identifier.
+func pairLess(a, b core.Pair) bool {
+	if a.Elem != b.Elem {
+		return a.Elem < b.Elem
+	}
+	return a.ID < b.ID
+}
+
+// strictlyAscending reports whether elems is sorted without duplicates.
+func strictlyAscending(elems []string) bool {
+	for i := 1; i < len(elems); i++ {
+		if elems[i-1] >= elems[i] {
+			return false
+		}
+	}
+	return true
+}
 
 // StateKey returns the canonical key (sorted quoted pairs), enabling search
 // memoization.
@@ -250,20 +348,10 @@ func (ORSet) StepOwned(phi core.AbsState, l *core.Label) (core.AbsState, bool) {
 		if !ok {
 			return nil, false
 		}
-		var want []core.Pair
-		for p := range s {
-			if p.Elem == elem {
-				want = append(want, p)
-			}
-		}
-		want = core.SortPairs(want)
-		if len(want) == 0 {
-			want = []core.Pair{}
-		}
-		return s, core.ValueEqual(l.Ret, want)
+		return s, s.readsIDs(l.Ret, elem)
 	case "read":
 		ret, ok := l.Ret.([]string)
-		return s, ok && core.ValueEqual(ret, s.Values())
+		return s, ok && s.reads(ret)
 	default:
 		return nil, false
 	}
