@@ -721,8 +721,8 @@ func BenchmarkScenarioCorpus(b *testing.B) {
 // strategies off so every check searches, checked on one goroutine through
 // one new session per op — the shape of a scenario batch, where no history
 // is ever checked twice. What a session can carry from one such check to the
-// next is only what does not depend on the history's identity: the interner,
-// the searcher pool and each searcher's transition table. Verdicts are
+// next is only what does not depend on the history's identity: the searcher
+// pool and each searcher's transition table with its state IDs. Verdicts are
 // asserted against sessionless checks each iteration.
 func BenchmarkScenarioSession(b *testing.B) {
 	const perScenario = 40
@@ -891,8 +891,8 @@ func benchIncrementalStream(b *testing.B, prefix string, sp core.Spec, n int, st
 				return core.CheckRAExtend(g, sp, labels[k:k+1], opts)
 			})
 		}
-		// Two warm-up replays fill the session caches (pools, interner,
-		// transition tables); the timed loop measures the steady state.
+		// Two warm-up replays fill the session caches (pools, transition
+		// tables); the timed loop measures the steady state.
 		for w := 0; w < 2; w++ {
 			run(b)
 		}

@@ -33,7 +33,7 @@ func AddCommon(fs *flag.FlagSet) *Common {
 		engine:       fs.String("engine", "pruned", "exhaustive-search engine: pruned or legacy (auto = pruned)"),
 		batchWorkers: fs.Int("batch-workers", 0, "goroutines checking histories of one batch concurrently over a shared engine session (0 = GOMAXPROCS, 1 = sequential)"),
 		timeout:      fs.Duration("timeout", 0, "wall-clock budget for the whole run; trials past the deadline report verdict unknown instead of hanging (0 = none)"),
-		maxInterned:  fs.Int("max-interned", 0, "memory budget: max distinct interned abstract states per session before searches degrade to memo-less mode (0 = unlimited)"),
+		maxInterned:  fs.Int("max-interned", 0, "memory budget: max state IDs the session's searchers hold together (a state reached by two searchers counts twice) before searches degrade to memo-less mode (0 = unlimited)"),
 		maxMemoMB:    fs.Int("max-memo-mb", 0, "memory budget: approximate MiB of live memoization entries per session before searches degrade to memo-less mode (0 = unlimited)"),
 	}
 }

@@ -214,6 +214,6 @@ func printStats(res harness.HistoryCheck, engine core.Engine) {
 		fmt.Printf("  incremental:         %d prefixes checked: %d certificate replays, %d extend searches, %d rebuilds\n",
 			res.Prefixes, res.Replayed, res.ExtendSearches, res.Rebuilds)
 	}
-	fmt.Printf("  batch:               %d workers, %d interned states shared across histories\n", res.BatchWorkers, res.InternedStates)
+	fmt.Printf("  batch:               %d workers, %d state IDs held by the session's pooled searchers\n", res.BatchWorkers, res.InternedStates)
 	fmt.Printf("  plan cache:          %d pooled plans reused, %d cached rewrites\n", res.PlanReuses, res.RewriteHits)
 }

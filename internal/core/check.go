@@ -87,9 +87,9 @@ const (
 )
 
 // EngineSession is an opaque handle to cross-check state owned by a search
-// engine: interned state IDs, memo-table arenas and pooled scratch that one
-// batch of checks (for example a harness.CheckRandomHistories run) reuses
-// instead of rebuilding per history. Sessions are created by the engine
+// engine: pooled searchers with their state IDs, memo tables and scratch
+// that one batch of checks (for example a harness.CheckRandomHistories run)
+// reuses instead of rebuilding per history. Sessions are created by the engine
 // package (search.NewSession) and threaded through CheckOptions.Session or
 // CheckRAWith; a nil session gives every check fresh state, which is always
 // correct, just slower for batches. Implementations must be safe for
@@ -154,7 +154,7 @@ type CheckOptions struct {
 	// not production checking.
 	DebugMemo bool
 	// Session optionally carries engine state shared across the checks of a
-	// batch (interner, pooled searchers, caches). Nil means fresh state per
+	// batch (pooled searchers, caches). Nil means fresh state per
 	// check. See CheckRAWith.
 	Session EngineSession
 }
@@ -566,8 +566,9 @@ func CheckRAExtend(h *History, spec Spec, newOps []*Label, opts CheckOptions) Re
 }
 
 // CheckRAWith is CheckRA with an explicit engine session: the check reuses
-// the session's interned state IDs and pooled search scratch instead of
-// rebuilding them, which amortizes warm-up across the histories of a batch.
+// the session's pooled searchers — state IDs, transition tables and scratch —
+// instead of rebuilding them, which amortizes warm-up across the histories of
+// a batch.
 // A nil session is the same as CheckRA. The session must outlive the call and
 // may be shared by concurrent checks.
 func CheckRAWith(h *History, spec Spec, opts CheckOptions, session EngineSession) Result {

@@ -41,9 +41,10 @@ func RewritingIdentity(g Rewriting) (any, bool) {
 // histories without query-update labels.
 type IdentityRewriting struct{}
 
-// Rewrite returns the label itself.
+// Rewrite returns the label itself. Callers that store an image copy it:
+// transport by value, appendImage by Clone.
 func (IdentityRewriting) Rewrite(l *Label) ([]*Label, error) {
-	return []*Label{l.Clone()}, nil
+	return []*Label{l}, nil
 }
 
 // RewriteFunc adapts a function to the Rewriting interface.

@@ -48,6 +48,19 @@ func TestIdentityRewriting(t *testing.T) {
 	if !rew.History.Vis(rew.UpdatePart(a.ID).ID, rew.QueryPart(b.ID).ID) {
 		t.Fatal("visibility must be transported")
 	}
+
+	// The image is the label itself; the transport stores a copy, so the
+	// rewritten history aliases no source label.
+	if imgs, err := (IdentityRewriting{}).Rewrite(a); err != nil || len(imgs) != 1 || imgs[0] != a {
+		t.Fatalf("identity image must be the label itself: %v, %v", imgs, err)
+	}
+	rew, err = transport(h, IdentityRewriting{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if img := rew.UpdatePart(a.ID); img == a || a.ID != 10 || a.GenSeq != 1 {
+		t.Fatalf("transport must copy the image and leave the source label alone: image %p of %p, source %+v", img, a, a)
+	}
 }
 
 func TestIdentityRewritingRejectsQueryUpdates(t *testing.T) {

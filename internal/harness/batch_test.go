@@ -70,9 +70,9 @@ func TestBatchSharedSessionDifferential(t *testing.T) {
 }
 
 // TestBatchExhaustiveDifferential forces the exhaustive engine on every trial
-// (no constructive strategies), so the shared interner and the searcher pool
-// (plans, memo tables, scratch) are actually exercised by each history — and must still
-// match fresh state exactly, node count for node count.
+// (no constructive strategies), so the shared searcher pool (plans, memo
+// tables, transition tables, scratch) is actually exercised by each history
+// — and must still match fresh state exactly, node count for node count.
 func TestBatchExhaustiveDifferential(t *testing.T) {
 	for _, name := range []string{"OR-Set", "RGA", "Counter"} {
 		d, err := registry.Lookup(name)
@@ -99,7 +99,7 @@ func TestBatchExhaustiveDifferential(t *testing.T) {
 			t.Errorf("%s: exhaustive batch explored no nodes — the engine never ran", name)
 		}
 		if shared.InternedStates == 0 {
-			t.Errorf("%s: shared session interned no states", name)
+			t.Errorf("%s: shared session assigned no state IDs", name)
 		}
 		if shared.PlanReuses == 0 {
 			t.Errorf("%s: shared session reused no pooled plans", name)
@@ -292,7 +292,7 @@ func TestBatchBothPolarities(t *testing.T) {
 
 // TestBatchPoolRace saturates the batch pool (8 workers, one shared session)
 // so `go test -race` — the CI configuration — exercises the concurrent
-// searcher pool and interner end to end.
+// searcher pool end to end.
 func TestBatchPoolRace(t *testing.T) {
 	d, err := registry.Lookup("OR-Set")
 	if err != nil {

@@ -40,7 +40,7 @@ type Options struct {
 	// worker claims trial indices in order from one shared counter.
 	BatchWorkers int
 	// FreshSessions disables the shared engine session inside batches,
-	// giving every history fresh interner/memo/scratch state — the
+	// giving every history fresh state-ID/memo/scratch state — the
 	// pre-batch behaviour, kept for differential testing and debugging.
 	FreshSessions bool
 	// Context carries the caller's cancellation into every trial of a batch:

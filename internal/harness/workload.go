@@ -148,9 +148,9 @@ type HistoryCheck struct {
 	// BatchWorkers is the number of goroutines the batch pool checked trials
 	// across.
 	BatchWorkers int
-	// InternedStates is the number of distinct abstract states interned by
-	// the batch's shared engine session — the state vocabulary reused across
-	// histories instead of being rebuilt per check. Zero when sessions were
+	// InternedStates is the number of state IDs the searchers of the batch's
+	// shared engine session hold (search.Session.InternedStates) — the state
+	// vocabulary reused across histories instead of being rebuilt per check. Zero when sessions were
 	// fresh per history or the exhaustive engine never ran.
 	InternedStates int
 	// PlanReuses counts the trials whose prepared history plan (the

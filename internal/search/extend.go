@@ -19,9 +19,9 @@ import "ralin/internal/core"
 //     cached post-witness state set, and per-query justification. No search.
 //   - certificate fails, or previously Invalid/Unknown: fall back to the full
 //     pruned search over the grown rewriting — a plain Run, with the plan
-//     built afresh on a pooled searcher (with its warm transition table) and
-//     the session's warm interner, exactly like every other check. Nothing of
-//     a stale witness is carried over.
+//     built afresh on a pooled searcher (with its warm transition table and
+//     state IDs), exactly like every other check. Nothing of a stale witness
+//     is carried over.
 //
 // Every incremental precondition is verified, and any violation — new edges
 // into old labels, a tail mismatch, a changed rewriting, an in-place
@@ -79,8 +79,7 @@ func safeTokenEqual(a, b any) (eq bool) {
 
 // Extend implements core.Extender: check h — which gained newOps as its final
 // labels since this session last checked it — reusing the previous verdict as
-// a certificate and the session's rewriting, interner and caches for the
-// prefix. The result's verdict is byte-identical to core.CheckRA on the full
+// a certificate and the session's rewriting and caches for the prefix. The result's verdict is byte-identical to core.CheckRA on the full
 // history; see the package comment at the top of this file for the
 // certificate-first flow and the degradation ladder.
 //

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -79,7 +80,7 @@ func TestSessionReusableAfterExpiredDeadline(t *testing.T) {
 }
 
 // TestInternerBudgetDegradesSoundly checks graceful degradation at the
-// interner: with a tiny MaxInternedStates the search loses memoization but
+// state-ID budget: with a tiny MaxInternedStates the search loses memoization but
 // still decides the history, the outcome reports MemDegraded, the session
 // evicts once idle, and the next check is byte-identical to a fresh session
 // with the same budget.
@@ -91,7 +92,7 @@ func TestInternerBudgetDegradesSoundly(t *testing.T) {
 		t.Fatalf("degraded search must still refute read⇒99: %+v", first)
 	}
 	if !first.MemDegraded {
-		t.Fatalf("tiny interner budget must report degradation: %+v", first)
+		t.Fatalf("tiny state-ID budget must report degradation: %+v", first)
 	}
 	if first.MemoHits != 0 {
 		t.Fatalf("degraded search cannot score memo hits: %+v", first)
@@ -141,6 +142,75 @@ func TestBudgetedSessionMatchesUnbudgetedVerdicts(t *testing.T) {
 		if got.OK != want.OK || got.Complete != want.Complete {
 			t.Fatalf("ret=%d: budgeted verdict %+v differs from unbudgeted %+v", ret, got, want)
 		}
+	}
+}
+
+// gatedCounter is the counter specification whose Init holds its first
+// gateWorkers callers until all of them arrived: that many checks then run at
+// once, each on a searcher of its own.
+type gatedCounter struct {
+	spec.Counter
+	gate *initGate
+}
+
+type initGate struct {
+	arrived atomic.Int32
+	wg      sync.WaitGroup
+}
+
+func (g gatedCounter) Init() core.AbsState {
+	if g.gate.arrived.Add(1) <= gateWorkers {
+		g.gate.wg.Done()
+		g.gate.wg.Wait()
+	}
+	return g.Counter.Init()
+}
+
+// gateWorkers is the number of goroutines TestInternedBudgetAcrossSearchers runs.
+const gateWorkers = 4
+
+// TestInternedBudgetAcrossSearchers checks that MaxInternedStates caps the
+// state IDs of all the session's searchers together. Four checks start at
+// once, each on a fresh searcher of its own, and each needs four counter
+// states: a cap of five trips, although no one searcher reaches it. Every
+// verdict equals the unbudgeted one, and the session never reports more
+// state IDs than the cap.
+func TestInternedBudgetAcrossSearchers(t *testing.T) {
+	const limit = 5
+	histories := []*core.History{distinctIncsHistory(3, 3), distinctIncsHistory(3, 99), concurrentIncsHistory(3, 2)}
+	want := make([]core.EngineOutcome, len(histories))
+	for i, h := range histories {
+		want[i] = Run(h, spec.Counter{}, false, sessOpts(nil))
+	}
+	sess := NewSessionWithBudget(Budget{MaxInternedStates: limit})
+	sp := gatedCounter{gate: &initGate{}}
+	sp.gate.wg.Add(gateWorkers)
+	var degraded atomic.Bool
+	var wg sync.WaitGroup
+	for g := range gateWorkers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for rep := range 12 {
+				i := (g + rep) % len(histories)
+				got := Run(histories[i], sp, false, sessOpts(sess))
+				if got.OK != want[i].OK || got.Complete != want[i].Complete {
+					t.Errorf("g=%d rep=%d: budgeted verdict %+v differs from unbudgeted %+v", g, rep, got, want[i])
+					return
+				}
+				if got.MemDegraded {
+					degraded.Store(true)
+				}
+				if n := sess.InternedStates(); n > limit {
+					t.Errorf("g=%d rep=%d: session reports %d state IDs past the cap of %d", g, rep, n, limit)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if !degraded.Load() || sess.Evictions() == 0 {
+		t.Fatalf("four searchers of four states each must trip a session cap of %d (evictions=%d)", limit, sess.Evictions())
 	}
 }
 

@@ -1,85 +1,5 @@
 package search
 
-import "sync"
-
-// interner maps canonical state keys (core.StateKeyer.StateKey strings) to
-// dense uint32 IDs, shared by every check of a session. Interning a state
-// key once per distinct abstract state replaces all downstream string work:
-// state sets become sorted ID slices, set equality becomes ID equality, and
-// memo keys become fixed-size hashes over integers instead of quoted,
-// re-sorted string renderings. IDs are dense (0..n-1 in first-seen order),
-// stable for the lifetime of the search, and equal exactly when the keys are
-// equal, so ID-based deduplication is collision-free.
-//
-// The table is read-mostly after warm-up (a search touches a bounded set of
-// abstract states), so lookups take the read lock and only a genuinely new
-// key upgrades to the write lock.
-type interner struct {
-	mu  sync.RWMutex
-	ids map[string]uint32
-	// limit caps the number of distinct keys (Budget.MaxInternedStates);
-	// 0 means unlimited. At the cap, id rejects new keys instead of growing,
-	// and the search degrades to unkeyed (memo-less) mode.
-	limit int
-	// seq marks a check-local interner (a sessionless check): exactly one
-	// goroutine touches the table, so every method skips the lock. Never set on a session's shared interner — sessions admit
-	// concurrent checks.
-	seq bool
-}
-
-func newInterner() *interner { return newInternerLimited(0) }
-
-func newInternerLimited(limit int) *interner {
-	return &interner{ids: make(map[string]uint32, 64), limit: limit}
-}
-
-// id returns the dense ID of key, assigning the next free ID on first sight.
-// The second result is false when the key is new but the interner is at its
-// memory budget; known keys always resolve. The budget check lives on the
-// write path only — the read-lock fast path taken for every recurring state
-// is unchanged.
-func (in *interner) id(key string) (uint32, bool) {
-	if in.seq {
-		if id, ok := in.ids[key]; ok {
-			return id, true
-		}
-		return in.assign(key)
-	}
-	in.mu.RLock()
-	id, ok := in.ids[key]
-	in.mu.RUnlock()
-	if ok {
-		return id, true
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	if id, ok := in.ids[key]; ok {
-		return id, true
-	}
-	return in.assign(key)
-}
-
-// assign inserts a new key under the budget check. The caller must hold the
-// write lock (or own the table exclusively, seq mode).
-func (in *interner) assign(key string) (uint32, bool) {
-	if in.limit > 0 && len(in.ids) >= in.limit {
-		return 0, false
-	}
-	id := uint32(len(in.ids))
-	in.ids[key] = id
-	return id, true
-}
-
-// size returns the number of distinct keys interned so far.
-func (in *interner) size() int {
-	if in.seq {
-		return len(in.ids)
-	}
-	in.mu.RLock()
-	defer in.mu.RUnlock()
-	return len(in.ids)
-}
-
 // key128 is a 128-bit memo key: the hash of a search configuration. Two
 // distinct configurations colliding requires ~2^64 distinct keys by the
 // birthday bound; searches explore at most millions, so a collision —
@@ -120,19 +40,19 @@ func (h hash128) sum() key128 {
 	return key128{hi: splitmix64(h.a ^ (h.b << 1)), lo: splitmix64(h.b ^ (h.a >> 1))}
 }
 
-// compactor assigns dense check-local IDs to session-interner IDs, in first-
-// contact order. The searcher's state-set bitsets and word-folded memo keys
-// index by compact ID, so their width tracks the states this check actually
-// reaches instead of the session's whole interned vocabulary. Assignment is a
-// bijection for the duration of one check, so two sets get equal word
-// sequences iff they held equal session IDs.
+// compactor assigns dense check-local IDs to the transition table's state
+// IDs (stepTable.stateID), in first-contact order. The table numbers every
+// state its searcher reached across all the checks it ran, so the searcher's
+// state-set bitsets and word-folded memo keys index by compact ID instead:
+// their width tracks the states this check actually reaches, not the
+// searcher's whole vocabulary. Assignment is a bijection for the duration of
+// one check, so two sets get equal word sequences iff they held equal state
+// IDs.
 //
-// Interner IDs are themselves dense from 0, so the forwarding table is a
-// slice indexed by interner ID, not a map — compact is an array load on the
-// hot path. Each entry is stamped with the check's epoch, making reset O(1):
-// bumping the epoch invalidates every stale entry at once. The compactor is
-// part of the check's searcher and only it calls compact, so the table takes
-// no lock.
+// State IDs are themselves dense from 0, so the forwarding table is a slice
+// indexed by state ID, not a map — compact is an array load on the hot path.
+// Each entry is stamped with the check's epoch, making reset O(1): bumping
+// the epoch invalidates every stale entry at once.
 type compactor struct {
 	epoch uint32
 	next  uint32
@@ -142,7 +62,7 @@ type compactor struct {
 	fwd []uint64
 }
 
-// compact returns the check-local ID of session-interner ID id, assigning the
+// compact returns the check-local ID of state ID id, assigning the
 // next dense ID on first contact.
 func (c *compactor) compact(id uint32) uint32 {
 	if int(id) < len(c.fwd) {

@@ -1,71 +1,11 @@
 package search
 
 import (
-	"fmt"
-	"sync"
 	"testing"
 
 	"ralin/internal/core"
 	"ralin/internal/spec"
 )
-
-func TestInternerDenseAndStable(t *testing.T) {
-	in := newInterner()
-	keys := []string{"a", "b", "c", "a", "b", "d", ""}
-	first := make(map[string]uint32)
-	for _, k := range keys {
-		id, ok := in.id(k)
-		if !ok {
-			t.Fatalf("unbudgeted interner rejected key %q", k)
-		}
-		if prev, ok := first[k]; ok && prev != id {
-			t.Fatalf("id of %q changed: %d then %d", k, prev, id)
-		}
-		first[k] = id
-	}
-	if in.size() != 5 {
-		t.Fatalf("expected 5 distinct keys, got %d", in.size())
-	}
-	seen := make(map[uint32]string)
-	for k, id := range first {
-		if id >= 5 {
-			t.Fatalf("IDs must be dense 0..4, %q got %d", k, id)
-		}
-		if other, dup := seen[id]; dup {
-			t.Fatalf("keys %q and %q share ID %d", k, other, id)
-		}
-		seen[id] = k
-	}
-}
-
-func TestInternerConcurrent(t *testing.T) {
-	in := newInterner()
-	const workers, keysN = 8, 200
-	var wg sync.WaitGroup
-	got := make([][]uint32, workers)
-	for w := 0; w < workers; w++ {
-		w := w
-		got[w] = make([]uint32, keysN)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for k := 0; k < keysN; k++ {
-				got[w][k], _ = in.id(fmt.Sprintf("key-%d", k))
-			}
-		}()
-	}
-	wg.Wait()
-	if in.size() != keysN {
-		t.Fatalf("expected %d distinct keys, got %d", keysN, in.size())
-	}
-	for w := 1; w < workers; w++ {
-		for k := 0; k < keysN; k++ {
-			if got[w][k] != got[0][k] {
-				t.Fatalf("worker %d saw ID %d for key %d, worker 0 saw %d", w, got[w][k], k, got[0][k])
-			}
-		}
-	}
-}
 
 func TestHash128Deterministic(t *testing.T) {
 	sum := func(words []uint64) key128 {

@@ -29,17 +29,19 @@
 // orders the same way (twins, see twins.go) are only ever placed in
 // candidate order, so interchangeable concurrent operations cost one order
 // instead of every subset. On top of the pruning the engine memoizes:
-// canonical state keys (core.StateKeyer) are interned to dense IDs, each
-// visited (placed-set, spec-state) configuration is hashed to a 128-bit key
-// over those IDs, and the key is claimed in the check's memo table on node
-// entry — a configuration reached again by another order is skipped.
+// canonical state keys (core.StateKeyer) are numbered with dense IDs in the
+// searcher's transition table, each visited (placed-set, spec-state)
+// configuration is hashed to a 128-bit key over those IDs, and the key is
+// claimed in the check's memo table on node entry — a configuration reached
+// again by another order is skipped.
 //
 // One goroutine runs each check's search. Checks are independent of each
 // other, so concurrency lives one level up: a batch (internal/harness) runs
-// many checks at once over one Session, whose interner, records and searcher
-// pool are safe for concurrent checks. Only the context.AfterFunc callback Run
-// registers for a cancellable context touches a check's state from another
-// goroutine, through the stop flag and the interruption record.
+// many checks at once over one Session, whose records and searcher pool are
+// safe for concurrent checks; a searcher — state IDs, transition table and
+// all — belongs to one check at a time. Only the context.AfterFunc callback
+// Run registers for a cancellable context touches a check's state from
+// another goroutine, through the stop flag and the interruption record.
 //
 // The engine registers itself with internal/core at init time (core cannot
 // import this package without a cycle), so importing internal/search — even
@@ -68,19 +70,17 @@ func init() {
 // (core checks this before dispatching).
 //
 // When opts.Session carries a *Session (created by NewSession and threaded
-// through core.CheckRAWith), the search draws its interner and its searcher
-// from the session instead of allocating them: interned state IDs are shared
-// across every check of the session, while the searcher — plan, memo table,
-// transition table and scratch — is recycled through the session's pool,
-// reset, not reallocated, when the search finishes, so its transition table
-// stays warm for the next check of the same spec. Session.Extend's fallback
-// search runs through here too, over the rewriting it grew.
+// through core.CheckRAWith), the search draws its searcher from the session
+// instead of allocating one: the searcher — plan, memo table, transition
+// table with its state IDs, and scratch — is recycled through the session's
+// pool, reset, not reallocated, when the search finishes, so its transition
+// table stays warm for the next check of the same spec. Session.Extend's
+// fallback search runs through here too, over the rewriting it grew.
 func Run(h *core.History, spec core.Spec, strong bool, opts core.CheckOptions) core.EngineOutcome {
 	sess, _ := opts.Session.(*Session)
 	// Pin the session's cache generation for the whole check: budget eviction
-	// only runs between checks, so interned IDs stay stable while the search
-	// references them.
-	intern := ensureInterner(sess.beginCheck())
+	// only runs between checks.
+	sess.beginCheck()
 	defer sess.endCheck()
 	s, reused := sess.getSearcher(h.Len())
 	if err := s.plan.build(h, strong); err != nil {
@@ -96,7 +96,7 @@ func Run(h *core.History, spec core.Spec, strong bool, opts core.CheckOptions) c
 		sess.putSearcher(s)
 		return core.EngineOutcome{Incomplete: inc, PlanReused: reused}
 	}
-	s.start(h, sess, intern, spec, strong, opts)
+	s.start(h, sess, spec, strong, opts)
 	var stopWatch func() bool
 	if ctx != nil && ctx.Done() != nil {
 		stopWatch = context.AfterFunc(ctx, func() { s.interrupt(core.ContextIncomplete(ctx)) })
@@ -114,19 +114,6 @@ func Run(h *core.History, spec core.Spec, strong bool, opts core.CheckOptions) c
 		sess.putSearcher(s)
 	}
 	return out
-}
-
-// ensureInterner returns in, or a fresh private interner when the check runs
-// sessionless (in nil). The check owns a private interner outright, so it
-// skips its lock; a session's interner stays locked, because sessions admit
-// concurrent checks.
-func ensureInterner(in *interner) *interner {
-	if in != nil {
-		return in
-	}
-	in = newInterner()
-	in.seq = true
-	return in
 }
 
 // nodeBudget derives the prefix-node budget from the options: MaxNodes wins;

@@ -122,7 +122,7 @@ func TestMemoKeyIsConfiguration(t *testing.T) {
 	if err := s.plan.build(h, false); err != nil {
 		t.Fatal(err)
 	}
-	s.start(h, nil, newInterner(), spec.Counter{}, false, core.CheckOptions{})
+	s.start(h, nil, spec.Counter{}, false, core.CheckOptions{})
 	key := func(prefix ...int) key128 {
 		t.Helper()
 		s.reset()

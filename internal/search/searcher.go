@@ -51,12 +51,12 @@ func (r pruneReason) Error() string {
 
 // setBuf is one reusable state-set buffer. While the specification is keyable
 // it carries three parallel views of the set: the abstract states in arrival
-// order, their session-interner IDs (the transition-table keys), and a bitset
-// over check-local compact IDs (searcher.compact) — the set's canonical form.
-// Membership is a single word test on the bitset, and memo hashing folds the
-// words directly instead of walking IDs one at a time. The bitset is kept in
-// canonical trimmed form (its last word is always nonzero), so two buffers
-// hold equal sets exactly when their word slices are equal.
+// order, their state IDs (stepTable.stateID, the transition keys), and a
+// bitset over check-local compact IDs (searcher.compact) — the set's
+// canonical form. Membership is a single word test on the bitset, and memo
+// hashing folds the words directly instead of walking IDs one at a time. The
+// bitset is kept in canonical trimmed form (its last word is always nonzero),
+// so two buffers hold equal sets exactly when their word slices are equal.
 type setBuf struct {
 	states []core.AbsState
 	ids    []uint32
@@ -79,15 +79,15 @@ type searcher struct {
 	plan   prepared
 	spec   core.Spec
 	strong bool
-	intern *interner
 	// sess is the session the check runs through, nil when sessionless; a
 	// memory-budget trip notifies it so it evicts its caches once idle.
 	sess *Session
 	// table is the searcher's transition table, kept across the checks a
-	// pooled searcher runs: it numbers the plan's label contents (plan.cids)
-	// for twin classes and transitions alike, and stepAll replays stored
-	// (state, content) transitions without re-entering the spec (no StateKey
-	// rendering, no interner probe).
+	// pooled searcher runs: it numbers the states the searcher reaches and
+	// the plan's label contents (plan.cids), for twin classes and
+	// transitions alike, and stepAll replays stored (state, content)
+	// transitions without re-entering the spec (no StateKey rendering, no
+	// state-ID probe).
 	table stepTable
 	// memo is the check's memoization table, consulted only while memoize
 	// holds: it is off under CheckOptions.DisableMemo and once the memory
@@ -99,7 +99,7 @@ type searcher struct {
 	// the session's memoEntries and handed back when the check ends, so the
 	// unbudgeted claim path pays nothing.
 	memoLimit int64
-	// compact assigns dense check-local IDs to session-interner IDs.
+	// compact assigns dense check-local IDs to the table's state IDs.
 	compact compactor
 
 	// stop asks the search to unwind at its next node; interrupt sets it.
@@ -114,7 +114,7 @@ type searcher struct {
 	budget    int64
 	truncated bool
 	// memDegraded flips to true once the session memory budget trips
-	// (interner at MaxInternedStates, or memo entries past MaxMemoBytes):
+	// (state IDs at MaxInternedStates, or memo entries past MaxMemoBytes):
 	// the search keeps running memo-less, the verdict stays sound, and the
 	// outcome reports the degradation.
 	memDegraded bool
@@ -123,8 +123,8 @@ type searcher struct {
 
 	// stepScratch is the reusable buffer StepAppend fills per transition.
 	stepScratch []core.AbsState
-	// fillIDs is the scratch slice of successor IDs fillStep interns before a
-	// transition is stored in the table.
+	// fillIDs is the scratch slice of successor state IDs fillStep assigns
+	// before a transition is stored in the table.
 	fillIDs []uint32
 
 	// indegree[i] counts the not-yet-placed visibility predecessors of
@@ -144,7 +144,7 @@ type searcher struct {
 	seq      []int
 	// main is the set of abstract states reachable after the placed updates
 	// (RA mode) or the placed prefix (strong mode); mainIDs/mainWords are its
-	// interner-ID and compact-bitset views, nil once keying is off.
+	// state-ID and compact-bitset views, nil once keying is off.
 	main      []core.AbsState
 	mainIDs   []uint32
 	mainWords []uint64
@@ -154,9 +154,9 @@ type searcher struct {
 	qstates [][]core.AbsState
 	qids    [][]uint32
 	qwords  [][]uint64
-	// keyable reports whether every state seen so far interned; it flips off
-	// — disabling memoization with it — at the first state without a
-	// canonical key.
+	// keyable reports whether every state seen so far got a state ID; it
+	// flips off — disabling memoization with it — at the first state without
+	// a canonical key or past the session's state-ID budget.
 	keyable bool
 	// initStates/initIDs/initWords back the bottom-of-stack main set ({ϕ0});
 	// they are owned by the searcher (never pooled by putBuf) and reused
@@ -189,13 +189,9 @@ type searcher struct {
 	// the one reference a pooled searcher keeps into an earlier check.
 	idPass idPassKey
 
-	reason   pruneReason
-	nodes    int64
-	leaves   int64
-	pruned   int64
-	memoHit  int64
-	steps    int64
-	stepHits int64
+	reason pruneReason
+	// stats are the check's work counters, reported as they stand.
+	stats core.Stats
 }
 
 // idPassKey identifies the plan an ID pass numbered.
@@ -211,14 +207,13 @@ type idPassKey struct {
 // its twin classes — and sets up the search over the empty prefix, reusing
 // the backing arrays, memo maps and buffer pools a pooled searcher kept from
 // earlier checks.
-func (s *searcher) start(h *core.History, sess *Session, intern *interner, spec core.Spec, strong bool, opts core.CheckOptions) {
+func (s *searcher) start(h *core.History, sess *Session, spec core.Spec, strong bool, opts core.CheckOptions) {
 	plan := &s.plan
 	n := len(plan.labels)
 	s.spec = spec
 	s.strong = strong
-	s.intern = intern
 	s.sess = sess
-	s.table.attach(spec, intern)
+	s.table.attach(spec)
 	if key := (idPassKey{h, n, h.DirectEdgeCount(), s.table.gen}); key != s.idPass {
 		plan.cids = s.table.contentIDs(plan.cids, plan.labels)
 		key.gen = s.table.gen // the pass may have restarted the table
@@ -255,7 +250,7 @@ func (s *searcher) start(h *core.History, sess *Session, intern *interner, spec 
 	s.seq = s.seq[:0]
 	s.keyable = true
 	s.reason = pruneReason{}
-	s.nodes, s.leaves, s.pruned, s.memoHit, s.steps, s.stepHits = 0, 0, 0, 0, 0, 0
+	s.stats = core.Stats{}
 	init, initID, initOK := s.cachedInit()
 	s.initStates = append(s.initStates[:0], init)
 	s.main = s.initStates
@@ -282,11 +277,11 @@ func (s *searcher) start(h *core.History, sess *Session, intern *interner, spec 
 	}
 }
 
-// cachedInit returns the specification's initial state and its interned ID.
-// A warm transition table serves the pair, skipping both spec.Init's fresh
-// state and the StateKey rendering the interner probe needs — the last
-// per-check allocations of a warm re-check. Interning failures (unkeyable
-// spec, interner at budget) are never cached.
+// cachedInit returns the specification's initial state and its state ID. A
+// warm transition table serves the pair, skipping both spec.Init's fresh
+// state and the StateKey rendering the state-ID probe needs — the last
+// per-check allocations of a warm re-check. A state without an ID (unkeyable
+// spec, state IDs at budget) is never cached.
 func (s *searcher) cachedInit() (core.AbsState, uint32, bool) {
 	t := &s.table
 	if t.init != nil {
@@ -324,7 +319,6 @@ func (s *searcher) release() {
 	s.plan.release()
 	s.reason = pruneReason{}
 	s.spec = nil
-	s.intern = nil
 	s.sess = nil
 	s.inc = nil
 	s.witness = nil
@@ -385,19 +379,20 @@ func (s *searcher) reset() {
 	}
 }
 
-// internState interns the canonical key of one abstract state. A state
-// without a key permanently disables keying and memoization for the rest of
-// the check; an interner at its memory budget does the same and
-// additionally trips the session budget, so the search finishes memo-less
-// and the session evicts once idle. Either way the verdict stays sound —
-// keying only feeds deduplication and memoization, never admissibility.
+// internState returns the state ID of one abstract state's canonical key. A
+// state without a key permanently disables keying and memoization for the
+// rest of the check; a new state past the session's state-ID budget does the
+// same and additionally trips the session budget, so the search finishes
+// memo-less and the session evicts once idle. Either way the verdict stays
+// sound — keying only feeds deduplication and memoization, never
+// admissibility.
 func (s *searcher) internState(phi core.AbsState) (uint32, bool) {
 	if !s.keyable {
 		return 0, false
 	}
 	if keyer, ok := phi.(core.StateKeyer); ok {
 		if key, ok := keyer.StateKey(); ok {
-			if id, ok := s.intern.id(key); ok {
+			if id, ok := s.table.stateID(key, s.sess); ok {
 				return id, true
 			}
 			s.tripMemBudget()
@@ -456,16 +451,9 @@ func (s *searcher) outcome() core.EngineOutcome {
 	inc := s.inc
 	s.mu.Unlock()
 	out := core.EngineOutcome{
-		OK:      s.witness != nil,
-		Witness: s.witness,
-		Stats: core.Stats{
-			Nodes:    int(s.nodes),
-			Pruned:   int(s.pruned),
-			MemoHits: int(s.memoHit),
-			Leaves:   int(s.leaves),
-			Steps:    int(s.steps),
-			StepHits: int(s.stepHits),
-		},
+		OK:          s.witness != nil,
+		Witness:     s.witness,
+		Stats:       s.stats,
 		MemDegraded: s.memDegraded,
 	}
 	if !out.OK && s.reason.label != nil {
@@ -480,12 +468,12 @@ func (s *searcher) outcome() core.EngineOutcome {
 			// the node budget no longer sufficed.
 			inc = &core.Incomplete{
 				Reason: core.ReasonNodeBudget,
-				Detail: fmt.Sprintf("node budget exhausted after %d nodes", s.nodes),
+				Detail: fmt.Sprintf("node budget exhausted after %d nodes", s.stats.Nodes),
 			}
 			if out.MemDegraded {
 				inc = &core.Incomplete{
 					Reason: core.ReasonMemBudget,
-					Detail: fmt.Sprintf("memory budget tripped (search degraded to memo-less mode) and the node budget then truncated after %d nodes", s.nodes),
+					Detail: fmt.Sprintf("memory budget tripped (search degraded to memo-less mode) and the node budget then truncated after %d nodes", s.stats.Nodes),
 				}
 			}
 		}
@@ -499,8 +487,8 @@ func (s *searcher) dfs() status {
 	if s.stop.Load() {
 		return sStopped
 	}
-	s.nodes++
-	if b := s.budget; b > 0 && s.nodes > b {
+	s.stats.Nodes++
+	if b := s.budget; b > 0 && int64(s.stats.Nodes) > b {
 		// The node budget is exhausted.
 		s.truncated = true
 		return sStopped
@@ -508,7 +496,7 @@ func (s *searcher) dfs() status {
 	if len(s.seq) == len(s.plan.labels) {
 		// Conditions (i)–(iii) were enforced on every prefix, so a complete
 		// sequence is a witness.
-		s.leaves++
+		s.stats.Leaves++
 		s.witness = s.carveWitness()
 		return sFound
 	}
@@ -516,7 +504,7 @@ func (s *searcher) dfs() status {
 		if !s.memo.claim(key, s.keyTuple) {
 			// An equal configuration has been explored; its subtree equals
 			// ours, so skip.
-			s.memoHit++
+			s.stats.MemoHits++
 			return sExhausted
 		}
 		// Memo-budget accounting rides the store path only (a claimed entry
@@ -596,7 +584,7 @@ func (s *searcher) enter(i int) bool {
 		next := s.stepAll(s.main, s.mainIDs, i)
 		if len(next.states) == 0 {
 			s.putBuf(next)
-			s.pruned++
+			s.stats.Pruned++
 			s.reason = pruneReason{label: l, cond: "prefix"}
 			return false
 		}
@@ -615,7 +603,7 @@ func (s *searcher) enter(i int) bool {
 		next := s.stepAll(s.main, s.mainIDs, i)
 		if len(next.states) == 0 {
 			s.putBuf(next)
-			s.pruned++
+			s.stats.Pruned++
 			s.reason = pruneReason{label: l, cond: "ii"}
 			return false
 		}
@@ -636,7 +624,7 @@ func (s *searcher) enter(i int) bool {
 				}
 				s.stepped = s.stepped[:0]
 				s.putBuf(next)
-				s.pruned++
+				s.stats.Pruned++
 				s.reason = pruneReason{label: l, cond: "iii", query: s.plan.labels[q]}
 				return false
 			}
@@ -664,7 +652,7 @@ func (s *searcher) enter(i int) bool {
 		admitted := len(res.states) > 0
 		s.putBuf(res)
 		if !admitted {
-			s.pruned++
+			s.stats.Pruned++
 			s.reason = pruneReason{label: l, cond: "iii", query: nil}
 			return false
 		}
@@ -782,10 +770,10 @@ func (s *searcher) putBuf(b setBuf) {
 
 // stepAll applies plan label i to every state of the set and returns the
 // deduped successor set in a pooled buffer; ids is the set's parallel
-// interner-ID view (nil or shorter once keying is off, which routes around
-// the table). With a transition table each (source state, label content)
+// state-ID view (nil or shorter once keying is off, which routes around the
+// table). With a transition table each (source state, label content)
 // transition is replayed from the table when present — no spec call, no
-// StateKey rendering, no interner probe — and stepped-and-stored otherwise.
+// StateKey rendering, no state-ID probe — and stepped-and-stored otherwise.
 // While the specification is keyable, deduplication is a single bit test on
 // the compact-ID bitset; otherwise it falls back to pairwise EqualAbs.
 func (s *searcher) stepAll(states []core.AbsState, ids []uint32, i int) setBuf {
@@ -806,7 +794,7 @@ func (s *searcher) stepAll(states []core.AbsState, ids []uint32, i int) setBuf {
 				}
 				continue
 			}
-			s.stepHits++
+			s.stats.StepHits++
 			if sl.n == 1 {
 				s.insertKnown(&buf, sl.state, sl.id)
 				continue
@@ -822,13 +810,13 @@ func (s *searcher) stepAll(states []core.AbsState, ids []uint32, i int) setBuf {
 }
 
 // fillStep computes the successors of one (state, label) transition, inserts
-// them into buf, and — when every successor interned — stores the raw
+// them into buf, and — when every successor got a state ID — stores the raw
 // transition (successors in emission order, duplicates included, so a replay
 // inserts the exact sequence the live path would) in the transition table
 // under content ID cid. It returns false when keying flipped off
 // mid-transition.
 func (s *searcher) fillStep(phi core.AbsState, id uint32, l *core.Label, cid uint32, buf *setBuf) bool {
-	s.steps++
+	s.stats.Steps++
 	raw := s.spec.StepAppend(s.stepScratch[:0], phi, l)
 	s.stepScratch = raw
 	s.fillIDs = s.fillIDs[:0]
@@ -856,7 +844,7 @@ func (s *searcher) fillStep(phi core.AbsState, id uint32, l *core.Label, cid uin
 
 // stepUncached is the table-less transition loop of stepAll.
 func (s *searcher) stepUncached(buf *setBuf, states []core.AbsState, l *core.Label) {
-	s.steps += int64(len(states))
+	s.stats.Steps += len(states)
 	for _, phi := range states {
 		sc := s.spec.StepAppend(s.stepScratch[:0], phi, l)
 		s.stepScratch = sc
@@ -888,8 +876,8 @@ func (s *searcher) insert(buf *setBuf, phi core.AbsState) {
 	buf.states = append(buf.states, phi)
 }
 
-// insertKnown adds one already-interned successor: the session ID is mapped
-// to its check-local compact ID and membership is a single word test on the
+// insertKnown adds one successor with a known state ID: the ID is mapped to
+// its check-local compact ID and membership is a single word test on the
 // buffer's bitset. The bitset grows to exactly the word holding the new bit,
 // preserving the canonical trimmed form (last word nonzero).
 func (s *searcher) insertKnown(buf *setBuf, phi core.AbsState, id uint32) {

@@ -33,18 +33,22 @@ func sizeClass(n int) int {
 // (and any zero field) means unlimited. Tripping a budget never aborts a
 // check and never changes a verdict's polarity: the search degrades to
 // memo-less mode (the DisableMemo path) for the remainder of the check, and
-// once the session is idle it evicts its caches — interner, searcher pool
-// (transition tables included), history records — so the next check starts
-// exactly like one on
-// a fresh session. The searcher pool needs no cap of its own: it never holds
-// more searchers than the session once ran checks at the same time. No field
-// caps the transition tables: each searcher bounds its own — it stops
-// storing transitions at stepCacheCap and restarts once it holds contentCap
-// contents — so their worst case grows with the number of pooled searchers
-// (at most the peak of concurrent checks), and only eviction drops them.
+// once the session is idle it evicts its caches — searcher pool (transition
+// tables and their state IDs included), history records — so the next check
+// starts exactly like one on a fresh session. The searcher pool needs no cap
+// of its own: it never holds more searchers than the session once ran checks
+// at the same time. Only MaxInternedStates caps the transition tables' state
+// IDs; for the rest each searcher bounds its own table — it stops storing
+// transitions at stepCacheCap and restarts its contents once it holds
+// contentCap of them — so their worst case grows with the number of pooled
+// searchers (at most the peak of concurrent checks), and only eviction drops
+// them.
 type Budget struct {
-	// MaxInternedStates caps the number of distinct abstract states the
-	// session interner assigns IDs to.
+	// MaxInternedStates caps the state IDs the session's searchers hold
+	// together: each searcher's transition table numbers the states it
+	// reaches, and a state counts once per searcher that reached it. At one
+	// worker that is the number of distinct states; concurrent searchers
+	// reaching the same state count it twice, so the cap trips no later.
 	MaxInternedStates int
 	// MaxMemoBytes caps the approximate bytes of live memoization entries
 	// across the session's in-flight checks (each entry is accounted at
@@ -52,29 +56,26 @@ type Budget struct {
 	MaxMemoBytes int64
 }
 
-// Session is the cross-check state of one batch of searches: the interner
-// assigning dense IDs to canonical state keys, one record per checked
-// history, and a pool of searchers — the one per-check object, carrying its
-// plan, memo table, transition table and scratch (undo frames, state-set
-// buffers).
+// Session is the cross-check state of one batch of searches: one record per
+// checked history, and a pool of searchers — the one per-check object,
+// carrying its plan, memo table, transition table (with its state IDs) and
+// scratch (undo frames, state-set buffers).
 // A single check pays for all of these as warm-up; a batch that threads one
 // Session through every check (core.CheckRAWith / CheckOptions.Session) pays
 // once and then only resets.
 //
 // Sharing is safe because the pieces have different lifetimes:
 //
-//   - the interner is append-only and concurrency-safe, and interned IDs stay
-//     valid for the whole session — states recur across the histories of a
-//     batch, so later checks mostly hit the read lock;
 //   - searchers are per-check: a check takes one from the pool and returns it
 //     when done. Their memo tables and plans are per-check too (memo keys and
 //     plan indexes are per-history label indices, so reusing *contents*
 //     across histories would alias configurations of different histories);
 //     the pool recycles the maps, index slices and buffers themselves,
 //     cleared-not-reallocated, so a warm check allocates none of them. A
-//     searcher's transition table is keyed by interner state ID and label
-//     content, which mean the same in every history of the session, so it
-//     stays warm across the checks the searcher runs;
+//     searcher's transition table numbers states by canonical key and
+//     labels by content, which mean the same in every history of the
+//     session, so it — state IDs and transitions alike — stays warm across
+//     the checks the searcher runs, and only that searcher reads it;
 //   - a history's record is keyed by history identity and holds the
 //     γ-rewriting every check of that history uses (served to core.CheckRA
 //     through core.SessionRewriter) plus, once Extend has decided the
@@ -86,26 +87,28 @@ type Budget struct {
 // specifications. A check only reaches states of its own specification, and
 // a transition table only ever serves the spec it was filled under (a
 // searcher running a check of another spec resets it), so cross-spec key
-// collisions in the shared interner are harmless.
+// collisions among a searcher's state IDs are harmless.
 type Session struct {
 	budget Budget
 	// memoEntries counts live memo-table entries across the session's
 	// in-flight checks; maintained only when a memo budget is configured.
 	memoEntries atomic.Int64
+	// interned counts the state IDs the session's searchers assigned
+	// (admitState) since the last eviction, against
+	// Budget.MaxInternedStates. A searcher dropped instead of pooled (its
+	// search panicked, or its context callback ran) stays counted until the
+	// next eviction.
+	interned atomic.Int64
 	// tripped latches a memory-budget trip; endCheck evicts the session's
 	// caches (and clears the latch) once no check is in flight.
 	tripped atomic.Bool
 
-	mu sync.Mutex
-	// intern is guarded by mu only for the pointer swap during eviction;
-	// the interner itself is concurrency-safe and checks pin it for their
-	// whole run through beginCheck/endCheck.
-	intern    *interner
+	mu        sync.Mutex
 	active    int
 	evictions int
-	// internedHigh is the high-water interned-state count across evictions,
-	// so InternedStates keeps reporting the vocabulary actually built.
-	internedHigh int
+	// internedHigh is the high-water interned count across evictions, so
+	// InternedStates keeps reporting the vocabulary actually built.
+	internedHigh int64
 	// searchers is the searcher pool, in size classes (sizeClass over the
 	// label count a searcher was last sized for).
 	searchers [poolClasses][]*searcher
@@ -122,10 +125,10 @@ func NewSession() *Session {
 	return NewSessionWithBudget(Budget{})
 }
 
-// NewSessionWithBudget creates a batch session whose interner and memo tables
-// are capped by b. See Budget for the degradation semantics.
+// NewSessionWithBudget creates a batch session whose state IDs and memo
+// tables are capped by b. See Budget for the degradation semantics.
 func NewSessionWithBudget(b Budget) *Session {
-	return &Session{intern: newInternerLimited(b.MaxInternedStates), budget: b}
+	return &Session{budget: b}
 }
 
 // Budget returns the session's configured memory budget (the zero Budget for
@@ -156,17 +159,39 @@ func (s *Session) noteTrip() {
 	}
 }
 
-// beginCheck pins the session's current cache generation for the duration of
-// one check: eviction only happens when no check is in flight, so interned
-// IDs stay stable while any search references them.
-func (s *Session) beginCheck() *interner {
+// admitState counts one new state ID against Budget.MaxInternedStates; at
+// the cap it counts nothing and returns false. Nil-safe: a sessionless check
+// has no cap.
+func (s *Session) admitState() bool {
 	if s == nil {
-		return nil
+		return true
+	}
+	limit := int64(s.budget.MaxInternedStates)
+	if limit <= 0 {
+		s.interned.Add(1)
+		return true
+	}
+	for {
+		n := s.interned.Load()
+		if n >= limit {
+			return false
+		}
+		if s.interned.CompareAndSwap(n, n+1) {
+			return true
+		}
+	}
+}
+
+// beginCheck pins the session's current cache generation for the duration of
+// one check: eviction only happens when no check is in flight, so no search
+// loses its searcher's count or its history's record mid-check.
+func (s *Session) beginCheck() {
+	if s == nil {
+		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.active++
-	return s.intern
 }
 
 // endCheck releases the pin taken by beginCheck and — when a budget tripped
@@ -186,19 +211,12 @@ func (s *Session) endCheck() {
 }
 
 // evictLocked is the memory-budget fail-safe: drop every cache the session
-// accumulated — interner, searcher pool (with the searchers' transition
-// tables) and history records —
-// so the memory is reclaimable and the next check is indistinguishable from
-// one on a fresh session with the same budget. Called with s.mu held and no
-// check in flight.
+// accumulated — searcher pool (with the searchers' transition tables and
+// state IDs) and history records — so the memory is reclaimable and the next
+// check is indistinguishable from one on a fresh session with the same
+// budget. Called with s.mu held and no check in flight.
 func (s *Session) evictLocked() {
-	if n := s.intern.size(); n > s.internedHigh {
-		s.internedHigh = n
-	}
-	s.intern = newInternerLimited(s.budget.MaxInternedStates)
-	// The searchers' transition tables hold IDs of the evicted interner
-	// generation; replaying them against the fresh generation would alias
-	// unrelated states.
+	s.internedHigh = max(s.internedHigh, s.interned.Swap(0))
 	s.searchers = [poolClasses][]*searcher{}
 	// Records are rebuilt on the next check of each history: their clones
 	// and certificates pin rewritten labels the fresh session should not.
@@ -210,21 +228,17 @@ func (s *Session) evictLocked() {
 // EngineSessionKind identifies the owning engine (core.EngineSession).
 func (s *Session) EngineSessionKind() string { return "pruned" }
 
-// InternedStates returns the number of distinct abstract states interned so
-// far — the state vocabulary the session's checks have shared instead of
-// rebuilding per history. Across budget evictions it reports the high-water
-// mark of any generation.
+// InternedStates returns the number of state IDs the session's searchers
+// hold — the state vocabulary their checks reuse instead of rebuilding per
+// history, summed over the searchers (one at one worker). Across budget
+// evictions it reports the high-water mark of any generation.
 func (s *Session) InternedStates() int {
 	if s == nil {
 		return 0
 	}
 	s.mu.Lock()
-	in, high := s.intern, s.internedHigh
-	s.mu.Unlock()
-	if n := in.size(); n > high {
-		return n
-	}
-	return high
+	defer s.mu.Unlock()
+	return int(max(s.internedHigh, s.interned.Load()))
 }
 
 // record is the session's state for one history h: the γ-rewriting every

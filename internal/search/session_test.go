@@ -50,26 +50,27 @@ func TestSessionMemoResetBetweenHistories(t *testing.T) {
 	}
 }
 
-// TestSessionInternerIsShared checks the point of the session: state IDs
-// interned by one check are reused by the next, so re-checking the same
-// history grows the interner not at all.
-func TestSessionInternerIsShared(t *testing.T) {
+// TestSessionRecheckInternsNothing checks the point of the session's
+// searcher pool: a re-check runs on the searcher the first check pooled,
+// whose transition table already numbers every state the history reaches,
+// so it assigns no new state ID.
+func TestSessionRecheckInternsNothing(t *testing.T) {
 	sess := NewSession()
 	h := concurrentIncsHistory(6, 99)
 	Run(h, spec.Counter{}, false, sessOpts(sess))
 	after1 := sess.InternedStates()
 	if after1 == 0 {
-		t.Fatal("counter states must intern")
+		t.Fatal("counter states must get state IDs")
 	}
 	Run(h, spec.Counter{}, false, sessOpts(sess))
 	if after2 := sess.InternedStates(); after2 != after1 {
-		t.Fatalf("re-checking the same history must not grow the interner: %d -> %d", after1, after2)
+		t.Fatalf("re-checking the same history must assign no state ID: %d -> %d", after1, after2)
 	}
 }
 
 // TestSessionConcurrentChecks runs many checks of different polarities
 // concurrently over one session; under `go test -race` this is the data-race
-// check for the session pools and the shared interner.
+// check for the session's searcher pool and records.
 func TestSessionConcurrentChecks(t *testing.T) {
 	sess := NewSession()
 	var wg sync.WaitGroup
@@ -288,7 +289,7 @@ func TestSessionThroughCheckRAWith(t *testing.T) {
 		t.Fatalf("CheckRAWith %+v differs from CheckRA %+v", with, plain)
 	}
 	if sess.InternedStates() == 0 {
-		t.Fatal("the session must have been used (interner still empty)")
+		t.Fatal("the session must have been used (no state ID assigned)")
 	}
 }
 

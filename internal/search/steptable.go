@@ -17,20 +17,24 @@ const stepCacheCap = 1 << 18
 // transitions alike — at the next check's ID pass.
 const contentCap = 1 << 16
 
-// stepTable is a searcher's label-content identity and its memo of the
-// specification's transition function. Each check's ID pass (contentIDs)
-// gives every plan label a content ID, shared exactly by the labels that
-// agree on every field a transition may read — Object, Method, Kind, TS,
-// Args and Ret; core.Spec's contract rules out ID, Origin and GenSeq. Twin
-// classes (twins.go) and transitions both key on it. A transition maps
-// (source-state interner ID, content ID) to the successors' states and
-// interner IDs, in raw emission order with duplicates, so a replay feeds the
-// set-insert path the exact sequence the live spec call would; one table
-// serves every history its searcher checks, and labels that repeat content
-// within one history (twins, memo re-entries) too.
+// stepTable is a searcher's state numbering, its label-content identity and
+// its memo of the specification's transition function. stateID gives every
+// state the searcher reaches a dense ID by its canonical key
+// (core.StateKeyer.StateKey); state sets, memo keys and transitions work on
+// those IDs instead of strings. Each check's ID pass (contentIDs) gives every
+// plan label a content ID, shared exactly by the labels that agree on every
+// field a transition may read — Object, Method, Kind, TS, Args and Ret;
+// core.Spec's contract rules out ID, Origin and GenSeq. Twin classes
+// (twins.go) and transitions both key on it. A transition maps (source state
+// ID, content ID) to the successors' states and state IDs, in raw emission
+// order with duplicates, so a replay feeds the set-insert path the exact
+// sequence the live spec call would; one table serves every history its
+// searcher checks, and labels that repeat content within one history (twins,
+// memo re-entries) too.
 //
-// Transitions belong to one comparable spec value and one interner
-// generation (attach resets the table on a change of either); under a
+// State IDs live as long as the table: no restart renumbers them, so a
+// transition stays valid until its contents restart. Transitions belong to
+// one comparable spec value (attach resets them on a change); under a
 // non-comparable spec the table assigns content IDs but stores no
 // transitions, and restarts at every check. It is owned by its searcher,
 // which one goroutine runs at a time, so it takes no lock, and it is dropped
@@ -43,11 +47,13 @@ const contentCap = 1 << 16
 type stepTable struct {
 	// on reports the table stores and replays the current check's
 	// transitions: its spec is comparable.
-	on     bool
-	spec   core.Spec
-	intern *interner
-	// init/initID cache the spec's initial state and its interner ID once it
-	// interned, skipping spec.Init and a StateKey rendering per check.
+	on   bool
+	spec core.Spec
+	// stateIDs maps canonical state keys to their dense state IDs, in
+	// first-sight order.
+	stateIDs map[string]uint32
+	// init/initID cache the spec's initial state and its state ID once it
+	// has one, skipping spec.Init and a StateKey rendering per check.
 	init   core.AbsState
 	initID uint32
 
@@ -93,23 +99,43 @@ type stepSlot struct {
 	state core.AbsState
 }
 
-// attach readies the table for a check of spec over interner in: a warm
-// table of the same spec and interner generation is kept, anything else is
-// reset. Only a spec whose dynamic type is comparable turns transitions on.
-func (t *stepTable) attach(spec core.Spec, in *interner) {
-	if t.on && t.intern == in && safeTokenEqual(t.spec, spec) {
+// attach readies the table for a check of spec: a warm table of the same
+// spec is kept, anything else is reset. Only a spec whose dynamic type is
+// comparable turns transitions on.
+func (t *stepTable) attach(spec core.Spec) {
+	if t.on && safeTokenEqual(t.spec, spec) {
 		return
 	}
 	t.restart()
-	t.on, t.spec, t.intern = false, nil, nil
+	t.on, t.spec = false, nil
 	t.init, t.initID = nil, 0
 	if typ := reflect.TypeOf(spec); typ != nil && typ.Comparable() {
-		t.on, t.spec, t.intern = true, spec, in
+		t.on, t.spec = true, spec
 	}
 }
 
+// stateID returns the state ID of canonical key key, assigning the next
+// dense ID on first sight. Each new key is first admitted against the
+// session-wide Budget.MaxInternedStates (sess nil: no cap); the second
+// result is false when the session is at that cap, and known keys always
+// resolve.
+func (t *stepTable) stateID(key string, sess *Session) (uint32, bool) {
+	if id, ok := t.stateIDs[key]; ok {
+		return id, true
+	}
+	if !sess.admitState() {
+		return 0, false
+	}
+	if t.stateIDs == nil {
+		t.stateIDs = make(map[string]uint32, 64)
+	}
+	id := uint32(len(t.stateIDs))
+	t.stateIDs[key] = id
+	return id, true
+}
+
 // restart drops every content and transition, keeping their storage, and
-// starts a new generation.
+// starts a new generation. State IDs are kept.
 func (t *stepTable) restart() {
 	t.gen++
 	clear(t.slots)

@@ -87,7 +87,7 @@ func TestStepTableContentExact(t *testing.T) {
 		t.Fatal("premise: opaque returns must hash equal")
 	}
 	var tab stepTable
-	tab.attach(opaqueReads{}, newInterner())
+	tab.attach(opaqueReads{})
 	if ids := tab.contentIDs(nil, []*core.Label{a, b, mkRead(3, opaque{1})}); ids[0] == ids[1] || ids[0] != ids[2] {
 		t.Fatalf("content IDs %v: equal contents must share an ID and distinct ones must not", ids)
 	}
@@ -197,6 +197,47 @@ func TestStepTableNonComparableSpec(t *testing.T) {
 	checkAgainstSessionless(t, sess, sp, hs, 4)
 }
 
+// TestStateIDDenseAndStable pins the table's state numbering: IDs are dense
+// in first-sight order, stable, and equal exactly when the keys are; a
+// restart of the contents keeps them; and under a session budget a new key
+// past MaxInternedStates is refused while known keys still resolve.
+func TestStateIDDenseAndStable(t *testing.T) {
+	var tab stepTable
+	want := map[string]uint32{"a": 0, "b": 1, "c": 2, "d": 3, "": 4}
+	for _, k := range []string{"a", "b", "c", "a", "b", "d", ""} {
+		if id, ok := tab.stateID(k, nil); !ok || id != want[k] {
+			t.Fatalf("key %q: got ID %d (ok=%v), want %d", k, id, ok, want[k])
+		}
+	}
+	if len(tab.stateIDs) != len(want) {
+		t.Fatalf("expected %d distinct keys, got %d", len(want), len(tab.stateIDs))
+	}
+	tab.attach(spec.Counter{})
+	tab.restart()
+	for k, w := range want {
+		if id, _ := tab.stateID(k, nil); id != w {
+			t.Fatalf("key %q renumbered across a restart: %d, want %d", k, id, w)
+		}
+	}
+
+	sess := NewSessionWithBudget(Budget{MaxInternedStates: 2})
+	var capped stepTable
+	for _, k := range []string{"a", "b"} {
+		if _, ok := capped.stateID(k, sess); !ok {
+			t.Fatalf("key %q refused below the cap", k)
+		}
+	}
+	if _, ok := capped.stateID("c", sess); ok {
+		t.Fatal("a new key past MaxInternedStates must be refused")
+	}
+	if id, ok := capped.stateID("a", sess); !ok || id != 0 {
+		t.Fatalf("a known key must resolve at the cap: %d, %v", id, ok)
+	}
+	if n := sess.InternedStates(); n != 2 {
+		t.Fatalf("session counts %d state IDs, want 2", n)
+	}
+}
+
 // TestStepTableCap pins the table's bounds and store semantics: the first
 // store of a key wins, a store copies its successors (callers pass scratch),
 // the table stops growing at stepCacheCap transitions, and a table holding
@@ -205,7 +246,7 @@ func TestStepTableNonComparableSpec(t *testing.T) {
 // old numbering replays.
 func TestStepTableCap(t *testing.T) {
 	var tab stepTable
-	tab.attach(spec.Counter{}, newInterner())
+	tab.attach(spec.Counter{})
 	states := []core.AbsState{spec.CounterState(1), spec.CounterState(2)}
 	ids := []uint32{7, 8}
 	tab.put(5, 3, states, ids, 1)
@@ -232,7 +273,7 @@ func TestStepTableCap(t *testing.T) {
 	}
 
 	var full stepTable
-	full.attach(spec.Counter{}, newInterner())
+	full.attach(spec.Counter{})
 	labels := make([]*core.Label, contentCap+1)
 	for i := range labels {
 		labels[i] = mkUpdate(uint64(i+1), fmt.Sprintf("m%d", i))
@@ -260,14 +301,13 @@ func TestStepTableCap(t *testing.T) {
 // by a label, by an edge, or past contentCap contents must re-run the pass.
 func TestContentIDsKeptOnlyForUnchangedPlan(t *testing.T) {
 	s := &searcher{}
-	in := newInterner()
 	check := func(h *core.History) []uint32 {
 		t.Helper()
 		if err := s.plan.build(h, false); err != nil {
 			t.Fatal(err)
 		}
 		clear(s.plan.cids)
-		s.start(h, nil, in, spec.Counter{}, false, core.CheckOptions{})
+		s.start(h, nil, spec.Counter{}, false, core.CheckOptions{})
 		return s.plan.cids
 	}
 	numbered := func(ids []uint32) bool {

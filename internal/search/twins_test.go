@@ -70,7 +70,7 @@ func twinPlan(t *testing.T, s *searcher, h *core.History, sp core.Spec, strong b
 	if err := s.plan.build(h, strong); err != nil {
 		t.Fatal(err)
 	}
-	s.start(h, nil, newInterner(), sp, strong, core.CheckOptions{})
+	s.start(h, nil, sp, strong, core.CheckOptions{})
 	return &s.plan
 }
 
