@@ -5,16 +5,14 @@ import (
 )
 
 // ExecutionOrderLinearization returns the labels of h ordered by the order in
-// which their generators executed at the origin replicas (Section 4.1). For
-// rewritten histories the query part of a query-update precedes its update
-// part, because RewriteHistory numbers them consecutively.
+// which their generators executed at the origin replicas (Section 4.1), ties
+// in insertion order. For rewritten histories the query part of a
+// query-update precedes its update part, because RewriteHistory numbers them
+// consecutively.
 func ExecutionOrderLinearization(h *History) []*Label {
 	seq := h.Labels()
 	sort.SliceStable(seq, func(i, j int) bool {
-		if seq[i].GenSeq != seq[j].GenSeq {
-			return seq[i].GenSeq < seq[j].GenSeq
-		}
-		return seq[i].ID < seq[j].ID
+		return seq[i].GenSeq < seq[j].GenSeq
 	})
 	return seq
 }
@@ -22,7 +20,7 @@ func ExecutionOrderLinearization(h *History) []*Label {
 // TimestampOrderLinearization returns the labels of h ordered primarily by
 // their history timestamp ts_h (own timestamp, or the maximal visible one for
 // operations that do not generate timestamps) and secondarily by generator
-// execution order (Section 4.2).
+// execution order (Section 4.2), ties in insertion order.
 func TimestampOrderLinearization(h *History) []*Label {
 	seq := h.Labels()
 	sort.SliceStable(seq, func(i, j int) bool {
@@ -30,10 +28,7 @@ func TimestampOrderLinearization(h *History) []*Label {
 		if c := ti.Compare(tj); c != 0 {
 			return c < 0
 		}
-		if seq[i].GenSeq != seq[j].GenSeq {
-			return seq[i].GenSeq < seq[j].GenSeq
-		}
-		return seq[i].ID < seq[j].ID
+		return seq[i].GenSeq < seq[j].GenSeq
 	})
 	return seq
 }

@@ -109,46 +109,27 @@ func (r *RewrittenHistory) UpdatePart(id uint64) *Label {
 //
 // Kinds are validated: queries map to queries, updates to updates, and
 // query-updates to a (query, update) pair.
+//
+// A nil rewriting declares γ = id. On a history without query-update labels
+// the identity rewriting only relabels (fresh IDs rank+1, doubled GenSeqs)
+// without changing ranks, structure, kinds, the GenSeq order or the
+// visibility relation, so the result aliases h instead of cloning it — the
+// whole per-history rewrite cost of an identity-rewritten batch check.
+// Candidate orders break GenSeq ties by rank, never by label ID, so aliased
+// and cloned runs are byte-identical on every input. Query-updates are still
+// rejected exactly like IdentityRewriting would: the error names the first
+// one in insertion order.
 func RewriteHistory(h *History, g Rewriting) (*RewrittenHistory, error) {
 	if g == nil {
-		// A nil rewriting declares γ = id. On a history without query-update
-		// labels the identity rewriting only relabels (fresh IDs, doubled
-		// GenSeq) without changing structure, kinds, the GenSeq order or the
-		// visibility relation, so alias the input instead of cloning it —
-		// this is the whole per-history rewrite cost of an identity-
-		// rewritten batch check. Query-updates are still rejected exactly
-		// like IdentityRewriting would, walking insertion order so the error
-		// deterministically names the first offending label. The scan uses
-		// the internal rank slice directly — h.Labels() would copy the
-		// whole label slice on a path whose point is paying nothing per
-		// history.
-		//
-		// Aliasing is only taken when the GenSeqs are pairwise distinct:
-		// candidate orders break GenSeq *ties* on label ID, which under
-		// aliasing is the original ID rather than the fresh insertion-order
-		// ID cloning would assign, so a tied history could linearize its tied
-		// labels in a different order than the cloned run. The same scan
-		// watches for ties — GenSeqs issued by the runtimes increase along
-		// insertion order, so the common case stays a single allocation-free
-		// pass, and only an out-of-order history pays for a duplicate check —
-		// and a tie falls back to the transport below, keeping aliased and
-		// cloned runs byte-identical on every input.
-		monotone := true
-		var prev uint64
-		for k, l := range h.seq {
+		// The scan reads the internal rank slice directly: h.Labels() would
+		// copy the whole label slice on a path whose point is paying nothing
+		// per history.
+		for _, l := range h.seq {
 			if l.IsQueryUpdate() {
 				return nil, fmt.Errorf("rewrite %v: query-update must map to a (query, update) pair", l)
 			}
-			if k > 0 && l.GenSeq <= prev {
-				monotone = false
-			}
-			prev = l.GenSeq
 		}
-		if !monotone && hasGenSeqTie(h) {
-			g = IdentityRewriting{}
-		} else {
-			return &RewrittenHistory{History: h}, nil
-		}
+		return &RewrittenHistory{History: h}, nil
 	}
 	return transport(h, g)
 }
@@ -441,19 +422,4 @@ func ExtendRewriting(rew *RewrittenHistory, h *History, oldLen int, g Rewriting)
 		}
 	}
 	return nil
-}
-
-// hasGenSeqTie reports whether two labels of h share a generator sequence
-// number. Only called on the nil-rewriting fast path after the cheap
-// monotonicity scan failed, so the map is off the common path.
-func hasGenSeqTie(h *History) bool {
-	seen := make(map[uint64]struct{}, len(h.seq))
-	for _, l := range h.seq {
-		gs := l.GenSeq
-		if _, dup := seen[gs]; dup {
-			return true
-		}
-		seen[gs] = struct{}{}
-	}
-	return false
 }

@@ -77,10 +77,11 @@ func safeTokenEqual(a, b any) (eq bool) {
 	return a == b
 }
 
-// Extend implements core.Extender: check h — which gained newOps as its final
-// labels since this session last checked it — reusing the previous verdict as
-// a certificate and the session's rewriting and caches for the prefix. The result's verdict is byte-identical to core.CheckRA on the full
-// history; see the package comment at the top of this file for the
+// Extend implements core.Extender. It checks h, which gained newOps as its
+// final labels since this session last checked it. The previous verdict
+// serves as a certificate, and the session's rewriting and caches serve the
+// prefix. The result's verdict is byte-identical to core.CheckRA on the full
+// history. The comment at the top of this file describes the
 // certificate-first flow and the degradation ladder.
 //
 // Calls for the same history must be externally serialized with each other
@@ -147,7 +148,7 @@ func (s *Session) Extend(h *core.History, spec core.Spec, newOps []*core.Label, 
 		rec.states = append(rec.states[:0], rec.stateBuf...)
 		// Capped so a caller's append cannot write into the certificate.
 		res.Linearization = rec.witness[:rhN:rhN]
-		rec.commit(h, newOps)
+		rec.commit(h)
 		return res
 	}
 
@@ -165,21 +166,16 @@ func (s *Session) Extend(h *core.History, spec core.Spec, newOps []*core.Label, 
 		// the rewriting already covers the new operations.
 		rec.dropWitness()
 	}
-	rec.commit(h, newOps)
+	rec.commit(h)
 	return res
 }
 
 // commit advances the record's coverage to h's current size after a
 // successful extension (whatever the verdict), so the grown rewriting serves
 // the next Extend and every later plain check of h.
-func (rec *record) commit(h *core.History, newOps []*core.Label) {
+func (rec *record) commit(h *core.History) {
 	rec.n = h.Len()
 	rec.edges = h.DirectEdgeCount()
-	for _, l := range newOps {
-		if l.GenSeq > rec.maxGenSeq {
-			rec.maxGenSeq = l.GenSeq
-		}
-	}
 }
 
 // extendable verifies every incremental precondition for growing rec over h:
@@ -194,8 +190,7 @@ func (rec *record) commit(h *core.History, newOps []*core.Label) {
 //     targets a new rank, verified in O(new) by comparing the edge-count
 //     growth against the direct in-degrees of the new ranks;
 //   - on the aliasing fast path additionally: no new query-updates (the nil
-//     rewriting rejects them) and strictly increasing GenSeq continuation (so
-//     a from-scratch check would still alias rather than clone).
+//     rewriting rejects them).
 //
 // Any failure reports false and the caller rebuilds from scratch.
 func (rec *record) extendable(h *core.History, spec core.Spec, token any, newOps []*core.Label) bool {
@@ -217,12 +212,10 @@ func (rec *record) extendable(h *core.History, spec core.Spec, token any, newOps
 		return false
 	}
 	if rec.rew.Aliased() {
-		max := rec.maxGenSeq
 		for _, l := range newOps {
-			if l.IsQueryUpdate() || l.GenSeq <= max {
+			if l.IsQueryUpdate() {
 				return false
 			}
-			max = l.GenSeq
 		}
 	}
 	return true
@@ -249,10 +242,6 @@ func (s *Session) rebuildExt(h *core.History, spec core.Spec, opts core.CheckOpt
 		return res
 	}
 	rec.spec = spec
-	rec.maxGenSeq = 0
-	for t := 0; t < h.Len(); t++ {
-		rec.maxGenSeq = max(rec.maxGenSeq, h.LabelAt(t).GenSeq)
-	}
 	if res.Verdict == core.VerdictValid {
 		rec.setWitness(rec.rew.History, res.Linearization)
 	} else {

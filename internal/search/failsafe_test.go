@@ -4,6 +4,7 @@ import (
 	"context"
 	"reflect"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -141,6 +142,65 @@ func TestBudgetedSessionMatchesUnbudgetedVerdicts(t *testing.T) {
 		got := Run(distinctIncsHistory(6, ret), spec.Counter{}, false, sessOpts(sess))
 		if got.OK != want.OK || got.Complete != want.Complete {
 			t.Fatalf("ret=%d: budgeted verdict %+v differs from unbudgeted %+v", ret, got, want)
+		}
+	}
+}
+
+// forkSpec is a nondeterministic specification over keyed int states: fork
+// steps state 0 to states 1 and 2, step adds 2 to a state, and need(n) is an
+// update admitted only in state n.
+type forkSpec struct{}
+
+type forkState int
+
+func (s forkState) CloneAbs() core.AbsState { return s }
+func (s forkState) EqualAbs(o core.AbsState) bool {
+	t, ok := o.(forkState)
+	return ok && t == s
+}
+func (s forkState) String() string           { return strconv.Itoa(int(s)) }
+func (s forkState) StateKey() (string, bool) { return strconv.Itoa(int(s)), true }
+
+func (forkSpec) Name() string        { return "Spec(fork)" }
+func (forkSpec) Init() core.AbsState { return forkState(0) }
+func (forkSpec) StepAppend(dst []core.AbsState, phi core.AbsState, l *core.Label) []core.AbsState {
+	n := phi.(forkState)
+	switch l.Method {
+	case "fork":
+		if n == 0 {
+			return append(dst, forkState(1), forkState(2))
+		}
+	case "step":
+		return append(dst, n+2)
+	case "need":
+		if int64(n) == l.Args[0].(int64) {
+			return append(dst, n)
+		}
+	}
+	return dst
+}
+
+// TestKeyingFlipKeepsHeldStates checks the flip of a state set from its
+// bitset form to a list of states when keying turns off mid-set. The chain
+// fork → step → need(3) reaches the sets {0}, {1, 2}, {3, 4} and {3}, five
+// states in all. Every cap of MaxInternedStates must still find the witness.
+// At a cap of four, step interns 3 and is refused 4, so the buffer being
+// built holds 3 as a bit when keying flips: a flip that lost it would leave
+// {4} and reject need(3) under condition (ii).
+func TestKeyingFlipKeepsHeldStates(t *testing.T) {
+	h := core.NewHistory()
+	h.MustAdd(mkUpdate(1, "fork"))
+	h.MustAdd(mkUpdate(2, "step"))
+	h.MustAdd(mkUpdate(3, "need", int64(3)))
+	h.MustAddVis(1, 2)
+	h.MustAddVis(2, 3)
+	for limit := range 7 {
+		out := Run(h, forkSpec{}, false, sessOpts(NewSessionWithBudget(Budget{MaxInternedStates: limit})))
+		if !out.OK {
+			t.Fatalf("cap %d: the chain must linearize: %v", limit, out.LastErr)
+		}
+		if want := limit > 0 && limit < 5; out.MemDegraded != want {
+			t.Fatalf("cap %d: degraded %v, want %v", limit, out.MemDegraded, want)
 		}
 	}
 }

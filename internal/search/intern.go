@@ -1,5 +1,7 @@
 package search
 
+import "ralin/internal/core"
+
 // key128 is a 128-bit memo key: the hash of a search configuration. Two
 // distinct configurations colliding requires ~2^64 distinct keys by the
 // birthday bound; searches explore at most millions, so a collision —
@@ -41,30 +43,34 @@ func (h hash128) sum() key128 {
 }
 
 // compactor assigns dense check-local IDs to the transition table's state
-// IDs (stepTable.stateID), in first-contact order. The table numbers every
-// state its searcher reached across all the checks it ran, so the searcher's
-// state-set bitsets and word-folded memo keys index by compact ID instead:
-// their width tracks the states this check actually reaches, not the
-// searcher's whole vocabulary. Assignment is a bijection for the duration of
-// one check, so two sets get equal word sequences iff they held equal state
-// IDs.
+// IDs (stepTable.stateID), in first-contact order, and records what each
+// compact ID stands for: ids[cid] is its state ID and states[cid] its state.
+// The table numbers every state its searcher reached across all the checks
+// it ran, so the searcher's state sets — the bitsets of stateSet — and
+// word-folded memo keys index by compact ID instead: their width tracks the
+// states this check actually reaches, not the searcher's whole vocabulary,
+// and stepAll reads a set's states and state IDs back from here. Assignment
+// is a bijection for the duration of one check, so two sets get equal word
+// sequences iff they held equal state IDs.
 //
 // State IDs are themselves dense from 0, so the forwarding table is a slice
 // indexed by state ID, not a map — compact is an array load on the hot path.
-// Each entry is stamped with the check's epoch, making reset O(1): bumping
-// the epoch invalidates every stale entry at once.
+// Each entry is stamped with the check's epoch, making the forwarding part of
+// reset O(1): bumping the epoch invalidates every stale entry at once.
 type compactor struct {
 	epoch uint32
-	next  uint32
 	// fwd[id] = epoch<<32 | cid, valid only when the stamp matches the
 	// current epoch. Entries never shrink; stale stamps are dead weight until
 	// the slice is reused.
-	fwd []uint64
+	fwd    []uint64
+	ids    []uint32
+	states []core.AbsState
 }
 
-// compact returns the check-local ID of state ID id, assigning the
-// next dense ID on first contact.
-func (c *compactor) compact(id uint32) uint32 {
+// compact returns the check-local ID of state ID id, whose state is phi,
+// assigning the next dense ID (and recording id and phi under it) on first
+// contact.
+func (c *compactor) compact(id uint32, phi core.AbsState) uint32 {
 	if int(id) < len(c.fwd) {
 		if e := c.fwd[id]; uint32(e>>32) == c.epoch {
 			return uint32(e)
@@ -73,14 +79,16 @@ func (c *compactor) compact(id uint32) uint32 {
 	for int(id) >= len(c.fwd) {
 		c.fwd = append(c.fwd, 0)
 	}
-	cid := c.next
-	c.next++
+	cid := uint32(len(c.ids))
+	c.ids = append(c.ids, id)
+	c.states = append(c.states, phi)
 	c.fwd[id] = uint64(c.epoch)<<32 | uint64(cid)
 	return cid
 }
 
 // reset starts a fresh dense ID space for the next check by bumping the
-// epoch; the forwarding slice is kept but every stale entry's stamp stops
+// epoch and drops the recorded states, so a pooled searcher pins none of
+// them; the forwarding slice is kept but every stale entry's stamp stops
 // matching. Epoch 0 is reserved as "never stamped" (the zero value of a grown
 // entry), so a wrap skips it after zeroing the slice, and a zero compactor is
 // reset once before its first check.
@@ -90,5 +98,6 @@ func (c *compactor) reset() {
 		clear(c.fwd)
 		c.epoch = 1
 	}
-	c.next = 0
+	clear(c.states)
+	c.ids, c.states = c.ids[:0], c.states[:0]
 }

@@ -114,20 +114,20 @@ func (s *searcher) memoKey() (key128, bool) {
 	for _, w := range s.placed {
 		h.mix(w)
 	}
-	w0 := uint64(len(s.mainWords))
+	w0 := uint64(len(s.main.words))
 	h.mix(w0)
-	for _, w := range s.mainWords {
+	for _, w := range s.main.words {
 		h.mix(w)
 	}
 	if debug {
-		s.keyTuple = append(append(append(s.keyTuple, s.placed...), w0), s.mainWords...)
+		s.keyTuple = append(append(append(s.keyTuple, s.placed...), w0), s.main.words...)
 	}
 	if !s.strong {
 		for _, q := range s.plan.queries {
 			if s.placed.get(q) {
 				continue
 			}
-			words := s.qwords[q]
+			words := s.q[q].words
 			wq := uint64(q)<<32 | uint64(len(words))
 			h.mix(wq)
 			for _, w := range words {

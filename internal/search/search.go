@@ -52,7 +52,6 @@ package search
 import (
 	"context"
 	"fmt"
-	"slices"
 	"sort"
 
 	"ralin/internal/core"
@@ -145,9 +144,6 @@ type prepared struct {
 	// rank order; the search only ever counts and iterates them.
 	preds [][]int
 	succs [][]int
-	// rowSigs[i] holds the hashes of preds[i] and succs[i], mixed in as
-	// build appends to the rows, so buildTwins never re-reads a row.
-	rowSigs []rowSig
 	// cids[i] is labels[i]'s content ID in the searcher's transition table,
 	// assigned by the ID pass after build (stepTable.contentIDs): the one
 	// label-content identity of the check, read by buildTwins and stepAll.
@@ -180,8 +176,9 @@ type prepared struct {
 }
 
 // orderSorter sorts a label-index permutation by generator sequence, then
-// label ID. Both tie-breaks are total (IDs are unique within a history), so
-// the result is a unique permutation even under an unstable sort.
+// rank (label index). The tie-break is total, so the result is a unique
+// permutation even under an unstable sort, and it reads no label ID: an
+// aliased history and its clone (IDs rank+1) order alike.
 type orderSorter struct {
 	order  []int
 	labels []*core.Label
@@ -194,7 +191,7 @@ func (o *orderSorter) Less(i, j int) bool {
 	if la.GenSeq != lb.GenSeq {
 		return la.GenSeq < lb.GenSeq
 	}
-	return la.ID < lb.ID
+	return o.order[i] < o.order[j]
 }
 
 // build populates the plan for h, reusing the backing arrays of whatever
@@ -216,17 +213,9 @@ func (p *prepared) build(h *core.History, strong bool) error {
 	p.succs = resizeIndexSets(p.succs, n)
 	p.affected = resizeIndexSets(p.affected, n)
 	p.queries = p.queries[:0]
-	p.rowSigs = slices.Grow(p.rowSigs[:0], n)
 	for i := 0; i < n; i++ {
-		p.rowSigs = append(p.rowSigs, newRowSig())
-		h.PredRow(i, func(f int) {
-			p.preds[i] = append(p.preds[i], f)
-			p.rowSigs[i].preds.mix(uint64(f))
-		})
-		h.SuccRow(i, func(t int) {
-			p.succs[i] = append(p.succs[i], t)
-			p.rowSigs[i].succs.mix(uint64(t))
-		})
+		h.PredRow(i, func(f int) { p.preds[i] = append(p.preds[i], f) })
+		h.SuccRow(i, func(t int) { p.succs[i] = append(p.succs[i], t) })
 	}
 	if !strong {
 		for i, l := range labels {

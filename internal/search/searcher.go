@@ -49,29 +49,34 @@ func (r pruneReason) Error() string {
 	return "condition (" + r.cond + "): prefix rejected at " + r.label.String()
 }
 
-// setBuf is one reusable state-set buffer. While the specification is keyable
-// it carries three parallel views of the set: the abstract states in arrival
-// order, their state IDs (stepTable.stateID, the transition keys), and a
-// bitset over check-local compact IDs (searcher.compact) — the set's
-// canonical form. Membership is a single word test on the bitset, and memo
-// hashing folds the words directly instead of walking IDs one at a time. The
-// bitset is kept in canonical trimmed form (its last word is always nonzero),
-// so two buffers hold equal sets exactly when their word slices are equal.
-type setBuf struct {
-	states []core.AbsState
-	ids    []uint32
+// stateSet is one set of abstract states: the main update projection's, or
+// one pending query's justification set. While the specification is keyable
+// a set is its bitset over check-local compact IDs (words; searcher.compact
+// maps each bit back to its state and state ID). Membership is a single word
+// test, and memo hashing folds the words directly. The bitset is kept in
+// canonical trimmed form (its last word is always nonzero), so two sets are
+// equal exactly when their word slices are. Once keying is off, a set built
+// from then on lists its states instead, deduplicated by EqualAbs; sets built
+// before stay bitsets. A set is never in both forms at once.
+type stateSet struct {
 	words  []uint64
+	states []core.AbsState
 }
 
-// searcher is the one per-check object: the search state of one check, its
-// own history plan, memo table and compact ID space, and the record the
-// check reports through — counters, the node budget, the witness, the
-// degradation flag and the interruption record. A Session pools whole
-// searchers (getSearcher/putSearcher), so a warm check reuses every buffer
-// below. One goroutine runs the search, so everything it alone touches is
-// plain. Two fields are also written by the context.AfterFunc callback run
-// registers for a cancellable context: stop, and the first interruption cause
-// under mu; a searcher that callback may still reach is never pooled.
+// empty reports whether the set holds no state, in either form.
+func (set stateSet) empty() bool { return len(set.words) == 0 && len(set.states) == 0 }
+
+// searcher is the one per-check object: the search state of one check (its
+// placed labels, frontier and state sets, one stateSet value per set), its
+// own history plan, memo table and compact ID space (which maps the bits of
+// keyed state sets back to their states), and the record the check reports
+// through — counters, the node budget, the witness, the degradation flag and
+// the interruption record. A Session pools whole searchers
+// (getSearcher/putSearcher), so a warm check reuses every buffer below. One
+// goroutine runs the search, so everything it alone touches is plain. Two
+// fields are also written by the context.AfterFunc callback run registers
+// for a cancellable context: stop, and the first interruption cause under
+// mu; a searcher that callback may still reach is never pooled.
 type searcher struct {
 	// plan is the searcher's own history plan, built by Run; its index
 	// slices are cleared-not-reallocated by each build, so a pooled searcher
@@ -99,7 +104,8 @@ type searcher struct {
 	// the session's memoEntries and handed back when the check ends, so the
 	// unbudgeted claim path pays nothing.
 	memoLimit int64
-	// compact assigns dense check-local IDs to the table's state IDs.
+	// compact assigns dense check-local IDs to the table's state IDs — the
+	// bits of the check's keyed state sets — and maps them back.
 	compact compactor
 
 	// stop asks the search to unwind at its next node; interrupt sets it.
@@ -123,7 +129,7 @@ type searcher struct {
 
 	// stepScratch is the reusable buffer StepAppend fills per transition.
 	stepScratch []core.AbsState
-	// fillIDs is the scratch slice of successor state IDs fillStep assigns
+	// fillIDs is the scratch slice of successor state IDs step assigns
 	// before a transition is stored in the table.
 	fillIDs []uint32
 
@@ -143,27 +149,19 @@ type searcher struct {
 	frontier bitset
 	seq      []int
 	// main is the set of abstract states reachable after the placed updates
-	// (RA mode) or the placed prefix (strong mode); mainIDs/mainWords are its
-	// state-ID and compact-bitset views, nil once keying is off.
-	main      []core.AbsState
-	mainIDs   []uint32
-	mainWords []uint64
-	// qstates[q] / qids[q] / qwords[q] are, for each unplaced query index q,
-	// the three views of its justification set so far (RA mode only);
-	// non-query indices stay nil.
-	qstates [][]core.AbsState
-	qids    [][]uint32
-	qwords  [][]uint64
+	// (RA mode) or the placed prefix (strong mode).
+	main stateSet
+	// q[i] is, for each unplaced query index i, its justification set so far
+	// (RA mode only); non-query indices stay empty.
+	q []stateSet
 	// keyable reports whether every state seen so far got a state ID; it
 	// flips off — disabling memoization with it — at the first state without
 	// a canonical key or past the session's state-ID budget.
 	keyable bool
-	// initStates/initIDs/initWords back the bottom-of-stack main set ({ϕ0});
-	// they are owned by the searcher (never pooled by putBuf) and reused
-	// across the checks of a session.
-	initStates []core.AbsState
-	initIDs    []uint32
-	initWords  []uint64
+	// init backs the bottom-of-stack main set ({ϕ0}); it is owned by the
+	// searcher (never pooled by putBuf) and reused across the checks of a
+	// session.
+	init stateSet
 	// keyTuple is the debug-memo scratch: the exact word sequence the last
 	// memoKey hashed, stored by claim as the collision-check witness. Unused
 	// (and never grown) outside debug mode.
@@ -172,10 +170,10 @@ type searcher struct {
 	frames []frame
 	// pool recycles state-set buffers released by leave; after warm-up the
 	// inner loop allocates nothing here.
-	pool []setBuf
+	pool []stateSet
 	// stepped stages the advanced query sets of one enter so the searcher is
 	// left untouched when a later query's justification dies.
-	stepped []setBuf
+	stepped []stateSet
 
 	// witMem is the witness arena: the current chunk carveWitness cuts
 	// complete linearizations from. Carved regions are caller-owned and never
@@ -251,28 +249,19 @@ func (s *searcher) start(h *core.History, sess *Session, spec core.Spec, strong 
 	s.keyable = true
 	s.reason = pruneReason{}
 	s.stats = core.Stats{}
-	init, initID, initOK := s.cachedInit()
-	s.initStates = append(s.initStates[:0], init)
-	s.main = s.initStates
-	s.mainIDs, s.mainWords = nil, nil
-	if initOK {
-		s.initIDs = append(s.initIDs[:0], initID)
-		s.mainIDs = s.initIDs
-		cid := s.compact.compact(initID)
-		s.initWords = appendBit(s.initWords[:0], cid)
-		s.mainWords = s.initWords
-	}
-	s.qstates = resizeSets(s.qstates, n)
-	s.qids = resizeSets(s.qids, n)
-	s.qwords = resizeSets(s.qwords, n)
+	s.init = stateSet{words: s.init.words[:0], states: s.init.states[:0]}
+	// A failed state-ID probe in cachedInit turned keying off, so the
+	// insert lists the state.
+	init, initID := s.cachedInit()
+	s.insertKnown(&s.init, init, initID)
+	s.main = s.init
+	s.q = resizeSets(s.q, n)
 	if !strong {
 		for _, q := range plan.queries {
 			// All pending justifications start at the initial state; the
 			// shared slice is safe because sets are never mutated in place
 			// and only enter-created buffers are ever recycled.
-			s.qstates[q] = s.main
-			s.qids[q] = s.mainIDs
-			s.qwords[q] = s.mainWords
+			s.q[q] = s.main
 		}
 	}
 }
@@ -282,28 +271,17 @@ func (s *searcher) start(h *core.History, sess *Session, spec core.Spec, strong 
 // state and the StateKey rendering the state-ID probe needs — the last
 // per-check allocations of a warm re-check. A state without an ID (unkeyable
 // spec, state IDs at budget) is never cached.
-func (s *searcher) cachedInit() (core.AbsState, uint32, bool) {
+func (s *searcher) cachedInit() (core.AbsState, uint32) {
 	t := &s.table
 	if t.init != nil {
-		return t.init, t.initID, true
+		return t.init, t.initID
 	}
 	init := s.spec.Init()
 	id, ok := s.internState(init)
 	if ok && t.on {
 		t.init, t.initID = init, id
 	}
-	return init, id, ok
-}
-
-// appendBit extends words so bit id is set, growing to exactly the word that
-// holds it — which keeps the slice in canonical trimmed form (last word
-// nonzero) when building a fresh single-bit set.
-func appendBit(words []uint64, id uint32) []uint64 {
-	w, m := int(id>>6), uint64(1)<<(id&63)
-	for len(words) < w {
-		words = append(words, 0)
-	}
-	return append(words, m)
+	return init, id
 }
 
 // release unwinds the searcher and drops every reference into the finished
@@ -324,15 +302,13 @@ func (s *searcher) release() {
 	s.witness = nil
 	clear(s.stepScratch[:cap(s.stepScratch)])
 	s.stepScratch = s.stepScratch[:0]
-	clear(s.initStates[:cap(s.initStates)])
-	s.initStates = s.initStates[:0]
-	s.main, s.mainIDs, s.mainWords = nil, nil, nil
-	clear(s.qstates[:cap(s.qstates)])
-	clear(s.qids[:cap(s.qids)])
-	clear(s.qwords[:cap(s.qwords)])
+	s.compact.reset()
+	clear(s.init.states[:cap(s.init.states)])
+	s.main = stateSet{}
+	clear(s.q[:cap(s.q)])
 	frames := s.frames[:cap(s.frames)]
 	for i := range frames {
-		frames[i].main, frames[i].mainIDs, frames[i].mainWords = nil, nil, nil
+		frames[i].main = stateSet{}
 		saved := frames[i].saved[:cap(frames[i].saved)]
 		for k := range saved {
 			saved[k] = savedQuery{}
@@ -361,11 +337,11 @@ func resizeBitset(b bitset, n int) bitset {
 	return b
 }
 
-// resizeSets returns a length-n slice of nil sets, reusing s's backing array
-// (scrubbed over its full capacity so no stale sets survive).
-func resizeSets[T any](s [][]T, n int) [][]T {
+// resizeSets returns a length-n slice of empty sets, reusing s's backing
+// array (scrubbed over its full capacity so no stale sets survive).
+func resizeSets(s []stateSet, n int) []stateSet {
 	if cap(s) < n {
-		return make([][]T, n)
+		return make([]stateSet, n)
 	}
 	clear(s[:cap(s)])
 	return s[:n]
@@ -581,27 +557,27 @@ func (s *searcher) explore(i int) status {
 func (s *searcher) enter(i int) bool {
 	l := s.plan.labels[i]
 	if s.strong {
-		next := s.stepAll(s.main, s.mainIDs, i)
-		if len(next.states) == 0 {
+		next := s.stepAll(s.main, i)
+		if next.empty() {
 			s.putBuf(next)
 			s.stats.Pruned++
 			s.reason = pruneReason{label: l, cond: "prefix"}
 			return false
 		}
 		fr := s.pushFrame()
-		fr.main, fr.mainIDs, fr.mainWords = s.main, s.mainIDs, s.mainWords
+		fr.main = s.main
 		if !l.IsQuery() {
 			// Updates (and query-updates, which strong mode treats as
 			// updates) advance the prefix state; queries only have to be
 			// admitted at it.
 			fr.advanced = true
-			s.main, s.mainIDs, s.mainWords = next.states, next.ids, next.words
+			s.main = next
 		} else {
 			s.putBuf(next)
 		}
 	} else if l.IsUpdate() {
-		next := s.stepAll(s.main, s.mainIDs, i)
-		if len(next.states) == 0 {
+		next := s.stepAll(s.main, i)
+		if next.empty() {
 			s.putBuf(next)
 			s.stats.Pruned++
 			s.reason = pruneReason{label: l, cond: "ii"}
@@ -616,8 +592,8 @@ func (s *searcher) enter(i int) bool {
 			if s.placed.get(q) {
 				continue
 			}
-			nq := s.stepAll(s.qstates[q], s.qids[q], i)
-			if len(nq.states) == 0 {
+			nq := s.stepAll(s.q[q], i)
+			if nq.empty() {
 				s.putBuf(nq)
 				for _, b := range s.stepped {
 					s.putBuf(b)
@@ -631,25 +607,25 @@ func (s *searcher) enter(i int) bool {
 			s.stepped = append(s.stepped, nq)
 		}
 		fr := s.pushFrame()
-		fr.main, fr.mainIDs, fr.mainWords = s.main, s.mainIDs, s.mainWords
+		fr.main = s.main
 		fr.advanced = true
 		k := 0
 		for _, q := range s.plan.affected[i] {
 			if s.placed.get(q) {
 				continue
 			}
-			fr.saved = append(fr.saved, savedQuery{q: q, states: s.qstates[q], ids: s.qids[q], words: s.qwords[q]})
-			s.qstates[q], s.qids[q], s.qwords[q] = s.stepped[k].states, s.stepped[k].ids, s.stepped[k].words
+			fr.saved = append(fr.saved, savedQuery{q: q, set: s.q[q]})
+			s.q[q] = s.stepped[k]
 			k++
 		}
 		s.stepped = s.stepped[:0]
-		s.main, s.mainIDs, s.mainWords = next.states, next.ids, next.words
+		s.main = next
 	} else {
 		// Queries: the justification (visible updates in placed order,
 		// then the query) must be admitted. All visible updates are
-		// necessarily placed already, so qstates[i] is final.
-		res := s.stepAll(s.qstates[i], s.qids[i], i)
-		admitted := len(res.states) > 0
+		// necessarily placed already, so q[i] is final.
+		res := s.stepAll(s.q[i], i)
+		admitted := !res.empty()
 		s.putBuf(res)
 		if !admitted {
 			s.stats.Pruned++
@@ -657,7 +633,7 @@ func (s *searcher) enter(i int) bool {
 			return false
 		}
 		fr := s.pushFrame()
-		fr.main, fr.mainIDs, fr.mainWords = s.main, s.mainIDs, s.mainWords
+		fr.main = s.main
 	}
 	s.placed.set(i)
 	s.frontier.clear(s.plan.pos[i])
@@ -703,34 +679,31 @@ func (s *searcher) leave(i int) {
 	fr := &s.frames[len(s.frames)-1]
 	for k := len(fr.saved) - 1; k >= 0; k-- {
 		sv := fr.saved[k]
-		s.putBuf(setBuf{states: s.qstates[sv.q], ids: s.qids[sv.q], words: s.qwords[sv.q]})
-		s.qstates[sv.q], s.qids[sv.q], s.qwords[sv.q] = sv.states, sv.ids, sv.words
+		s.putBuf(s.q[sv.q])
+		s.q[sv.q] = sv.set
 	}
 	if fr.advanced {
-		s.putBuf(setBuf{states: s.main, ids: s.mainIDs, words: s.mainWords})
+		s.putBuf(s.main)
 	}
-	s.main, s.mainIDs, s.mainWords = fr.main, fr.mainIDs, fr.mainWords
+	s.main = fr.main
 	s.frames = s.frames[:len(s.frames)-1]
 }
 
-// frame is the undo record of one placement. State-set slices are never
-// mutated in place once published (stepAll dedups inside the buffer before it
-// becomes visible), so saving the old slice headers restores them exactly;
-// advanced records whether enter replaced the main set (and leave must
-// recycle the replacement).
+// frame is the undo record of one placement. State sets are never mutated in
+// place once published (stepAll dedups inside the buffer before it becomes
+// visible), so saving the old set values restores them exactly; advanced
+// records whether enter replaced the main set (and leave must recycle the
+// replacement).
 type frame struct {
-	main      []core.AbsState
-	mainIDs   []uint32
-	mainWords []uint64
-	advanced  bool
-	saved     []savedQuery
+	main     stateSet
+	advanced bool
+	saved    []savedQuery
 }
 
+// savedQuery is the justification set query q held before a placement.
 type savedQuery struct {
-	q      int
-	states []core.AbsState
-	ids    []uint32
-	words  []uint64
+	q   int
+	set stateSet
 }
 
 // pushFrame returns the next frame slot, reusing the backing array (and each
@@ -743,159 +716,137 @@ func (s *searcher) pushFrame() *frame {
 		s.frames = s.frames[:len(s.frames)+1]
 	}
 	fr := &s.frames[len(s.frames)-1]
-	fr.main, fr.mainIDs, fr.mainWords = nil, nil, nil
+	fr.main = stateSet{}
 	fr.advanced = false
 	fr.saved = fr.saved[:0]
 	return fr
 }
 
 // getBuf takes a recycled state-set buffer from the pool (or a zero one).
-func (s *searcher) getBuf() setBuf {
+func (s *searcher) getBuf() stateSet {
 	if n := len(s.pool); n > 0 {
 		b := s.pool[n-1]
 		s.pool = s.pool[:n-1]
 		return b
 	}
-	return setBuf{}
+	return stateSet{}
 }
 
 // putBuf returns a buffer to the pool, dropping its state references so the
 // pool does not pin dead abstract states.
-func (s *searcher) putBuf(b setBuf) {
-	for i := range b.states {
-		b.states[i] = nil
-	}
-	s.pool = append(s.pool, setBuf{states: b.states[:0], ids: b.ids[:0], words: b.words[:0]})
+func (s *searcher) putBuf(b stateSet) {
+	clear(b.states)
+	s.pool = append(s.pool, stateSet{words: b.words[:0], states: b.states[:0]})
 }
 
 // stepAll applies plan label i to every state of the set and returns the
-// deduped successor set in a pooled buffer; ids is the set's parallel
-// state-ID view (nil or shorter once keying is off, which routes around the
-// table). With a transition table each (source state, label content)
-// transition is replayed from the table when present — no spec call, no
-// StateKey rendering, no state-ID probe — and stepped-and-stored otherwise.
-// While the specification is keyable, deduplication is a single bit test on
-// the compact-ID bitset; otherwise it falls back to pairwise EqualAbs.
-func (s *searcher) stepAll(states []core.AbsState, ids []uint32, i int) setBuf {
+// deduped successor set in a pooled buffer. A keyed set is walked bit by bit
+// in compact-ID order, reading each state and state ID back from the
+// compactor; a listed one state by state.
+func (s *searcher) stepAll(set stateSet, i int) stateSet {
 	buf := s.getBuf()
-	l := s.plan.labels[i]
-	t := &s.table
-	if t.on && s.keyable && len(ids) == len(states) {
-		cid := s.plan.cids[i]
-		for si := 0; si < len(states); si++ {
-			sl := t.get(ids[si], cid)
-			if sl == nil {
-				if !s.fillStep(states[si], ids[si], l, cid, &buf) {
-					// Keying flipped off mid-transition: the buffer already
-					// fell back to EqualAbs dedup; route the remaining source
-					// states through the live path.
-					s.stepUncached(&buf, states[si+1:], l)
-					return buf
-				}
-				continue
-			}
-			s.stats.StepHits++
-			if sl.n == 1 {
-				s.insertKnown(&buf, sl.state, sl.id)
-				continue
-			}
-			for k := sl.id; k < sl.id+sl.n; k++ {
-				s.insertKnown(&buf, t.states[k], t.ids[k])
-			}
+	c := &s.compact
+	for w, word := range set.words {
+		for word != 0 {
+			b := bits.TrailingZeros64(word)
+			word &^= 1 << b
+			k := w<<6 | b
+			s.step(&buf, c.states[k], c.ids[k], true, i)
 		}
-		return buf
 	}
-	s.stepUncached(&buf, states, l)
+	for _, phi := range set.states {
+		s.step(&buf, phi, 0, false, i)
+	}
 	return buf
 }
 
-// fillStep computes the successors of one (state, label) transition, inserts
-// them into buf, and — when every successor got a state ID — stores the raw
-// transition (successors in emission order, duplicates included, so a replay
-// inserts the exact sequence the live path would) in the transition table
-// under content ID cid. It returns false when keying flipped off
-// mid-transition.
-func (s *searcher) fillStep(phi core.AbsState, id uint32, l *core.Label, cid uint32, buf *setBuf) bool {
+// step inserts the successors of state phi under plan label i into buf;
+// keyed reports that id is phi's state ID. A keyed source's (state, label
+// content) transition is replayed from the transition table when present —
+// no spec call, no StateKey rendering, no state-ID probe — and otherwise
+// stepped and, when every successor got a state ID, stored: successors in
+// emission order, duplicates included, so a replay inserts the exact
+// sequence the live path would.
+func (s *searcher) step(buf *stateSet, phi core.AbsState, id uint32, keyed bool, i int) {
+	t := &s.table
+	cid := s.plan.cids[i]
+	keyed = keyed && t.on
+	if keyed {
+		if sl := t.get(id, cid); sl != nil {
+			s.stats.StepHits++
+			if sl.n == 1 {
+				s.insertKnown(buf, sl.state, sl.id)
+				return
+			}
+			for k := sl.id; k < sl.id+sl.n; k++ {
+				s.insertKnown(buf, t.states[k], t.ids[k])
+			}
+			return
+		}
+	}
 	s.stats.Steps++
-	raw := s.spec.StepAppend(s.stepScratch[:0], phi, l)
+	raw := s.spec.StepAppend(s.stepScratch[:0], phi, s.plan.labels[i])
 	s.stepScratch = raw
 	s.fillIDs = s.fillIDs[:0]
 	for _, nxt := range raw {
 		nid, ok := s.internState(nxt)
 		if !ok {
-			// The buffer's keyed views are meaningless now; drop them and
-			// re-insert everything via the EqualAbs fallback (the states
-			// inserted so far were deduped consistently).
-			buf.ids = buf.ids[:0]
-			buf.words = buf.words[:0]
+			// Keying is off (or just flipped off): list every successor.
 			for _, r := range raw {
-				s.insert(buf, r)
+				s.insertListed(buf, r)
 			}
-			return false
+			return
 		}
 		s.fillIDs = append(s.fillIDs, nid)
 	}
 	for k := range raw {
 		s.insertKnown(buf, raw[k], s.fillIDs[k])
 	}
-	s.table.put(id, cid, raw, s.fillIDs, len(s.plan.labels))
-	return true
-}
-
-// stepUncached is the table-less transition loop of stepAll.
-func (s *searcher) stepUncached(buf *setBuf, states []core.AbsState, l *core.Label) {
-	s.stats.Steps += len(states)
-	for _, phi := range states {
-		sc := s.spec.StepAppend(s.stepScratch[:0], phi, l)
-		s.stepScratch = sc
-		for _, nxt := range sc {
-			s.insert(buf, nxt)
-		}
+	if keyed {
+		t.put(id, cid, raw, s.fillIDs, len(s.plan.labels))
 	}
 }
 
-// insert adds one successor state to the buffer, deduplicating by compact-ID
-// bit test or, once keying is off, by EqualAbs scan.
-func (s *searcher) insert(buf *setBuf, phi core.AbsState) {
-	if s.keyable {
-		if id, ok := s.internState(phi); ok {
-			s.insertKnown(buf, phi, id)
-			return
-		}
-		// Keying just flipped off: the states inserted so far were deduped
-		// consistently (equal IDs iff equal states); continue with EqualAbs
-		// and drop the now-meaningless ID and word views.
-		buf.ids = buf.ids[:0]
-		buf.words = buf.words[:0]
+// insertKnown adds one successor with a known state ID: the ID is mapped to
+// its check-local compact ID and membership is a single word test on the
+// buffer's bitset. The bitset grows to exactly the word holding the new bit,
+// preserving the canonical trimmed form (last word nonzero). Once keying is
+// off the state is listed instead.
+func (s *searcher) insertKnown(buf *stateSet, phi core.AbsState, id uint32) {
+	if !s.keyable {
+		s.insertListed(buf, phi)
+		return
 	}
+	cid := s.compact.compact(id, phi)
+	w, m := int(cid>>6), uint64(1)<<(cid&63)
+	if w < len(buf.words) {
+		buf.words[w] |= m
+		return
+	}
+	for len(buf.words) < w {
+		buf.words = append(buf.words, 0)
+	}
+	buf.words = append(buf.words, m)
+}
+
+// insertListed adds one successor to a set in listed form, deduplicating by
+// EqualAbs scan. The first insert after keying flipped off lists the states
+// the buffer already held as bits.
+func (s *searcher) insertListed(buf *stateSet, phi core.AbsState) {
+	for w, word := range buf.words {
+		for word != 0 {
+			b := bits.TrailingZeros64(word)
+			word &^= 1 << b
+			buf.states = append(buf.states, s.compact.states[w<<6|b])
+		}
+	}
+	buf.words = buf.words[:0]
 	for _, t := range buf.states {
 		if t.EqualAbs(phi) {
 			return
 		}
 	}
 	buf.states = append(buf.states, phi)
-}
-
-// insertKnown adds one successor with a known state ID: the ID is mapped to
-// its check-local compact ID and membership is a single word test on the
-// buffer's bitset. The bitset grows to exactly the word holding the new bit,
-// preserving the canonical trimmed form (last word nonzero).
-func (s *searcher) insertKnown(buf *setBuf, phi core.AbsState, id uint32) {
-	cid := s.compact.compact(id)
-	w, m := int(cid>>6), uint64(1)<<(cid&63)
-	if w < len(buf.words) {
-		if buf.words[w]&m != 0 {
-			return
-		}
-		buf.words[w] |= m
-	} else {
-		for len(buf.words) < w {
-			buf.words = append(buf.words, 0)
-		}
-		buf.words = append(buf.words, m)
-	}
-	buf.states = append(buf.states, phi)
-	buf.ids = append(buf.ids, id)
 }
 
 // carveWitness materializes the current (complete) prefix as a label sequence,

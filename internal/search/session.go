@@ -245,7 +245,10 @@ func (s *Session) InternedStates() int {
 // check of h through the session uses, the size of h it covers, and — once
 // Extend has decided h — the specification and the certificate the next
 // Extend replays. Plain checks and Extend share it, so the certificate is
-// always a witness over the record's own rewriting.
+// always a witness over the record's own rewriting. An aliased rewriting
+// grows with h itself: a nil rewriting aliases every history without
+// query-updates, so the record keeps nothing about h's labels beyond the
+// size it covers.
 type record struct {
 	// token identifies the rewriting (core.RewritingIdentity).
 	token any
@@ -259,11 +262,6 @@ type record struct {
 	// spec is the specification Extend last decided h under; nil until
 	// Extend has decided h (a record made by a plain check).
 	spec core.Spec
-	// maxGenSeq is the largest generator sequence number across h's labels,
-	// maintained so the aliasing fast path's precondition (no GenSeq ties, as
-	// implied by strictly increasing continuation) is checked per new label
-	// instead of per history.
-	maxGenSeq uint64
 	// valid reports the last verdict was Valid; witness is then its
 	// linearization in session-owned backing (never a carved arena
 	// sub-slice — a long-lived certificate must not pin a searcher's witness

@@ -259,9 +259,9 @@ func TestDebugMemoTupleIsHashedWords(t *testing.T) {
 	s := &searcher{memoize: true, keyable: true}
 	s.memo.debug = true
 	s.placed = bitset{0b101}
-	s.mainWords = []uint64{7, 9}
+	s.main.words = []uint64{7, 9}
 	s.plan.queries = []int{1, 2, 3}
-	s.qwords = [][]uint64{nil, {3}, {5}, {1, 4}}
+	s.q = []stateSet{{}, {words: []uint64{3}}, {words: []uint64{5}}, {words: []uint64{1, 4}}}
 	key, ok := s.memoKey()
 	want := []uint64{0b101, 2, 7, 9, 1<<32 | 1, 3, 3<<32 | 2, 1, 4}
 	if !ok || !slices.Equal(s.keyTuple, want) {

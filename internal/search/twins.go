@@ -100,14 +100,12 @@ func (p *prepared) twins(a, b int) bool {
 // twinFingerprint hashes every input of the twin predicate for label i: its
 // content through the hash the ID pass stored with its representative — a
 // function of the content alone, where the ID also depends on which contents
-// the table met first — and its rows through their cached hashes
-// (p.rowSigs). Twins always hash equal.
+// the table met first — and its two rows. Twins always hash equal.
 func (p *prepared) twinFingerprint(i int, reps []contentRep) uint64 {
 	h := fnv(fnvOffset)
 	h.mix(reps[p.cids[i]].hash)
-	sig := p.rowSigs[i]
-	h.mix(uint64(sig.preds))
-	h.mix(uint64(sig.succs))
+	h.mix(uint64(hashRow(p.preds[i])))
+	h.mix(uint64(hashRow(p.succs[i])))
 	// FNV's low bits depend only on its inputs' low bits; the finalizer
 	// spreads every input bit over the whole key.
 	return splitmix64(uint64(h))
@@ -181,10 +179,11 @@ func (h *fnv) mixValue(v core.Value) {
 	}
 }
 
-// rowSig holds the hashes of one label's predecessor and successor rows.
-// Rows only ever grow at the end, so extending a row's hash by each appended
-// index keeps it equal to the hash of the whole row.
-type rowSig struct{ preds, succs fnv }
-
-// newRowSig is the hash pair of two empty rows.
-func newRowSig() rowSig { return rowSig{preds: fnvOffset, succs: fnvOffset} }
+// hashRow hashes one predecessor or successor row.
+func hashRow(row []int) fnv {
+	h := fnv(fnvOffset)
+	for _, x := range row {
+		h.mix(uint64(x))
+	}
+	return h
+}

@@ -300,24 +300,4 @@ func TestExtendSplitsTwins(t *testing.T) {
 	if err := core.IsRALinearization(res.Rewritten, res.Linearization, spec.Register{}); err != nil {
 		t.Fatalf("witness rejected: %v", err)
 	}
-	// The cached row hashes must match the rows of a plan built from
-	// scratch.
-	var p prepared
-	if err := p.build(res.Rewritten, false); err != nil {
-		t.Fatal(err)
-	}
-	for i := range p.labels {
-		if want := (rowSig{preds: hashRow(p.preds[i]), succs: hashRow(p.succs[i])}); p.rowSigs[i] != want {
-			t.Fatalf("label %d: cached row hashes %v, rows hash to %v", i, p.rowSigs[i], want)
-		}
-	}
-}
-
-// hashRow hashes a whole row the way build mixes it in index by index.
-func hashRow(row []int) fnv {
-	h := fnv(fnvOffset)
-	for _, x := range row {
-		h.mix(uint64(x))
-	}
-	return h
 }
