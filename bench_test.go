@@ -359,17 +359,17 @@ func BenchmarkBatchCheckRandomHistories(b *testing.B) {
 		name  string
 		batch harness.Options
 	}{
-		{"fresh/w1", harness.Options{BatchWorkers: 1, FreshSessions: true, Check: &check}},
-		{"fresh/w4", harness.Options{BatchWorkers: 4, FreshSessions: true, Check: &check}},
-		{"shared/w1", harness.Options{BatchWorkers: 1, Check: &check}},
-		{"shared/w4", harness.Options{BatchWorkers: 4, Check: &check}},
+		{"fresh/w1", harness.Options{BatchWorkers: 1, FreshSessions: true}},
+		{"fresh/w4", harness.Options{BatchWorkers: 4, FreshSessions: true}},
+		{"shared/w1", harness.Options{BatchWorkers: 1}},
+		{"shared/w4", harness.Options{BatchWorkers: 4}},
 	}
 	for _, v := range variants {
 		v := v
 		b.Run(v.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				out, err := harness.CheckRandomHistoriesWith(d, trials, cfg, v.batch)
+				out, err := harness.CheckGeneratedAgainst(d.Name, d.Spec, check, harness.RandomGenerator{Desc: d, Cfg: cfg}, trials, v.batch)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -34,8 +34,9 @@ func loadCorpus(t testing.TB) ([]scenario.Entry, []string) {
 	return entries, paths
 }
 
-// TestScenarioCorpusReplay replays every committed corpus entry and asserts
-// the verdict recorded at harvest time.
+// TestScenarioCorpusReplay replays every committed corpus entry, asserts
+// the verdict recorded at harvest time and checks every Valid witness with
+// core.IsRALinearization.
 func TestScenarioCorpusReplay(t *testing.T) {
 	entries, paths := loadCorpus(t)
 	for i, e := range entries {
@@ -52,6 +53,20 @@ func TestScenarioCorpusReplay(t *testing.T) {
 			t.Errorf("%s: replay verdict %v, corpus recorded RA-linearizable=%v (scenario %s seed %d vs %s)",
 				paths[i], res.Verdict, e.RALinearizable, e.Scenario, e.Seed, e.Spec)
 		}
+		checkWitness(t, paths[i], res, plan.Spec)
+	}
+}
+
+// checkWitness fails unless a Valid result's linearization passes
+// core.IsRALinearization over its rewritten history: the definition checked
+// directly, by a checker the search does not use.
+func checkWitness(t *testing.T, ctx string, res core.Result, sp core.Spec) {
+	t.Helper()
+	if res.Verdict != core.VerdictValid {
+		return
+	}
+	if err := core.IsRALinearization(res.Rewritten, res.Linearization, sp); err != nil {
+		t.Errorf("%s: witness fails IsRALinearization: %v", ctx, err)
 	}
 }
 

@@ -9,6 +9,7 @@ package ralin
 // under the race detector.
 
 import (
+	"fmt"
 	"testing"
 
 	"ralin/internal/core"
@@ -40,7 +41,8 @@ func corpusPrefixBuckets(t *testing.T, h *core.History) [][]core.VisEdge {
 
 // TestScenarioCorpusIncrementalReplay replays every corpus entry through the
 // incremental checker and asserts from-scratch verdict parity at every
-// prefix, plus the recorded corpus verdict for the full history.
+// prefix, an IsRALinearization check of every Valid prefix's witness, plus
+// the recorded corpus verdict for the full history.
 func TestScenarioCorpusIncrementalReplay(t *testing.T) {
 	entries, paths := loadCorpus(t)
 	sess := search.NewSession()
@@ -81,6 +83,7 @@ func TestScenarioCorpusIncrementalReplay(t *testing.T) {
 				t.Fatalf("%s: prefix %d/%d: incremental verdict %v (replayed=%v) diverges from from-scratch %v",
 					paths[i], k+1, h.Len(), res.Verdict, res.WitnessReplayed, fresh.Verdict)
 			}
+			checkWitness(t, fmt.Sprintf("%s: prefix %d/%d (replayed=%v)", paths[i], k+1, h.Len(), res.WitnessReplayed), res, plan.Spec)
 			if res.WitnessReplayed {
 				replayed++
 			}

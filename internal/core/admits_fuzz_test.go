@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"ralin/internal/compose"
@@ -147,20 +148,19 @@ func visibleBefore(m *listModel, p int) int {
 	return n
 }
 
-// checkAdmitsIdentity asserts that the depth-first Admits, the set fold's
-// StatesAfter and FirstRejected agree on seq, and that Admits takes no more
-// spec steps than the set fold, and returns the two step counts.
+// checkAdmitsIdentity asserts that Fold agrees with the breadth-first set
+// fold on seq — the same rejection index and, on admission, a final state
+// inside the set — in no more spec steps, and returns the two step counts.
 func checkAdmitsIdentity(t *testing.T, sp core.Spec, seq []*core.Label) (depthFirst, setFold int) {
 	t.Helper()
 	c := &countingSpec{Spec: sp}
-	admitted := core.Admits(c, seq)
+	phi, rejected := core.Fold(c, seq)
 	depthFirst, c.steps = c.steps, 0
-	rejected := core.FirstRejected(c, seq)
+	states, want := core.SetFold(c, seq)
 	setFold = c.steps
-	states := core.StatesAfter(c, seq)
-	if admitted != (len(states) > 0) || admitted != (rejected < 0) {
-		t.Fatalf("%s: Admits %v, |StatesAfter| %d, FirstRejected %d on %s",
-			sp.Name(), admitted, len(states), rejected, core.FormatLabels(seq))
+	if rejected != want || (phi != nil) != (rejected < 0) || phi != nil && !slices.ContainsFunc(states, phi.EqualAbs) {
+		t.Fatalf("%s: Fold (%v, %d), set fold (%v, %d) on %s",
+			sp.Name(), phi, rejected, states, want, core.FormatLabels(seq))
 	}
 	if depthFirst > setFold {
 		t.Fatalf("%s: depth-first took %d steps, the set fold %d on %s",
@@ -169,14 +169,14 @@ func checkAdmitsIdentity(t *testing.T, sp core.Spec, seq []*core.Label) (depthFi
 	return depthFirst, setFold
 }
 
-// FuzzAdmitsDepthFirst checks the depth-first Admits against the set fold on
+// FuzzAdmitsDepthFirst checks Fold's depth-first walk against the set fold on
 // the nondeterministic list specifications: over every decoded Wooki and
-// addAt2 label sequence, Admits must hold exactly when StatesAfter is
-// non-empty and FirstRejected is -1, in no more spec steps.
+// addAt2 label sequence, both must reject at the same index, and an admitted
+// sequence must end in a state of the set, in no more spec steps.
 func FuzzAdmitsDepthFirst(f *testing.F) {
 	f.Add([]byte{0, 0, 3})
 	// The model puts the second value after the first; the read is admitted
-	// only by the spec's second insertion point, so Admits must backtrack.
+	// only by the spec's second insertion point, so Fold must backtrack.
 	f.Add([]byte{0, 0x50, 3})
 	f.Add([]byte{0, 0, 0x10, 3, 2, 3})
 	f.Add([]byte{0, 0x80, 3, 0x83})

@@ -86,18 +86,31 @@ const (
 	GuidanceGuided
 )
 
-// EngineSession is an opaque handle to cross-check state owned by a search
-// engine: pooled searchers with their state IDs, memo tables and scratch
-// that one batch of checks (for example a harness.CheckRandomHistories run)
-// reuses instead of rebuilding per history. Sessions are created by the engine
-// package (search.NewSession) and threaded through CheckOptions.Session or
+// EngineSession is a handle to cross-check state owned by a search engine:
+// pooled searchers with their state IDs, memo tables and scratch that one
+// batch of checks (for example a harness.CheckRandomHistories run) reuses
+// instead of rebuilding per history, and the γ-rewriting and last verdict of
+// each history it checked. Sessions are created by the engine package
+// (search.NewSession) and threaded through CheckOptions.Session or
 // CheckRAWith; a nil session gives every check fresh state, which is always
 // correct, just slower for batches. Implementations must be safe for
 // concurrent use by multiple checks.
 type EngineSession interface {
-	// EngineSessionKind names the engine the session belongs to; an engine
-	// ignores sessions of a kind it does not recognize.
-	EngineSessionKind() string
+	// SessionRewrite returns the session's rewriting of h in its current
+	// size under g — deriving it on a miss — and reports whether it was
+	// served rather than derived. CheckRA asks it for the rewriting, so a
+	// history checked several times through one session is cloned and
+	// rewritten once.
+	SessionRewrite(h *History, g Rewriting) (*RewrittenHistory, bool, error)
+	// Extend checks h (which already contains newOps as its final labels)
+	// incrementally against the session's record of h's prefix: it grows the
+	// session's rewriting of h in place, replays the previous verdict's
+	// witness as a certificate, and searches the grown rewriting when the
+	// certificate fails. It degrades to a warm from-scratch check whenever
+	// the incremental preconditions fail, so the verdict is byte-identical to
+	// CheckRA either way. The returned Result is complete — Verdict and
+	// Incomplete are populated.
+	Extend(h *History, spec Spec, newOps []*Label, opts CheckOptions) Result
 }
 
 // CheckOptions configures the RA-linearizability checker.
@@ -373,8 +386,7 @@ func IsRALinearization(h *History, seq []*Label, spec Spec) error {
 			updateRanks = append(updateRanks, ranks[i])
 		}
 	}
-	if !Admits(spec, updates) {
-		i := FirstRejected(spec, updates)
+	if _, i := Fold(spec, updates); i >= 0 {
 		return fmt.Errorf("condition (ii): update projection rejected by %s at %v",
 			spec.Name(), updates[i])
 	}
@@ -401,23 +413,13 @@ func IsRALinearization(h *History, seq []*Label, spec Spec) error {
 	return nil
 }
 
-// SessionRewriter is implemented by engine sessions that keep the
-// γ-rewriting of each history they check (search.Session does). CheckRA asks
-// it for the rewriting, so a history checked several times through one
-// session is cloned and rewritten once. SessionRewrite returns the session's
-// rewriting of h in its current size under g — deriving it on a miss — and
-// reports whether it was served rather than derived.
-type SessionRewriter interface {
-	SessionRewrite(h *History, g Rewriting) (*RewrittenHistory, bool, error)
-}
-
 // RewriteForCheck derives the γ-rewriting of h exactly the way CheckRA with
-// the same options would — through the session's SessionRewrite when
-// opts.Session implements SessionRewriter, by RewriteHistory otherwise — and
-// reports whether the session served it.
+// the same options would — through opts.Session's SessionRewrite when there
+// is a session, by RewriteHistory otherwise — and reports whether the
+// session served it.
 func RewriteForCheck(h *History, opts CheckOptions) (*RewrittenHistory, bool, error) {
-	if sr, ok := opts.Session.(SessionRewriter); ok {
-		return sr.SessionRewrite(h, opts.Rewriting)
+	if opts.Session != nil {
+		return opts.Session.SessionRewrite(h, opts.Rewriting)
 	}
 	rew, err := RewriteHistory(h, opts.Rewriting)
 	return rew, false, err
@@ -532,35 +534,20 @@ func enumerate(h *History, opts CheckOptions, check func(seq []*Label) error) En
 	return out
 }
 
-// Extender is the optional incremental-extension interface an EngineSession
-// may implement (search.Session does). Extend re-checks a history the session
-// has seen before after newOps were appended to it: it grows the session's
-// rewriting of the history in place, replays the previous verdict's witness
-// as a certificate, and searches the grown rewriting when the certificate
-// fails. It degrades to a warm from-scratch check whenever the incremental
-// preconditions fail, so the verdict is byte-identical to CheckRA either way.
-type Extender interface {
-	EngineSession
-	// Extend checks h (which already contains newOps as its final labels)
-	// incrementally against the session's record of h's prefix. The
-	// returned Result is complete — Verdict and Incomplete are populated.
-	Extend(h *History, spec Spec, newOps []*Label, opts CheckOptions) Result
-}
-
 // CheckRAExtend is the incremental entry point of the checker: h grew by
 // newOps (already appended — they are h's final labels) since the session in
-// opts.Session last checked it. When the session supports extension and the
-// pruned engine is selected, the check grows the session's rewriting of h,
-// reuses the previous verdict as a certificate and costs ~the marginal work
-// of the new operations; the grown rewriting then also serves later plain
-// checks of h through the session. When the certificate fails it runs the
-// ordinary pruned search over the grown rewriting; otherwise it falls back
-// to a plain CheckRA. Verdicts are
-// byte-identical to CheckRA on the full history in every case — only
-// Result.Extended/WitnessReplayed and the engine statistics differ.
+// opts.Session last checked it. With a session and the pruned engine, the
+// check grows the session's rewriting of h, reuses the previous verdict as a
+// certificate and costs ~the marginal work of the new operations; the grown
+// rewriting then also serves later plain checks of h through the session.
+// When the certificate fails it runs the ordinary pruned search over the
+// grown rewriting. Without a session, or under the legacy engine, it is a
+// plain CheckRA. Verdicts are byte-identical to CheckRA on the full history
+// in every case — only Result.Extended/WitnessReplayed and the engine
+// statistics differ.
 func CheckRAExtend(h *History, spec Spec, newOps []*Label, opts CheckOptions) Result {
-	if ext, ok := opts.Session.(Extender); ok && resolveEngine(opts.Engine) == EnginePruned {
-		return ext.Extend(h, spec, newOps, opts)
+	if opts.Session != nil && resolveEngine(opts.Engine) == EnginePruned {
+		return opts.Session.Extend(h, spec, newOps, opts)
 	}
 	return CheckRA(h, spec, opts)
 }

@@ -264,11 +264,11 @@ func decodeRGALabels(data []byte) []*core.Label {
 	return seq
 }
 
-// FuzzAdmitsOwned checks the owned folds against the general one: over every
+// FuzzAdmitsOwned checks the owned fold against the general ones: over every
 // decoded label sequence of Spec(OR-Set), Spec(Set), Spec(MV-Reg) and
-// Spec(RGA), Admits, FirstRejected and StatesAfter must give the same answer
-// through the spec's in-place StepOwned path and through countingSpec, which
-// hides it.
+// Spec(RGA), Fold through the spec's in-place StepOwned path, Fold through
+// countingSpec (which hides it) and the breadth-first set fold must reject
+// at the same index, and on admission reach the same single state.
 func FuzzAdmitsOwned(f *testing.F) {
 	f.Add([]byte{0, 4, 3, 1, 2, 3})
 	f.Add([]byte{0, 0x80, 3})
@@ -290,15 +290,14 @@ func FuzzAdmitsOwned(f *testing.F) {
 			if _, ok := owned.(core.OwnedStepper); !ok {
 				t.Fatalf("%s must implement core.OwnedStepper", owned.Name())
 			}
-			if a, b := core.Admits(owned, seq), core.Admits(plain, seq); a != b {
-				t.Fatalf("%s Admits: owned %v, plain %v on %s", owned.Name(), a, b, core.FormatLabels(seq))
+			a, i := core.Fold(owned, seq)
+			b, j := core.Fold(plain, seq)
+			states, k := core.SetFold(plain, seq)
+			if i != j || i != k {
+				t.Fatalf("%s rejected at: owned %d, plain %d, set fold %d on %s", owned.Name(), i, j, k, core.FormatLabels(seq))
 			}
-			if a, b := core.FirstRejected(owned, seq), core.FirstRejected(plain, seq); a != b {
-				t.Fatalf("%s FirstRejected: owned %d, plain %d on %s", owned.Name(), a, b, core.FormatLabels(seq))
-			}
-			a, b := core.StatesAfter(owned, seq), core.StatesAfter(plain, seq)
-			if len(a) != len(b) || len(a) == 1 && !a[0].EqualAbs(b[0]) {
-				t.Fatalf("%s StatesAfter: owned %v, plain %v on %s", owned.Name(), a, b, core.FormatLabels(seq))
+			if i < 0 && (!a.EqualAbs(b) || len(states) != 1 || !a.EqualAbs(states[0])) {
+				t.Fatalf("%s final state: owned %v, plain %v, set fold %v on %s", owned.Name(), a, b, states, core.FormatLabels(seq))
 			}
 		}
 	})

@@ -1,9 +1,33 @@
 package core
 
 import (
-	"fmt"
+	"slices"
 	"testing"
 )
+
+// setFold is the breadth-first reference fold that Fold replaced: it steps
+// the set of every state reachable after each prefix of seq, deduplicated by
+// EqualAbs, and returns the final set and -1, or nil and the index of the
+// first label no reachable state admits. Fold must return the same index,
+// and on admission a state of the set.
+func setFold(s Spec, seq []*Label) ([]AbsState, int) {
+	states := []AbsState{s.Init()}
+	for i, l := range seq {
+		var next []AbsState
+		for _, phi := range states {
+			for _, succ := range s.StepAppend(nil, phi, l) {
+				if !slices.ContainsFunc(next, succ.EqualAbs) {
+					next = append(next, succ)
+				}
+			}
+		}
+		if len(next) == 0 {
+			return nil, i
+		}
+		states = next
+	}
+	return states, -1
+}
 
 func TestAdmitsCounter(t *testing.T) {
 	spec := counterSpec{}
@@ -20,11 +44,11 @@ func TestAdmitsCounter(t *testing.T) {
 	if Admits(spec, bad) {
 		t.Fatal("wrong read value must be rejected")
 	}
-	if idx := FirstRejected(spec, bad); idx != 3 {
-		t.Fatalf("FirstRejected = %d, want 3", idx)
+	if _, idx := Fold(spec, bad); idx != 3 {
+		t.Fatalf("Fold rejected at %d, want 3", idx)
 	}
-	if idx := FirstRejected(spec, seq); idx != -1 {
-		t.Fatalf("FirstRejected on admitted sequence = %d, want -1", idx)
+	if phi, idx := Fold(spec, seq); idx != -1 || !phi.EqualAbs(counterState(1)) {
+		t.Fatalf("Fold on admitted sequence = (%v, %d), want (1, -1)", phi, idx)
 	}
 }
 
@@ -32,8 +56,7 @@ func TestAdmitsEmptySequence(t *testing.T) {
 	if !Admits(counterSpec{}, nil) {
 		t.Fatal("empty sequence must be admitted")
 	}
-	states := StatesAfter(counterSpec{}, nil)
-	if len(states) != 1 || !states[0].EqualAbs(counterState(0)) {
+	if phi, _ := Fold(counterSpec{}, nil); !phi.EqualAbs(counterState(0)) {
 		t.Fatal("empty sequence must yield the initial state")
 	}
 }
@@ -59,20 +82,22 @@ func TestNondeterministicSpecFollowsAllBranches(t *testing.T) {
 	if Admits(spec, seq) {
 		t.Fatal("read 3 must be rejected")
 	}
-	// Both branches survive as reachable states.
-	states := StatesAfter(spec, base)
+	// Both branches survive as reachable states of the reference fold.
+	states, _ := setFold(spec, base)
 	if len(states) != 2 {
 		t.Fatalf("expected 2 reachable states, got %d", len(states))
 	}
 }
 
+// TestStatesAfterDeduplicates pins the reference fold's deduplication, which
+// the fuzz targets rely on when they compare Fold's state with its set.
 func TestStatesAfterDeduplicates(t *testing.T) {
 	spec := choiceSpec{}
 	seq := []*Label{
 		{ID: 1, Method: "flip", Kind: KindUpdate},
 		{ID: 2, Method: "flip", Kind: KindUpdate},
 	}
-	states := StatesAfter(spec, seq)
+	states, _ := setFold(spec, seq)
 	// Two flips from two branches give four successor states, but only the
 	// two distinct values must remain.
 	if len(states) != 2 {
@@ -94,102 +119,6 @@ func TestSetSpec(t *testing.T) {
 	seq[3].Ret = []string{"a", "b"}
 	if Admits(spec, seq) {
 		t.Fatal("stale read must be rejected")
-	}
-}
-
-// keyedState implements StateKeyer, so DedupStates takes its keyed path.
-type keyedState int64
-
-func (s keyedState) CloneAbs() AbsState       { return s }
-func (s keyedState) EqualAbs(o AbsState) bool { c, ok := o.(keyedState); return ok && c == s }
-func (s keyedState) String() string           { return fmt.Sprintf("%d", int64(s)) }
-func (s keyedState) StateKey() (string, bool) { return s.String(), true }
-
-// maybeKeyedState is a state whose key may be unavailable, the way a
-// composite state reports an unkeyable component: equality ignores keyed, so
-// a keyed and an unkeyed copy of one value are the same state.
-type maybeKeyedState struct {
-	v     int64
-	keyed bool
-}
-
-func (s maybeKeyedState) CloneAbs() AbsState { return s }
-func (s maybeKeyedState) EqualAbs(o AbsState) bool {
-	c, ok := o.(maybeKeyedState)
-	return ok && c.v == s.v
-}
-func (s maybeKeyedState) String() string           { return fmt.Sprintf("%d", s.v) }
-func (s maybeKeyedState) StateKey() (string, bool) { return s.String(), s.keyed }
-
-// TestDedupStatesKeyedFastPath deduplicates keyable sets of several sizes,
-// below and above a handful of states, all through the keyed path: the result
-// keeps exactly the distinct states in first-occurrence order.
-func TestDedupStatesKeyedFastPath(t *testing.T) {
-	for _, n := range []int{2, 5, 8, 9, 64, 65, 200} {
-		var states []AbsState
-		for i := 0; i < n; i++ {
-			states = append(states, keyedState((i*3)%7))
-		}
-		out := DedupStates(states)
-		want := min(n, 7)
-		if len(out) != want {
-			t.Fatalf("n=%d: expected %d distinct states, got %d: %v", n, want, len(out), out)
-		}
-		for i, s := range out {
-			if s.(keyedState) != keyedState((i*3)%7) {
-				t.Fatalf("n=%d: first-occurrence order broken at %d: %v", n, i, out)
-			}
-		}
-	}
-}
-
-// TestDedupStatesUnkeyedFallback checks the EqualAbs scan dedups states
-// without canonical keys, in first-occurrence order.
-func TestDedupStatesUnkeyedFallback(t *testing.T) {
-	var states []AbsState
-	for i := 0; i < 24; i++ {
-		states = append(states, counterState(3-i%4))
-	}
-	out := DedupStates(states)
-	if len(out) != 4 {
-		t.Fatalf("expected 4 distinct states, got %d: %v", len(out), out)
-	}
-	for i, s := range out {
-		if s.(counterState) != counterState(3-i) {
-			t.Fatalf("first-occurrence order broken at %d: %v", i, out)
-		}
-	}
-}
-
-// TestDedupStatesMixedFallsBack puts one unkeyable state into an otherwise
-// keyed set, last so that the keyed path has already consumed every other
-// state: DedupStates must fall back to the EqualAbs scan over the untouched
-// input, which recognises the unkeyed state as a duplicate of a keyed one.
-func TestDedupStatesMixedFallsBack(t *testing.T) {
-	var states []AbsState
-	for i := 0; i < 20; i++ {
-		states = append(states, maybeKeyedState{v: int64(i % 5), keyed: true})
-	}
-	states = append(states, maybeKeyedState{v: 2})
-	out := DedupStates(states)
-	if len(out) != 5 {
-		t.Fatalf("expected 5 distinct states, got %d: %v", len(out), out)
-	}
-	for i, s := range out {
-		if got := s.(maybeKeyedState); got.v != int64(i) || !got.keyed {
-			t.Fatalf("state %d: got %+v, want the keyed first occurrence of %d", i, got, i)
-		}
-	}
-}
-
-// TestDedupStatesSmallSets covers the short-circuit paths.
-func TestDedupStatesSmallSets(t *testing.T) {
-	if out := DedupStates(nil); len(out) != 0 {
-		t.Fatalf("empty input must stay empty, got %v", out)
-	}
-	one := []AbsState{keyedState(7)}
-	if out := DedupStates(one); len(out) != 1 || out[0].(keyedState) != 7 {
-		t.Fatalf("singleton must pass through, got %v", out)
 	}
 }
 
@@ -218,9 +147,8 @@ func (s ownedSetSpec) StepOwned(phi AbsState, l *Label) (AbsState, bool) {
 }
 
 // TestFoldsNeverMutateSharedInit pins the owned fold's copy discipline: a
-// spec's Init may return a shared value, so StatesAfter, Admits and
-// FirstRejected step a private copy of it and leave the shared state empty,
-// call after call.
+// spec's Init may return a shared value, so Fold and Admits step a private
+// copy of it and leave the shared state empty, call after call.
 func TestFoldsNeverMutateSharedInit(t *testing.T) {
 	n := 0
 	sp := ownedSetSpec{init: setState{}, owned: &n}
@@ -232,15 +160,14 @@ func TestFoldsNeverMutateSharedInit(t *testing.T) {
 	}
 	stale := append(seq[:2:2], &Label{ID: 5, Method: "read", Ret: []string{}, Kind: KindQuery})
 	for round := 0; round < 2; round++ {
-		states := StatesAfter(sp, seq)
-		if len(states) != 1 || !states[0].EqualAbs(setState{"b": true}) {
-			t.Fatalf("round %d: StatesAfter = %v, want [{b}]", round, states)
+		if phi, _ := Fold(sp, seq); !phi.EqualAbs(setState{"b": true}) {
+			t.Fatalf("round %d: Fold = %v, want {b}", round, phi)
 		}
 		if !Admits(sp, seq) || Admits(sp, stale) {
 			t.Fatalf("round %d: Admits disagrees with setSpec", round)
 		}
-		if i := FirstRejected(sp, stale); i != 2 {
-			t.Fatalf("round %d: FirstRejected = %d, want 2", round, i)
+		if _, i := Fold(sp, stale); i != 2 {
+			t.Fatalf("round %d: Fold rejected at %d, want 2", round, i)
 		}
 		if len(sp.init) != 0 {
 			t.Fatalf("round %d: a fold mutated the shared initial state: %v", round, sp.init)

@@ -245,3 +245,22 @@ func Descriptor() crdt.Descriptor {
 		RandomOp:  RandomOp,
 	}
 }
+
+// NaiveSetHistory reinterprets an OR-Set history over the plain Set
+// specification, as in Figure 5a: removes become ordinary updates and the
+// unique identifiers are dropped. Concurrent add/remove races that the OR-Set
+// resolves by identifier become unexplainable, so a check against Spec(Set)
+// refutes exactly on the anomalies a split-brain schedule provokes.
+func NaiveSetHistory(h *core.History) *core.History {
+	naive := h.Clone()
+	for _, l := range naive.Labels() {
+		switch l.Method {
+		case "add":
+			l.Ret = nil
+		case "remove":
+			l.Kind = core.KindUpdate
+			l.Ret = nil
+		}
+	}
+	return naive
+}

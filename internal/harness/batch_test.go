@@ -50,11 +50,11 @@ func TestBatchSharedSessionDifferential(t *testing.T) {
 	for _, d := range registry.All() {
 		check := d.CheckOptions()
 		cfg := WorkloadConfig{Seed: 9, Ops: 6, Replicas: 2, Elems: []string{"a", "b"}, DeliveryProb: 40}
-		shared, err := CheckRandomHistoriesWith(d, 6, cfg, Options{BatchWorkers: 4, Check: &check})
+		shared, err := CheckGeneratedAgainst(d.Name, d.Spec, check, RandomGenerator{Desc: d, Cfg: cfg}, 6, Options{BatchWorkers: 4})
 		if err != nil {
 			t.Fatalf("%s shared: %v", d.Name, err)
 		}
-		fresh, err := CheckRandomHistoriesWith(d, 6, cfg, Options{BatchWorkers: 1, FreshSessions: true, Check: &check})
+		fresh, err := CheckGeneratedAgainst(d.Name, d.Spec, check, RandomGenerator{Desc: d, Cfg: cfg}, 6, Options{BatchWorkers: 1, FreshSessions: true})
 		if err != nil {
 			t.Fatalf("%s fresh: %v", d.Name, err)
 		}
@@ -83,11 +83,11 @@ func TestBatchExhaustiveDifferential(t *testing.T) {
 		check.Strategies = nil
 		check.DebugMemo = true // hash-compaction collisions panic instead of mis-pruning
 		cfg := WorkloadConfig{Seed: 21, Ops: 6, Replicas: 2, Elems: []string{"a", "b"}, DeliveryProb: 40}
-		shared, err := CheckRandomHistoriesWith(d, 5, cfg, Options{BatchWorkers: 3, Check: &check})
+		shared, err := CheckGeneratedAgainst(d.Name, d.Spec, check, RandomGenerator{Desc: d, Cfg: cfg}, 5, Options{BatchWorkers: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh, err := CheckRandomHistoriesWith(d, 5, cfg, Options{BatchWorkers: 1, FreshSessions: true, Check: &check})
+		fresh, err := CheckGeneratedAgainst(d.Name, d.Spec, check, RandomGenerator{Desc: d, Cfg: cfg}, 5, Options{BatchWorkers: 1, FreshSessions: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -302,7 +302,7 @@ func TestBatchPoolRace(t *testing.T) {
 	check.Strategies = nil // force the engine on every trial
 	check.DebugMemo = true // exercise the debug tuple store under -race too
 	cfg := WorkloadConfig{Seed: 2, Ops: 6, Replicas: 3, Elems: []string{"a", "b"}, DeliveryProb: 40}
-	out, err := CheckRandomHistoriesWith(d, 16, cfg, Options{BatchWorkers: 8, Check: &check})
+	out, err := CheckGeneratedAgainst(d.Name, d.Spec, check, RandomGenerator{Desc: d, Cfg: cfg}, 16, Options{BatchWorkers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +329,6 @@ func TestNegativeTrialsRejected(t *testing.T) {
 	cfg := WorkloadConfig{Ops: 4, Replicas: 2}
 	entries := map[string]func() (HistoryCheck, error){
 		"CheckRandomHistoriesWith": func() (HistoryCheck, error) { return CheckRandomHistoriesWith(d, -1, cfg, Options{}) },
-		"CheckGenerated":           func() (HistoryCheck, error) { return CheckGenerated(d, gen, -1, Options{}) },
 		"CheckGeneratedAgainst": func() (HistoryCheck, error) {
 			return CheckGeneratedAgainst(d.Name, d.Spec, d.CheckOptions(), gen, -1, Options{})
 		},

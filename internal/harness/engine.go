@@ -58,12 +58,6 @@ type Options struct {
 	// search.Budget for the graceful-degradation semantics. Ignored with
 	// FreshSessions (fresh per-trial state is bounded by the trial itself).
 	Budget search.Budget
-	// Check overrides the descriptor-derived checker options for every
-	// trial of the batch entry points that would otherwise derive them
-	// (CheckRandomHistories, CheckGenerated). Entry points taking an
-	// explicit opts parameter (CheckHistoryBatch, CheckGeneratedAgainst)
-	// ignore it. Engine tuning is still applied on top.
-	Check *core.CheckOptions
 }
 
 // Tune applies the engine selection of the Options to checker options.
@@ -72,6 +66,26 @@ func (o Options) Tune(opts core.CheckOptions) core.CheckOptions {
 		opts.Engine = o.Engine
 	}
 	return opts
+}
+
+// withDeadline wires o's deadline and cancellation into opts: o.Timeout
+// derives a deadline from o.Context (or the background context), and the
+// resulting context is threaded into opts unless it pins its own, so one
+// expiry interrupts every search the options reach. It returns that context
+// and the cancel func the caller must defer.
+func (o Options) withDeadline(opts *core.CheckOptions) (context.Context, context.CancelFunc) {
+	ctx, cancel := o.Context, context.CancelFunc(func() {})
+	if o.Timeout > 0 {
+		base := ctx
+		if base == nil {
+			base = context.Background()
+		}
+		ctx, cancel = context.WithTimeout(base, o.Timeout)
+	}
+	if opts.Context == nil {
+		opts.Context = ctx
+	}
+	return ctx, cancel
 }
 
 // searchEffort renders the work a check's exhaustive phase performed in the

@@ -112,28 +112,12 @@ func fig5System() (*runtime.System, *core.History) {
 	return sys, sys.History()
 }
 
-// naiveSetHistory reinterprets an OR-Set history over the plain Set
-// specification: removes become ordinary updates and identifiers are dropped.
-func naiveSetHistory(h *core.History) *core.History {
-	naive := h.Clone()
-	for _, l := range naive.Labels() {
-		switch l.Method {
-		case "add":
-			l.Ret = nil
-		case "remove":
-			l.Kind = core.KindUpdate
-			l.Ret = nil
-		}
-	}
-	return naive
-}
-
 // Fig5a reproduces Figure 5a: the OR-Set execution is not linearizable with
 // respect to the plain Set specification, even allowing visibility-based
 // linearizations.
 func Fig5a(o Options) Experiment {
 	_, h := fig5System()
-	naive := naiveSetHistory(h)
+	naive := orset.NaiveSetHistory(h)
 	strong := core.CheckStrongLinearizable(naive, spec.Set{}, o.Tune(core.CheckOptions{Exhaustive: true}))
 	ra := core.CheckRA(naive, spec.Set{}, o.Tune(core.CheckOptions{Exhaustive: true}))
 	var out strings.Builder

@@ -178,7 +178,7 @@ func TestExperimentLookupAndRendering(t *testing.T) {
 
 func TestNaiveSetHistoryReinterpretation(t *testing.T) {
 	_, h := fig5System()
-	naive := naiveSetHistory(h)
+	naive := orset.NaiveSetHistory(h)
 	for _, l := range naive.Labels() {
 		if l.Method == "remove" && (l.Kind != core.KindUpdate || l.Ret != nil) {
 			t.Fatalf("remove not reinterpreted: %v", l)

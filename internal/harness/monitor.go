@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"context"
 	"fmt"
 
 	"ralin/internal/core"
@@ -54,19 +53,8 @@ func MonitorHistory(h *core.History, sp core.Spec, opts core.CheckOptions, o Opt
 // monitored histories shares one warm session the way runBatch's trials do.
 func monitorHistory(h *core.History, sp core.Spec, opts core.CheckOptions, o Options, sess *search.Session) (MonitorReport, error) {
 	opts = o.Tune(opts)
-	ctx := o.Context
-	if o.Timeout > 0 {
-		base := ctx
-		if base == nil {
-			base = context.Background()
-		}
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(base, o.Timeout)
-		defer cancel()
-	}
-	if opts.Context == nil {
-		opts.Context = ctx
-	}
+	_, cancel := o.withDeadline(&opts)
+	defer cancel()
 	if !o.FreshSessions {
 		opts.Session = sess
 	} else {
@@ -186,9 +174,5 @@ func MonitorGenerated(name string, sp core.Spec, opts core.CheckOptions, gen His
 // identical histories.
 func MonitorRandomHistories(d crdt.Descriptor, trials int, cfg WorkloadConfig, o Options) (HistoryCheck, error) {
 	cfg.fill()
-	opts := d.CheckOptions()
-	if o.Check != nil {
-		opts = *o.Check
-	}
-	return MonitorGenerated(d.Name, d.Spec, opts, RandomGenerator{Desc: d, Cfg: cfg}, trials, o)
+	return MonitorGenerated(d.Name, d.Spec, d.CheckOptions(), RandomGenerator{Desc: d, Cfg: cfg}, trials, o)
 }

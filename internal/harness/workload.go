@@ -214,27 +214,15 @@ func (g RandomGenerator) Generate(trial int) (*core.History, int64, error) {
 	return h, cfg.Seed, err
 }
 
-// CheckGenerated checks trials histories drawn from the generator against the
-// descriptor's specification, using the descriptor's designated checker
-// options (overridable via o.Check). Trials are fanned across o.BatchWorkers
-// workers sharing one engine session: the calling goroutine is worker 0, so w
-// workers start w−1 extra goroutines, and workers claim trial indices in
-// order from one shared counter. The aggregation is folded in trial order, so
-// the result is deterministic regardless of worker count or completion order
-// (given deterministic per-check options).
-func CheckGenerated(d crdt.Descriptor, gen HistoryGenerator, trials int, o Options) (HistoryCheck, error) {
-	opts := d.CheckOptions()
-	if o.Check != nil {
-		opts = *o.Check
-	}
-	return runBatch(d.Name, d.Spec, opts, trials, gen.Generate, o)
-}
-
-// CheckGeneratedAgainst is CheckGenerated against an arbitrary specification
-// and explicit checker options (o.Check is ignored) — the entry point for
-// checking generated histories against a different specification than the
-// generating descriptor's, such as the scenario library's naive-specification
-// refutation probes.
+// CheckGeneratedAgainst checks trials histories drawn from the generator
+// against sp under the checker options opts — the descriptor's own
+// specification and options, or a different specification such as the
+// scenario library's naive-specification refutation probes. Trials are fanned
+// across o.BatchWorkers workers sharing one engine session: the calling
+// goroutine is worker 0, so w workers start w−1 extra goroutines, and workers
+// claim trial indices in order from one shared counter. The aggregation is
+// folded in trial order, so the result is deterministic regardless of worker
+// count or completion order (given deterministic per-check options).
 func CheckGeneratedAgainst(name string, sp core.Spec, opts core.CheckOptions, gen HistoryGenerator, trials int, o Options) (HistoryCheck, error) {
 	return runBatch(name, sp, opts, trials, gen.Generate, o)
 }
@@ -248,18 +236,18 @@ func CheckRandomHistories(d crdt.Descriptor, trials int, cfg WorkloadConfig) (Hi
 }
 
 // CheckRandomHistoriesWith is CheckRandomHistories with explicit options: a
-// thin wrapper plugging RandomGenerator into CheckGenerated. Trial i always
-// uses seed cfg.Seed+i·7919.
+// thin wrapper plugging RandomGenerator and the descriptor's checker options
+// into CheckGeneratedAgainst. Trial i always uses seed cfg.Seed+i·7919.
 func CheckRandomHistoriesWith(d crdt.Descriptor, trials int, cfg WorkloadConfig, o Options) (HistoryCheck, error) {
 	cfg.fill()
-	return CheckGenerated(d, RandomGenerator{Desc: d, Cfg: cfg}, trials, o)
+	return CheckGeneratedAgainst(d.Name, d.Spec, d.CheckOptions(), RandomGenerator{Desc: d, Cfg: cfg}, trials, o)
 }
 
 // CheckHistoryBatch checks a batch of pre-built histories against one
 // specification through the same shared-session worker pool as
 // CheckRandomHistories. The explicit opts parameter is the per-trial checker
-// configuration (o.Check is ignored here). The failure example of trial i is
-// reported under "seed i" (the trial index).
+// configuration. The failure example of trial i is reported under "seed i"
+// (the trial index).
 func CheckHistoryBatch(name string, sp core.Spec, opts core.CheckOptions, hs []*core.History, o Options) (HistoryCheck, error) {
 	gen := func(i int) (*core.History, int64, error) { return hs[i], int64(i), nil }
 	return runBatch(name, sp, opts, len(hs), gen, o)
@@ -300,23 +288,10 @@ func runBatch(name string, sp core.Spec, opts core.CheckOptions, trials int, gen
 		workers = 1
 	}
 	opts = o.Tune(opts)
-	// Wire the batch deadline/cancellation: o.Timeout derives a deadline from
-	// o.Context (or the background context), and the resulting context is
-	// threaded into every check that does not pin its own, so one expiry
-	// stops the claiming and interrupts all in-flight searches alike.
-	ctx := o.Context
-	if o.Timeout > 0 {
-		base := ctx
-		if base == nil {
-			base = context.Background()
-		}
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(base, o.Timeout)
-		defer cancel()
-	}
-	if opts.Context == nil {
-		opts.Context = ctx
-	}
+	// One expiry of the batch context stops the claiming and interrupts all
+	// in-flight searches alike.
+	ctx, cancel := o.withDeadline(&opts)
+	defer cancel()
 	b := &batch{
 		ctx:     ctx,
 		results: make([]trialResult, trials),

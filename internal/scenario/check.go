@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"ralin/internal/core"
+	"ralin/internal/crdt/orset"
 	"ralin/internal/crdt/registry"
 	"ralin/internal/spec"
 )
@@ -72,7 +73,7 @@ func planFor(crdtName string, mode Mode) (CheckPlan, error) {
 		case "OR-Set":
 			return CheckPlan{
 				Spec: spec.Set{}, SpecName: spec.Set{}.Name(), Options: opts,
-				Transform: NaiveSetHistory, ExpectRefutations: true,
+				Transform: orset.NaiveSetHistory, ExpectRefutations: true,
 			}, nil
 		case "Multi-Value Reg.":
 			return CheckPlan{
@@ -85,25 +86,6 @@ func planFor(crdtName string, mode Mode) (CheckPlan, error) {
 	default:
 		return CheckPlan{}, fmt.Errorf("scenario: unknown check mode %q", mode)
 	}
-}
-
-// NaiveSetHistory reinterprets an OR-Set history over the plain Set
-// specification, as in Figure 5a: removes become ordinary updates and the
-// unique identifiers are dropped. Concurrent add/remove races that the OR-Set
-// resolves by identifier become unexplainable, so the check refutes exactly
-// on the anomalies a split-brain schedule provokes.
-func NaiveSetHistory(h *core.History) *core.History {
-	naive := h.Clone()
-	for _, l := range naive.Labels() {
-		switch l.Method {
-		case "add":
-			l.Ret = nil
-		case "remove":
-			l.Kind = core.KindUpdate
-			l.Ret = nil
-		}
-	}
-	return naive
 }
 
 // NaiveRegisterHistory reinterprets a multi-value register history over the

@@ -15,8 +15,9 @@ import "ralin/internal/core"
 //
 //   - previously Valid: append the new (rewritten) operations to the stored
 //     witness in rank order and re-check only them — frontier admissibility
-//     (all predecessors already placed), update-projection stepping on the
-//     cached post-witness state set, and per-query justification. No search.
+//     (all predecessors already placed), stepping the one spec state the
+//     record keeps at the end of a run of the witness's update projection,
+//     and per-query justification. No search.
 //   - certificate fails, or previously Invalid/Unknown: fall back to the full
 //     pruned search over the grown rewriting — a plain Run, with the plan
 //     built afresh on a pooled searcher (with its warm transition table and
@@ -37,10 +38,9 @@ import "ralin/internal/core"
 // certificate.
 
 // setWitness stores a Valid verdict's witness over rh as the certificate:
-// a private copy of the labels, their ranks, and the states after its update
-// projection.
+// a private copy of the labels, their ranks, and the state at the end of the
+// first run of the spec that admits its update projection (core.Fold).
 func (rec *record) setWitness(rh *core.History, witness []*core.Label) {
-	rec.valid = true
 	rec.witness = append(make([]*core.Label, 0, len(witness)), witness...)
 	rec.witRanks = rec.witRanks[:0]
 	rec.justBuf = rec.justBuf[:0]
@@ -54,7 +54,9 @@ func (rec *record) setWitness(rh *core.History, witness []*core.Label) {
 			rec.justBuf = append(rec.justBuf, l)
 		}
 	}
-	rec.states = core.StatesAfter(rec.spec, rec.justBuf)
+	var rejected int
+	rec.state, rejected = core.Fold(rec.spec, rec.justBuf)
+	rec.valid = rejected < 0
 }
 
 // dropWitness forgets the certificate after a verdict that is not Valid.
@@ -62,7 +64,7 @@ func (rec *record) dropWitness() {
 	rec.valid = false
 	rec.witness = nil
 	rec.witRanks = nil
-	rec.states = nil
+	rec.state = nil
 }
 
 // safeTokenEqual compares rewriting identities and specifications, treating
@@ -77,7 +79,7 @@ func safeTokenEqual(a, b any) (eq bool) {
 	return a == b
 }
 
-// Extend implements core.Extender. It checks h, which gained newOps as its
+// Extend implements core.EngineSession. It checks h, which gained newOps as its
 // final labels since this session last checked it. The previous verdict
 // serves as a certificate, and the session's rewriting and caches serve the
 // prefix. The result's verdict is byte-identical to core.CheckRA on the full
@@ -145,15 +147,15 @@ func (s *Session) Extend(h *core.History, spec core.Spec, newOps []*core.Label, 
 			rec.witness = append(rec.witness, rh.LabelAt(t))
 			rec.witRanks = append(rec.witRanks, t)
 		}
-		rec.states = append(rec.states[:0], rec.stateBuf...)
 		// Capped so a caller's append cannot write into the certificate.
 		res.Linearization = rec.witness[:rhN:rhN]
 		rec.commit(h)
 		return res
 	}
 
-	// Certificate unavailable or refuted: the full pruned search over the
-	// grown rewriting, run like every other check of the session.
+	// No certificate, or its run rejected the new operations: the full pruned
+	// search over the grown rewriting, run like every other check of the
+	// session. Its verdict replaces the certificate.
 	opts.Session = s
 	out := Run(rh, spec, false, opts)
 	core.ApplyEngineOutcome(&res, out, false)
@@ -263,16 +265,20 @@ func (s *Session) rebuildExt(h *core.History, spec core.Spec, opts core.CheckOpt
 //
 //	(i)  frontier admissibility — every predecessor of a new label has a
 //	     smaller rank, so it is already placed when the label is appended;
-//	(ii) the update projection stays admitted — new updates step the cached
-//	     post-witness state set, which must stay non-empty;
+//	(ii) the update projection stays admitted — new updates step the
+//	     record's state along the same run, which must admit each of them;
 //	(iii) each new query is justified by its visible updates in witness
 //	     order (old queries cannot have gained visible updates under the
 //	     edge discipline, so only the new ones need checking).
 //
-// On success the stepped state set is left in rec.stateBuf for the caller to
-// commit; on failure rec's certificate state is untouched and the caller
-// falls back to the search.
+// The state is stepped in place: through StepOwned when the spec has it, and
+// otherwise replaced by the first StepAppend successor. One run is enough to
+// prove (ii), but not to refute it — another run of a nondeterministic spec
+// may admit what this one rejects — so a failed replay only sends the caller
+// to the search, whose verdict replaces the certificate. Until then the
+// record is marked not valid, since its state may be stepped part-way.
 func (rec *record) replayCertificate(rh *core.History, rewLen int) bool {
+	rec.valid = false
 	rhN := rh.Len()
 	admissible := true
 	for t := rewLen; t < rhN; t++ {
@@ -285,10 +291,7 @@ func (rec *record) replayCertificate(rh *core.History, rewLen int) bool {
 			return false
 		}
 	}
-	// Copy-on-write replay state: the working sets live in the entry's scratch
-	// so a successful replay of k updates costs k spec steps and no growth
-	// allocations after the first extension.
-	work := append(rec.stateBuf[:0], rec.states...)
+	stepper, owned := rec.spec.(core.OwnedStepper)
 	if words := (rhN + 63) / 64; cap(rec.visBuf) < words {
 		rec.visBuf = make([]uint64, words)
 	} else {
@@ -300,16 +303,18 @@ func (rec *record) replayCertificate(rh *core.History, rewLen int) bool {
 	for t := rewLen; t < rhN; t++ {
 		l := rh.LabelAt(t)
 		if l.IsUpdate() {
-			step := rec.stepBuf[:0]
-			for _, phi := range work {
-				step = rec.spec.StepAppend(step, phi, l)
+			if owned {
+				var ok bool
+				if rec.state, ok = stepper.StepOwned(rec.state, l); !ok {
+					return false
+				}
+				continue
 			}
-			step = core.DedupStates(step)
-			rec.stepBuf = step[:0]
-			if len(step) == 0 {
+			rec.stepBuf = rec.spec.StepAppend(rec.stepBuf[:0], rec.state, l)
+			if len(rec.stepBuf) == 0 {
 				return false
 			}
-			work = append(work[:0], step...)
+			rec.state = rec.stepBuf[0]
 			continue
 		}
 		// The justification: the visible updates in witness order — the
@@ -333,6 +338,6 @@ func (rec *record) replayCertificate(rh *core.History, rewLen int) bool {
 			return false
 		}
 	}
-	rec.stateBuf = work
+	rec.valid = true
 	return true
 }

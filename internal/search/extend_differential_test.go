@@ -35,7 +35,8 @@ func prefixBuckets(t *testing.T, h *core.History) [][]core.VisEdge {
 
 // replayCompare replays h op-by-op through core.CheckRAExtend over sess and,
 // at every prefix, compares the incremental verdict against a from-scratch
-// sessionless check of a clone of the same prefix. A prefix the extension
+// sessionless check of a clone of the same prefix, and checks every Valid
+// prefix's witness with core.IsRALinearization. A prefix the extension
 // decided by its fallback search must also report exactly the work of a
 // sessionless search.Run over the same grown rewriting. It returns the final
 // result, the number of prefixes whose certificate replayed and the number
@@ -62,6 +63,11 @@ func replayCompare(t *testing.T, ctx string, h *core.History, sp core.Spec, opts
 		if res.Verdict != fresh.Verdict {
 			t.Fatalf("%s: prefix %d/%d: incremental verdict %v (replayed=%v) diverges from from-scratch %v\nprefix:\n%s",
 				ctx, k+1, h.Len(), res.Verdict, res.WitnessReplayed, fresh.Verdict, g)
+		}
+		if res.Verdict == core.VerdictValid {
+			if err := core.IsRALinearization(res.Rewritten, res.Linearization, sp); err != nil {
+				t.Fatalf("%s: prefix %d/%d: witness (replayed=%v) fails IsRALinearization: %v", ctx, k+1, h.Len(), res.WitnessReplayed, err)
+			}
 		}
 		if res.WitnessReplayed {
 			replayed++

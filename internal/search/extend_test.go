@@ -439,3 +439,43 @@ func TestRebuildExtRecordsCheckedClone(t *testing.T) {
 		t.Fatal("the search never stepped the spec: the churn did not run")
 	}
 }
+
+// TestExtendCertificateKeepsOneRun pins the certificate to one run of a
+// nondeterministic spec. After fork the record keeps the state of fork's
+// first successor, 1, so need(2) fails the replay even though the run
+// through 2 admits it: the search runs and its Valid verdict, whose witness
+// now runs through 2, replaces the certificate. A certificate holding every
+// reachable state would have replayed need(2). step then replays on that
+// run, and need(5) is refuted by the search.
+func TestExtendCertificateKeepsOneRun(t *testing.T) {
+	sess := NewSession()
+	h := core.NewHistory()
+	opts := extOpts(sess)
+	var prev *core.Label
+	step := func(ctx string, l *core.Label, wantReplayed bool, wantVerdict core.Verdict) core.Result {
+		t.Helper()
+		h.MustAdd(l)
+		if prev != nil {
+			h.MustAddVis(prev.ID, l.ID)
+		}
+		prev = l
+		res := sess.Extend(h, forkSpec{}, []*core.Label{l}, opts)
+		fresh := scratchVerdict(h, forkSpec{}, opts)
+		if res.Verdict != wantVerdict || fresh.Verdict != wantVerdict {
+			t.Fatalf("%s: verdict %v, from scratch %v, want %v", ctx, res.Verdict, fresh.Verdict, wantVerdict)
+		}
+		if got, want := core.FormatLabels(res.Linearization), core.FormatLabels(fresh.Linearization); got != want {
+			t.Fatalf("%s: witness %s, from scratch %s", ctx, got, want)
+		}
+		if res.WitnessReplayed != wantReplayed {
+			t.Fatalf("%s: WitnessReplayed=%v, want %v (%+v)", ctx, res.WitnessReplayed, wantReplayed, res)
+		}
+		return res
+	}
+	step("fork", mkUpdate(1, "fork"), false, core.VerdictValid)
+	if res := step("need(2)", mkUpdate(2, "need", int64(2)), false, core.VerdictValid); !res.Extended {
+		t.Fatalf("need(2) must be decided by the extend search: %+v", res)
+	}
+	step("step", mkUpdate(3, "step"), true, core.VerdictValid)
+	step("need(5)", mkUpdate(4, "need", int64(5)), false, core.VerdictInvalid)
+}

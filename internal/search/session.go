@@ -78,7 +78,7 @@ type Budget struct {
 //     the checks the searcher runs, and only that searcher reads it;
 //   - a history's record is keyed by history identity and holds the
 //     γ-rewriting every check of that history uses (served to core.CheckRA
-//     through core.SessionRewriter) plus, once Extend has decided the
+//     through SessionRewrite) plus, once Extend has decided the
 //     history, its certificate: a history re-checked through the session
 //     clones and re-derives its rewriting once, not once per check, and an
 //     extension grows that same rewriting in place.
@@ -225,9 +225,6 @@ func (s *Session) evictLocked() {
 	s.evictions++
 }
 
-// EngineSessionKind identifies the owning engine (core.EngineSession).
-func (s *Session) EngineSessionKind() string { return "pruned" }
-
 // InternedStates returns the number of state IDs the session's searchers
 // hold — the state vocabulary their checks reuse instead of rebuilding per
 // history, summed over the searchers (one at one worker). Across budget
@@ -266,19 +263,18 @@ type record struct {
 	// linearization in session-owned backing (never a carved arena
 	// sub-slice — a long-lived certificate must not pin a searcher's witness
 	// chunk), grown by amortized append as replays extend it; witRanks holds
-	// each witness label's rank in rew.History (-1 if absent); and states is
-	// the spec state set reachable after witness's update projection, from
-	// which new updates step.
+	// each witness label's rank in rew.History (-1 if absent); and state is
+	// the spec state at the end of one run of witness's update projection
+	// (core.Fold), owned by the record and stepped in place by new updates.
 	valid    bool
 	witness  []*core.Label
 	witRanks []int
-	states   []core.AbsState
-	// stateBuf/stepBuf/justBuf/visBuf are the certificate replay's reusable
-	// scratch, so a replay allocates only what the spec itself does.
-	stateBuf []core.AbsState
-	stepBuf  []core.AbsState
-	justBuf  []*core.Label
-	visBuf   []uint64
+	state    core.AbsState
+	// stepBuf/justBuf/visBuf are the certificate replay's reusable scratch,
+	// so a replay allocates only what the spec itself does.
+	stepBuf []core.AbsState
+	justBuf []*core.Label
+	visBuf  []uint64
 }
 
 // covers reports whether rec is the rewriting of h, in its current size,
@@ -297,7 +293,7 @@ func (rec *record) covers(h *core.History, token any) bool {
 // enough; and unlike evicting a single entry, it depends on no map order.
 const recordCap = 256
 
-// SessionRewrite implements core.SessionRewriter: the rewriting of h's
+// SessionRewrite implements core.EngineSession: the rewriting of h's
 // record when it covers h in its current size under g, derived and recorded
 // otherwise. The second result reports a served rewriting. The nil
 // rewriting's aliasing fast path is cheaper than a record probe, and a
