@@ -844,8 +844,11 @@ func orsetStream(n int) ([]*core.Label, [][]core.VisEdge) {
 // the committed baseline (BENCHMARKS.md) shows the extend curve staying ~flat
 // in n where scratch grows ~quadratically. The Counter stream's int states
 // cost nothing to copy; the orset stream's pair sets make the per-prefix
-// cost of justifying a read visible. `make bench-gate` diffs the allocs/op of
-// every extend sub-benchmark against the committed baseline.
+// cost of justifying a read visible. The extend variant also reports
+// juststeps/prefix, the certificate replay's justification steps
+// (core.Stats.JustSteps) per prefix, which the replay's justification cache
+// keeps flat in n. `make bench-gate` diffs the allocs/op of every extend
+// sub-benchmark against the committed baseline.
 func BenchmarkIncrementalExtend(b *testing.B) {
 	type workload struct {
 		prefix string
@@ -886,9 +889,12 @@ func benchIncrementalStream(b *testing.B, prefix string, sp core.Spec, n int, st
 	b.Run(fmt.Sprintf("%sextend/n=%d", prefix, n), func(b *testing.B) {
 		sess := search.NewSession()
 		opts := core.CheckOptions{Exhaustive: true, Session: sess}
+		justSteps := 0
 		run := func(b *testing.B) {
 			replay(b, func(g *core.History, k int) core.Result {
-				return core.CheckRAExtend(g, sp, labels[k:k+1], opts)
+				res := core.CheckRAExtend(g, sp, labels[k:k+1], opts)
+				justSteps += res.JustSteps
+				return res
 			})
 		}
 		// Two warm-up replays fill the session caches (pools, transition
@@ -896,12 +902,14 @@ func benchIncrementalStream(b *testing.B, prefix string, sp core.Spec, n int, st
 		for w := 0; w < 2; w++ {
 			run(b)
 		}
+		justSteps = 0
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			run(b)
 		}
 		b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "prefixes/sec")
+		b.ReportMetric(float64(justSteps)/float64(n*b.N), "juststeps/prefix")
 	})
 	if !scratch {
 		return

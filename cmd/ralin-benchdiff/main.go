@@ -19,6 +19,11 @@
 //     everywhere; CI uses that, because hosted runners report generic CPU
 //     strings that match across genuinely different shared-VM hardware.
 //
+// A gated benchmark whose allocs/op fell more than 10% below its baseline
+// is reported "stale": it passes, but the report lists it, because a
+// baseline above the code lets a regression up to the gap through the gate.
+// Re-record such entries in the committed baseline.
+//
 // A third, absolute gate is optional: -assert-zero-allocs names candidate
 // benchmarks (by regexp) that must report exactly 0 allocs/op, baseline
 // regardless — the warm-session re-check steady state is pinned this way, so
@@ -176,6 +181,10 @@ var stripCPUSuffix = regexp.MustCompile(`-\d+$`)
 
 func key(name string) string { return stripCPUSuffix.ReplaceAllString(name, "") }
 
+// staleFrac is how far below its baseline a gated allocs/op reading must
+// fall for diff to report the baseline stale.
+const staleFrac = 0.10
+
 // diff prints the comparison table and returns the number of gate failures.
 func diff(w io.Writer, baseline, candidate *Document, re *regexp.Regexp, maxNS, maxAllocs float64, forceNS bool) int {
 	sameCPU := baseline.Context["cpu"] != "" && baseline.Context["cpu"] == candidate.Context["cpu"]
@@ -199,6 +208,7 @@ func diff(w io.Writer, baseline, candidate *Document, re *regexp.Regexp, maxNS, 
 		}
 	}
 	failures := 0
+	var stale []string
 	seen := map[string]bool{}
 	for _, c := range candidate.Benchmarks {
 		if !re.MatchString(c.Name) {
@@ -231,6 +241,10 @@ func diff(w io.Writer, baseline, candidate *Document, re *regexp.Regexp, maxNS, 
 			verdict = "FAIL "
 			failures++
 			notes = append(notes, fmt.Sprintf("allocs/op regressed %.0f -> %.0f (limit +%.1f%%)", ba, ca, maxAllocs))
+		case baOK && ca < ba*(1-staleFrac):
+			verdict = "stale"
+			stale = append(stale, k)
+			notes = append(notes, fmt.Sprintf("allocs/op %.0f -> %.0f (more than %.0f%% below the baseline: re-record it)", ba, ca, staleFrac*100))
 		case baOK:
 			notes = append(notes, fmt.Sprintf("allocs/op %.0f -> %.0f", ba, ca))
 		}
@@ -254,6 +268,10 @@ func diff(w io.Writer, baseline, candidate *Document, re *regexp.Regexp, maxNS, 
 			fmt.Fprintf(w, "FAIL  %-55s gated benchmark missing from candidate run\n", k)
 			failures++
 		}
+	}
+	if len(stale) > 0 {
+		fmt.Fprintf(w, "ralin-benchdiff: %d stale baseline(s), allocs/op more than %.0f%% below: %s\n",
+			len(stale), staleFrac*100, strings.Join(stale, ", "))
 	}
 	if failures > 0 {
 		fmt.Fprintf(w, "ralin-benchdiff: %d regression(s) against the baseline\n", failures)

@@ -173,3 +173,23 @@ func TestAssertZeroAllocs(t *testing.T) {
 		t.Fatal("a nil pattern must disable the absolute gate")
 	}
 }
+
+func TestDiffListsStaleBaselines(t *testing.T) {
+	b := doc("cpuA",
+		bench("BenchmarkBatchRefutations/shared/w1-4", 1000, 1000),
+		bench("BenchmarkEngineNonLinearizable/pruned-4", 1000, 1000))
+	c := doc("cpuA",
+		bench("BenchmarkBatchRefutations/shared/w1-4", 1000, 899),
+		bench("BenchmarkEngineNonLinearizable/pruned-4", 1000, 901))
+	n, out := runDiff(t, b, c, false)
+	if n != 0 {
+		t.Fatalf("a fall in allocs/op must not fail the gate (got %d):\n%s", n, out)
+	}
+	if !strings.Contains(out, "stale BenchmarkBatchRefutations/shared/w1") ||
+		!strings.Contains(out, "1 stale baseline(s), allocs/op more than 10% below: BenchmarkBatchRefutations/shared/w1\n") {
+		t.Fatalf("an allocs/op reading 10.1%% below its baseline must be listed stale:\n%s", out)
+	}
+	if strings.Contains(out, "stale BenchmarkEngineNonLinearizable") {
+		t.Fatalf("a 9.9%% fall must not be listed stale:\n%s", out)
+	}
+}

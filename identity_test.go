@@ -54,7 +54,9 @@ func TestStepAppendIgnoresIdentity(t *testing.T) {
 // checkIdentityBlind steps every rewritten label of h, and a copy with new
 // ID, Origin and GenSeq, from each state the update projection of the check's
 // witness reaches (the initial state alone when there is none), and fails
-// unless both give equal successor lists.
+// unless both give equal successor lists. For a core.Commuter spec it also
+// fails unless Commutes answers every pair of rewritten labels as it answers
+// their copies.
 func checkIdentityBlind(t *testing.T, name string, sp core.Spec, h *core.History, opts core.CheckOptions) {
 	t.Helper()
 	rew, _, err := core.RewriteForCheck(h, opts)
@@ -76,12 +78,26 @@ func checkIdentityBlind(t *testing.T, name string, sp core.Spec, h *core.History
 		}
 		states = append(states, cur...)
 	}
+	move := func(l *core.Label) *core.Label {
+		moved := l.Clone()
+		moved.ID += 1 << 20
+		moved.Origin += 3
+		moved.GenSeq += 1 << 20
+		return moved
+	}
+	if cm, ok := sp.(core.Commuter); ok {
+		labels := rew.History.Labels()
+		for _, a := range labels {
+			for _, b := range labels {
+				if cm.Commutes(a, b) != cm.Commutes(move(a), move(b)) {
+					t.Fatalf("%s: Commutes(%v, %v) changes once ID/Origin/GenSeq change", name, a, b)
+				}
+			}
+		}
+	}
 	for _, phi := range states {
 		for _, l := range rew.History.Labels() {
-			moved := l.Clone()
-			moved.ID += 1 << 20
-			moved.Origin += 3
-			moved.GenSeq += 1 << 20
+			moved := move(l)
 			want := sp.StepAppend(nil, phi, l)
 			got := sp.StepAppend(nil, phi, moved)
 			if len(got) != len(want) {

@@ -150,12 +150,18 @@ func visibleBefore(m *listModel, p int) int {
 
 // checkAdmitsIdentity asserts that Fold agrees with the breadth-first set
 // fold on seq — the same rejection index and, on admission, a final state
-// inside the set — in no more spec steps, and returns the two step counts.
+// inside the set — in no more spec steps, that FoldFrom from the initial
+// state counts exactly the steps Fold took, and returns the two step counts.
 func checkAdmitsIdentity(t *testing.T, sp core.Spec, seq []*core.Label) (depthFirst, setFold int) {
 	t.Helper()
 	c := &countingSpec{Spec: sp}
 	phi, rejected := core.Fold(c, seq)
 	depthFirst, c.steps = c.steps, 0
+	if _, again, steps := core.FoldFrom(c, sp.Init(), seq); again != rejected || steps != depthFirst || c.steps != depthFirst {
+		t.Fatalf("%s: FoldFrom rejected at %d after %d counted steps (%d taken); Fold at %d after %d on %s",
+			sp.Name(), again, steps, c.steps, rejected, depthFirst, core.FormatLabels(seq))
+	}
+	c.steps = 0
 	states, want := core.SetFold(c, seq)
 	setFold = c.steps
 	if rejected != want || (phi != nil) != (rejected < 0) || phi != nil && !slices.ContainsFunc(states, phi.EqualAbs) {

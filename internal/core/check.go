@@ -214,6 +214,12 @@ type Stats struct {
 	// its transition table instead of stepping the spec; how many depends
 	// on how warm the table was.
 	StepHits int
+	// JustSteps is the number of spec steps Session.Extend's certificate
+	// replay took to justify new queries: the steps of each justification
+	// fold, the query's own step included. Without the replay's
+	// justification cache it is the sum over new queries of their visible
+	// updates plus one.
+	JustSteps int
 }
 
 // Add folds o into s by summing the work counters.
@@ -224,6 +230,7 @@ func (s *Stats) Add(o Stats) {
 	s.Leaves += o.Leaves
 	s.Steps += o.Steps
 	s.StepHits += o.StepHits
+	s.JustSteps += o.JustSteps
 }
 
 // FoldSteps returns s with StepHits folded into Steps. How a check's

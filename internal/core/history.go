@@ -71,7 +71,7 @@ type History struct {
 
 // NewHistory returns an empty history.
 func NewHistory() *History {
-	return &History{byID: make(map[uint64]labelAt)}
+	return &History{}
 }
 
 // lookup returns the label with identifier id and its rank.

@@ -265,10 +265,10 @@ func decodeRGALabels(data []byte) []*core.Label {
 }
 
 // FuzzAdmitsOwned checks the owned fold against the general ones: over every
-// decoded label sequence of Spec(OR-Set), Spec(Set), Spec(MV-Reg) and
-// Spec(RGA), Fold through the spec's in-place StepOwned path, Fold through
-// countingSpec (which hides it) and the breadth-first set fold must reject
-// at the same index, and on admission reach the same single state.
+// decoded label sequence of Spec(OR-Set), Spec(Set), Spec(MV-Reg), Spec(RGA)
+// and Spec(Counter), Fold through the spec's in-place StepOwned path, Fold
+// through countingSpec (which hides it) and the breadth-first set fold must
+// reject at the same index, and on admission reach the same single state.
 func FuzzAdmitsOwned(f *testing.F) {
 	f.Add([]byte{0, 4, 3, 1, 2, 3})
 	f.Add([]byte{0, 0x80, 3})
@@ -282,6 +282,7 @@ func FuzzAdmitsOwned(f *testing.F) {
 		{spec.Set{}, decodeSetLabels},
 		{spec.MVRegister{}, decodeMVRegLabels},
 		{spec.RGA{}, decodeRGALabels},
+		{spec.Counter{}, decodeCounterLabels},
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, sp := range specs {

@@ -56,11 +56,30 @@ type StateKeyer interface {
 // the whole sequence, where StepAppend would clone it for every update, and
 // Session.Extend steps its certificate's state the same way. The search
 // keeps StepAppend: its states are shared between branches and interned.
-// spec.Set, spec.ORSet, spec.MVRegister and spec.RGA implement it, each with
-// one transition function: StepAppend clones phi for an update and steps
-// the copy through StepOwned, and steps phi itself for a query.
+// spec.Counter, spec.Set, spec.ORSet, spec.MVRegister and spec.RGA
+// implement it, each with one transition function: StepAppend clones phi for
+// an update and steps the copy through StepOwned (Counter's integer states
+// need no clone), and steps phi itself for a query.
 type OwnedStepper interface {
 	StepOwned(phi AbsState, l *Label) (AbsState, bool)
+}
+
+// Commuter is the optional capability of a specification whose updates may
+// commute. Commutes(a, b) reports that the updates a and b commute: from
+// every state reachable from Init, applying a then b and applying b then a
+// admit the pair alike and reach the same set of successor states. It reads
+// only label content, like StepAppend (never ID, Origin or GenSeq), and false
+// is always a sound answer — implementations return it for queries and for
+// any pair they do not recognise.
+//
+// Swapping two adjacent commuting updates therefore changes neither whether
+// a sequence is admitted nor the states its runs end in; the named rule
+// "Commuting updates" in docs/ARCHITECTURE.md states the exchange argument.
+// Session.Extend uses it to extend a cached justification fold by updates
+// that sit between cached ones in witness order. spec.Counter and spec.ORSet
+// implement it.
+type Commuter interface {
+	Commutes(a, b *Label) bool
 }
 
 // Admits reports whether the sequence of labels is admitted by the
@@ -92,15 +111,28 @@ func Admits(s Spec, seq []*Label) bool {
 // forgets an element, so distinct runs reach distinct states and the walk
 // never takes more steps than that fold.
 func Fold(s Spec, seq []*Label) (AbsState, int) {
+	phi := s.Init()
+	if _, ok := s.(OwnedStepper); ok {
+		phi = phi.CloneAbs()
+	}
+	phi, rejected, _ := FoldFrom(s, phi, seq)
+	return phi, rejected
+}
+
+// FoldFrom is Fold started from phi instead of the initial state: the same
+// walk, the same results, and as its third result the number of spec steps
+// (StepOwned and StepAppend calls) the walk took. An OwnedStepper spec steps
+// phi in place, so the caller must own it, and on rejection phi is
+// unspecified.
+func FoldFrom(s Spec, phi AbsState, seq []*Label) (AbsState, int, int) {
 	if stepper, ok := s.(OwnedStepper); ok {
-		phi := s.Init().CloneAbs()
 		for i, l := range seq {
 			var ok bool
 			if phi, ok = stepper.StepOwned(phi, l); !ok {
-				return nil, i
+				return nil, i, i + 1
 			}
 		}
-		return phi, -1
+		return phi, -1, len(seq)
 	}
 	type branch struct {
 		phi  AbsState
@@ -108,10 +140,11 @@ func Fold(s Spec, seq []*Label) (AbsState, int) {
 	}
 	var pending []branch
 	var succ []AbsState
-	phi, i, furthest := s.Init(), 0, 0
+	i, furthest, steps := 0, 0, 0
 	for {
 		for i < len(seq) {
 			succ = s.StepAppend(succ[:0], phi, seq[i])
+			steps++
 			if len(succ) == 0 {
 				break
 			}
@@ -124,11 +157,11 @@ func Fold(s Spec, seq []*Label) (AbsState, int) {
 			phi = succ[0]
 		}
 		if i == len(seq) {
-			return phi, -1
+			return phi, -1, steps
 		}
 		furthest = max(furthest, i)
 		if len(pending) == 0 {
-			return nil, furthest
+			return nil, furthest, steps
 		}
 		b := pending[len(pending)-1]
 		pending = pending[:len(pending)-1]

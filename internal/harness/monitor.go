@@ -45,16 +45,16 @@ type MonitorReport struct {
 // core.CheckRAExtend over one engine session. The per-prefix closure (and so
 // every verdict) matches a from-scratch check of the same prefix.
 func MonitorHistory(h *core.History, sp core.Spec, opts core.CheckOptions, o Options) (MonitorReport, error) {
-	sess := search.NewSessionWithBudget(o.Budget)
-	return monitorHistory(h, sp, opts, o, sess)
+	opts = o.Tune(opts)
+	_, cancel := o.withDeadline(&opts)
+	defer cancel()
+	return monitorHistory(h, sp, opts, o, search.NewSessionWithBudget(o.Budget))
 }
 
 // monitorHistory is MonitorHistory over a caller-owned session, so a batch of
 // monitored histories shares one warm session the way runBatch's trials do.
+// opts are already tuned and carry the caller's deadline.
 func monitorHistory(h *core.History, sp core.Spec, opts core.CheckOptions, o Options, sess *search.Session) (MonitorReport, error) {
-	opts = o.Tune(opts)
-	_, cancel := o.withDeadline(&opts)
-	defer cancel()
 	if !o.FreshSessions {
 		opts.Session = sess
 	} else {
@@ -136,14 +136,28 @@ func monitorHistory(h *core.History, sp core.Spec, opts core.CheckOptions, o Opt
 // every prefix's search work. The monitor's own counters land in the
 // Prefixes/Replayed/ExtendSearches/Rebuilds fields.
 // Trials run sequentially: the monitor models a store observed live, and the
-// session's certificate state is per-history anyway.
+// session's certificate state is per-history anyway. o.Timeout bounds the
+// whole batch, as in the batch entry points: dispatch stops at the deadline,
+// the history in flight ends Unknown, and the trials never dispatched are
+// recorded Unknown with the deadline's reason.
 func MonitorGenerated(name string, sp core.Spec, opts core.CheckOptions, gen HistoryGenerator, trials int, o Options) (HistoryCheck, error) {
 	if err := checkTrials(name, trials); err != nil {
 		return HistoryCheck{}, err
 	}
+	opts = o.Tune(opts)
+	ctx, cancel := o.withDeadline(&opts)
+	defer cancel()
 	out := newHistoryCheck(name, 1)
 	sess := search.NewSessionWithBudget(o.Budget)
 	for i := 0; i < trials; i++ {
+		if ctx != nil && ctx.Err() != nil {
+			skipped := make([]trialResult, trials-i)
+			markUndispatched(skipped, ctx)
+			for k := range skipped {
+				out.add(i+k, &skipped[k])
+			}
+			break
+		}
 		h, seed, err := gen.Generate(i)
 		if err != nil {
 			out.InternedStates = sess.InternedStates()

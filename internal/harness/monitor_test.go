@@ -2,6 +2,7 @@ package harness
 
 import (
 	"testing"
+	"time"
 
 	"ralin/internal/core"
 	"ralin/internal/crdt/registry"
@@ -87,5 +88,33 @@ func TestHistoryCheckStatsSumPerCheckResults(t *testing.T) {
 	}
 	if wantMon.Nodes <= finalOnly.Nodes {
 		t.Fatalf("workload too easy: earlier prefixes searched no nodes (all prefixes %d, final prefixes %d)", wantMon.Nodes, finalOnly.Nodes)
+	}
+}
+
+// TestMonitorGeneratedBatchDeadline checks that Options.Timeout bounds
+// MonitorGenerated's whole batch, as it bounds the batch entry points: the
+// run returns promptly after expiry, the history in flight and every trial
+// never dispatched report Unknown with the deadline's reason, and the
+// verdicts still partition the batch. A deadline derived per history would
+// give each of the 200 slow histories its own 20ms, seconds in all.
+func TestMonitorGeneratedBatchDeadline(t *testing.T) {
+	const trials = 200
+	gen := GeneratorFunc(func(trial int) (*core.History, int64, error) {
+		return incsHistory(4, 4), int64(trial), nil
+	})
+	start := time.Now()
+	res, err := MonitorGenerated("slow-monitor", slowSpec{}, core.CheckOptions{Exhaustive: true}, gen, trials, Options{Timeout: 20 * time.Millisecond})
+	elapsed := time.Since(start)
+	if err != nil {
+		t.Fatalf("deadline expiry is a verdict, not an error: %v", err)
+	}
+	if elapsed > time.Second {
+		t.Fatalf("deadline-bounded monitor batch took %v, want prompt return after the 20ms deadline", elapsed)
+	}
+	if res.Histories != trials || res.Unknown+res.Linearizable+res.Invalid != trials {
+		t.Fatalf("verdict counts must partition the batch: %+v", res)
+	}
+	if res.Unknown == 0 || res.UnknownByReason[string(core.ReasonDeadline)] != res.Unknown {
+		t.Fatalf("the 20ms deadline must leave trials Unknown, all for the deadline: %+v", res)
 	}
 }

@@ -312,17 +312,7 @@ func runBatch(name string, sp core.Spec, opts core.CheckOptions, trials int, gen
 	// Trials the dead context kept from being claimed are recorded as Unknown
 	// with the context's reason — skipped, never silently dropped.
 	if dispatched := int(min(b.next.Load(), int64(trials))); dispatched < trials {
-		skipInc := core.ContextIncomplete(ctx)
-		for i := dispatched; i < trials; i++ {
-			tr := &results[i]
-			if skipInc != nil {
-				tr.incReason = string(skipInc.Reason)
-				tr.incDetail = "trial not dispatched: " + skipInc.Detail
-			} else {
-				tr.incReason = string(core.ReasonCancelled)
-				tr.incDetail = "trial not dispatched: batch stopped early"
-			}
-		}
+		markUndispatched(results[dispatched:], ctx)
 	}
 
 	out := newHistoryCheck(name, workers)
@@ -397,6 +387,23 @@ func (b *batch) run(i int) {
 	}
 	tr.ops = h.Len()
 	tr.record(core.CheckRAWith(h, b.sp, b.opts, b.sess))
+}
+
+// markUndispatched records trials a batch never dispatched as Unknown, with
+// the reason of its dead context, or as cancelled when the batch stopped
+// early for another cause.
+func markUndispatched(trials []trialResult, ctx context.Context) {
+	skipInc := core.ContextIncomplete(ctx)
+	for i := range trials {
+		tr := &trials[i]
+		if skipInc != nil {
+			tr.incReason = string(skipInc.Reason)
+			tr.incDetail = "trial not dispatched: " + skipInc.Detail
+		} else {
+			tr.incReason = string(core.ReasonCancelled)
+			tr.incDetail = "trial not dispatched: batch stopped early"
+		}
+	}
 }
 
 // trialResult is one trial's outcome as the batch fold consumes it. It keeps

@@ -1,6 +1,11 @@
 package search
 
-import "ralin/internal/core"
+import (
+	"slices"
+
+	"ralin/internal/clock"
+	"ralin/internal/core"
+)
 
 // Incremental extension (core.CheckRAExtend → Session.Extend): re-verify a
 // history that grew at the end in ~the marginal cost of the new operations.
@@ -57,6 +62,7 @@ func (rec *record) setWitness(rh *core.History, witness []*core.Label) {
 	var rejected int
 	rec.state, rejected = core.Fold(rec.spec, rec.justBuf)
 	rec.valid = rejected < 0
+	rec.just = nil
 }
 
 // dropWitness forgets the certificate after a verdict that is not Valid.
@@ -65,6 +71,7 @@ func (rec *record) dropWitness() {
 	rec.witness = nil
 	rec.witRanks = nil
 	rec.state = nil
+	rec.just = nil
 }
 
 // safeTokenEqual compares rewriting identities and specifications, treating
@@ -139,6 +146,7 @@ func (s *Session) Extend(h *core.History, spec core.Spec, newOps []*core.Label, 
 		Engine:        core.EnginePruned,
 		Extended:      true,
 	}
+	rec.justSteps = 0
 	if rec.valid && rec.replayCertificate(rh, rewLen) {
 		res.Verdict = core.VerdictValid
 		res.WitnessReplayed = true
@@ -149,6 +157,7 @@ func (s *Session) Extend(h *core.History, spec core.Spec, newOps []*core.Label, 
 		}
 		// Capped so a caller's append cannot write into the certificate.
 		res.Linearization = rec.witness[:rhN:rhN]
+		res.JustSteps = rec.justSteps
 		rec.commit(h)
 		return res
 	}
@@ -159,6 +168,7 @@ func (s *Session) Extend(h *core.History, spec core.Spec, newOps []*core.Label, 
 	opts.Session = s
 	out := Run(rh, spec, false, opts)
 	core.ApplyEngineOutcome(&res, out, false)
+	res.JustSteps += rec.justSteps
 	if out.OK {
 		// The engine's witness is carved from a 512-label arena chunk;
 		// setWitness copies it so the certificate pins only itself.
@@ -317,27 +327,190 @@ func (rec *record) replayCertificate(rh *core.History, rewLen int) bool {
 			rec.state = rec.stepBuf[0]
 			continue
 		}
-		// The justification: the visible updates in witness order — the
-		// stored witness, then the new labels before t in rank order.
+		// The justification: the witness positions of the visible updates —
+		// the stored witness, then the new labels before t in rank order, a
+		// new label r sitting at len(rec.witness)+r-rewLen.
 		clear(vis)
 		rh.PredRow(t, mark)
-		just := rec.justBuf[:0]
+		pos := scratch(rec.posBuf, rhN)
 		for i, u := range rec.witness {
 			if u.IsUpdate() && visible(rec.witRanks[i]) {
-				just = append(just, u)
+				pos = append(pos, i)
 			}
 		}
 		for r := rewLen; r < t; r++ {
-			if u := rh.LabelAt(r); u.IsUpdate() && visible(r) {
-				just = append(just, u)
+			if rh.LabelAt(r).IsUpdate() && visible(r) {
+				pos = append(pos, len(rec.witness)+r-rewLen)
 			}
 		}
-		just = append(just, l)
-		rec.justBuf = just
-		if !core.Admits(rec.spec, just) {
+		rec.posBuf = pos
+		if !rec.justify(rh, rewLen, l, pos) {
 			return false
 		}
 	}
 	rec.valid = true
 	return true
+}
+
+// scratch returns buf emptied, or a fresh buffer with room for 2n when buf
+// cannot hold n, so scratch sized by a growing history regrows by doubling.
+func scratch[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, 0, 2*n)
+	}
+	return buf[:0]
+}
+
+// justEntry is the justification cache of one origin replica: the witness
+// positions of the updates the last justified query from that replica saw,
+// ascending, and the state at the end of a run of the spec over those
+// updates in witness order, the query excluded. An OwnedStepper's state is
+// the entry's own copy, stepped in place; it never aliases the record's
+// state.
+type justEntry struct {
+	origin clock.ReplicaID
+	pos    []int
+	state  core.AbsState
+}
+
+// testHookNoJustCache makes every justification fold start from the initial
+// state, so tests can compare the replay with and without the cache.
+var testHookNoJustCache bool
+
+// justify reports whether the query q is justified by its visible updates,
+// at witness positions pos, in witness order (Definition 3.4 (iii)): whether
+// some run of the spec applies them and then admits q. The answer is
+// Admits(updates·q), as a fold from the initial state gives it; the cache of
+// q's origin replica only saves steps. Its entry serves when its positions
+// are a subset of pos and the updates q adds to them can be moved behind the
+// cached ones in witness order without changing the runs' end states:
+//
+//   - suffix rule: every added update comes after every cached one, so the
+//     cached positions are a prefix of pos;
+//   - commutative rule: the spec is a core.Commuter and each added update
+//     commutes with every cached update after it in witness order (the
+//     exchange argument of "Commuting updates" in docs/ARCHITECTURE.md).
+//
+// The added updates are then folded from the entry's state, and q is checked
+// with StepAppend, which leaves that state untouched. Otherwise, or when the
+// cached run rejects (a nondeterministic spec's other runs may not), the
+// fold starts from the initial state as it would without a cache. The origin
+// only picks which entry to try, so the answer never depends on it. A fold
+// that justifies q becomes its origin's entry; a failed one drops it.
+func (rec *record) justify(rh *core.History, rewLen int, q *core.Label, pos []int) bool {
+	e := rec.entry(q.Origin)
+	if e != nil && !testHookNoJustCache {
+		if added, ok := rec.cachedAdds(rh, rewLen, e.pos, pos); ok {
+			state, rejected, steps := core.FoldFrom(rec.spec, e.state, added)
+			rec.justSteps += steps
+			if rejected < 0 && rec.admitsQuery(state, q) {
+				rec.keep(e, pos, state)
+				return true
+			}
+		}
+	}
+	just := scratch(rec.justBuf, len(pos)+1)
+	for _, p := range pos {
+		just = append(just, rec.witnessAt(rh, rewLen, p))
+	}
+	rec.justBuf = just
+	_, owned := rec.spec.(core.OwnedStepper)
+	phi := rec.spec.Init()
+	if owned {
+		phi = phi.CloneAbs()
+	}
+	state, rejected, steps := core.FoldFrom(rec.spec, phi, just)
+	rec.justSteps += steps
+	if rejected < 0 && rec.admitsQuery(state, q) {
+		if e == nil {
+			rec.just = append(rec.just, justEntry{origin: q.Origin})
+			e = &rec.just[len(rec.just)-1]
+		}
+		rec.keep(e, pos, state)
+		return true
+	}
+	rec.dropEntry(q.Origin)
+	if rejected >= 0 || owned {
+		// Every run over just·q is a run over just followed by q, and a
+		// deterministic spec has one.
+		return false
+	}
+	// Another run over just may admit q: the walk over the whole sequence.
+	_, rejected, steps = core.FoldFrom(rec.spec, rec.spec.Init(), append(just, q))
+	rec.justSteps += steps
+	return rejected < 0
+}
+
+// keep makes pos and state the entry's cache. pos is the replay's position
+// scratch: the entry takes it, and hands its old positions back as scratch.
+func (rec *record) keep(e *justEntry, pos []int, state core.AbsState) {
+	e.pos, rec.posBuf = pos, e.pos[:0]
+	e.state = state
+}
+
+// cachedAdds reports whether the cached positions cpos (ascending) serve a
+// query whose visible updates sit at positions pos, and if so returns the
+// updates pos adds to cpos in witness order. Every cached position must be
+// in pos, and every added update must come after every cached one or
+// commute with each cached update after it.
+func (rec *record) cachedAdds(rh *core.History, rewLen int, cpos, pos []int) ([]*core.Label, bool) {
+	cm, _ := rec.spec.(core.Commuter)
+	added := scratch(rec.addBuf, len(pos))
+	rec.addBuf = added
+	i := 0
+	for _, p := range pos {
+		if i < len(cpos) && cpos[i] <= p {
+			if cpos[i] < p {
+				return nil, false // a cached update the query does not see
+			}
+			i++
+			continue
+		}
+		a := rec.witnessAt(rh, rewLen, p)
+		if i < len(cpos) {
+			if cm == nil {
+				return nil, false
+			}
+			for _, c := range cpos[i:] {
+				if !cm.Commutes(a, rec.witnessAt(rh, rewLen, c)) {
+					return nil, false
+				}
+			}
+		}
+		added = append(added, a)
+	}
+	rec.addBuf = added
+	return added, i == len(cpos)
+}
+
+// witnessAt returns the label at witness position p during a replay: the
+// stored witness, followed by the new labels from rank rewLen on.
+func (rec *record) witnessAt(rh *core.History, rewLen, p int) *core.Label {
+	if p < len(rec.witness) {
+		return rec.witness[p]
+	}
+	return rh.LabelAt(rewLen + p - len(rec.witness))
+}
+
+// admitsQuery reports whether the spec admits the query q in phi, counting
+// the step. StepAppend leaves phi untouched.
+func (rec *record) admitsQuery(phi core.AbsState, q *core.Label) bool {
+	rec.stepBuf = rec.spec.StepAppend(rec.stepBuf[:0], phi, q)
+	rec.justSteps++
+	return len(rec.stepBuf) > 0
+}
+
+// entry returns the justification cache entry of an origin replica, or nil.
+func (rec *record) entry(origin clock.ReplicaID) *justEntry {
+	for i := range rec.just {
+		if rec.just[i].origin == origin {
+			return &rec.just[i]
+		}
+	}
+	return nil
+}
+
+// dropEntry forgets an origin replica's justification cache entry.
+func (rec *record) dropEntry(origin clock.ReplicaID) {
+	rec.just = slices.DeleteFunc(rec.just, func(e justEntry) bool { return e.origin == origin })
 }

@@ -270,10 +270,20 @@ type record struct {
 	witness  []*core.Label
 	witRanks []int
 	state    core.AbsState
-	// stepBuf/justBuf/visBuf are the certificate replay's reusable scratch,
-	// so a replay allocates only what the spec itself does.
+	// just is the certificate replay's justification cache, one entry per
+	// origin replica of a justified query (justEntry); it belongs to the
+	// certificate and is dropped with it.
+	just []justEntry
+	// justSteps counts the spec steps of the current replay's justification
+	// folds (core.Stats.JustSteps).
+	justSteps int
+	// stepBuf/justBuf/posBuf/addBuf/visBuf are the certificate replay's
+	// reusable scratch, so a replay allocates only what the spec itself does
+	// and, as the history grows, what doubling the scratch takes.
 	stepBuf []core.AbsState
 	justBuf []*core.Label
+	posBuf  []int
+	addBuf  []*core.Label
 	visBuf  []uint64
 }
 

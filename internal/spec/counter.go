@@ -43,6 +43,16 @@ func (Counter) Name() string { return "Spec(Counter)" }
 // Init returns the zero counter.
 func (Counter) Init() core.AbsState { return CounterState(0) }
 
+// Commutes implements core.Commuter: inc and dec commute with each other and
+// with themselves, since each adds a constant to any counter value. Reads
+// commute with nothing.
+func (Counter) Commutes(a, b *core.Label) bool {
+	return counterUpdate(a) && counterUpdate(b)
+}
+
+// counterUpdate reports whether l is an inc or a dec.
+func counterUpdate(l *core.Label) bool { return l.Method == "inc" || l.Method == "dec" }
+
 // StepAppend appends the successors of phi under l to dst; dst is returned
 // unchanged when the label is not admitted.
 func (Counter) StepAppend(dst []core.AbsState, phi core.AbsState, l *core.Label) []core.AbsState {
@@ -50,18 +60,38 @@ func (Counter) StepAppend(dst []core.AbsState, phi core.AbsState, l *core.Label)
 	if !ok {
 		return dst
 	}
+	if next, ok := s.step(l); ok {
+		return append(dst, next)
+	}
+	return dst
+}
+
+// StepOwned returns the successor of phi under l (the core.OwnedStepper fold
+// path). A counter state is an immutable integer, so stepping it "in place"
+// is returning the next value: a fold over Counter steps no successor slice.
+func (Counter) StepOwned(phi core.AbsState, l *core.Label) (core.AbsState, bool) {
+	s, ok := phi.(CounterState)
+	if !ok {
+		return nil, false
+	}
+	if next, ok := s.step(l); ok {
+		return next, true
+	}
+	return nil, false
+}
+
+// step is Spec(Counter)'s one transition function: inc and dec move the
+// value, and read() ⇒ k is admitted when k is the value.
+func (s CounterState) step(l *core.Label) (CounterState, bool) {
 	switch l.Method {
 	case "inc":
-		return append(dst, s+1)
+		return s + 1, true
 	case "dec":
-		return append(dst, s-1)
+		return s - 1, true
 	case "read":
 		ret, ok := l.Ret.(int64)
-		if ok && ret == int64(s) {
-			return append(dst, s)
-		}
-		return dst
+		return s, ok && ret == int64(s)
 	default:
-		return dst
+		return 0, false
 	}
 }

@@ -195,10 +195,18 @@ func (s ORSetState) reads(ret []string) bool {
 	if ret == nil || !strictlyAscending(ret) {
 		return false
 	}
+	// One pass over the pairs marks the held elements of a short ret; a
+	// longer one asks holds per element.
+	var held uint64
 	for p := range s {
-		if _, ok := slices.BinarySearch(ret, p.Elem); !ok {
+		i, ok := slices.BinarySearch(ret, p.Elem)
+		if !ok {
 			return false
 		}
+		held |= 1 << (i & 63)
+	}
+	if len(ret) <= 64 {
+		return held == 1<<len(ret)-1
 	}
 	for _, e := range ret {
 		if !s.holds(e) {
@@ -302,6 +310,28 @@ func (o ORSet) StepAppend(dst []core.AbsState, phi core.AbsState, l *core.Label)
 		return append(dst, next)
 	}
 	return dst
+}
+
+// Commutes implements core.Commuter. Two adds commute (a pair added twice,
+// like a malformed add, is rejected in either order), and so do two
+// removeIds. An add and a removeIds commute unless the remove's list holds
+// the added pair: removing it after the add deletes it, before the add does
+// not. For a malformed add or removeIds in such a pair, and for queries, the
+// answer is false.
+func (ORSet) Commutes(a, b *core.Label) bool {
+	if a.Method == "removeIds" {
+		a, b = b, a
+	}
+	switch {
+	case a.Method == "add" && b.Method == "add", a.Method == "removeIds" && b.Method == "removeIds":
+		return true
+	case a.Method != "add" || b.Method != "removeIds" || len(a.Args) != 2 || len(b.Args) != 1:
+		return false
+	}
+	elem, okE := a.Args[0].(string)
+	id, okI := a.Args[1].(uint64)
+	pairs, okP := b.Args[0].([]core.Pair)
+	return okE && okI && okP && !slices.Contains(pairs, core.Pair{Elem: elem, ID: id})
 }
 
 // StepOwned applies l to phi in place (the core.OwnedStepper fold path):
