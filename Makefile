@@ -12,7 +12,10 @@ GO ?= go
 # the warm-session re-check steady state must report exactly 0 allocs/op,
 # baseline regardless, so a reintroduced per-check allocation fails the gate
 # even if the committed baseline carried it too.
-BENCH_GATE_PATTERN = BenchmarkEngineNonLinearizable|BenchmarkEngineWideRefutation|BenchmarkBatchCheckRandomHistories|BenchmarkBatchRefutations|BenchmarkSessionRecheck|BenchmarkScenarioCorpus|BenchmarkScenarioSession|BenchmarkIncrementalExtend|BenchmarkStrategyValidation|BenchmarkRewriteSmall
+BENCH_GATE_PATTERN = BenchmarkEngineNonLinearizable|BenchmarkEngineWideRefutation|BenchmarkBatchCheckRandomHistories|BenchmarkBatchRefutations|BenchmarkSessionRecheck|BenchmarkScenarioCorpus|BenchmarkScenarioSession|BenchmarkIncrementalExtend|BenchmarkStrategyValidation|BenchmarkRewriteSmall|BenchmarkAddVisAppend
+# BENCH_GATE_PKGS are the packages holding the gated benchmarks: the root
+# package's end-to-end benchmarks, and internal/core's append benchmark.
+BENCH_GATE_PKGS = . ./internal/core
 NS_THRESHOLD ?= 25
 ZERO_ALLOC_PATTERN = ^BenchmarkSessionRecheck/session\b
 # NS_BASELINE optionally names a second, same-runner baseline JSON (the CI
@@ -50,7 +53,7 @@ bench:
 # cold). The intermediate text output is kept out of the tree.
 bench-json:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime 1x ./... > bench-raw.txt
-	$(GO) test -run '^$$' -bench '$(BENCH_GATE_PATTERN)' -benchmem -benchtime 50x -count 1 . >> bench-raw.txt
+	$(GO) test -run '^$$' -bench '$(BENCH_GATE_PATTERN)' -benchmem -benchtime 50x -count 1 $(BENCH_GATE_PKGS) >> bench-raw.txt
 	$(GO) run ./cmd/ralin-bench2json < bench-raw.txt > BENCH_results.json
 	@rm -f bench-raw.txt
 	@echo "wrote BENCH_results.json"
@@ -62,7 +65,7 @@ bench-json:
 # gate compares against. The temporary files are left behind on failure for
 # inspection.
 bench-gate:
-	$(GO) test -run '^$$' -bench '$(BENCH_GATE_PATTERN)' -benchmem -benchtime 50x -count 1 . > bench-gate-raw.txt
+	$(GO) test -run '^$$' -bench '$(BENCH_GATE_PATTERN)' -benchmem -benchtime 50x -count 1 $(BENCH_GATE_PKGS) > bench-gate-raw.txt
 	$(GO) run ./cmd/ralin-bench2json < bench-gate-raw.txt > bench-gate.json
 	$(GO) run ./cmd/ralin-benchdiff -baseline BENCH_results.json -candidate bench-gate.json -max-ns-regression $(NS_THRESHOLD) -max-allocs-regression 1 -assert-zero-allocs '$(ZERO_ALLOC_PATTERN)'
 	@if [ -n "$(NS_BASELINE)" ]; then \
@@ -76,7 +79,7 @@ bench-gate:
 # caches on every merge to main (see .github/workflows/ci.yml), and that PR
 # builds gate against via NS_BASELINE.
 bench-ns-baseline:
-	$(GO) test -run '^$$' -bench '$(BENCH_GATE_PATTERN)' -benchmem -benchtime 50x -count 1 . > bench-ns-raw.txt
+	$(GO) test -run '^$$' -bench '$(BENCH_GATE_PATTERN)' -benchmem -benchtime 50x -count 1 $(BENCH_GATE_PKGS) > bench-ns-raw.txt
 	$(GO) run ./cmd/ralin-bench2json < bench-ns-raw.txt > bench-ns-baseline.json
 	@rm -f bench-ns-raw.txt
 	@echo "wrote bench-ns-baseline.json"

@@ -84,9 +84,10 @@ func main() {
 	// fast for 50 iterations to yield a stable ns/op reading.
 	// StrategyValidation gates every Figure 12 type: each is a sequential
 	// validation of fixed histories. RewriteSmall gates both rewritten
-	// types: each op rewrites the same fixed histories.
+	// types: each op rewrites the same fixed histories. AddVisAppend gates
+	// both sizes: each op appends the same fixed history label by label.
 	match := flag.String("match",
-		"^Benchmark(EngineNonLinearizable/(legacy|pruned)|EngineWideRefutation/pruned|BatchRefutations/(fresh|shared)/w1|BatchCheckRandomHistories/(fresh|shared)/w1|SessionRecheck/(fresh|session)|ScenarioCorpus|ScenarioSession|IncrementalExtend/(orset/)?extend/n=\\d+|StrategyValidation/[^/]+|RewriteSmall/[^/]+)\\b",
+		"^Benchmark(EngineNonLinearizable/(legacy|pruned)|EngineWideRefutation/pruned|BatchRefutations/(fresh|shared)/w1|BatchCheckRandomHistories/(fresh|shared)/w1|SessionRecheck/(fresh|session)|ScenarioCorpus|ScenarioSession|IncrementalExtend/(orset/)?extend/n=\\d+|StrategyValidation/[^/]+|RewriteSmall/[^/]+|AddVisAppend/n=\\d+)\\b",
 		"regexp selecting the gated benchmarks")
 	maxNS := flag.Float64("max-ns-regression", 25, "maximum tolerated ns/op regression in percent (same-CPU runs); <= 0 makes ns/op advisory")
 	maxAllocs := flag.Float64("max-allocs-regression", 0, "maximum tolerated allocs/op regression in percent; < 0 makes allocs/op advisory (for ns-only gates against a runner-cached baseline)")

@@ -201,7 +201,7 @@ func (s *System) Invoke(object string, r clock.ReplicaID, method string, args ..
 		return nil, err
 	}
 	// Descending identifier order inserts the most recent — most likely
-	// vis-maximal — seen operations first, so the history's reachability
+	// vis-maximal — seen operations first, so the history's ancestor
 	// index reduces every transitively implied edge to one bit probe (and
 	// the recorded direct adjacency is deterministic).
 	s.visScratch = runtime.AppendSeenDescending(s.visScratch[:0], before)

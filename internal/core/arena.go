@@ -3,7 +3,7 @@ package core
 // This file holds the chunked per-history arenas backing the visibility
 // index. Before them, every AddVis edge paid ~3 small heap allocations: the
 // first adjacency entry of a rank allocated its slice, the mirrored entry
-// allocated the reverse slice, and the first reachability bit of a rank
+// allocated the reverse slice, and the first ancestor bit of a rank
 // allocated its bitset row. The arenas carve all three out of chunked backing
 // arrays owned by the history, so edge insertion allocates only when a chunk
 // fills — amortized to ~0 allocations per edge (BenchmarkAddVisSparse gates

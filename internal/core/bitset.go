@@ -3,9 +3,9 @@ package core
 import "math/bits"
 
 // bitset is a dense bit vector over history ranks, the row type of the
-// visibility reachability index. Rows grow lazily — a rank that reaches
-// nothing holds no words at all — and only ever grow, so reslicing never
-// resurfaces stale bits.
+// visibility ancestor index. Rows grow lazily — a rank nothing is visible to
+// holds no words at all — and only ever grow, so reslicing never resurfaces
+// stale bits.
 type bitset []uint64
 
 // test reports whether bit i is set. Bits beyond the allocated words are
@@ -44,8 +44,8 @@ func (b *bitset) set(i int) bool {
 
 // orInto ORs src into b, growing b as needed, and reports whether any bit of
 // b changed. This is the closure-maintenance kernel: propagating a new edge
-// ORs the target's successor row into every predecessor's in word-sized
-// strides instead of per-pair map inserts.
+// ORs the source's ancestor row into the target's and every successor's in
+// word-sized strides instead of per-pair map inserts.
 func (b *bitset) orInto(src bitset) bool {
 	b.grow(len(src))
 	dst := *b

@@ -16,22 +16,22 @@ type labelAt struct {
 
 // History is a pair (L, vis): a set of operation labels together with an
 // acyclic visibility relation between them (Section 3.1). Labels are keyed by
-// a dense rank (their insertion index); the relation is stored closure-free as
-// the directly inserted edges (adjacency slices per rank, in edge insertion
-// order) plus an explicit reachability index: one successor bitset per rank,
-// maintained incrementally by AddVis, mirrored by one predecessor bitset per
-// rank so both directions are row sweeps. Vis and Concurrent are single bit
-// probes, VisEdges/SeenBy iterate the successor rows and VisibleTo/indegree
-// setup the predecessor rows in rank order (deterministic for a given
-// history), and cycle detection is one bit probe — where the previous
-// representation kept the whole transitive closure as map-of-maps entries and
-// rescanned the full relation per inserted edge. Adjacency and index rows are
-// carved from chunked per-history arenas (arena.go), so edge insertion
-// allocates only when a chunk fills.
+// a dense rank (their insertion index); the relation is stored as the
+// directly inserted edges (adjacency slices per rank, in edge insertion
+// order) plus one closure index: an ancestor bitset per rank, maintained
+// incrementally by AddVis. Vis, Concurrent and the cycle check are single
+// bit probes, and VisibleTo and the search's indegree setup are row sweeps
+// in rank order (deterministic for a given history). The index holds only
+// the ancestor direction because labels arrive as sinks: appending a label
+// and its incoming edges fills one row, O(words), where a successor index
+// would set the new bit in the row of every ancestor. SeenBy, the one
+// successor query, probes a column. Adjacency and index rows are carved from
+// chunked per-history arenas (arena.go), so edge insertion allocates only
+// when a chunk fills.
 //
-// Queries (Vis, Concurrent, VisEdges, VisibleTo, SeenBy, Label, Labels, ...)
-// are read-only and safe for concurrent use; Add and AddVis mutate and
-// require external synchronization.
+// Queries (Vis, Concurrent, VisibleTo, SeenBy, Label, Labels, ...) are
+// read-only and safe for concurrent use; Add and AddVis mutate and require
+// external synchronization.
 type History struct {
 	// byID indexes the labels by identifier. It is nil while the history is
 	// dense — the label at rank r has identifier r+1, the numbering the
@@ -49,16 +49,10 @@ type History struct {
 	// nedges counts the recorded direct edges (the generating set, not the
 	// closure) so incremental consumers can detect edge growth in O(1).
 	nedges int
-	// reach[r] is the reachability row of rank r: bit s is set iff seq[r] is
-	// (transitively) visible to seq[s].
-	reach []bitset
-	// pred[r] is the mirrored predecessor row: bit s is set iff seq[s] is
-	// (transitively) visible to seq[r] — the transpose of reach, maintained in
-	// lockstep so predecessor queries (VisibleTo, HistoryTimestamp, indegree
-	// setup during plan build) are row sweeps instead of column scans, at 2×
-	// index memory.
+	// pred[r] is the ancestor row of rank r: bit s is set iff seq[s] is
+	// (transitively) visible to seq[r].
 	pred []bitset
-	// mark/epoch/stack are the propagation walks' scratch: epoch-stamped
+	// mark/epoch/stack are the propagation walk's scratch: epoch-stamped
 	// visited marks so propagating an edge allocates nothing.
 	mark  []uint64
 	epoch uint64
@@ -107,7 +101,6 @@ func (h *History) Add(l *Label) error {
 	h.seq = append(h.seq, l)
 	h.adjOut = append(h.adjOut, nil)
 	h.adjIn = append(h.adjIn, nil)
-	h.reach = append(h.reach, nil)
 	h.pred = append(h.pred, nil)
 	h.mark = append(h.mark, 0)
 	return nil
@@ -154,20 +147,6 @@ func (h *History) AppendLabels(dst []*Label) []*Label {
 	return append(dst, h.seq...)
 }
 
-// VisEdges calls fn once for every edge (from, to) of the transitively closed
-// visibility relation, in rank order on both endpoints (deterministic for a
-// given history). Iterating the reachability rows is O(|vis| + n²/64), where
-// the equivalent all-pairs scan over Vis is O(n²) probes regardless of how
-// sparse the relation is.
-func (h *History) VisEdges(fn func(from, to uint64)) {
-	for r, row := range h.reach {
-		from := h.seq[r].ID
-		row.forEach(func(s int) {
-			fn(from, h.seq[s].ID)
-		})
-	}
-}
-
 // DirectVisEdges calls fn once for every directly inserted edge — the
 // generating set AddVis recorded, without its transitive consequences — in
 // rank order per source and edge insertion order within one source.
@@ -184,7 +163,7 @@ func (h *History) DirectVisEdges(fn func(from, to uint64)) {
 // cannot hold words words: capacity for the whole current history (or double
 // the old capacity, whichever is larger), so a row re-carves O(log n) times
 // under interleaved Add/AddVis and bitset.grow then always extends in place —
-// the propagation walks allocate nothing per row.
+// the propagation walk allocates nothing per row.
 func (h *History) touchRow(row *bitset, words int) {
 	if cap(*row) >= words {
 		return
@@ -220,9 +199,11 @@ func (h *History) DirectEdgeCount() int { return h.nedges }
 func (h *History) DirectInDegree(t int) int { return len(h.adjIn[t]) }
 
 // AddVis records that the label with identifier from is visible to the label
-// with identifier to, and maintains the reachability index and its
-// predecessor mirror. Adding an edge that would create a cycle is an error;
-// adding an edge already implied by the relation is a no-op.
+// with identifier to, and maintains the ancestor index. Adding an edge that
+// would create a cycle is an error; adding an edge already implied by the
+// relation is a no-op. Only to and the ranks it reaches change rows, so an
+// edge into a fresh sink — how labels arrive — costs O(words), whatever the
+// size of from's causal past.
 func (h *History) AddVis(from, to uint64) error {
 	if from == to {
 		return fmt.Errorf("history: visibility edge %d -> %d is reflexive", from, to)
@@ -236,62 +217,25 @@ func (h *History) AddVis(from, to uint64) error {
 		return fmt.Errorf("history: unknown label %d in visibility edge", to)
 	}
 	rf, rt := int(fa.rank), int(ta.rank)
-	if h.reach[rt].test(rf) {
+	if h.pred[rf].test(rt) {
 		return fmt.Errorf("history: visibility edge %d -> %d creates a cycle", from, to)
 	}
-	if h.reach[rf].test(rt) {
+	if h.pred[rt].test(rf) {
 		// Already implied transitively: the closure cannot change, so the
 		// edge is not even recorded (the adjacency stays a generating set).
 		return nil
 	}
 	h.recordEdge(rf, rt)
-	h.propagateReach(rf, rt)
 	h.propagatePred(rf, rt)
 	return nil
 }
 
-// propagateReach folds the new edge rf -> rt into the reachability index: the
-// target's successor row (plus the target itself) is OR-ed into the source's
-// row and into every rank that reaches the source, found by walking the
-// reverse adjacency — not by scanning the whole relation. A rank whose row
-// already absorbed the delta stops the walk early: its own predecessors' rows
-// are supersets of it by the index invariant.
-func (h *History) propagateReach(rf, rt int) {
-	delta := h.reach[rt]
-	need := (rt >> 6) + 1
-	if len(delta) > need {
-		need = len(delta)
-	}
-	h.epoch++
-	stack := append(h.stack[:0], int32(rf))
-	h.mark[rf] = h.epoch
-	for len(stack) > 0 {
-		r := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		row := &h.reach[r]
-		h.touchRow(row, need)
-		changed := row.set(rt)
-		if row.orInto(delta) {
-			changed = true
-		}
-		if !changed {
-			continue
-		}
-		for _, p := range h.adjIn[r] {
-			if h.mark[p] != h.epoch {
-				h.mark[p] = h.epoch
-				stack = append(stack, p)
-			}
-		}
-	}
-	h.stack = stack[:0]
-}
-
-// propagatePred is propagateReach's mirror image for the predecessor index:
-// the source's predecessor row (plus the source itself) is OR-ed into the
-// target's row and into every rank the target reaches, walking the forward
-// adjacency. The early stop is the transposed invariant: a successor's
-// predecessor row is a superset of each of its parents'.
+// propagatePred folds the new edge rf -> rt into the ancestor index: the
+// source's row (plus the source itself) is OR-ed into the target's row and
+// into every rank the target reaches, found by walking the forward adjacency
+// — not by scanning the whole relation. A rank whose row already absorbed
+// the delta stops the walk early: its successors' rows are supersets of it
+// by the index invariant.
 func (h *History) propagatePred(rf, rt int) {
 	delta := h.pred[rf]
 	need := (rf >> 6) + 1
@@ -342,7 +286,7 @@ type VisEdge struct {
 }
 
 // Vis reports whether the label with identifier from is visible to the label
-// with identifier to: one bit probe of the reachability index.
+// with identifier to: one bit probe of to's ancestor row.
 func (h *History) Vis(from, to uint64) bool {
 	fa, ok := h.lookup(from)
 	if !ok {
@@ -352,7 +296,7 @@ func (h *History) Vis(from, to uint64) bool {
 	if !ok {
 		return false
 	}
-	return h.reach[fa.rank].test(int(ta.rank))
+	return h.pred[ta.rank].test(int(fa.rank))
 }
 
 // Concurrent reports whether the two labels are concurrent (neither is
@@ -362,8 +306,7 @@ func (h *History) Concurrent(a, b uint64) bool {
 }
 
 // VisibleTo returns the labels visible to l (vis⁻¹(l)), in insertion order:
-// one row sweep of the predecessor mirror (the pre-mirror version scanned the
-// reachability column, probing every rank's row).
+// one sweep of l's ancestor row.
 func (h *History) VisibleTo(l *Label) []*Label {
 	la, ok := h.lookup(l.ID)
 	if !ok {
@@ -376,33 +319,30 @@ func (h *History) VisibleTo(l *Label) []*Label {
 	return out
 }
 
-// SeenBy returns the labels that see l (vis(l)), in insertion order.
+// SeenBy returns the labels that see l (vis(l)), in insertion order: one
+// probe of l's bit in every rank's ancestor row (a column of the index).
+// Callers that need every label's successors transpose the rows once through
+// PredRow instead.
 func (h *History) SeenBy(l *Label) []*Label {
 	la, ok := h.lookup(l.ID)
 	if !ok {
 		return nil
 	}
 	var out []*Label
-	h.reach[la.rank].forEach(func(s int) {
-		out = append(out, h.seq[s])
-	})
+	for s := range h.pred {
+		if h.pred[s].test(int(la.rank)) {
+			out = append(out, h.seq[s])
+		}
+	}
 	return out
 }
 
 // PredRow calls fn for every rank whose label is visible to the label at
-// rank t, in ascending rank order: the raw predecessor-mirror sweep, exported
-// within the module for the search plan builder's indegree setup.
+// rank t, in ascending rank order: the raw ancestor-row sweep. Sweeping every
+// rank in ascending order visits each closure edge once, which also fills
+// successor lists in ascending order (the search plan builder's transpose).
 func (h *History) PredRow(t int, fn func(s int)) {
 	h.pred[t].forEach(fn)
-}
-
-// SuccRow calls fn for every rank the label at rank f is visible to, in
-// ascending rank order: the successor-row counterpart of PredRow. Together the
-// two let the search plan builder fill its predecessor and successor index
-// lists with one row sweep per label instead of a map-keyed pass over the
-// whole closure edge set.
-func (h *History) SuccRow(f int, fn func(s int)) {
-	h.reach[f].forEach(fn)
 }
 
 // IsAcyclic reports whether the visibility relation is acyclic. Histories
@@ -411,13 +351,13 @@ func (h *History) SuccRow(f int, fn func(s int)) {
 // principle contain cycles (tests plant them directly), and the checker
 // rejects them.
 func (h *History) IsAcyclic() bool {
-	for r, row := range h.reach {
+	for r, row := range h.pred {
 		if row.test(r) {
 			return false
 		}
 		acyclic := true
 		row.forEach(func(s int) {
-			if h.reach[s].test(r) {
+			if h.pred[s].test(r) {
 				acyclic = false
 			}
 		})
@@ -437,7 +377,6 @@ func (h *History) Clone() *History {
 		seq:    make([]*Label, len(h.seq)),
 		adjOut: make([][]int32, len(h.adjOut)),
 		adjIn:  make([][]int32, len(h.adjIn)),
-		reach:  make([]bitset, len(h.reach)),
 		pred:   make([]bitset, len(h.pred)),
 		mark:   make([]uint64, len(h.mark)),
 	}
@@ -462,11 +401,6 @@ func (h *History) Clone() *History {
 			copy(row, h.adjIn[r])
 			c.adjIn[r] = row
 		}
-		if n := len(h.reach[r]); n > 0 {
-			row := bitset(c.words.carve(n))[:n]
-			copy(row, h.reach[r])
-			c.reach[r] = row
-		}
 		if n := len(h.pred[r]); n > 0 {
 			row := bitset(c.words.carve(n))[:n]
 			copy(row, h.pred[r])
@@ -483,8 +417,8 @@ func (h *History) HistoryTimestamp(l *Label) clock.Timestamp {
 	if !l.TS.IsBottom() {
 		return l.TS
 	}
-	// The predecessor mirror is transitively closed, so the maximum over one
-	// row sweep is the maximum over the whole past.
+	// The ancestor row is transitively closed, so the maximum over one row
+	// sweep is the maximum over the whole past.
 	max := clock.Bottom
 	la, ok := h.lookup(l.ID)
 	if !ok {
@@ -534,16 +468,18 @@ func (h *History) seqRanks(seq []*Label) ([]int32, error) {
 		}
 		ranks[i], pos[e.rank] = e.rank, int32(i+1)
 	}
-	for r, row := range h.reach {
-		bad := -1
-		row.forEach(func(s int) {
-			if bad < 0 && pos[r] > pos[s] {
-				bad = s
+	// Report the least violating pair (f, t) — f visible to t but placed
+	// after it — in (f, t) order, whatever order the rows are swept in.
+	bf, bt := len(seq), -1
+	for t, row := range h.pred {
+		row.forEach(func(f int) {
+			if f < bf && pos[f] > pos[t] {
+				bf, bt = f, t
 			}
 		})
-		if bad >= 0 {
-			return nil, fmt.Errorf("sequence orders %v before %v against visibility", h.seq[bad], h.seq[r])
-		}
+	}
+	if bt >= 0 {
+		return nil, fmt.Errorf("sequence orders %v before %v against visibility", h.seq[bt], h.seq[bf])
 	}
 	return ranks, nil
 }

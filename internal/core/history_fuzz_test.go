@@ -8,7 +8,7 @@ import (
 // input bytes decode into an AddVis sequence over a small label set
 // (including out-of-range identifiers and reflexive and cycle-forming
 // edges), and every insertion verdict plus every visibility query must match
-// the legacy map-closure oracle exactly, predecessor mirror included. CI runs it as a
+// the legacy map-closure oracle exactly. CI runs it as a
 // bounded smoke (`go test -fuzz=FuzzHistoryVis -fuzztime=30s`) on top of the
 // seed corpus.
 func FuzzHistoryVis(f *testing.F) {

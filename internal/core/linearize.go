@@ -42,13 +42,19 @@ func TimestampOrderLinearization(h *History) []*Label {
 func LinearExtensions(h *History, limit int, fn func(seq []*Label) bool) (produced int, truncated bool) {
 	labels := h.Labels()
 	n := len(labels)
-	// indegree[i] counts visibility predecessors of labels[i] not yet placed.
-	indegree := make(map[uint64]int, n)
-	for _, l := range labels {
-		indegree[l.ID] = len(h.VisibleTo(l))
+	// indegree[t] counts visibility predecessors of the label at rank t not
+	// yet placed; succs[f] lists the ranks rank f is visible to, transposed
+	// once from the ancestor rows.
+	indegree := make([]int, n)
+	succs := make([][]int, n)
+	for t := range labels {
+		h.PredRow(t, func(f int) {
+			indegree[t]++
+			succs[f] = append(succs[f], t)
+		})
 	}
 	placed := make([]*Label, 0, n)
-	used := make(map[uint64]bool, n)
+	used := make([]bool, n)
 	stop := false
 
 	var rec func()
@@ -67,21 +73,21 @@ func LinearExtensions(h *History, limit int, fn func(seq []*Label) bool) (produc
 			}
 			return
 		}
-		for _, l := range labels {
-			if used[l.ID] || indegree[l.ID] != 0 {
+		for r, l := range labels {
+			if used[r] || indegree[r] != 0 {
 				continue
 			}
-			used[l.ID] = true
+			used[r] = true
 			placed = append(placed, l)
-			for _, s := range h.SeenBy(l) {
-				indegree[s.ID]--
+			for _, s := range succs[r] {
+				indegree[s]--
 			}
 			rec()
-			for _, s := range h.SeenBy(l) {
-				indegree[s.ID]++
+			for _, s := range succs[r] {
+				indegree[s]++
 			}
 			placed = placed[:len(placed)-1]
-			used[l.ID] = false
+			used[r] = false
 			if stop {
 				return
 			}

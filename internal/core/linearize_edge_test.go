@@ -46,16 +46,16 @@ func TestLinearExtensionsSingleLabel(t *testing.T) {
 }
 
 // plantVisUnchecked inserts a visibility edge directly into the history's
-// adjacency and reachability index, bypassing AddVis's cycle check and
-// closure propagation. Test-only: it lets tests build the cyclic relations
-// AddVis rejects.
+// adjacency and the target's ancestor row, bypassing AddVis's cycle check
+// and closure propagation. Test-only: it lets tests build the cyclic
+// relations AddVis rejects.
 func plantVisUnchecked(h *History, from, to uint64) {
 	f, _ := h.lookup(from)
 	t, _ := h.lookup(to)
 	rf, rt := f.rank, t.rank
 	h.adjOut[rf] = append(h.adjOut[rf], rt)
 	h.adjIn[rt] = append(h.adjIn[rt], rf)
-	h.reach[rf].set(int(rt))
+	h.pred[rt].set(int(rf))
 }
 
 // cyclicHistory builds a two-label history whose visibility relation is a

@@ -108,7 +108,9 @@ func (r *RewrittenHistory) UpdatePart(id uint64) *Label {
 //   - whenever (ℓ, ℓ') ∈ vis, (upd(γ(ℓ)), qry(γ(ℓ'))) ∈ vis'.
 //
 // Kinds are validated: queries map to queries, updates to updates, and
-// query-updates to a (query, update) pair.
+// query-updates to a (query, update) pair. γ(h) is built by rank transport:
+// its adjacency and its one closure index, the ancestor rows, are the
+// images of h's rows, so no edge is re-propagated.
 //
 // A nil rewriting declares γ = id. On a history without query-update labels
 // the identity rewriting only relabels (fresh IDs rank+1, doubled GenSeqs)
@@ -142,13 +144,13 @@ func RewriteHistory(h *History, g Rewriting) (*RewrittenHistory, error) {
 // the first invalid label names the error. Labels, their Args, the
 // adjacency rows and the closure rows are then carved from slabs sized
 // exactly for γ(h), and every row is the image of h's row: bit s of a
-// source row becomes the bits of s's images, an edge ℓ → ℓ' becomes
-// upd(γ(ℓ)) → qry(γ(ℓ')), and a (query, update) pair adds its own q → u
-// edge. The closures agree with inserting those edges one by
+// source ancestor row becomes the bits of s's images, an edge ℓ → ℓ'
+// becomes upd(γ(ℓ)) → qry(γ(ℓ')), and a (query, update) pair adds its own
+// q → u edge. The closures agree with inserting those edges one by
 // one, because every source path ℓ → ℓ₁ → … → ℓ' transports to a path
-// through the pairs' q → u edges. h's index must be closed and mirrored, as
-// AddVis keeps it; the adjacency transported is h's whole generating set,
-// whether or not an edge is implied by the others in γ(h).
+// through the pairs' q → u edges. h's index must be closed, as AddVis keeps
+// it; the adjacency transported is h's whole generating set, whether or not
+// an edge is implied by the others in γ(h).
 func transport(h *History, g Rewriting) (*RewrittenHistory, error) {
 	n := len(h.seq)
 	edges := 0
@@ -236,18 +238,16 @@ func transport(h *History, g Rewriting) (*RewrittenHistory, error) {
 	// propagation marks.
 	words := m
 	for r := range h.seq {
-		q, u := int(off[r]), int(off[r+1]-1)
-		reachW, predW := imageWords(h.reach[r], off), imageWords(h.pred[r], off)
-		words += reachW + predW
-		if q != u {
-			words += max(reachW, u>>6+1) + max(predW, q>>6+1)
+		predW := imageWords(h.pred[r], off)
+		words += predW
+		if q := int(off[r]); q != int(off[r+1]-1) {
+			words += max(predW, q>>6+1)
 		}
 	}
 	slab := make([]uint64, words)
 	mark := slab[:m:m]
 	slab = slab[m:]
-	rows := make([]bitset, 2*m)
-	reach, pred := rows[:m:m], rows[m:]
+	pred := make([]bitset, m)
 	row := func(src bitset, extra int) bitset {
 		k := imageWords(src, off)
 		if extra >= 0 {
@@ -270,12 +270,10 @@ func transport(h *History, g Rewriting) (*RewrittenHistory, error) {
 	}
 	for r := range h.seq {
 		q, u := int(off[r]), int(off[r+1]-1)
-		if q == u {
-			reach[q], pred[q] = row(h.reach[r], -1), row(h.pred[r], -1)
-			continue
+		pred[q] = row(h.pred[r], -1)
+		if q != u {
+			pred[u] = row(h.pred[r], q)
 		}
-		reach[q], reach[u] = row(h.reach[r], u), row(h.reach[r], -1)
-		pred[q], pred[u] = row(h.pred[r], -1), row(h.pred[r], q)
 	}
 
 	return &RewrittenHistory{
@@ -284,7 +282,6 @@ func transport(h *History, g Rewriting) (*RewrittenHistory, error) {
 			adjOut: adjOut,
 			adjIn:  adjIn,
 			nedges: edges + pairs,
-			reach:  reach,
 			pred:   pred,
 			mark:   mark,
 		},

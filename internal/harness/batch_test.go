@@ -165,7 +165,7 @@ func TestBatchPolarityDifferentialAllDescriptors(t *testing.T) {
 
 // TestHistoryQueryRaceWithBatchRecheck pins the History concurrency
 // contract the closure-free representation documents: Vis/Concurrent/
-// VisibleTo/SeenBy/VisEdges are read-only and safe to issue from other
+// VisibleTo/SeenBy are read-only and safe to issue from other
 // goroutines while a shared-session batch re-checks the very same history
 // objects on concurrent workers (history records, searcher pool). CI
 // runs the suite under -race, which turns any hidden mutation — scratch
@@ -210,7 +210,6 @@ func TestHistoryQueryRaceWithBatchRecheck(t *testing.T) {
 					h.VisibleTo(a)
 					h.SeenBy(a)
 				}
-				h.VisEdges(func(from, to uint64) {})
 			}
 		}(w)
 	}

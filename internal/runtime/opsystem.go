@@ -64,7 +64,7 @@ type System struct {
 	// visScratch buffers the seen-set of the invoking replica so the
 	// visibility edges of each new label are inserted in descending
 	// identifier order: the maximal seen operations go in first and the
-	// history's reachability index reduces every edge they imply to a single
+	// history's ancestor index reduces every edge they imply to a single
 	// bit probe (AddVis skips transitively implied edges). Sorting also makes
 	// the recorded direct adjacency deterministic where map iteration order
 	// is not.
@@ -169,7 +169,7 @@ func (s *System) Invoke(r clock.ReplicaID, method string, args ...core.Value) (*
 // order. Identifiers increase monotonically with generation, so descending
 // order visits the latest — most likely vis-maximal — seen operations first:
 // once their edges are in, History.AddVis disposes of every edge they imply
-// with a single reachability bit probe. Allocation-free given capacity in
+// with a single ancestor-row bit probe. Allocation-free given capacity in
 // dst; shared with the composed-system runtime, which inserts seen-set
 // edges the same way.
 func AppendSeenDescending(dst []uint64, seen map[uint64]bool) []uint64 {

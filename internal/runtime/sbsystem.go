@@ -38,7 +38,7 @@ type SBSystem struct {
 	nextMsg  uint64
 	events   []Event
 	// visScratch plays the same role as System.visScratch: seen-set edges are
-	// inserted in descending identifier order so the reachability index skips
+	// inserted in descending identifier order so the ancestor index skips
 	// the implied ones with one bit probe each.
 	visScratch []uint64
 }

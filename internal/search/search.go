@@ -139,9 +139,10 @@ type prepared struct {
 	labels []*core.Label
 	// preds[i] / succs[i] are the (transitive) visibility predecessors and
 	// successors of labels[i], as indices. Label index equals history rank
-	// (AppendLabels yields insertion order), so both lists are filled by one
-	// History.PredRow/SuccRow bitset sweep per label, entries in ascending
-	// rank order; the search only ever counts and iterates them.
+	// (AppendLabels yields insertion order), so one History.PredRow sweep per
+	// label, in ascending rank, fills preds and transposes into succs, both
+	// with entries in ascending rank order; the search only ever counts and
+	// iterates them.
 	preds [][]int
 	succs [][]int
 	// cids[i] is labels[i]'s content ID in the searcher's transition table,
@@ -196,10 +197,8 @@ func (o *orderSorter) Less(i, j int) bool {
 
 // build populates the plan for h, reusing the backing arrays of whatever
 // check used this plan before. The visibility indexes are filled by one
-// predecessor-row and one successor-row bitset sweep per label
-// (core.History.PredRow/SuccRow) — label index equals rank, so no
-// ID-to-index map is needed at all, where the previous closure-edge pass
-// keyed every edge endpoint through one.
+// ancestor-row bitset sweep per label (core.History.PredRow) — label index
+// equals rank, so no ID-to-index map is needed at all.
 func (p *prepared) build(h *core.History, strong bool) error {
 	p.labels = h.AppendLabels(p.labels[:0])
 	labels := p.labels
@@ -214,8 +213,10 @@ func (p *prepared) build(h *core.History, strong bool) error {
 	p.affected = resizeIndexSets(p.affected, n)
 	p.queries = p.queries[:0]
 	for i := 0; i < n; i++ {
-		h.PredRow(i, func(f int) { p.preds[i] = append(p.preds[i], f) })
-		h.SuccRow(i, func(t int) { p.succs[i] = append(p.succs[i], t) })
+		h.PredRow(i, func(f int) {
+			p.preds[i] = append(p.preds[i], f)
+			p.succs[f] = append(p.succs[f], i)
+		})
 	}
 	if !strong {
 		for i, l := range labels {
