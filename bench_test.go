@@ -332,7 +332,7 @@ func BenchmarkConstructiveVsExhaustive(b *testing.B) {
 	}
 }
 
-// BenchmarkBatchCheckRandomHistories measures the CheckRandomHistories batch
+// BenchmarkBatchCheckRandomHistories measures the random-history batch
 // pipeline end to end — workload generation, exhaustive checking (strategies
 // disabled so every trial drives the search engine) and deterministic
 // aggregation — at the four corners of {per-history fresh engine state,

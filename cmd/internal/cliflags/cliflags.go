@@ -40,9 +40,21 @@ func AddCommon(fs *flag.FlagSet) *Common {
 
 // AddIncremental registers -incremental on the flag set of the tools that
 // honour it (ralin-check, ralin-scenario): when given, histories are replayed
-// op-by-op through harness.MonitorGenerated instead of batch-checked whole.
+// op-by-op through harness.MonitorGenerated instead of batch-checked whole
+// (see Checker).
 func AddIncremental(fs *flag.FlagSet) *bool {
 	return fs.Bool("incremental", false, "replay each history op-by-op through the incremental checker (Session.Extend): every prefix is re-verified in ~marginal time, same final verdicts as the batch check")
+}
+
+// Checker returns the generator batch entry point -incremental selects:
+// harness.MonitorGenerated, which replays every history op by op, or
+// harness.CheckGeneratedAgainst, which checks each history whole. Both run
+// through the same batch pool and report the same HistoryCheck.
+func Checker(incremental bool) func(string, core.Spec, core.CheckOptions, harness.HistoryGenerator, int, harness.Options) (harness.HistoryCheck, error) {
+	if incremental {
+		return harness.MonitorGenerated
+	}
+	return harness.CheckGeneratedAgainst
 }
 
 // Options resolves the parsed flags into a harness.Options value.

@@ -124,18 +124,14 @@ func run(common *cliflags.Common, incremental bool, scenarioName, name string, h
 		Elems:        []string{"a", "b", "c"},
 		DeliveryProb: delivery,
 	}
-	var res harness.HistoryCheck
-	if incremental {
-		res, err = harness.MonitorRandomHistories(d, histories, cfg, o)
-	} else {
-		res, err = harness.CheckRandomHistoriesWith(d, histories, cfg, o)
-	}
+	gen := harness.RandomGenerator{Desc: d, Cfg: cfg}
+	res, err := cliflags.Checker(incremental)(d.Name, d.Spec, d.CheckOptions(), gen, histories, o)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ralin-check:", err)
 		return 3
 	}
 	fmt.Printf("%s (%s, %s linearizations)\n", d.Name, d.Class, d.Lin)
-	printStats(res, core.ResolveEngine(o.Engine))
+	printStats(res, core.ResolveEngine(o.Engine), incremental)
 	if res.Invalid > 0 {
 		fmt.Printf("  FIRST FAILURE: %s\n", res.FailureExample)
 	}
@@ -158,18 +154,13 @@ func runScenario(o harness.Options, scenarioName string, histories int, seed int
 		return 3
 	}
 	gen := scenario.Generator{Scenario: sc, Seed: seed}
-	var res harness.HistoryCheck
-	if incremental {
-		res, err = harness.MonitorGenerated(sc.Name, plan.Spec, plan.Options, gen, histories, o)
-	} else {
-		res, err = harness.CheckGeneratedAgainst(sc.Name, plan.Spec, plan.Options, gen, histories, o)
-	}
+	res, err := cliflags.Checker(incremental)(sc.Name, plan.Spec, plan.Options, gen, histories, o)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ralin-check:", err)
 		return 3
 	}
 	fmt.Printf("scenario %s: %s checked against %s (%s mode)\n", sc.Name, sc.CRDT, plan.SpecName, sc.Mode)
-	printStats(res, core.ResolveEngine(o.Engine))
+	printStats(res, core.ResolveEngine(o.Engine), incremental)
 	if res.Invalid > 0 {
 		verdictKind := "UNEXPECTED failures"
 		if plan.ExpectRefutations {
@@ -190,7 +181,7 @@ func firstLine(s string) string {
 	return s
 }
 
-func printStats(res harness.HistoryCheck, engine core.Engine) {
+func printStats(res harness.HistoryCheck, engine core.Engine, incremental bool) {
 	fmt.Printf("  histories checked:   %d (%d operations total)\n", res.Histories, res.Operations)
 	fmt.Printf("  RA-linearizable:     %d\n", res.Linearizable)
 	for strategy, n := range res.ByStrategy {
@@ -210,9 +201,9 @@ func printStats(res harness.HistoryCheck, engine core.Engine) {
 	if res.Nodes > 0 {
 		fmt.Printf("  search nodes:        %d explored, %d pruned, %d memo hits\n", res.Nodes, res.Pruned, res.MemoHits)
 	}
-	if res.Prefixes > 0 {
+	if incremental && res.Operations > 0 {
 		fmt.Printf("  incremental:         %d prefixes checked: %d certificate replays, %d extend searches, %d rebuilds\n",
-			res.Prefixes, res.Replayed, res.ExtendSearches, res.Rebuilds)
+			res.Operations, res.Replayed, res.ExtendSearches, res.Rebuilds)
 	}
 	fmt.Printf("  batch:               %d workers, %d state IDs held by the session's pooled searchers\n", res.BatchWorkers, res.InternedStates)
 	fmt.Printf("  plan cache:          %d pooled plans reused, %d cached rewrites\n", res.PlanReuses, res.RewriteHits)

@@ -108,19 +108,14 @@ func runScenario(sc scenario.Scenario, o harness.Options, seed int64, trials int
 		fatal(err)
 	}
 	gen := scenario.Generator{Scenario: sc, Seed: seed}
-	var res harness.HistoryCheck
-	if incremental {
-		res, err = harness.MonitorGenerated(sc.Name, plan.Spec, plan.Options, gen, trials, o)
-	} else {
-		res, err = harness.CheckGeneratedAgainst(sc.Name, plan.Spec, plan.Options, gen, trials, o)
-	}
+	res, err := cliflags.Checker(incremental)(sc.Name, plan.Spec, plan.Options, gen, trials, o)
 	if err != nil {
 		fatal(err)
 	}
 	fmt.Printf("%-20s %s vs %s (%s mode): %d histories, %d ops, %d nodes",
 		sc.Name, sc.CRDT, plan.SpecName, sc.Mode, res.Histories, res.Operations, res.Nodes)
-	if res.Prefixes > 0 {
-		fmt.Printf(", %d/%d prefixes replayed from certificate", res.Replayed, res.Prefixes)
+	if incremental && res.Operations > 0 {
+		fmt.Printf(", %d/%d prefixes replayed from certificate", res.Replayed, res.Operations)
 	}
 	switch {
 	case res.Invalid > 0 && plan.ExpectRefutations:

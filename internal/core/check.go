@@ -88,7 +88,7 @@ const (
 
 // EngineSession is a handle to cross-check state owned by a search engine:
 // pooled searchers with their state IDs, memo tables and scratch that one
-// batch of checks (for example a harness.CheckRandomHistories run) reuses
+// batch of checks (for example a harness.CheckRandomHistoriesWith run) reuses
 // instead of rebuilding per history, and the γ-rewriting and last verdict of
 // each history it checked. Sessions are created by the engine package
 // (search.NewSession) and threaded through CheckOptions.Session or

@@ -334,7 +334,6 @@ func TestNegativeTrialsRejected(t *testing.T) {
 		"MonitorGenerated": func() (HistoryCheck, error) {
 			return MonitorGenerated(d.Name, d.Spec, d.CheckOptions(), gen, -2, Options{})
 		},
-		"MonitorRandomHistories": func() (HistoryCheck, error) { return MonitorRandomHistories(d, -1, cfg, Options{}) },
 	}
 	for name, run := range entries {
 		res, err := run()

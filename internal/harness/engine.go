@@ -68,6 +68,15 @@ func (o Options) Tune(opts core.CheckOptions) core.CheckOptions {
 	return opts
 }
 
+// session is the engine session a batch shares: nil, fresh state for every
+// check, under FreshSessions.
+func (o Options) session() *search.Session {
+	if o.FreshSessions {
+		return nil
+	}
+	return search.NewSessionWithBudget(o.Budget)
+}
+
 // withDeadline wires o's deadline and cancellation into opts: o.Timeout
 // derives a deadline from o.Context (or the background context), and the
 // resulting context is threaded into opts unless it pins its own, so one

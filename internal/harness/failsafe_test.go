@@ -53,7 +53,8 @@ func (p slowSpec) StepAppend(dst []core.AbsState, phi core.AbsState, l *core.Lab
 // the race detector in CI): one panicking trial becomes one Unknown outcome
 // with the panic reason, every other trial of the batch keeps its verdict,
 // and the result is identical whether the batch ran concurrently or
-// sequentially.
+// sequentially — for whole checks and for the op-by-op monitor, whose panic
+// comes out of the certificate replay's justification of the read.
 func TestBatchPanicIsolation(t *testing.T) {
 	const trials = 6
 	gen := GeneratorFunc(func(trial int) (*core.History, int64, error) {
@@ -63,19 +64,28 @@ func TestBatchPanicIsolation(t *testing.T) {
 		return incsHistory(5, 5), int64(trial), nil
 	})
 	opts := core.CheckOptions{Exhaustive: true}
-	for _, workers := range []int{1, 4} {
-		res, err := CheckGeneratedAgainst("panic-batch", trialPanicSpec{}, opts, gen, trials, Options{BatchWorkers: workers})
-		if err != nil {
-			t.Fatalf("workers=%d: a panicking trial must not fail the batch: %v", workers, err)
-		}
-		if res.Histories != trials || res.Linearizable != trials-1 || res.Invalid != 0 {
-			t.Fatalf("workers=%d: other trials' verdicts must be unchanged: %+v", workers, res)
-		}
-		if res.Unknown != 1 || res.UnknownByReason[string(core.ReasonPanic)] != 1 {
-			t.Fatalf("workers=%d: the panicking trial must report Unknown/panic: %+v", workers, res)
-		}
-		if !strings.Contains(res.UnknownExample, "injected failure") {
-			t.Fatalf("workers=%d: panic message must surface in the example: %q", workers, res.UnknownExample)
+	entries := []struct {
+		name string
+		run  func(string, core.Spec, core.CheckOptions, HistoryGenerator, int, Options) (HistoryCheck, error)
+	}{
+		{"CheckGeneratedAgainst", CheckGeneratedAgainst},
+		{"MonitorGenerated", MonitorGenerated},
+	}
+	for _, e := range entries {
+		for _, workers := range []int{1, 4} {
+			res, err := e.run("panic-batch", trialPanicSpec{}, opts, gen, trials, Options{BatchWorkers: workers})
+			if err != nil {
+				t.Fatalf("%s workers=%d: a panicking trial must not fail the batch: %v", e.name, workers, err)
+			}
+			if res.Histories != trials || res.Linearizable != trials-1 || res.Invalid != 0 {
+				t.Fatalf("%s workers=%d: other trials' verdicts must be unchanged: %+v", e.name, workers, res)
+			}
+			if res.Unknown != 1 || res.UnknownByReason[string(core.ReasonPanic)] != 1 {
+				t.Fatalf("%s workers=%d: the panicking trial must report Unknown/panic: %+v", e.name, workers, res)
+			}
+			if !strings.Contains(res.UnknownExample, "injected failure") {
+				t.Fatalf("%s workers=%d: panic message must surface in the example: %q", e.name, workers, res.UnknownExample)
+			}
 		}
 	}
 }

@@ -33,7 +33,7 @@ func TestCheckRandomHistories(t *testing.T) {
 	d, _ := registry.Lookup("OR-Set")
 	cfg := DefaultWorkload()
 	cfg.Ops = 6
-	res, err := CheckRandomHistories(d, 5, cfg)
+	res, err := CheckRandomHistoriesWith(d, 5, cfg, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

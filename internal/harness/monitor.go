@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"ralin/internal/core"
-	"ralin/internal/crdt"
 	"ralin/internal/search"
 )
 
@@ -20,9 +19,8 @@ import (
 // MonitorReport summarises the op-by-op incremental verification of one
 // history.
 type MonitorReport struct {
-	// Ops is the number of operations replayed (= prefixes checked).
-	Ops int
-	// Verdicts holds the verdict after each prefix, in replay order.
+	// Verdicts holds the verdict after each prefix, in replay order: one per
+	// operation replayed.
 	Verdicts []core.Verdict
 	// Replayed counts the prefixes whose verdict came from validating the
 	// previous witness as a certificate (Result.WitnessReplayed) — no search.
@@ -42,26 +40,24 @@ type MonitorReport struct {
 // MonitorHistory replays a finished history through the incremental checker:
 // labels in insertion order, each followed by the direct visibility edges
 // whose endpoints both exist by that step, checking every prefix via
-// core.CheckRAExtend over one engine session. The per-prefix closure (and so
+// core.CheckRAExtend over one engine session (none with o.FreshSessions,
+// which checks every prefix from scratch). The per-prefix closure (and so
 // every verdict) matches a from-scratch check of the same prefix.
 func MonitorHistory(h *core.History, sp core.Spec, opts core.CheckOptions, o Options) (MonitorReport, error) {
 	opts = o.Tune(opts)
 	_, cancel := o.withDeadline(&opts)
 	defer cancel()
-	return monitorHistory(h, sp, opts, o, search.NewSessionWithBudget(o.Budget))
+	return monitorHistory(h, sp, opts, o.session())
 }
 
-// monitorHistory is MonitorHistory over a caller-owned session, so a batch of
-// monitored histories shares one warm session the way runBatch's trials do.
-// opts are already tuned and carry the caller's deadline.
-func monitorHistory(h *core.History, sp core.Spec, opts core.CheckOptions, o Options, sess *search.Session) (MonitorReport, error) {
-	if !o.FreshSessions {
-		opts.Session = sess
-	} else {
-		opts.Session = nil
-	}
-
-	rep := MonitorReport{Ops: h.Len()}
+// monitorHistory is MonitorHistory over a caller-owned session, so the
+// monitored histories of a batch share one warm session the way runBatch's
+// trials do; a nil session checks every prefix from scratch. opts are
+// already tuned and carry the caller's deadline. The replay's record is
+// dropped from the session when it ends.
+func monitorHistory(h *core.History, sp core.Spec, opts core.CheckOptions, sess *search.Session) (MonitorReport, error) {
+	opts.Session = sess
+	var rep MonitorReport
 	n := h.Len()
 	if n == 0 {
 		rep.Final = core.CheckRA(h, sp, opts)
@@ -97,6 +93,7 @@ func monitorHistory(h *core.History, sp core.Spec, opts core.CheckOptions, o Opt
 	}
 
 	g := core.NewHistory()
+	defer sess.Forget(g)
 	newOps := make([]*core.Label, 1)
 	rep.Verdicts = make([]core.Verdict, 0, n)
 	for k := 0; k < n; k++ {
@@ -128,65 +125,29 @@ func monitorHistory(h *core.History, sp core.Spec, opts core.CheckOptions, o Opt
 
 // MonitorGenerated checks trials histories from the generator through the
 // incremental monitor loop — each history replayed op-by-op via
-// core.CheckRAExtend over one shared engine session — and aggregates the
-// final (full-history) verdicts into the same HistoryCheck shape the batch
-// entry points report, so tools can switch a batch to incremental mode
-// without changing their reporting or exit-code logic. Verdict fields, Tried
-// and the session flags come from each history's final prefix; Stats sums
-// every prefix's search work. The monitor's own counters land in the
-// Prefixes/Replayed/ExtendSearches/Rebuilds fields.
-// Trials run sequentially: the monitor models a store observed live, and the
-// session's certificate state is per-history anyway. o.Timeout bounds the
-// whole batch, as in the batch entry points: dispatch stops at the deadline,
-// the history in flight ends Unknown, and the trials never dispatched are
-// recorded Unknown with the deadline's reason.
+// core.CheckRAExtend — and aggregates the final (full-history) verdicts into
+// the same HistoryCheck shape the batch entry points report, so tools can
+// switch a batch to incremental mode without changing their reporting or
+// exit-code logic. Verdict fields, Tried and the session flags come from each
+// history's final prefix; Stats sums every prefix's search work. The
+// monitor's own counters land in the Replayed/ExtendSearches/Rebuilds
+// fields. Trials run through the batch pool of CheckGeneratedAgainst, with
+// its workers over one shared session, its panic isolation, its deadline
+// and its trial-order fold; each history's replay is serialized on one
+// worker, as Extend requires.
 func MonitorGenerated(name string, sp core.Spec, opts core.CheckOptions, gen HistoryGenerator, trials int, o Options) (HistoryCheck, error) {
-	if err := checkTrials(name, trials); err != nil {
-		return HistoryCheck{}, err
-	}
-	opts = o.Tune(opts)
-	ctx, cancel := o.withDeadline(&opts)
-	defer cancel()
-	out := newHistoryCheck(name, 1)
-	sess := search.NewSessionWithBudget(o.Budget)
-	for i := 0; i < trials; i++ {
-		if ctx != nil && ctx.Err() != nil {
-			skipped := make([]trialResult, trials-i)
-			markUndispatched(skipped, ctx)
-			for k := range skipped {
-				out.add(i+k, &skipped[k])
-			}
-			break
-		}
-		h, seed, err := gen.Generate(i)
-		if err != nil {
-			out.InternedStates = sess.InternedStates()
-			return out, err
-		}
-		rep, err := monitorHistory(h, sp, opts, o, sess)
-		if err != nil {
-			out.InternedStates = sess.InternedStates()
-			return out, err
-		}
-		tr := trialResult{seed: seed, ops: rep.Ops}
-		tr.record(rep.Final)
-		tr.stats = rep.Stats
-		out.add(i, &tr)
-		out.Prefixes += rep.Ops
-		out.Replayed += rep.Replayed
-		out.ExtendSearches += rep.Searched
-		out.Rebuilds += rep.Rebuilt
-	}
-	out.InternedStates = sess.InternedStates()
-	return out, nil
+	return runBatch(name, sp, opts, trials, gen.Generate, monitorTrial, o)
 }
 
-// MonitorRandomHistories is CheckRandomHistoriesWith through the incremental
-// monitor loop: trials random histories of the CRDT, each replayed op-by-op
-// via core.CheckRAExtend instead of checked whole. Trial i uses seed
-// cfg.Seed+i·7919, matching the batch entry point, so the two modes check
-// identical histories.
-func MonitorRandomHistories(d crdt.Descriptor, trials int, cfg WorkloadConfig, o Options) (HistoryCheck, error) {
-	cfg.fill()
-	return MonitorGenerated(d.Name, d.Spec, d.CheckOptions(), RandomGenerator{Desc: d, Cfg: cfg}, trials, o)
+// monitorTrial is MonitorGenerated's per-trial check: the op-by-op replay of
+// h over the batch's session.
+func monitorTrial(b *batch, h *core.History, tr *trialResult) error {
+	rep, err := monitorHistory(h, b.sp, b.opts, b.sess)
+	if err != nil {
+		return err
+	}
+	tr.record(rep.Final)
+	tr.stats = rep.Stats
+	tr.replayed, tr.searched, tr.rebuilt = rep.Replayed, rep.Searched, rep.Rebuilt
+	return nil
 }

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -116,5 +117,48 @@ func TestMonitorGeneratedBatchDeadline(t *testing.T) {
 	}
 	if res.Unknown == 0 || res.UnknownByReason[string(core.ReasonDeadline)] != res.Unknown {
 		t.Fatalf("the 20ms deadline must leave trials Unknown, all for the deadline: %+v", res)
+	}
+}
+
+// TestMonitorWidthDeterminism pins that the monitor's batch width changes no
+// result (run under the race detector in CI): MonitorGenerated over more
+// trials than the session keeps records for must report the same verdicts,
+// folded search counters (justification steps included) and certificate
+// replays, extend searches and rebuilds at 1 and at 4 workers. A finished
+// replay that stayed recorded would fill the session to its record cap, and
+// the clear there would drop other workers' in-flight records — those
+// histories would rebuild, and the counters would depend on timing.
+func TestMonitorWidthDeterminism(t *testing.T) {
+	d, err := registry.Lookup("OR-Set")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const trials = 1200
+	gen := RandomGenerator{Desc: d, Cfg: DefaultWorkload()}
+	var first HistoryCheck
+	for _, workers := range []int{1, 4} {
+		got, err := MonitorGenerated(d.Name, d.Spec, d.CheckOptions(), gen, trials, Options{BatchWorkers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.BatchWorkers != workers {
+			t.Fatalf("monitor batch ran on %d workers, want %d", got.BatchWorkers, workers)
+		}
+		if workers == 1 {
+			first = got
+			if got.Replayed == 0 || got.JustSteps == 0 {
+				t.Fatalf("workload too easy: no certificate replay justified a read: %+v", got)
+			}
+			continue
+		}
+		if got.Histories != first.Histories || got.Linearizable != first.Linearizable ||
+			got.Invalid != first.Invalid || got.Unknown != first.Unknown ||
+			!reflect.DeepEqual(got.ByStrategy, first.ByStrategy) || got.FailureExample != first.FailureExample ||
+			got.Stats.FoldSteps() != first.Stats.FoldSteps() ||
+			got.Replayed != first.Replayed || got.ExtendSearches != first.ExtendSearches || got.Rebuilds != first.Rebuilds {
+			t.Errorf("4 workers: %d/%d valid, %d invalid, %d unknown, %+v, replayed %d, searched %d, rebuilt %d;\n1 worker:  %d/%d valid, %d invalid, %d unknown, %+v, replayed %d, searched %d, rebuilt %d",
+				got.Linearizable, got.Histories, got.Invalid, got.Unknown, got.Stats.FoldSteps(), got.Replayed, got.ExtendSearches, got.Rebuilds,
+				first.Linearizable, first.Histories, first.Invalid, first.Unknown, first.Stats.FoldSteps(), first.Replayed, first.ExtendSearches, first.Rebuilds)
+		}
 	}
 }

@@ -143,7 +143,8 @@ type HistoryCheck struct {
 	Tried int
 	// Stats sums the search work over every check of the batch with
 	// core.Stats.Add. The legacy enumerator reports only Leaves. Under
-	// MonitorGenerated every prefix check counts.
+	// MonitorGenerated every prefix check counts, and Operations is the
+	// number of prefixes checked.
 	core.Stats
 	// BatchWorkers is the number of goroutines the batch pool checked trials
 	// across.
@@ -165,13 +166,11 @@ type HistoryCheck struct {
 	// FailureExample describes the first definitively non-linearizable
 	// history (by trial index), if any.
 	FailureExample string
-	// Prefixes, Replayed, ExtendSearches and Rebuilds are the incremental
-	// monitor's counters (MonitorGenerated): prefixes checked op-by-op,
-	// verdicts produced by replaying the previous witness as a certificate,
-	// fallback searches over the grown rewriting, and prefixes whose
-	// extension preconditions failed (checked by a plain warm pass). All zero
-	// for the batch entry points.
-	Prefixes       int
+	// Replayed, ExtendSearches and Rebuilds are the incremental monitor's
+	// counters (MonitorGenerated): prefixes whose verdict came from replaying
+	// the previous witness as a certificate, fallback searches over the grown
+	// rewriting, and prefixes whose extension preconditions failed (checked
+	// by a plain warm pass). All zero for the batch entry points.
 	Replayed       int
 	ExtendSearches int
 	Rebuilds       int
@@ -199,7 +198,7 @@ type GeneratorFunc func(trial int) (*core.History, int64, error)
 func (f GeneratorFunc) Generate(trial int) (*core.History, int64, error) { return f(trial) }
 
 // RandomGenerator is the uniform random workload generator behind
-// CheckRandomHistories: trial i runs RunRandom with seed Cfg.Seed+i·7919.
+// CheckRandomHistoriesWith: trial i runs RunRandom with seed Cfg.Seed+i·7919.
 type RandomGenerator struct {
 	Desc crdt.Descriptor
 	Cfg  WorkloadConfig
@@ -224,20 +223,15 @@ func (g RandomGenerator) Generate(trial int) (*core.History, int64, error) {
 // folded in trial order, so the result is deterministic regardless of worker
 // count or completion order (given deterministic per-check options).
 func CheckGeneratedAgainst(name string, sp core.Spec, opts core.CheckOptions, gen HistoryGenerator, trials int, o Options) (HistoryCheck, error) {
-	return runBatch(name, sp, opts, trials, gen.Generate, o)
+	return runBatch(name, sp, opts, trials, gen.Generate, wholeTrial, o)
 }
 
-// CheckRandomHistories generates trials random histories of the CRDT and
+// CheckRandomHistoriesWith generates trials random histories of the CRDT and
 // checks each for RA-linearizability with the descriptor's designated
 // strategy (falling back to the other strategy and a bounded exhaustive
-// search), under the default Options.
-func CheckRandomHistories(d crdt.Descriptor, trials int, cfg WorkloadConfig) (HistoryCheck, error) {
-	return CheckRandomHistoriesWith(d, trials, cfg, Options{})
-}
-
-// CheckRandomHistoriesWith is CheckRandomHistories with explicit options: a
-// thin wrapper plugging RandomGenerator and the descriptor's checker options
-// into CheckGeneratedAgainst. Trial i always uses seed cfg.Seed+i·7919.
+// search): a thin wrapper plugging RandomGenerator and the descriptor's
+// checker options into CheckGeneratedAgainst. Trial i always uses seed
+// cfg.Seed+i·7919.
 func CheckRandomHistoriesWith(d crdt.Descriptor, trials int, cfg WorkloadConfig, o Options) (HistoryCheck, error) {
 	cfg.fill()
 	return CheckGeneratedAgainst(d.Name, d.Spec, d.CheckOptions(), RandomGenerator{Desc: d, Cfg: cfg}, trials, o)
@@ -245,27 +239,18 @@ func CheckRandomHistoriesWith(d crdt.Descriptor, trials int, cfg WorkloadConfig,
 
 // CheckHistoryBatch checks a batch of pre-built histories against one
 // specification through the same shared-session worker pool as
-// CheckRandomHistories. The explicit opts parameter is the per-trial checker
+// CheckGeneratedAgainst. The explicit opts parameter is the per-trial checker
 // configuration. The failure example of trial i is reported under "seed i"
 // (the trial index).
 func CheckHistoryBatch(name string, sp core.Spec, opts core.CheckOptions, hs []*core.History, o Options) (HistoryCheck, error) {
 	gen := func(i int) (*core.History, int64, error) { return hs[i], int64(i), nil }
-	return runBatch(name, sp, opts, len(hs), gen, o)
+	return runBatch(name, sp, opts, len(hs), gen, wholeTrial, o)
 }
 
-// checkTrials rejects a negative trial count, which would otherwise crash a
-// batch or check nothing without a word.
-func checkTrials(name string, trials int) error {
-	if trials < 0 {
-		return fmt.Errorf("%s: negative trial count %d", name, trials)
-	}
-	return nil
-}
-
-// runBatch is the batch pipeline: w workers generate and check trials over
-// one shared engine session, and the per-trial results are folded in trial
-// order so stats, ByStrategy and the first FailureExample do not depend on
-// completion order. The calling goroutine is worker 0, so w workers start
+// runBatch is the batch pipeline: w workers generate trials and check each
+// with check over one shared engine session, and the per-trial results are
+// folded in trial order so stats, ByStrategy and the first FailureExample do
+// not depend on completion order. The calling goroutine is worker 0, so w workers start
 // w−1 extra goroutines, and every worker runs the same loop: it claims the
 // next trial index from one shared counter, so indices are claimed in order.
 // The pipeline is fail-safe: a deadline or cancellation stops the claiming
@@ -273,9 +258,11 @@ func checkTrials(name string, trials int) error {
 // dropped), and a panicking trial — a crashing spec, generator, or engine bug
 // — is recovered into one Unknown outcome while every other trial's verdict
 // is unaffected.
-func runBatch(name string, sp core.Spec, opts core.CheckOptions, trials int, gen func(int) (*core.History, int64, error), o Options) (HistoryCheck, error) {
-	if err := checkTrials(name, trials); err != nil {
-		return HistoryCheck{}, err
+func runBatch(name string, sp core.Spec, opts core.CheckOptions, trials int, gen func(int) (*core.History, int64, error), check trialCheck, o Options) (HistoryCheck, error) {
+	// A negative trial count would otherwise crash the batch or check
+	// nothing without a word.
+	if trials < 0 {
+		return HistoryCheck{}, fmt.Errorf("%s: negative trial count %d", name, trials)
 	}
 	workers := o.BatchWorkers
 	if workers <= 0 {
@@ -296,11 +283,10 @@ func runBatch(name string, sp core.Spec, opts core.CheckOptions, trials int, gen
 		ctx:     ctx,
 		results: make([]trialResult, trials),
 		gen:     gen,
+		check:   check,
 		sp:      sp,
 		opts:    opts,
-	}
-	if !o.FreshSessions {
-		b.sess = search.NewSessionWithBudget(o.Budget)
+		sess:    o.session(),
 	}
 	b.wg.Add(workers)
 	for w := 1; w < workers; w++ {
@@ -308,22 +294,26 @@ func runBatch(name string, sp core.Spec, opts core.CheckOptions, trials int, gen
 	}
 	b.work()
 	b.wg.Wait()
-	results, sess := b.results, b.sess
+	results := b.results
 	// Trials the dead context kept from being claimed are recorded as Unknown
 	// with the context's reason — skipped, never silently dropped.
 	if dispatched := int(min(b.next.Load(), int64(trials))); dispatched < trials {
 		markUndispatched(results[dispatched:], ctx)
 	}
 
-	out := newHistoryCheck(name, workers)
+	out := HistoryCheck{
+		CRDT:            name,
+		ByStrategy:      map[string]int{},
+		UnknownByReason: map[string]int{},
+		BatchWorkers:    workers,
+		InternedStates:  b.sess.InternedStates(),
+	}
 	for i := range results {
 		if err := results[i].err; err != nil {
-			out.InternedStates = sess.InternedStates()
 			return out, err
 		}
 		out.add(i, &results[i])
 	}
-	out.InternedStates = sess.InternedStates()
 	return out, nil
 }
 
@@ -334,8 +324,8 @@ type batch struct {
 	// moving next from i to i+1, so indices are claimed in order. It may run
 	// past the trial count by up to one per worker.
 	next atomic.Int64
-	// failed stops the claiming once any trial's generator errors, so a
-	// failing batch does not burn through its remaining histories first.
+	// failed stops the claiming once any trial's generator or check errors,
+	// so a failing batch does not burn through its remaining histories first.
 	// Every claimed index still runs, and claims go out in order, so every
 	// trial below the first erroring index has run and the fold still reports
 	// the lowest-index error deterministically.
@@ -344,9 +334,22 @@ type batch struct {
 	ctx     context.Context
 	results []trialResult
 	gen     func(int) (*core.History, int64, error)
+	check   trialCheck
 	sp      core.Spec
 	opts    core.CheckOptions
 	sess    *search.Session
+}
+
+// trialCheck decides one generated history of a batch into its result slot;
+// an error fails the batch like a generator error. Each entry point fixes its
+// check when it builds the batch.
+type trialCheck func(b *batch, h *core.History, tr *trialResult) error
+
+// wholeTrial is the batch entry points' per-trial check: one check of the
+// whole history over the batch's session.
+func wholeTrial(b *batch, h *core.History, tr *trialResult) error {
+	tr.record(core.CheckRAWith(h, b.sp, b.opts, b.sess))
+	return nil
 }
 
 // work is one worker's loop: before each claim it checks that no trial has
@@ -364,7 +367,7 @@ func (b *batch) work() {
 	}
 }
 
-// run generates and checks trial i into its result slot. Panic isolation: a
+// run generates trial i and checks it into its result slot. Panic isolation: a
 // crashing spec step, generator, or engine bug in one trial becomes that
 // trial's Unknown outcome (stack captured in the detail) instead of killing
 // the batch; every other trial's verdict is computed exactly as if this trial
@@ -380,13 +383,14 @@ func (b *batch) run(i int) {
 	}()
 	h, seed, err := b.gen(i)
 	tr.seed = seed
+	if err == nil {
+		tr.ops = h.Len()
+		err = b.check(b, h, tr)
+	}
 	if err != nil {
 		tr.err = err
 		b.failed.Store(true)
-		return
 	}
-	tr.ops = h.Len()
-	tr.record(core.CheckRAWith(h, b.sp, b.opts, b.sess))
 }
 
 // markUndispatched records trials a batch never dispatched as Unknown, with
@@ -425,6 +429,9 @@ type trialResult struct {
 	degraded   bool
 	planReuse  bool
 	rewriteHit bool
+	// replayed, searched and rebuilt are the monitor's per-prefix path
+	// counts (MonitorReport); zero for a whole check.
+	replayed, searched, rebuilt int
 }
 
 // record keeps the fields of a check's Result that the fold consumes.
@@ -443,16 +450,6 @@ func (tr *trialResult) record(res core.Result) {
 	tr.rewriteHit = res.RewriteCached
 }
 
-// newHistoryCheck returns the empty summary the batch folds trials into.
-func newHistoryCheck(name string, workers int) HistoryCheck {
-	return HistoryCheck{
-		CRDT:            name,
-		ByStrategy:      map[string]int{},
-		UnknownByReason: map[string]int{},
-		BatchWorkers:    workers,
-	}
-}
-
 // add folds trial i into the summary. Trials must be added in trial order so
 // the first FailureExample and UnknownExample do not depend on completion
 // order.
@@ -461,6 +458,9 @@ func (out *HistoryCheck) add(i int, tr *trialResult) {
 	out.Operations += tr.ops
 	out.Tried += tr.tried
 	out.Stats.Add(tr.stats)
+	out.Replayed += tr.replayed
+	out.ExtendSearches += tr.searched
+	out.Rebuilds += tr.rebuilt
 	if tr.planReuse {
 		out.PlanReuses++
 	}

@@ -22,7 +22,7 @@ func monitorJustSteps(t *testing.T, hs []*core.History, sp core.Spec, opts core.
 		}
 		verdicts = append(verdicts, rep.Verdicts...)
 		steps += rep.Stats.JustSteps
-		prefixes += rep.Ops
+		prefixes += len(rep.Verdicts)
 	}
 	return verdicts, steps, prefixes
 }

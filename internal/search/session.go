@@ -298,9 +298,11 @@ func (rec *record) covers(h *core.History, token any) bool {
 // Batch pipelines record every history they clone, so without a cap a long
 // batch would keep all of them live. At the cap the whole map is dropped and
 // refilled (generation eviction), the one rule for every record. Re-checks
-// cycle a small working set and a monitor follows one live history at a
-// time, which the record being inserted always survives, so a generation is
-// enough; and unlike evicting a single entry, it depends on no map order.
+// cycle a small working set, which the record being inserted always
+// survives, so a generation is enough; and unlike evicting a single entry, it
+// depends on no map order. A monitor follows one live history per worker and
+// Forgets it when the replay ends, so it never reaches the cap: a clear
+// would drop other workers' in-flight records and make them rebuild.
 const recordCap = 256
 
 // SessionRewrite implements core.EngineSession: the rewriting of h's
@@ -358,6 +360,17 @@ func (s *Session) putLocked(h *core.History, rec *record) {
 		s.records = make(map[*core.History]*record)
 	}
 	s.records[h] = rec
+}
+
+// Forget drops h's record, so a history the caller is done with pins nothing
+// in the session and never counts toward recordCap. Nil-safe.
+func (s *Session) Forget(h *core.History) {
+	if s == nil {
+		return
+	}
+	s.mu.Lock()
+	delete(s.records, h)
+	s.mu.Unlock()
 }
 
 // getSearcher takes a pooled searcher sized for n labels — the wanted size
